@@ -12,8 +12,9 @@ The ``serving`` stage measures the query path instead of the train path:
 it fits a model, starts an in-process :mod:`repro.serve` HTTP server, and
 replays concurrent ``/v1/infer`` requests through the real client/server/
 micro-batcher stack, recording p50/p95 request latency and docs/sec into
-``BENCH_serving.json`` (percentiles via the same
-:mod:`repro.utils.timing` helpers the server's ``/metrics`` uses).
+``BENCH_serving.json``.  Client-side latency percentiles are exact
+(:func:`repro.utils.timing.percentile`); per-span figures are read from the
+server's metric shard, the store its ``/metrics`` endpoint renders.
 
 The ``ingestion`` stage measures the continuous-update path
 (:mod:`repro.stream`): documents are streamed shard by shard into a real
@@ -46,7 +47,7 @@ from repro.topicmodel.gibbs import (
     resolve_engine,
 )
 from repro.utils.rng import new_rng
-from repro.utils.timing import LatencyTracker
+from repro.utils.timing import percentile
 
 ALL_STAGES = ("phrase_mining", "segmentation", "phrase_lda", "topmine",
               "serving", "ingestion")
@@ -457,7 +458,7 @@ def _bench_serving_fleet(config: BenchConfig,
         serve_config = ServeConfig(port=0, workers=workers,
                                    max_batch_size=concurrency * 2,
                                    default_iterations=config.serving_iterations)
-        tracker = LatencyTracker(max_samples=max(n_requests, 1))
+        latencies: List[float] = []
         fleet = ServeFleet(serve_config, {"bench": path}).start()
         local = threading.local()
 
@@ -486,7 +487,7 @@ def _bench_serving_fleet(config: BenchConfig,
         def fire(index: int) -> None:
             start = time.perf_counter()
             post_infer(index)
-            tracker.observe(time.perf_counter() - start)
+            latencies.append(time.perf_counter() - start)
 
         try:
             fleet.wait_until_ready()
@@ -500,7 +501,6 @@ def _bench_serving_fleet(config: BenchConfig,
                 wall = time.perf_counter() - wall_start
         finally:
             fleet.stop()
-        latency = tracker.summary()
         records.append({
             "stage": "serving",
             "engine": f"workers-{workers}",
@@ -512,8 +512,8 @@ def _bench_serving_fleet(config: BenchConfig,
             "concurrency": concurrency,
             "iterations": config.serving_iterations,
             "docs_per_second": n_requests / wall if wall else None,
-            "latency_p50_ms": latency["p50"] * 1e3,
-            "latency_p95_ms": latency["p95"] * 1e3,
+            "latency_p50_ms": percentile(latencies, 50) * 1e3,
+            "latency_p95_ms": percentile(latencies, 95) * 1e3,
         })
     scaling = {str(r["workers"]): r["docs_per_second"] for r in records}
     summary: Dict[str, Any] = {"worker_scaling": scaling,
@@ -549,9 +549,11 @@ def bench_serving(config: BenchConfig) -> Dict[str, Any]:
     ``serving_workers`` fleet size, giving the docs/sec scaling curve of
     multi-process serving.  ``summary`` reports ``docs_per_second`` (the
     in-process serving headline), p50/p95 request latency in
-    milliseconds, per-span p50/p95 (``spans`` — queue wait, batch
-    assembly, model load, segmentation, fold-in, from the server's own
-    request traces), and ``worker_scaling``/``fleet_speedup``.
+    milliseconds, per-span figures (``spans`` — queue wait, batch
+    assembly, model load, segmentation, fold-in: the exact ``count`` and
+    ``mean_ms`` plus bucket-estimated ``p50_ms``/``p95_ms``, read from the
+    server's metric shard exactly as ``/metrics`` reads it), and
+    ``worker_scaling``/``fleet_speedup``.
 
     The measured replay additionally runs under the sampling profiler:
     its collapsed-stack flamegraph text is written next to the report as
@@ -562,7 +564,8 @@ def bench_serving(config: BenchConfig) -> Dict[str, Any]:
     from repro.io.artifacts import ModelBundle, save_bundle
     from repro.obs import SPAN_NAMES, span_metric
     from repro.obs.profile import profiled
-    from repro.serve import ModelRegistry, ReproServer, ServeClient
+    from repro.obs.shards import bucket_bounds, bucket_quantile
+    from repro.serve import ModelRegistry, ReproServer, ServeClient, ServeConfig
 
     size = max(config.sizes)
     generated = load_dataset(config.dataset, n_documents=size, seed=config.seed)
@@ -575,15 +578,16 @@ def bench_serving(config: BenchConfig) -> Dict[str, Any]:
     n_requests = config.serving_requests
     unseen = load_dataset(config.dataset, n_documents=n_requests,
                           seed=config.seed + 1).texts
-    tracker = LatencyTracker(max_samples=max(n_requests, 1))
+    latencies: List[float] = []
 
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "serving-model.npz"
         save_bundle(path, bundle)
         registry = ModelRegistry()
         registry.register("bench", path)
-        server = ReproServer(registry, port=0, batch_delay=0.002,
-                             max_batch_size=config.serving_concurrency * 4)
+        server = ReproServer(registry, ServeConfig(
+            port=0, batch_delay=0.002,
+            max_batch_size=config.serving_concurrency * 4))
         server.start_background()
         try:
             client = ServeClient(server.url)
@@ -596,25 +600,32 @@ def bench_serving(config: BenchConfig) -> Dict[str, Any]:
                 start = time.perf_counter()
                 client.infer([unseen[index]], seed=index,
                              iterations=config.serving_iterations)
-                tracker.observe(time.perf_counter() - start)
+                latencies.append(time.perf_counter() - start)
 
             with profiled() as profiler:
                 wall_start = time.perf_counter()
                 with ThreadPoolExecutor(config.serving_concurrency) as pool:
                     list(pool.map(fire, range(n_requests)))
                 wall = time.perf_counter() - wall_start
-            batches = server.metrics.counter("infer_batches_total")
+            batches = int(server.metrics.value("infer_batches_total"))
             # Per-span request breakdown (queue wait, batch assembly,
-            # model load, segmentation, fold-in) from the same registry
-            # the batcher records its traces into: where the latency goes,
+            # model load, segmentation, fold-in) from the shard the
+            # batcher records its traces into: where the latency goes,
             # not just what it totals.
+            entries = server.metrics.read()
             spans = {}
             for span in SPAN_NAMES:
-                observed = server.metrics.latency(span_metric(span)).summary()
-                if observed["count"]:
-                    spans[span] = {"count": observed["count"],
-                                   "p50_ms": observed["p50"] * 1e3,
-                                   "p95_ms": observed["p95"] * 1e3}
+                entry = entries.get(span_metric(span))
+                if entry is None or not entry.count:
+                    continue
+                bounds = bucket_bounds(entry.kind)
+                spans[span] = {
+                    "count": int(entry.count),
+                    "mean_ms": entry.sum / entry.count * 1e3,
+                    "p50_ms": bucket_quantile(
+                        bounds, entry.bucket_counts, 50) * 1e3,
+                    "p95_ms": bucket_quantile(
+                        bounds, entry.bucket_counts, 95) * 1e3}
         finally:
             server.stop()
         fleet_records, fleet_summary = _bench_serving_fleet(config, path)
@@ -624,7 +635,6 @@ def bench_serving(config: BenchConfig) -> Dict[str, Any]:
     profile_path.parent.mkdir(parents=True, exist_ok=True)
     profile_path.write_text(profiler.collapsed(), encoding="utf-8")
 
-    latency = tracker.summary()
     record = {
         "stage": "serving",
         "dataset": config.dataset,
@@ -635,8 +645,8 @@ def bench_serving(config: BenchConfig) -> Dict[str, Any]:
         "concurrency": config.serving_concurrency,
         "iterations": config.serving_iterations,
         "docs_per_second": n_requests / wall if wall else None,
-        "latency_p50_ms": latency["p50"] * 1e3,
-        "latency_p95_ms": latency["p95"] * 1e3,
+        "latency_p50_ms": percentile(latencies, 50) * 1e3,
+        "latency_p95_ms": percentile(latencies, 95) * 1e3,
         "batches": batches,
         "spans": spans,
         "profile": profile_name,

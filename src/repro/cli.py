@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--iterations", type=int, default=None,
                        help="fold-in Gibbs sweeps (default: 50; 10 with --smoke)")
     infer.add_argument("--engine", default="auto", choices=INFERENCE_ENGINES,
-                       help="fold-in engine (default: auto)")
+                       help="fold-in engine: batch (vectorized; what auto "
+                            "picks) or reference (the readable loop)")
     infer.add_argument("--seed", type=int, default=7,
                        help="fold-in seed (default: 7)")
     infer.add_argument("--top", type=int, default=3,
@@ -931,11 +932,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             # directory so its ingest/refresh series still appear in any
             # worker's /metrics scrape (labeled worker_id="stream").
             from repro.obs import ShardWriter, shard_path
-            from repro.utils.timing import MetricsRegistry
 
-            metrics = MetricsRegistry()
-            metrics.attach_shard(ShardWriter(
-                shard_path(fleet.config.metrics_dir, "stream")))
+            metrics = ShardWriter(
+                shard_path(fleet.config.metrics_dir, "stream"))
     else:
         registry = ModelRegistry(capacity=config.registry_capacity)
         for name, path in sources.items():

@@ -10,18 +10,18 @@ retraining:
    held-out perplexity evaluation);
 2. segment the encoded chunks with the frozen phrase table — Algorithm 2
    with the training corpus' significance statistics;
-3. Gibbs fold-in (:class:`~repro.topicmodel.gibbs.FoldInSampler`): resample
-   only the new documents' clique assignments against the frozen topic-word
-   counts and read off each document's topic mixture ``θ̂``.
+3. Gibbs fold-in: resample only the new documents' clique assignments
+   against the frozen topic-word counts and read off each document's topic
+   mixture ``θ̂``.
 
-Three interchangeable engines run the fold-in sweep: ``"batch"`` (the
-cross-document slot-vectorized sampler, what ``"auto"`` resolves to — the
-fast path on multi-document inputs), ``"numpy"`` (the per-clique flat
-buffer sampler), and ``"reference"``, a readable nested loop kept as the
-executable specification.  ``"c"`` is rejected explicitly — the compiled
-training kernel mutates global counts and therefore does not apply to
-fold-in.  All engines consume the random stream identically, so a fixed
-seed yields identical clique assignments regardless of engine.
+Two interchangeable engines run the fold-in sweep: ``"batch"``
+(:class:`~repro.topicmodel.gibbs.BatchFoldInSampler`, the cross-document
+slot-vectorized sampler, what ``"auto"`` resolves to) and ``"reference"``,
+a readable nested loop kept as the executable specification.  ``"c"`` is
+rejected explicitly — the compiled training kernel mutates global counts
+and therefore does not apply to fold-in.  Both engines consume the random
+stream identically, so a fixed seed yields identical clique assignments
+regardless of engine.
 
 For the serving layer, :meth:`TopicInferencer.infer_texts_grouped` folds
 several independent *requests* (each with its own seed) in one batched
@@ -44,7 +44,6 @@ from repro.text.vocabulary import Vocabulary
 from repro.topicmodel.gibbs import (
     BatchFoldInSampler,
     FlatPhraseCorpus,
-    FoldInSampler,
     validate_fold_in_input,
 )
 from repro.topicmodel.lda import TopicModelState
@@ -53,7 +52,7 @@ from repro.utils.timing import Stopwatch
 
 Phrase = Tuple[int, ...]
 
-INFERENCE_ENGINES = ("auto", "batch", "numpy", "reference")
+INFERENCE_ENGINES = ("auto", "batch", "reference")
 
 
 def resolve_inference_engine(engine: str) -> str:
@@ -62,17 +61,17 @@ def resolve_inference_engine(engine: str) -> str:
     Parameters
     ----------
     engine:
-        One of ``"auto"``, ``"batch"``, ``"numpy"``, ``"reference"``.
+        One of ``"auto"``, ``"batch"``, ``"reference"``.
         ``"auto"`` resolves to ``"batch"``, the cross-document vectorized
-        fold-in — bit-identical to the others under a fixed seed, fastest
-        on multi-document inputs.  (The compiled training kernel updates
+        fold-in — bit-identical to the reference loop under a fixed seed,
+        without its per-clique Python loop.  (The compiled training kernel updates
         the global count matrices in place, which fold-in must *not* do,
         so ``"c"`` never applies here.)
 
     Returns
     -------
     str
-        ``"batch"``, ``"numpy"`` or ``"reference"``.
+        ``"batch"`` or ``"reference"``.
 
     Raises
     ------
@@ -85,7 +84,7 @@ def resolve_inference_engine(engine: str) -> str:
         raise ValueError(
             "engine 'c' is not available for fold-in inference (the "
             "compiled kernel mutates the trained counts); use 'auto' or "
-            "'numpy'")
+            "'batch'")
     if engine not in INFERENCE_ENGINES:
         raise ValueError(
             f"unknown inference engine {engine!r}; expected one of {INFERENCE_ENGINES}")
@@ -106,7 +105,7 @@ class InferenceConfig:
         Random seed (int or :class:`numpy.random.Generator`).
     engine:
         Sweep implementation: ``"auto"`` (→ the cross-document ``"batch"``
-        sampler), ``"batch"``, ``"numpy"``, or ``"reference"``.
+        sampler), ``"batch"``, or ``"reference"``.
     """
 
     n_iterations: int = 50
@@ -407,15 +406,13 @@ class TopicInferencer:
         phrase_docs = [[tuple(p) for p in doc.phrases] for doc in segmented]
         flat = FlatPhraseCorpus(phrase_docs)
         if engine == "reference":
-            # The numpy/batch paths validate inside their samplers; validate
-            # the reference path here with the same shared check.
+            # The batch sampler validates on construction; validate the
+            # reference path here with the same shared check.
             validate_fold_in_input(flat, self.state.alpha, self.state.beta,
                                    self.state.vocabulary_size)
             theta, assigns = self._fold_in_reference(phrase_docs, config)
-        elif engine == "batch":
-            theta, assigns = self._fold_in_batch(flat, config)
         else:
-            theta, assigns = self._fold_in_numpy(flat, config)
+            theta, assigns = self._fold_in_batch(flat, config)
         if unknown_counts is None:
             unknown_counts = [0] * len(segmented)
         documents = [
@@ -426,30 +423,15 @@ class TopicInferencer:
         ]
         return InferenceResult(theta=theta, documents=documents)
 
-    def _fold_in_numpy(self, flat: FlatPhraseCorpus,
-                       config: InferenceConfig,
-                       ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Vectorized fold-in over the flat buffers (the fast path)."""
-        state = self.state
-        rng = new_rng(config.seed)
-        sampler = FoldInSampler(flat, state.topic_word_counts,
-                                state.topic_counts, state.alpha, state.beta)
-        sampler.initialize(rng)
-        for _ in range(config.n_iterations):
-            sampler.sweep(rng)
-        assigns = [np.ascontiguousarray(sampler.assign[g0:g1])
-                   for g0, g1 in flat.doc_ranges]
-        return sampler.theta(), assigns
-
     def _fold_in_batch(self, flat: FlatPhraseCorpus,
                        config: InferenceConfig,
                        ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Slot-vectorized fold-in across documents (``"auto"``'s choice).
 
         A single group covering every document, driven by one generator —
-        the same random stream as :meth:`_fold_in_numpy`, so the engines
+        the same random stream as :meth:`_fold_in_reference`, so the engines
         stay bit-identical while the batch sampler removes the per-clique
-        Python loop on multi-document inputs.
+        Python loop.
         """
         state = self.state
         rng = new_rng(config.seed)
@@ -468,7 +450,7 @@ class TopicInferencer:
                            ) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Readable nested-loop fold-in, the executable specification.
 
-        Consumes the random stream exactly like :meth:`_fold_in_numpy` (one
+        Consumes the random stream exactly like :meth:`_fold_in_batch` (one
         ``integers`` draw per document, one uniform per non-empty clique per
         sweep), so both engines agree under a fixed seed.
         """
@@ -510,8 +492,9 @@ class TopicInferencer:
                     if total > 0.0:
                         k_new = int(np.searchsorted(cumulative, u * total))
                     else:
-                        # Underflowed posterior (see FoldInSampler.sweep):
-                        # uniform fallback from the same consumed uniform.
+                        # Long cliques against huge models can underflow the
+                        # Eq. 7 product to exactly 0: uniform fallback from
+                        # the same consumed uniform.
                         k_new = min(int(u * n_topics), n_topics - 1)
                     doc_assign[g] = k_new
                     local[k_new] += size

@@ -44,8 +44,8 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.shards import (KIND_COUNTER, KIND_GAUGE, ShardEntry,
-                              ShardWriter, bucket_bounds, collect_shards,
-                              histogram_kind)
+                              ShardWriter, bucket_bounds, bucket_quantile,
+                              collect_shards, histogram_kind)
 
 #: Magic bytes opening every history segment file.
 HISTORY_MAGIC = b"RPROHIS1"
@@ -247,15 +247,11 @@ class HistoryWindow:
         """Estimate the ``q``-th percentile of histogram ``name``.
 
         Differences each (non-cumulative) bucket across the window,
-        clamps per-bucket deltas at zero, and interpolates linearly inside
-        the bucket holding the target rank.  Observations that landed in
-        the overflow bucket report the largest finite bound (the estimate
-        saturates rather than inventing a value beyond the instrumented
-        range).  Returns ``None`` when the window recorded no
-        observations.
+        clamps per-bucket deltas at zero, and estimates the quantile from
+        those deltas with :func:`~repro.obs.shards.bucket_quantile` (the
+        same estimator the serving bench applies to a live shard).
+        Returns ``None`` when the window recorded no observations.
         """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"quantile q must be in [0, 100], got {q}")
         bounds = bucket_bounds(histogram_kind(name))
         deltas: List[float] = []
         for index in range(len(bounds) + 1):  # + overflow
@@ -263,21 +259,7 @@ class HistoryWindow:
             if delta is None:
                 return None
             deltas.append(delta)
-        total = sum(deltas)
-        if total <= 0.0:
-            return None
-        rank = (q / 100.0) * total
-        cumulative = 0.0
-        for index, delta in enumerate(deltas):
-            cumulative += delta
-            if cumulative >= rank and delta > 0.0:
-                if index >= len(bounds):  # overflow bucket: saturate
-                    return float(bounds[-1])
-                lower = 0.0 if index == 0 else float(bounds[index - 1])
-                upper = float(bounds[index])
-                fraction = (rank - (cumulative - delta)) / delta
-                return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
-        return float(bounds[-1])
+        return bucket_quantile(bounds, deltas, q)
 
     def ratio(self, numerator: str,
               denominators: Sequence[str]) -> Optional[float]:

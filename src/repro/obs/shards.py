@@ -43,9 +43,11 @@ import os
 import re
 import struct
 import threading
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,6 +85,41 @@ def histogram_kind(name: str) -> int:
 def bucket_bounds(kind: int) -> Tuple[float, ...]:
     """Return the fixed upper bucket bounds for histogram ``kind``."""
     return _BUCKETS_BY_KIND[kind]
+
+
+def bucket_quantile(bounds: Sequence[float], counts: Sequence[float],
+                    q: float) -> Optional[float]:
+    """Estimate the ``q``-th percentile from non-cumulative bucket counts.
+
+    ``counts`` holds one count per bound in ``bounds`` plus a trailing
+    overflow bucket.  The estimate interpolates linearly inside the bucket
+    holding the target rank; observations in the overflow bucket report
+    the largest finite bound (the estimate saturates rather than inventing
+    a value beyond the instrumented range).  Returns ``None`` when the
+    buckets hold no observations.
+
+    Example
+    -------
+    >>> bucket_quantile((1.0, 2.0), (0.0, 4.0, 0.0), 50)
+    1.5
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"quantile q must be in [0, 100], got {q}")
+    total = float(sum(counts))
+    if total <= 0.0:
+        return None
+    rank = (q / 100.0) * total
+    cumulative = 0.0
+    for index, count in enumerate(counts):
+        cumulative += count
+        if cumulative >= rank and count > 0.0:
+            if index >= len(bounds):  # overflow bucket: saturate
+                return float(bounds[-1])
+            lower = 0.0 if index == 0 else float(bounds[index - 1])
+            upper = float(bounds[index])
+            fraction = (rank - (cumulative - count)) / count
+            return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
+    return float(bounds[-1])
 
 
 def shard_path(directory: Union[str, Path], label: str,
@@ -140,6 +177,11 @@ class ShardEntry:
 
 class ShardWriter:
     """Single-writer, many-reader metric shard backed by an mmap.
+
+    The package's one metrics store: the server, batcher, registry,
+    stream, supervisor, log follower and rollout coordinator all record
+    into a shard, and ``/metrics``, history, SLOs and the serving bench
+    all read one back.
 
     With ``path=None`` the shard lives in anonymous memory — same write
     path, readable only in-process (the single-worker server uses this so
@@ -255,6 +297,33 @@ class ShardWriter:
         self._array[base + bucket] += 1.0
         self._array[base + n_slots - 2] += value
         self._array[base + n_slots - 1] += 1.0
+
+    @contextmanager
+    def timer(self, name: str) -> Iterator[None]:
+        """Observe the block's wall-clock seconds into histogram ``name``."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.observe(name, time.perf_counter() - start)
+
+    def value(self, name: str) -> float:
+        """Current value of counter or gauge ``name`` (0 if never written).
+
+        Example
+        -------
+        >>> shard = ShardWriter()
+        >>> shard.inc_counter("requests_total", 2)
+        >>> shard.value("requests_total")
+        2.0
+        """
+        found = self._index.get(name)
+        if found is None:
+            return 0.0
+        offset, kind, _ = found
+        if kind not in (KIND_COUNTER, KIND_GAUGE):
+            raise TypeError(f"{name!r} is a histogram, not a counter or gauge")
+        return float(self._array[offset // 8])
 
     def merge_entries(self, entries: Dict[str, ShardEntry]) -> None:
         """Add ``entries``' slots into this shard (used by the reaper).

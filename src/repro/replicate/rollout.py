@@ -31,9 +31,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.logging import log_event
+from repro.obs.shards import ShardWriter
 from repro.obs.tracing import new_request_id
 from repro.serve.client import ServeClient, ServeError
-from repro.utils.timing import MetricsRegistry
 
 #: Numeric encoding of the coordinator state machine, exported as the
 #: ``rollout_state`` gauge (idle → canary → fanout → done | rolled_back).
@@ -133,7 +133,7 @@ class RolloutCoordinator:
     probe_documents:
         Documents sent in the live ``/v1/infer`` canary probe.
     metrics:
-        Optional registry for the ``rollout_*`` families.
+        Optional metric shard for the ``rollout_*`` families.
     client_timeout:
         Socket timeout for every probe HTTP call.
     slo_gate:
@@ -150,7 +150,7 @@ class RolloutCoordinator:
                  health_timeout: float = 30.0,
                  poll_interval: float = 0.1,
                  probe_documents: Optional[List[str]] = None,
-                 metrics: Optional[MetricsRegistry] = None,
+                 metrics: Optional[ShardWriter] = None,
                  client_timeout: float = 30.0,
                  slo_gate: bool = False) -> None:
         if not targets:
@@ -169,7 +169,7 @@ class RolloutCoordinator:
         self.poll_interval = poll_interval
         self.probe_documents = list(
             probe_documents or ["data mining query processing"])
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = metrics or ShardWriter()
         self.client_timeout = client_timeout
         self.slo_gate = slo_gate
         #: ``X-Request-Id`` of the rollout in flight: one id is minted per
@@ -320,7 +320,7 @@ class RolloutCoordinator:
             if not target_report.healthy:
                 failed = target_report
                 break
-            self.metrics.increment("rollout_promotions_total")
+            self.metrics.inc_counter("rollout_promotions_total")
 
         if failed is None:
             for target in self.targets:
@@ -331,7 +331,7 @@ class RolloutCoordinator:
 
         # Roll every promoted target back to its previous bytes, then
         # re-verify the fleet is coherent on the old version.
-        self.metrics.increment("rollout_rollbacks_total")
+        self.metrics.inc_counter("rollout_rollbacks_total")
         for target in promoted:
             self._restore(target)
         for target in promoted:

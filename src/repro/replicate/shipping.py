@@ -31,11 +31,11 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.logging import log_event
+from repro.obs.shards import ShardWriter
 from repro.obs.tracing import new_request_id
 from repro.serve.client import ServeClient, ServeError
 from repro.stream.log import DocumentLog, ShardInfo, StreamLogError, _hash_text
 from repro.utils.retry import RetryPolicy
-from repro.utils.timing import MetricsRegistry
 
 #: Exceptions a network fetch may surface that warrant a backoff + retry.
 RETRYABLE_FETCH_ERRORS = (ServeError, OSError, http.client.HTTPException)
@@ -98,7 +98,7 @@ class LogFollower:
         loop (the underlying client is built with ``retries=0``) so every
         retry lands in ``shipping_retries_total``.
     metrics:
-        Optional registry for the ``shipping_*`` / ``replica_lag_docs``
+        Optional metric shard for the ``shipping_*`` / ``replica_lag_docs``
         families; a private one is created when omitted.
     on_shard:
         Optional callback invoked with each :class:`ShardInfo` right after
@@ -110,7 +110,7 @@ class LogFollower:
                  chunk_bytes: int = 1 << 18,
                  timeout: float = 10.0,
                  retry: Optional[RetryPolicy] = None,
-                 metrics: Optional[MetricsRegistry] = None,
+                 metrics: Optional[ShardWriter] = None,
                  client: Optional[ServeClient] = None,
                  on_shard: Optional[Callable[[ShardInfo], None]] = None
                  ) -> None:
@@ -121,7 +121,7 @@ class LogFollower:
         self.chunk_bytes = chunk_bytes
         self.retry = retry or RetryPolicy(retries=5, base_delay=0.05,
                                           max_delay=2.0)
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = metrics or ShardWriter()
         self.client = client or ServeClient(self.primary_url,
                                             timeout=timeout, retries=0)
         self.on_shard = on_shard
@@ -136,7 +136,7 @@ class LogFollower:
         """Run one network call under the retry policy, counting retries."""
         def record_retry(attempt: int, exc: BaseException,
                          pause: float) -> None:
-            self.metrics.increment("shipping_retries_total")
+            self.metrics.inc_counter("shipping_retries_total")
             log_event("shipping_retry", what=what, attempt=attempt,
                       pause_seconds=round(pause, 4), error=str(exc),
                       request_id=self.request_id)
@@ -156,12 +156,12 @@ class LogFollower:
             body, headers = self.client.log_manifest()
             expected = headers.get("X-Content-SHA256")
             if expected and hashlib.sha256(body).hexdigest() != expected:
-                self.metrics.increment("shipping_verify_failures_total")
+                self.metrics.inc_counter("shipping_verify_failures_total")
                 raise ServeError(0, "manifest bytes failed SHA-256 check")
             try:
                 manifest = json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                self.metrics.increment("shipping_verify_failures_total")
+                self.metrics.inc_counter("shipping_verify_failures_total")
                 raise ServeError(0, f"manifest is not JSON: {exc}") from exc
             return body, manifest
 
@@ -240,7 +240,7 @@ class LogFollower:
             digest = headers.get("X-Content-SHA256", "")
             if hashlib.sha256(body).hexdigest() != digest \
                     or int(headers.get("X-Content-Offset", -1)) != offset:
-                self.metrics.increment("shipping_verify_failures_total")
+                self.metrics.inc_counter("shipping_verify_failures_total")
                 raise ServeError(0, f"shard {shard.name} range at offset "
                                     f"{offset} failed verification")
             return body, int(headers["X-Shard-Size"])
@@ -256,7 +256,7 @@ class LogFollower:
                     handle.flush()
                     os.fsync(handle.fileno())
                 fetched += len(body)
-                self.metrics.increment("shipping_bytes_total", len(body))
+                self.metrics.inc_counter("shipping_bytes_total", len(body))
             if position + len(body) >= size:
                 break
             if not body:
@@ -271,7 +271,7 @@ class LogFollower:
                 or not self._verify_shard_file(partial, shard):
             # Assembled bytes are wrong (e.g. the partial predates a
             # divergent restart): drop them so the next cycle refetches.
-            self.metrics.increment("shipping_verify_failures_total")
+            self.metrics.inc_counter("shipping_verify_failures_total")
             partial.unlink(missing_ok=True)
             raise ReplicationError(
                 f"shard {shard.name}: assembled file failed digest or "
@@ -308,7 +308,7 @@ class LogFollower:
                 report.n_shards_fetched += 1
                 report.n_documents_fetched += shard.n_documents
                 report.shards.append(shard.name)
-                self.metrics.increment("shipping_shards_total")
+                self.metrics.inc_counter("shipping_shards_total")
                 self.metrics.set_gauge(
                     "replica_lag_docs",
                     max(0, primary_documents - log.n_documents))

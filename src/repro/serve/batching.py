@@ -33,10 +33,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.infer import InferenceConfig, InferenceResult
+from repro.obs.shards import ShardWriter
 from repro.obs.tracing import RequestTrace, span_metric
 from repro.serve.config import ServeConfig
 from repro.serve.registry import ModelRegistry
-from repro.utils.timing import MetricsRegistry, Stopwatch
+from repro.utils.timing import Stopwatch
 
 
 @dataclass
@@ -66,7 +67,7 @@ class MicroBatcher:
         Seconds to keep a batch open after its first request, waiting for
         company (the micro-batching window).
     metrics:
-        Optional shared metrics registry; the batcher records
+        Optional shared metric shard; the batcher records
         ``infer_requests_total``, ``infer_documents_total``,
         ``infer_batches_total`` counters and ``infer_batch_seconds`` /
         ``infer_batch_size`` latencies into it.
@@ -74,7 +75,7 @@ class MicroBatcher:
 
     def __init__(self, registry: ModelRegistry, max_batch_size: int = 32,
                  max_delay: float = 0.005,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 metrics: Optional[ShardWriter] = None) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if max_delay < 0:
@@ -82,7 +83,7 @@ class MicroBatcher:
         self.registry = registry
         self.max_batch_size = max_batch_size
         self.max_delay = max_delay
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = metrics or ShardWriter()
         self._queue: List[_Pending] = []
         self._condition = threading.Condition()
         self._stopped = False
@@ -90,7 +91,7 @@ class MicroBatcher:
 
     @classmethod
     def from_config(cls, registry: ModelRegistry, config: "ServeConfig",
-                    metrics: Optional[MetricsRegistry] = None) \
+                    metrics: Optional[ShardWriter] = None) \
             -> "MicroBatcher":
         """Build a batcher from a :class:`~repro.serve.config.ServeConfig`.
 
@@ -138,8 +139,8 @@ class MicroBatcher:
 
         When a :class:`~repro.obs.tracing.RequestTrace` is passed, the
         batch records its span timings (queue wait, batch assembly, model
-        load, segmentation, fold-in) into it — and into the shared metrics
-        registry's ``span_*_seconds`` histograms either way.
+        load, segmentation, fold-in) into it — and into the shared metric
+        shard's ``span_*_seconds`` histograms either way.
 
         Raises whatever the batch execution raised for this request (e.g.
         :class:`~repro.serve.registry.UnknownModelError`), or
@@ -152,7 +153,7 @@ class MicroBatcher:
                 raise RuntimeError("inference scheduler is not running")
             self._queue.append(request)
             self._condition.notify_all()
-        self.metrics.increment("infer_requests_total")
+        self.metrics.inc_counter("infer_requests_total")
         return request.future.result(timeout=timeout)
 
     # -- worker ------------------------------------------------------------------------
@@ -205,7 +206,7 @@ class MicroBatcher:
         self._record_span(batch, "batch_assembly",
                           time.perf_counter() - execution_start)
         for (model_name, n_iterations), requests in partitions.items():
-            self.metrics.increment("infer_batches_total")
+            self.metrics.inc_counter("infer_batches_total")
             self.metrics.observe("infer_batch_size", len(requests))
             try:
                 with self.metrics.timer("infer_batch_seconds"):
@@ -232,7 +233,7 @@ class MicroBatcher:
                     if not request.future.cancelled():
                         request.future.set_exception(exc)
                 continue
-            self.metrics.increment(
+            self.metrics.inc_counter(
                 "infer_documents_total",
                 sum(len(request.texts) for request in requests))
             for request, result in zip(requests, results):

@@ -13,30 +13,16 @@ The dataclass is frozen: a config can be shared between threads and
 processes without defensive copies, and deriving a variant (e.g. pinning
 the concrete port after an ephemeral bind) goes through
 :meth:`ServeConfig.replace`, which re-runs validation.
-
-Legacy constructor kwargs (``ReproServer(registry, port=0, ...)``) keep
-working through :func:`config_from_legacy_kwargs`, which folds them into a
-``ServeConfig`` while emitting a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 DEFAULT_ITERATIONS = 50
 DEFAULT_SEED = 7
-
-# Legacy ReproServer/serve() keyword names -> ServeConfig field names.
-_LEGACY_KWARGS = {
-    "host": "host",
-    "port": "port",
-    "max_batch_size": "max_batch_size",
-    "batch_delay": "batch_delay",
-    "default_iterations": "default_iterations",
-}
 
 
 @dataclass(frozen=True)
@@ -147,36 +133,3 @@ class ServeConfig:
     def as_dict(self) -> Dict[str, Any]:
         """The config as a plain dict (for logs, benches, and manifests)."""
         return dataclasses.asdict(self)
-
-
-def config_from_legacy_kwargs(config: Optional[ServeConfig],
-                              legacy: Dict[str, Any],
-                              owner: str) -> ServeConfig:
-    """Fold pre-``ServeConfig`` keyword arguments into a :class:`ServeConfig`.
-
-    ``owner`` names the call site for the warning text.  Passing *both* a
-    config and legacy kwargs is an error — silently merging the two would
-    make it ambiguous which surface wins.
-
-    Raises
-    ------
-    TypeError
-        On an unknown keyword, or when legacy kwargs are combined with an
-        explicit ``config``.
-    """
-    unknown = set(legacy) - set(_LEGACY_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"{owner} got unexpected keyword argument(s): {sorted(unknown)}")
-    if not legacy:
-        return config if config is not None else ServeConfig()
-    if config is not None:
-        raise TypeError(
-            f"{owner} takes either a ServeConfig or legacy keyword "
-            f"arguments, not both (got config plus {sorted(legacy)})")
-    warnings.warn(
-        f"passing {sorted(legacy)} to {owner} is deprecated; build a "
-        f"repro.serve.ServeConfig and pass it as `config` instead",
-        DeprecationWarning, stacklevel=3)
-    return ServeConfig(**{_LEGACY_KWARGS[key]: value
-                          for key, value in legacy.items()})

@@ -25,8 +25,7 @@ are JSON, validated and serialized through the typed schemas of
 4xx/5xx status.  See ``docs/serving.md`` for the full schemas.
 
 A server is configured by one frozen
-:class:`~repro.serve.config.ServeConfig` (the legacy per-kwarg
-constructor keeps working with a :class:`DeprecationWarning`).  As a
+:class:`~repro.serve.config.ServeConfig`.  As a
 fleet member (:mod:`repro.serve.fleet`), each worker process constructs
 its server with ``reuse_port=True`` — every worker binds the *same*
 address with ``SO_REUSEPORT`` and the kernel spreads incoming connections
@@ -58,14 +57,8 @@ from repro.obs.slo import SLOVerdict, evaluate_slos, render_slo_gauges
 from repro.obs.tracing import RequestTrace, new_request_id, sanitize_request_id
 from repro.serve import api
 from repro.serve.batching import MicroBatcher
-from repro.serve.config import (
-    DEFAULT_ITERATIONS,
-    DEFAULT_SEED,
-    ServeConfig,
-    config_from_legacy_kwargs,
-)
+from repro.serve.config import DEFAULT_ITERATIONS, DEFAULT_SEED, ServeConfig
 from repro.serve.registry import LoadedModel, ModelRegistry, UnknownModelError
-from repro.utils.timing import MetricsRegistry
 
 __all__ = ["DEFAULT_ITERATIONS", "DEFAULT_SEED", "ENDPOINTS",
            "MAX_BODY_BYTES", "ReproServer", "RequestError"]
@@ -110,10 +103,6 @@ class ReproServer(ThreadingHTTPServer):
     worker_id:
         This server's identity inside a fleet (``0`` for a standalone
         server); reported in ``/healthz`` and ``/v1/models`` replies.
-    metrics:
-        Optional shared metrics registry (defaults to the registry's);
-        the server, batcher, and registry all record into it and
-        ``/metrics`` renders it.
     reuse_port:
         Bind with ``SO_REUSEPORT`` so several worker processes can listen
         on one address, kernel-balanced (used by
@@ -124,11 +113,12 @@ class ReproServer(ThreadingHTTPServer):
         exactly one writer per metrics directory, so the default is
         "record iff standalone with a metrics_dir"; fleet workers pass
         ``False`` (the fleet parent records instead).
-    **legacy:
-        The pre-``ServeConfig`` keyword arguments (``host``, ``port``,
-        ``max_batch_size``, ``batch_delay``, ``default_iterations``)
-        still work — folded into a config with a
-        :class:`DeprecationWarning`.
+
+    The server owns one :class:`~repro.obs.shards.ShardWriter`
+    (``metrics``): it replaces the registry's shard, and the server,
+    batcher and registry all record into it.  ``/metrics`` renders it —
+    a file in ``config.metrics_dir`` when set (so other fleet workers'
+    scrapes read it too), anonymous memory otherwise.
     """
 
     daemon_threads = True
@@ -141,36 +131,32 @@ class ReproServer(ThreadingHTTPServer):
     def __init__(self, registry: ModelRegistry,
                  config: Optional[ServeConfig] = None, *,
                  worker_id: int = 0,
-                 metrics: Optional[MetricsRegistry] = None,
                  reuse_port: bool = False,
-                 record_history: Optional[bool] = None,
-                 **legacy: Any) -> None:
-        config = config_from_legacy_kwargs(config, legacy, "ReproServer")
+                 record_history: Optional[bool] = None) -> None:
+        config = config if config is not None else ServeConfig()
         self.config = config
         self.worker_id = worker_id
         self.registry = registry
-        self.metrics = metrics or registry.metrics
-        # One shared stats path: the registry's load/reload/eviction
-        # counters must land in the registry /metrics renders.
-        registry.metrics = self.metrics
         # The metric shard this process appends to.  With a metrics_dir
         # (fleet mode) it is a file other workers' scrapes can read; a
         # standalone server keeps an anonymous in-memory shard so the one
         # /metrics rendering path — per-worker_id series plus fleet totals
         # — serves the 1-worker and N-worker cases identically.
         if config.metrics_dir is not None:
-            self.shard = ShardWriter(
+            self.metrics = ShardWriter(
                 shard_path(config.metrics_dir, str(worker_id)))
         else:
-            self.shard = ShardWriter()
-        self.metrics.attach_shard(self.shard)
+            self.metrics = ShardWriter()
+        # The registry's load/reload/eviction counters must land in the
+        # shard /metrics renders.
+        registry.metrics = self.metrics
         # Pre-declare the request/error families at zero (standard
         # exposition practice): a healthy server would otherwise never
         # create http_errors_total, leaving the error-ratio SLO with no
         # numerator series — stuck at no_data instead of reporting 0.
         for family in ("http_requests_total", "http_errors_total"):
-            self.metrics.increment(family, 0)
-        self.shard.flush()
+            self.metrics.inc_counter(family, 0)
+        self.metrics.flush()
         self.build_info = obs_build_info()
         # Metrics history: one writer per metrics directory.  A standalone
         # server with a metrics_dir records its own frames; fleet workers
@@ -182,7 +168,7 @@ class ReproServer(ThreadingHTTPServer):
         if record_history and config.metrics_dir is not None:
             self.history = HistoryRecorder(
                 config.metrics_dir, config.history_interval_seconds,
-                inline=[(str(worker_id), self.shard)])
+                inline=[(str(worker_id), self.metrics)])
             self.history.start()
         self.log_root = Path(config.log_root) if config.log_root else None
         self.default_iterations = config.default_iterations
@@ -252,7 +238,7 @@ class ReproServer(ThreadingHTTPServer):
             self.history.stop()
         # Flush but keep a file-backed shard: if this worker is part of a
         # fleet, its totals stay scrapeable until the monitor reaps them.
-        self.shard.flush()
+        self.metrics.flush()
 
     def slo_verdicts(self) -> Optional[List[SLOVerdict]]:
         """Evaluate the declared SLOs over recorded history.
@@ -337,7 +323,7 @@ class _Handler(BaseHTTPRequestHandler):
         known_route = any(route == known for _, known in _ROUTES)
         bucket = route if known_route else "/unmatched"
         metrics = self.server.metrics
-        metrics.increment("http_requests_total")
+        metrics.inc_counter("http_requests_total")
         # The request id: echo a well-formed client X-Request-Id, mint one
         # otherwise.  The trace travels with the request through the
         # batcher and comes back in the X-Request-Id response header.
@@ -354,22 +340,22 @@ class _Handler(BaseHTTPRequestHandler):
                 raise RequestError(404, f"no such endpoint: {route}")
             handler(self, parse_qs(parsed.query))
         except RequestError as exc:
-            metrics.increment("http_errors_total")
+            metrics.inc_counter("http_errors_total")
             self._send_json(exc.status, {"error": str(exc)})
         except api.SchemaError as exc:
-            metrics.increment("http_errors_total")
+            metrics.inc_counter("http_errors_total")
             self._send_json(exc.status, {"error": str(exc)})
         except UnknownModelError as exc:
-            metrics.increment("http_errors_total")
+            metrics.inc_counter("http_errors_total")
             self._send_json(404, {"error": str(exc.args[0])})
         except ArtifactError as exc:
-            metrics.increment("http_errors_total")
+            metrics.inc_counter("http_errors_total")
             self._send_json(500, {"error": f"artifact error: {exc}"})
         except BrokenPipeError:
             # Client went away mid-response; nothing left to answer.
-            metrics.increment("http_errors_total")
+            metrics.inc_counter("http_errors_total")
         except Exception as exc:  # keep the connection thread alive
-            metrics.increment("http_errors_total")
+            metrics.inc_counter("http_errors_total")
             self._send_json(500, {"error": f"internal error: {exc}"})
         finally:
             elapsed = time.perf_counter() - start
@@ -377,7 +363,7 @@ class _Handler(BaseHTTPRequestHandler):
                             elapsed)
             threshold = self.server.config.slow_request_seconds
             if threshold is not None and elapsed >= threshold:
-                metrics.increment("slow_requests_total")
+                metrics.inc_counter("slow_requests_total")
                 log_event("slow_request",
                           worker_id=self.server.worker_id,
                           method=method,
@@ -436,7 +422,7 @@ class _Handler(BaseHTTPRequestHandler):
         # then covers just this process, with identical label structure.
         sample = collect_shards(
             self.server.config.metrics_dir,
-            inline=[(str(self.server.worker_id), self.server.shard)])
+            inline=[(str(self.server.worker_id), self.server.metrics)])
         text = render_fleet(sample, build_info=self.server.build_info)
         verdicts = self.server.slo_verdicts()
         if verdicts:

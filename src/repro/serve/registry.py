@@ -42,7 +42,7 @@ from repro.io.artifacts import (
     load_bundle,
     read_manifest,
 )
-from repro.utils.timing import MetricsRegistry
+from repro.obs.shards import ShardWriter
 
 
 class UnknownModelError(KeyError):
@@ -137,7 +137,7 @@ class ModelRegistry:
         Maximum number of bundles resident at once; the least-recently-used
         is evicted when a load would exceed it.
     metrics:
-        Optional shared :class:`~repro.utils.timing.MetricsRegistry`; the
+        Optional shared :class:`~repro.obs.shards.ShardWriter`; the
         registry records ``registry_loads_total``, ``registry_reloads_total``,
         ``registry_evictions_total``, ``registry_hits_total`` and
         ``registry_stale_hits_total`` (requests answered from the previous
@@ -146,11 +146,11 @@ class ModelRegistry:
     """
 
     def __init__(self, capacity: int = 4,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 metrics: Optional[ShardWriter] = None) -> None:
         if capacity < 1:
             raise ValueError("registry capacity must be >= 1")
         self.capacity = capacity
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = metrics or ShardWriter()
         self._sources: Dict[str, Path] = {}
         self._loaded: "OrderedDict[str, LoadedModel]" = OrderedDict()
         self._lock = threading.Lock()
@@ -239,7 +239,7 @@ class ModelRegistry:
                 if resident is not None and resident.stat_signature == signature \
                         and resident.path == source:
                     self._loaded.move_to_end(name)
-                    self.metrics.increment("registry_hits_total")
+                    self.metrics.inc_counter("registry_hits_total")
                     return resident
                 inflight = self._inflight.get(name)
                 if inflight is None:
@@ -250,7 +250,7 @@ class ModelRegistry:
                     # Another thread is already swapping the new version
                     # in; answer from the previous one — zero downtime.
                     self._loaded.move_to_end(name)
-                    self.metrics.increment("registry_stale_hits_total")
+                    self.metrics.inc_counter("registry_stale_hits_total")
                     return resident
             # Cold load in progress and nothing resident: wait for the
             # loader, then re-check (it may have failed — loop and retry).
@@ -264,7 +264,7 @@ class ModelRegistry:
                 self._loaded.move_to_end(name)
                 while len(self._loaded) > self.capacity:
                     evicted, _ = self._loaded.popitem(last=False)
-                    self.metrics.increment("registry_evictions_total")
+                    self.metrics.inc_counter("registry_evictions_total")
         finally:
             with self._lock:
                 self._inflight.pop(name).set()
@@ -284,7 +284,7 @@ class ModelRegistry:
             inferencer = TopicInferencer(
                 state=None, segmenter=bundle.segmenter(),
                 vocabulary=bundle.vocabulary, preprocess=bundle.preprocess)
-        self.metrics.increment("registry_reloads_total" if reload
+        self.metrics.inc_counter("registry_reloads_total" if reload
                                else "registry_loads_total")
         loaded = LoadedModel(name=name, path=path, kind=bundle.kind,
                              bundle=bundle, inferencer=inferencer,

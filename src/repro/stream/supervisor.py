@@ -37,9 +37,9 @@ from typing import Callable, Optional, Union
 
 from repro.obs.logging import log_event
 from repro.obs.profile import profiled
+from repro.obs.shards import ShardWriter
 from repro.stream.updater import RefreshReport, TopicStream
 from repro.utils.retry import RetryPolicy
-from repro.utils.timing import MetricsRegistry
 
 
 class StreamSupervisor:
@@ -53,7 +53,7 @@ class StreamSupervisor:
     poll_interval:
         Seconds between state polls when nothing calls :meth:`notify`.
     metrics:
-        Optional shared metrics registry; refresh counters/latencies and
+        Optional shared metric shard; refresh counters/latencies and
         errors are recorded into it (alongside the serving metrics when
         the supervisor runs inside ``repro serve``).
     on_publish:
@@ -73,7 +73,7 @@ class StreamSupervisor:
     """
 
     def __init__(self, root: Union[str, Path], poll_interval: float = 1.0,
-                 metrics: Optional[MetricsRegistry] = None,
+                 metrics: Optional[ShardWriter] = None,
                  on_publish: Optional[Callable[[RefreshReport], None]] = None,
                  max_backoff: float = 30.0,
                  profile_dir: Optional[Union[str, Path]] = None,
@@ -89,7 +89,7 @@ class StreamSupervisor:
                                     base_delay=poll_interval,
                                     max_delay=max_backoff, jitter=0.1)
         self._consecutive_errors = 0
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = metrics or ShardWriter()
         self.on_publish = on_publish
         self.profile_dir = Path(profile_dir) if profile_dir is not None \
             else None
@@ -175,7 +175,7 @@ class StreamSupervisor:
                 # A full poll completed without a new error: the stream
                 # recovered.  Say so in the same three channels errors use.
                 self._consecutive_errors = 0
-                self.metrics.increment("stream_refresh_recoveries_total")
+                self.metrics.inc_counter("stream_refresh_recoveries_total")
                 log_event("stream_refresh_recovered", stream=str(self.root),
                           after_errors=errors_before)
 
@@ -228,7 +228,7 @@ class StreamSupervisor:
     def _record_error(self, message: str) -> None:
         self.last_error = message
         self._consecutive_errors += 1
-        self.metrics.increment("stream_refresh_errors_total")
+        self.metrics.inc_counter("stream_refresh_errors_total")
         log_event("stream_refresh_error", stream=str(self.root),
                   error=message,
                   consecutive_errors=self._consecutive_errors)

@@ -60,6 +60,7 @@ from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
 from repro.core.segmentation import CorpusSegmenter
 from repro.core.topmine import ToPMineConfig
 from repro.io.artifacts import ModelBundle, save_bundle
+from repro.obs.shards import ShardWriter
 from repro.stream.counters import (
     AccumulatedCounts,
     ShardStats,
@@ -71,7 +72,7 @@ from repro.text.corpus import Corpus
 from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
-from repro.utils.timing import MetricsRegistry, Stopwatch
+from repro.utils.timing import Stopwatch
 
 STREAM_FORMAT = "repro.stream"
 STREAM_VERSION = 1
@@ -282,14 +283,14 @@ class TopicStream:
     root:
         The stream directory.
     metrics:
-        Optional shared :class:`~repro.utils.timing.MetricsRegistry`;
+        Optional shared :class:`~repro.obs.shards.ShardWriter`;
         ingest/refresh counters and latencies are recorded into it.
     """
 
     def __init__(self, root: Union[str, Path],
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 metrics: Optional[ShardWriter] = None) -> None:
         self.root = Path(root)
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = metrics or ShardWriter()
         self.config = StreamConfig()
         self.published_version = 0
         self.published_documents = 0
@@ -304,7 +305,7 @@ class TopicStream:
     @classmethod
     def create(cls, root: Union[str, Path],
                config: Optional[StreamConfig] = None,
-               metrics: Optional[MetricsRegistry] = None) -> "TopicStream":
+               metrics: Optional[ShardWriter] = None) -> "TopicStream":
         """Initialise a new stream at ``root`` with a frozen ``config``."""
         root = Path(root)
         if cls.exists(root):
@@ -321,7 +322,7 @@ class TopicStream:
 
     @classmethod
     def open(cls, root: Union[str, Path],
-             metrics: Optional[MetricsRegistry] = None) -> "TopicStream":
+             metrics: Optional[ShardWriter] = None) -> "TopicStream":
         """Open an existing stream (reads config + published state only)."""
         root = Path(root)
         stream = cls(root, metrics=metrics)
@@ -517,7 +518,7 @@ class TopicStream:
         start = time.perf_counter()
         vocabulary, counts, _recovered = self._recover()
         result: AppendResult = self.log.append(texts, source=source)
-        self.metrics.increment("stream_duplicate_documents_total",
+        self.metrics.inc_counter("stream_duplicate_documents_total",
                                result.n_duplicates)
         n_tokens = 0
         if result.shard is not None:
@@ -533,9 +534,9 @@ class TopicStream:
             self._save_vocabulary(vocabulary, self.log.shard_names())
             counts.merge_shard(stats)
             counts.save(self.root / _COUNTS_FILE)
-            self.metrics.increment("stream_ingested_documents_total",
+            self.metrics.inc_counter("stream_ingested_documents_total",
                                    result.n_appended)
-            self.metrics.increment("stream_ingest_tokens_total", n_tokens)
+            self.metrics.inc_counter("stream_ingest_tokens_total", n_tokens)
         seconds = time.perf_counter() - start
         self.metrics.observe("stream_ingest_seconds", seconds)
         return IngestReport(
@@ -623,7 +624,7 @@ class TopicStream:
             self._write_stream_file()
 
         seconds = time.perf_counter() - start
-        self.metrics.increment("stream_refreshes_total")
+        self.metrics.inc_counter("stream_refreshes_total")
         self.metrics.observe("stream_refresh_seconds", seconds)
         return RefreshReport(version=version, path=path,
                              current_path=self.current_model_path,

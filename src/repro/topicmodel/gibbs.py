@@ -407,7 +407,7 @@ def validate_fold_in_input(flat: FlatPhraseCorpus, alpha: np.ndarray,
                            beta: float, vocabulary_size: int) -> None:
     """Reject degenerate priors and out-of-range token ids for fold-in.
 
-    The single validation shared by :class:`FoldInSampler` and the
+    The single validation shared by :class:`BatchFoldInSampler` and the
     reference fold-in loop in :mod:`repro.core.infer`, so both engines are
     equally strict and the error messages cannot drift.
 
@@ -426,8 +426,8 @@ def validate_fold_in_input(flat: FlatPhraseCorpus, alpha: np.ndarray,
     _check_token_range(flat.tokens, vocabulary_size)
 
 
-class FoldInSampler:
-    """Gibbs fold-in for *unseen* documents against a frozen topic model.
+class BatchFoldInSampler:
+    """Cross-document vectorized Gibbs fold-in over a frozen topic model.
 
     Fold-in keeps the trained topic-word statistics fixed and resamples only
     the new documents' clique assignments, which is the standard way to
@@ -440,155 +440,11 @@ class FoldInSampler:
             (α_k + n_{d,k} + j − 1) ·
             (β + N_{w_j,k}) / (Σ_x β_x + N_k + j − 1)
 
-    where ``n_{d,k}`` counts only the *new* document's tokens.  The sampler
-    reuses the :class:`FlatPhraseCorpus` buffers, gathers the frozen
-    ``wfac = β + N_wk`` rows per clique, and draws topics by inverse-CDF
-    sampling against per-sweep batched uniforms — the same structure as
-    :class:`VectorizedGibbsSampler`, minus all count mutation except the
-    local document counts.
+    where ``n_{d,k}`` counts only the *new* document's tokens.
 
-    The random stream is consumed exactly like the training engines (one
-    ``rng.integers`` call per document at initialisation, one uniform per
-    non-empty clique per sweep), so a fixed seed gives identical fold-in
-    assignments across the ``numpy`` and ``reference`` inference engines.
-
-    Parameters
-    ----------
-    flat:
-        Flattened unseen documents (already segmented with the *frozen*
-        phrase table).
-    topic_word_counts, topic_counts:
-        Trained ``V × K`` and length-``K`` count arrays; never mutated.
-    alpha:
-        Length-``K`` document-topic prior (the trained model's final α).
-    beta:
-        Symmetric topic-word prior β.
-    """
-
-    name = "fold-in"
-
-    def __init__(self, flat: FlatPhraseCorpus, topic_word_counts: np.ndarray,
-                 topic_counts: np.ndarray, alpha: np.ndarray, beta: float) -> None:
-        n_topics = topic_word_counts.shape[1]
-        vocabulary_size = topic_word_counts.shape[0]
-        validate_fold_in_input(flat, alpha, beta, vocabulary_size)
-        self.flat = flat
-        self.n_topics = n_topics
-        self.vocabulary_size = vocabulary_size
-        self.alpha = np.asarray(alpha, dtype=np.float64)
-        self.beta = float(beta)
-        # Frozen factors of the trained model (never written).
-        self.wfac = topic_word_counts + self.beta
-        self.tfac = topic_counts + self.beta * vocabulary_size
-        self.doc_topic = np.zeros((flat.n_docs, n_topics), dtype=np.int64)
-        self.assign = np.empty(flat.n_cliques, dtype=np.int64)
-
-    def initialize(self, rng: np.random.Generator) -> None:
-        """Draw one topic per clique and (re)build the local document counts.
-
-        Parameters
-        ----------
-        rng:
-            Generator supplying one ``integers`` draw per document, matching
-            the training engines' initialisation stream.
-        """
-        flat = self.flat
-        for g0, g1 in flat.doc_ranges:
-            self.assign[g0:g1] = rng.integers(0, self.n_topics, size=g1 - g0)
-        sizes = flat.clique_sizes()
-        token_topics = np.repeat(self.assign, sizes)
-        token_docs = np.repeat(flat.clique_doc.astype(np.int64), sizes)
-        self.doc_topic[:] = 0
-        np.add.at(self.doc_topic, (token_docs, token_topics), 1)
-
-    def sweep(self, rng: np.random.Generator) -> None:
-        """Resample every clique of every unseen document once.
-
-        The per-clique posterior is evaluated with exactly the reference
-        loop's elementwise operation order (numerator multiply, word-factor
-        multiply, denominator divide, per token), so the two inference
-        engines agree bit-for-bit, not just to rounding.
-        """
-        flat = self.flat
-        if flat.n_sampled == 0:
-            return
-        K = self.n_topics
-        tokens = flat.token_list
-        offsets = flat.offset_list
-        wfac, tfac = self.wfac, self.tfac
-        doc_topic = self.doc_topic
-        assign_list = self.assign.tolist()
-        us = rng.random(flat.n_sampled).tolist()
-        next_uniform = 0
-
-        buf = np.empty(K)
-        cum = np.empty(K)
-        dfr = np.empty(K)
-        dbuf = np.empty(K)
-        tbuf = np.empty(K)
-        mul = np.multiply
-        div = np.divide
-        add = np.add
-        acc = np.add.accumulate
-        last = K - 1
-        alpha = self.alpha
-
-        for d, (g0, g1) in enumerate(flat.doc_ranges):
-            if g0 == g1:
-                continue
-            local = doc_topic[d]
-            for g in range(g0, g1):
-                t0 = offsets[g]
-                size = offsets[g + 1] - t0
-                if size == 0:
-                    # Empty clique: keeps its slot, never sampled.
-                    continue
-                k_old = assign_list[g]
-                local[k_old] -= size
-                # Fresh float base per clique (exactly the reference's
-                # ``alpha + local`` term — no incremental float drift).
-                add(local, alpha, dfr)
-                mul(dfr, wfac[tokens[t0]], buf)
-                div(buf, tfac, buf)
-                for j in range(1, size):
-                    jf = float(j)
-                    add(dfr, jf, dbuf)
-                    mul(buf, dbuf, buf)
-                    mul(buf, wfac[tokens[t0 + j]], buf)
-                    add(tfac, jf, tbuf)
-                    div(buf, tbuf, buf)
-                acc(buf, 0, None, cum)
-                u = us[next_uniform]
-                next_uniform += 1
-                total = cum[last]
-                if total > 0.0:
-                    k_new = int(cum.searchsorted(u * total))
-                else:
-                    # Long cliques against huge models can underflow the
-                    # Eq. 7 product to exactly 0: fall back to a uniform
-                    # draw from the same consumed uniform (matching the
-                    # reference fold-in, keeping the engines bit-identical).
-                    k_new = min(int(u * K), last)
-                local[k_new] += size
-                assign_list[g] = k_new
-        self.assign[:] = assign_list
-
-    def theta(self) -> np.ndarray:
-        """Posterior document-topic estimate ``θ̂`` for the folded-in docs.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``D × K`` row-normalised ``(α_k + n_{d,k}) / Σ_k (α_k + n_{d,k})``.
-        """
-        theta = self.doc_topic + self.alpha[None, :]
-        return theta / theta.sum(axis=1, keepdims=True)
-
-
-class BatchFoldInSampler:
-    """Cross-document vectorized Gibbs fold-in over a frozen topic model.
-
-    :class:`FoldInSampler` walks one clique at a time in a Python loop.
+    The reference fold-in (``TopicInferencer._fold_in_reference`` in
+    :mod:`repro.core.infer`, the executable specification) walks one clique
+    at a time in a Python loop.
     Fold-in documents are statistically *independent* of each other — only
     the per-document counts ``n_{d,k}`` change between sweeps, never the
     frozen topic-word statistics — so cliques of *different* documents can
@@ -601,16 +457,16 @@ class BatchFoldInSampler:
     inference engine and the serving layer's micro-batching scheduler.
 
     **Bit-exactness.**  Every elementwise operation is applied in the same
-    order with the same operands as :class:`FoldInSampler` (posterior
+    order with the same operands as the reference fold-in (posterior
     products per Eq. 7, row-wise cumulative sums, inverse-CDF draws, the
     underflow fallback), and float64 elementwise NumPy ops are deterministic
     per element regardless of batching — so a slot-parallel sweep produces
-    exactly the assignments the sequential sampler would.
+    exactly the assignments the reference loop would.
 
     **Independent request streams.**  Documents are partitioned into
     *groups* (one per client request in the serving scenario); each group
     consumes its own :class:`numpy.random.Generator` exactly like a solo
-    :class:`FoldInSampler` run over just that group's documents (one
+    reference fold-in over just that group's documents (one
     ``integers`` draw per document at initialisation, one ``random`` batch
     of that group's non-empty-clique count per sweep).  A batched pass over
     many requests with per-request seeds is therefore bit-identical to
@@ -680,8 +536,8 @@ class BatchFoldInSampler:
         contiguous prefixes instead of boolean masks.  Each clique also gets
         a precomputed index into the per-sweep uniform buffer: uniforms are
         drawn per *group* in document order, skipping empty cliques —
-        exactly the order a solo :class:`FoldInSampler` run over that group
-        would consume them in.
+        exactly the order a solo reference fold-in over that group would
+        consume them in.
         """
         flat = self.flat
         sizes = flat.clique_sizes()
@@ -786,7 +642,7 @@ class BatchFoldInSampler:
             k_old = assign[ids]
             local[docs, k_old] -= sizes
             # Fresh float base per clique (the reference's ``alpha + local``
-            # term), then the Eq. 7 factors in the sequential samplers' exact
+            # term), then the Eq. 7 factors in the reference loop's exact
             # elementwise order: numerator multiply, word-factor multiply,
             # denominator divide, per token.
             dfr = local[docs] + alpha[None, :]
@@ -806,7 +662,7 @@ class BatchFoldInSampler:
             k_new = np.sum(cum < (u * total)[:, None], axis=1)
             underflowed = ~(total > 0.0)
             if underflowed.any():
-                # Same uniform fallback as the sequential engines: an
+                # Same uniform fallback as the reference fold-in: an
                 # underflowed posterior draws uniformly from the consumed u.
                 k_new[underflowed] = np.minimum(
                     (u[underflowed] * K).astype(np.int64), K - 1)

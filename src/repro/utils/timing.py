@@ -1,25 +1,22 @@
-"""Wall-clock timing, latency, and counter helpers shared across the package.
+"""Wall-clock timing helpers shared across the package.
 
 Figure 8 and Table 3 of the paper report runtime decompositions and
 cross-method runtime comparisons; the :class:`Stopwatch` / :func:`time_call`
-helpers give a consistent way to time named stages of a pipeline.
+helpers give a consistent way to time named stages of a pipeline, and
+:func:`percentile` computes exact quantiles of a list of timings (the
+benchmark harness's client-side request latencies).
 
-On top of that, this module is the *single* statistics path shared by the
-benchmark harness (:mod:`repro.bench`) and the model server's ``/metrics``
-endpoint (:mod:`repro.serve.http`): :func:`percentile` computes latency
-quantiles, :class:`LatencyTracker` records observation streams with bounded
-memory, and :class:`MetricsRegistry` aggregates named counters and latency
-trackers behind one thread-safe API (renderable as Prometheus text).
+Live counters and latency histograms are not kept here: they live in the
+metric shard (:class:`repro.obs.shards.ShardWriter`), the one store that
+``/metrics``, history, SLOs and the serving bench all read.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Sequence, Tuple
 
 
 @dataclass
@@ -66,9 +63,8 @@ def time_call(func: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any,
 def percentile(samples: Sequence[float], q: float) -> float:
     """Return the ``q``-th percentile of ``samples`` (linear interpolation).
 
-    Matches ``numpy.percentile``'s default (``linear``) method so the
-    benchmark harness and the server's ``/metrics`` endpoint report the
-    same quantile definition without depending on NumPy here.
+    Matches ``numpy.percentile``'s default (``linear``) method without
+    depending on NumPy here.
 
     Parameters
     ----------
@@ -96,196 +92,3 @@ def percentile(samples: Sequence[float], q: float) -> float:
     high = min(low + 1, len(ordered) - 1)
     fraction = rank - low
     return float(ordered[low] + (ordered[high] - ordered[low]) * fraction)
-
-
-class LatencyTracker:
-    """Thread-safe latency recorder with bounded memory.
-
-    Keeps exact ``count``/``total`` aggregates forever but retains only the
-    most recent ``max_samples`` observations for percentile queries (a
-    sliding window, so a long-running server's ``/metrics`` quantiles track
-    current behaviour rather than all of history).
-
-    Example
-    -------
-    >>> tracker = LatencyTracker()
-    >>> for ms in (1, 2, 3, 4):
-    ...     tracker.observe(ms / 1000.0)
-    >>> tracker.count
-    4
-    >>> round(tracker.quantile(50), 4)
-    0.0025
-    """
-
-    def __init__(self, max_samples: int = 2048) -> None:
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
-        self._samples: deque = deque(maxlen=max_samples)
-        self._lock = threading.Lock()
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, seconds: float) -> None:
-        """Record one observation (in seconds)."""
-        with self._lock:
-            self._samples.append(float(seconds))
-            self.count += 1
-            self.total += float(seconds)
-
-    def quantile(self, q: float) -> float:
-        """Return the ``q``-th percentile over the retained window."""
-        with self._lock:
-            window = list(self._samples)
-        return percentile(window, q)
-
-    def summary(self) -> Dict[str, float]:
-        """Return ``{count, total, mean, p50, p95, max}`` (empty-safe).
-
-        ``p50``/``p95``/``max`` cover the retained window; ``count``,
-        ``total`` and ``mean`` cover every observation ever recorded.
-        """
-        with self._lock:
-            window = list(self._samples)
-            count, total = self.count, self.total
-        if not window:
-            return {"count": 0, "total": 0.0, "mean": 0.0,
-                    "p50": 0.0, "p95": 0.0, "max": 0.0}
-        return {
-            "count": count,
-            "total": total,
-            "mean": total / count,
-            "p50": percentile(window, 50),
-            "p95": percentile(window, 95),
-            "max": max(window),
-        }
-
-
-class MetricsRegistry:
-    """Named counters and latency trackers behind one thread-safe API.
-
-    The shared statistics path of the serving layer and the benchmark
-    harness: the HTTP server increments request counters and observes
-    request latencies here (rendered by ``/metrics``), and ``repro.bench``
-    reuses the same :class:`LatencyTracker`/:func:`percentile` machinery for
-    its p50/p95 figures — one implementation, no drift.
-
-    Example
-    -------
-    >>> metrics = MetricsRegistry()
-    >>> metrics.increment("requests_total")
-    >>> with metrics.timer("infer_seconds"):
-    ...     _ = sum(range(100))
-    >>> metrics.snapshot()["counters"]["requests_total"]
-    1
-    """
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
-        self._latencies: Dict[str, LatencyTracker] = {}
-        self._lock = threading.Lock()
-        self._shard: Any = None
-
-    def attach_shard(self, shard: Any) -> None:
-        """Mirror every write into a metric shard (see :mod:`repro.obs`).
-
-        ``shard`` follows the :class:`repro.obs.ShardWriter` protocol
-        (``inc_counter(name, by)`` / ``observe(name, value)`` /
-        ``set_gauge(name, value)``).  Once attached, every
-        :meth:`increment`, :meth:`observe` and :meth:`set_gauge` lands in both
-        this in-process registry (exact counts, windowed quantiles) and the
-        shard (cross-process aggregation at scrape time), so existing call
-        sites need no changes to become fleet-visible.
-        """
-        self._shard = shard
-
-    def increment(self, name: str, by: float = 1) -> None:
-        """Add ``by`` to the counter ``name`` (created at 0 on first use)."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + by
-        if self._shard is not None:
-            self._shard.inc_counter(name, by)
-
-    def counter(self, name: str) -> float:
-        """Return the current value of counter ``name`` (0 if never set)."""
-        with self._lock:
-            return self._counters.get(name, 0)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        with self._lock:
-            self._gauges[name] = float(value)
-        if self._shard is not None:
-            self._shard.set_gauge(name, value)
-
-    def gauge(self, name: str) -> float:
-        """Return the current value of gauge ``name`` (0 if never set)."""
-        with self._lock:
-            return self._gauges.get(name, 0.0)
-
-    def latency(self, name: str) -> LatencyTracker:
-        """Return (creating on first use) the tracker for ``name``."""
-        with self._lock:
-            tracker = self._latencies.get(name)
-            if tracker is None:
-                tracker = self._latencies[name] = LatencyTracker()
-            return tracker
-
-    def observe(self, name: str, seconds: float) -> None:
-        """Record one latency observation under ``name``."""
-        self.latency(name).observe(seconds)
-        if self._shard is not None:
-            self._shard.observe(name, seconds)
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Context manager observing the block's wall-clock time under ``name``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(name, time.perf_counter() - start)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Return ``{"counters", "gauges", "latencies"}`` maps."""
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            latencies = dict(self._latencies)
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "latencies": {name: tracker.summary()
-                          for name, tracker in latencies.items()},
-        }
-
-    def render_prometheus(self, prefix: str = "repro") -> str:
-        """Render the registry in the Prometheus text exposition format.
-
-        Counters become ``<prefix>_<name>``; each latency tracker becomes a
-        summary family ``<prefix>_<name>`` with ``quantile`` labels plus
-        ``_count`` and ``_sum`` series.  Metric names are sanitised to
-        ``[a-zA-Z0-9_]``.
-        """
-        def clean(name: str) -> str:
-            return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-
-        snapshot = self.snapshot()
-        lines: List[str] = []
-        for name in sorted(snapshot["counters"]):
-            metric = f"{prefix}_{clean(name)}"
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {snapshot['counters'][name]}")
-        for name in sorted(snapshot["gauges"]):
-            metric = f"{prefix}_{clean(name)}"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {snapshot['gauges'][name]}")
-        for name in sorted(snapshot["latencies"]):
-            summary = snapshot["latencies"][name]
-            metric = f"{prefix}_{clean(name)}"
-            lines.append(f"# TYPE {metric} summary")
-            lines.append(f'{metric}{{quantile="0.5"}} {summary["p50"]}')
-            lines.append(f'{metric}{{quantile="0.95"}} {summary["p95"]}')
-            lines.append(f"{metric}_sum {summary['total']}")
-            lines.append(f"{metric}_count {summary['count']}")
-        return "\n".join(lines) + "\n"

@@ -192,8 +192,11 @@ def test_ingestion_report_records_throughput_and_latency(smoke_reports):
 
 
 def test_timing_helpers_shared_by_bench_and_metrics():
-    """percentile/LatencyTracker/MetricsRegistry are the one stats path."""
-    from repro.utils.timing import LatencyTracker, MetricsRegistry, percentile
+    """The bench's two stats paths: exact client-side percentiles, and the
+    server's shard read back exactly as ``/metrics`` renders it."""
+    from repro.obs import ShardWriter, collect_shards, parse_prometheus, render_fleet
+    from repro.obs.shards import LATENCY_BUCKETS, bucket_quantile
+    from repro.utils.timing import percentile
 
     assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
     assert percentile([5.0], 95) == 5.0
@@ -202,21 +205,24 @@ def test_timing_helpers_shared_by_bench_and_metrics():
     with pytest.raises(ValueError):
         percentile([1.0], 200)
 
-    tracker = LatencyTracker(max_samples=3)
-    for value in (0.1, 0.2, 0.3, 0.4):  # 0.1 falls out of the window
-        tracker.observe(value)
-    assert tracker.count == 4
-    assert tracker.quantile(50) == pytest.approx(0.3)
-
-    metrics = MetricsRegistry()
-    metrics.increment("hits", 2)
-    metrics.observe("latency_seconds", 0.25)
-    snapshot = metrics.snapshot()
-    assert snapshot["counters"]["hits"] == 2
-    assert snapshot["latencies"]["latency_seconds"]["count"] == 1
-    text = metrics.render_prometheus()
-    assert "repro_hits 2" in text
-    assert 'repro_latency_seconds{quantile="0.5"} 0.25' in text
+    metrics = ShardWriter()
+    metrics.inc_counter("hits", 2)
+    metrics.observe("latency_seconds", 0.2)
+    with metrics.timer("latency_seconds"):
+        pass
+    assert metrics.value("hits") == 2
+    assert metrics.value("never_written_total") == 0
+    entry = metrics.read()["latency_seconds"]
+    assert entry.count == 2
+    assert entry.sum == pytest.approx(0.2, abs=0.01)
+    # One observation in the lowest bucket, one in (0.1, 0.25]: the median
+    # rank lands on the first bucket's upper bound.
+    assert bucket_quantile(LATENCY_BUCKETS, entry.bucket_counts, 50) \
+        == LATENCY_BUCKETS[0]
+    families = parse_prometheus(render_fleet(
+        collect_shards(inline=[("0", metrics)])))
+    assert families["repro_hits"] == [({"worker_id": "0"}, 2.0), ({}, 2.0)]
+    assert ({}, 2.0) in families["repro_latency_seconds_count"]
 
 
 def test_topmine_report_records_figure8(smoke_reports):

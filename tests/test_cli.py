@@ -121,14 +121,14 @@ def test_serve_command_serves_saved_bundle(pipeline_artifacts):
     """`repro serve` answers /healthz and /v1/infer for a CLI-trained bundle."""
     import threading
 
-    from repro.serve import ModelRegistry, ReproServer, ServeClient
+    from repro.serve import ModelRegistry, ReproServer, ServeClient, ServeConfig
 
     _, model = pipeline_artifacts
     # Drive the same stack cmd_serve wires up, on an ephemeral port (the
     # foreground serve_forever loop itself is exercised by the CI smoke).
     registry = ModelRegistry(capacity=2)
     registry.register("model", model)
-    server = ReproServer(registry, port=0)
+    server = ReproServer(registry, ServeConfig(port=0))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

@@ -107,13 +107,13 @@ def test_readme_serve_quickstart_flags_parse():
 def test_serving_doc_schema_against_live_server(model_bundle, tmp_path):
     """Exercise the documented /v1/infer request/response schema for real."""
     from repro.io.artifacts import save_bundle
-    from repro.serve import ModelRegistry, ReproServer, ServeClient
+    from repro.serve import ModelRegistry, ReproServer, ServeClient, ServeConfig
 
     path = tmp_path / "model.npz"
     save_bundle(path, model_bundle)
     registry = ModelRegistry()
     registry.register("model", path)
-    server = ReproServer(registry, port=0)
+    server = ReproServer(registry, ServeConfig(port=0))
     server.start_background()
     try:
         client = ServeClient(server.url)
@@ -141,7 +141,7 @@ def test_serving_doc_covers_multi_process_contract():
     assert "## Multi-process serving" in text
     for required in ("SO_REUSEPORT", "--workers", "ServeConfig",
                      "worker_id", "resident_version", "mmap",
-                     "DeprecationWarning", "worker_scaling"):
+                     "worker_scaling"):
         assert required in text, f"docs/serving.md must mention {required!r}"
     for field in ServeConfig.__dataclass_fields__:
         assert f"`{field}`" in text, \

@@ -8,7 +8,7 @@ from repro.core.infer import (
     TopicInferencer,
     resolve_inference_engine,
 )
-from repro.topicmodel.gibbs import FlatPhraseCorpus, FoldInSampler
+from repro.topicmodel.gibbs import BatchFoldInSampler, FlatPhraseCorpus
 
 
 @pytest.fixture(scope="module")
@@ -30,26 +30,24 @@ def unseen_texts():
 def test_resolve_inference_engine():
     assert resolve_inference_engine("auto") == "batch"
     assert resolve_inference_engine("batch") == "batch"
-    assert resolve_inference_engine("numpy") == "numpy"
     assert resolve_inference_engine("reference") == "reference"
     with pytest.raises(ValueError, match="not available for fold-in"):
         resolve_inference_engine("c")
-    with pytest.raises(ValueError, match="unknown inference engine"):
-        resolve_inference_engine("cuda")
+    for engine in ("numpy", "cuda"):
+        with pytest.raises(ValueError, match="unknown inference engine"):
+            resolve_inference_engine(engine)
 
 
 def test_engines_identical_under_fixed_seed(inferencer, unseen_texts):
-    """All three fold-in engines must agree bit-for-bit under one seed."""
-    results = {
-        engine: inferencer.infer_texts(
+    """Both fold-in engines must agree bit-for-bit under one seed."""
+    batch, reference = (
+        inferencer.infer_texts(
             unseen_texts, InferenceConfig(n_iterations=25, seed=3, engine=engine))
-        for engine in ("batch", "numpy", "reference")
-    }
-    for engine in ("numpy", "reference"):
-        assert np.array_equal(results["batch"].theta, results[engine].theta)
-        for a, b in zip(results["batch"].documents, results[engine].documents):
-            assert np.array_equal(a.clique_topics, b.clique_topics)
-            assert a.phrases == b.phrases
+        for engine in ("batch", "reference"))
+    assert np.array_equal(batch.theta, reference.theta)
+    for a, b in zip(batch.documents, reference.documents):
+        assert np.array_equal(a.clique_topics, b.clique_topics)
+        assert a.phrases == b.phrases
 
 
 def test_grouped_inference_matches_solo_runs(inferencer, unseen_texts):
@@ -62,7 +60,7 @@ def test_grouped_inference_matches_solo_runs(inferencer, unseen_texts):
     assert len(grouped) == len(groups)
     for texts, seed, result in zip(groups, seeds, grouped):
         solo = inferencer.infer_texts(
-            texts, InferenceConfig(n_iterations=20, seed=seed, engine="numpy"))
+            texts, InferenceConfig(n_iterations=20, seed=seed, engine="reference"))
         assert np.array_equal(result.theta, solo.theta)
         for a, b in zip(result.documents, solo.documents):
             assert np.array_equal(a.clique_topics, b.clique_topics)
@@ -208,7 +206,7 @@ def test_underflowed_posterior_falls_back_uniformly_and_identically():
             inferencer.infer_segmented(
                 giant_clique,
                 InferenceConfig(n_iterations=3, seed=seed, engine=engine))
-            for engine in ("numpy", "reference", "batch")
+            for engine in ("reference", "batch")
         ]
         for other in results[1:]:
             assert np.array_equal(results[0].documents[0].clique_topics,
@@ -220,18 +218,18 @@ def test_underflowed_posterior_falls_back_uniformly_and_identically():
 def test_fold_in_sampler_rejects_degenerate_priors(model_bundle):
     flat = FlatPhraseCorpus([[(0, 1)]])
     with pytest.raises(ValueError, match="alpha > 0 and beta > 0"):
-        FoldInSampler(flat, model_bundle.topic_word_counts,
-                      model_bundle.topic_counts,
-                      np.zeros(model_bundle.n_topics), model_bundle.beta)
+        BatchFoldInSampler(flat, model_bundle.topic_word_counts,
+                           model_bundle.topic_counts,
+                           np.zeros(model_bundle.n_topics), model_bundle.beta)
 
 
 def test_fold_in_sampler_rejects_out_of_range_tokens(model_bundle):
     vocabulary_size = model_bundle.topic_word_counts.shape[0]
     flat = FlatPhraseCorpus([[(vocabulary_size + 5,)]])
     with pytest.raises(ValueError, match="token ids must be in"):
-        FoldInSampler(flat, model_bundle.topic_word_counts,
-                      model_bundle.topic_counts, model_bundle.alpha,
-                      model_bundle.beta)
+        BatchFoldInSampler(flat, model_bundle.topic_word_counts,
+                           model_bundle.topic_counts, model_bundle.alpha,
+                           model_bundle.beta)
 
 
 def test_inferencer_without_vocabulary_rejects_raw_text(model_bundle):

@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 import threading
 import urllib.request
 from pathlib import Path
@@ -105,7 +106,11 @@ def test_shard_name_parse_roundtrip(tmp_path):
 
 
 def test_concurrent_thread_writers_lose_nothing(tmp_path):
-    """8 threads hammering one writer: counter totals stay exact."""
+    """8 threads hammering one writer: counter totals stay exact.
+
+    The shard is the only metrics store, so a lost update would be a lost
+    count everywhere; a tiny switch interval makes thread switches land
+    between as many bytecodes as possible."""
     writer = ShardWriter(shard_path(tmp_path, "0"))
     n_threads, per_thread = 8, 400
 
@@ -116,10 +121,16 @@ def test_concurrent_thread_writers_lose_nothing(tmp_path):
 
     threads = [threading.Thread(target=hammer, args=(t,))
                for t in range(n_threads)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     writer.flush()
 
     entries = collect_shards(tmp_path).workers["0"]
@@ -290,17 +301,18 @@ def test_render_fleet_emits_gauge_families(tmp_path):
     assert sample_value(families, "repro_replica_lag_docs") == 11.0
 
 
-def test_metrics_registry_gauge_roundtrip():
-    from repro.utils.timing import MetricsRegistry
-
-    registry = MetricsRegistry()
-    assert registry.gauge("rollout_state") == 0.0  # never set
-    registry.set_gauge("rollout_state", 2.0)
-    registry.set_gauge("rollout_state", 3.0)  # last write wins
-    assert registry.gauge("rollout_state") == 3.0
-    text = registry.render_prometheus()
+def test_shard_gauge_value_roundtrip():
+    shard = ShardWriter()
+    assert shard.value("rollout_state") == 0.0  # never set
+    shard.set_gauge("rollout_state", 2.0)
+    shard.set_gauge("rollout_state", 3.0)  # last write wins
+    assert shard.value("rollout_state") == 3.0
+    shard.observe("rollout_promote_seconds", 0.5)
+    with pytest.raises(TypeError, match="histogram"):
+        shard.value("rollout_promote_seconds")
+    text = render_fleet(collect_shards(inline=[("0", shard)]))
     assert "# TYPE repro_rollout_state gauge" in text
-    assert "repro_rollout_state 3.0" in text
+    assert "repro_rollout_state 3\n" in text
 
 
 def test_parse_prometheus_round_trips_escaped_label_values(tmp_path):
@@ -406,6 +418,38 @@ def test_single_server_scrape_is_catalog_clean(bundle_path):
         assert family.startswith("repro_")
         assert _catalog_base(family) in METRIC_CATALOG, \
             f"{family} not in METRIC_CATALOG"
+
+
+def test_server_has_one_metrics_store(bundle_path):
+    """``/metrics`` renders the server's shard and nothing else: every
+    counter's fleet total equals ``server.metrics.value`` and every span
+    histogram count equals the shard entry's count."""
+    registry = ModelRegistry()
+    registry.register("m", bundle_path)
+    server = ReproServer(registry, ServeConfig(port=0, batch_delay=0.0))
+    server.start_background()
+    try:
+        client = ServeClient(server.url)
+        for seed in range(3):
+            client.infer(["frequent pattern mining over data streams"],
+                         seed=seed, iterations=3)
+            client.models()
+        families = parse_prometheus(client.metrics_text())
+        entries = server.metrics.read()
+        counters = [name for name, (kind, _) in METRIC_CATALOG.items()
+                    if kind == "counter" and name in entries]
+        assert {"http_requests_total", "infer_requests_total",
+                "registry_loads_total"} <= set(counters)
+        for name in counters:
+            assert sample_value(families, f"repro_{name}") \
+                == server.metrics.value(name), name
+        assert server.metrics.value("infer_requests_total") == 3
+        for span in SPAN_NAMES:
+            name = span_metric(span)
+            assert sample_value(families, f"repro_{name}_count") \
+                == entries[name].count, name
+    finally:
+        server.stop()
 
 
 def test_fleet_scrape_aggregates_and_traces(bundle_path):

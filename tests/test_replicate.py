@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.io.artifacts import save_bundle
-from repro.obs import parse_prometheus, sample_value
+from repro.obs import collect_shards, parse_prometheus, render_fleet, sample_value
 from repro.replicate import (
     LogFollower,
     ReplicationError,
@@ -237,7 +237,7 @@ def test_truncated_shard_is_refetched_never_torn(tmp_path):
             on_shard=on_shard)
         report = follower.sync_once()
         assert report.converged
-        assert follower.metrics.counter("shipping_retries_total") >= 1
+        assert follower.metrics.value("shipping_retries_total") >= 1
         assert commits == [("shard-00001", 2), ("shard-00002", 5)]
         assert _tree_bytes(tmp_path / "replica") == \
             _tree_bytes(tmp_path / "primary")
@@ -333,8 +333,8 @@ def test_rollout_happy_path_promotes_whole_fleet(model_bundle, fleet):
         entry = ServeClient(target.url).models()[0]
         assert entry.get("error") is None
         assert entry["metadata"]["stream_version"] == 2
-    assert coordinator.metrics.counter("rollout_promotions_total") == 2
-    assert coordinator.metrics.gauge("rollout_state") == 3  # done
+    assert coordinator.metrics.value("rollout_promotions_total") == 2
+    assert coordinator.metrics.value("rollout_state") == 3  # done
 
 
 def test_rollout_broken_canary_rolls_back_cleanly(fleet):
@@ -359,8 +359,8 @@ def test_rollout_broken_canary_rolls_back_cleanly(fleet):
         reply = ServeClient(target.url).infer(["a probe document"],
                                               iterations=2)
         assert reply["documents"][0]["theta"]
-    assert coordinator.metrics.counter("rollout_rollbacks_total") == 1
-    assert coordinator.metrics.gauge("rollout_state") == 4  # rolled_back
+    assert coordinator.metrics.value("rollout_rollbacks_total") == 1
+    assert coordinator.metrics.value("rollout_state") == 4  # rolled_back
 
 
 def test_rollout_rejects_bad_specs():
@@ -391,8 +391,8 @@ def test_shipping_metrics_appear_in_a_scrape(tmp_path):
     try:
         follower = LogFollower(server.url, tmp_path / "replica")
         follower.sync_once()
-        families = parse_prometheus(
-            follower.metrics.render_prometheus())
+        families = parse_prometheus(render_fleet(
+            collect_shards(inline=[("0", follower.metrics)])))
         assert sample_value(families, "repro_shipping_shards_total") == 2.0
         assert sample_value(families, "repro_replica_lag_docs") == 0.0
         assert sample_value(families,

@@ -54,7 +54,7 @@ def server(bundle_path):
     """One live ReproServer (ephemeral port) shared by the HTTP tests."""
     registry = ModelRegistry()
     registry.register("model", bundle_path)
-    server = ReproServer(registry, port=0, batch_delay=0.01)
+    server = ReproServer(registry, ServeConfig(port=0, batch_delay=0.01))
     server.start_background()
     yield server
     server.stop()
@@ -73,8 +73,8 @@ def test_registry_loads_and_caches(bundle_path):
     assert first.kind == "model"
     assert first.n_topics == 5
     assert registry.get("m") is first  # unchanged file → same object
-    assert registry.metrics.counter("registry_loads_total") == 1
-    assert registry.metrics.counter("registry_hits_total") == 1
+    assert registry.metrics.value("registry_loads_total") == 1
+    assert registry.metrics.value("registry_hits_total") == 1
 
 
 def test_registry_unknown_name(bundle_path):
@@ -102,7 +102,7 @@ def test_registry_hot_reload(model_bundle, tmp_path):
     os.utime(path, ns=(1, 1))
     second = registry.get("m")
     assert second is not first
-    assert registry.metrics.counter("registry_reloads_total") == 1
+    assert registry.metrics.value("registry_reloads_total") == 1
 
 
 def test_registry_lru_eviction(model_bundle, tmp_path):
@@ -119,7 +119,7 @@ def test_registry_lru_eviction(model_bundle, tmp_path):
     registry.get("a")          # touch: b is now least-recently used
     registry.get("c")          # exceeds capacity → evicts b
     assert registry.loaded_names() == ["a", "c"]
-    assert registry.metrics.counter("registry_evictions_total") == 1
+    assert registry.metrics.value("registry_evictions_total") == 1
     assert "b" in registry.names()  # still registered, just not resident
 
 
@@ -202,8 +202,8 @@ def test_registry_single_flight_reload_serves_stale_copy(model_bundle,
 
     with ThreadPoolExecutor(6) as pool:
         results = list(pool.map(get, range(6)))
-    assert registry.metrics.counter("registry_reloads_total") == 1
-    assert registry.metrics.counter("registry_stale_hits_total") >= 1
+    assert registry.metrics.value("registry_reloads_total") == 1
+    assert registry.metrics.value("registry_stale_hits_total") >= 1
     swapped = registry.get("m")
     assert swapped is not first
     for result in results:  # every request got a usable model, old or new
@@ -229,7 +229,7 @@ def test_registry_single_flight_cold_load(model_bundle, tmp_path,
     monkeypatch.setattr(registry_module, "load_bundle", slow_load)
     with ThreadPoolExecutor(5) as pool:
         results = list(pool.map(lambda _i: registry.get("m"), range(5)))
-    assert registry.metrics.counter("registry_loads_total") == 1
+    assert registry.metrics.value("registry_loads_total") == 1
     assert all(result is results[0] for result in results)
 
 
@@ -257,11 +257,11 @@ def test_batcher_concurrent_requests_bit_identical(bundle_path, model_bundle):
     for index, result in replies.items():
         solo = inferencer.infer_texts(
             [UNSEEN[index]],
-            InferenceConfig(n_iterations=15, seed=100 + index, engine="numpy"))
+            InferenceConfig(n_iterations=15, seed=100 + index, engine="reference"))
         assert np.array_equal(result.theta, solo.theta)
     # The barrier guarantees co-arrival: requests must actually coalesce.
-    assert batcher.metrics.counter("infer_batches_total") \
-        < batcher.metrics.counter("infer_requests_total")
+    assert batcher.metrics.value("infer_batches_total") \
+        < batcher.metrics.value("infer_requests_total")
 
 
 def test_batcher_delivers_errors_per_request(bundle_path):
@@ -309,7 +309,7 @@ def test_infer_endpoint_matches_solo_run(client, model_bundle):
     assert reply["model"] == "model"
     assert reply["n_topics"] == model_bundle.n_topics
     solo = model_bundle.inferencer().infer_texts(
-        UNSEEN[:2], InferenceConfig(n_iterations=15, seed=42, engine="numpy"))
+        UNSEEN[:2], InferenceConfig(n_iterations=15, seed=42, engine="reference"))
     for doc, solo_doc in zip(reply["documents"], solo.documents):
         # JSON floats round-trip float64 exactly → bit-identical mixtures.
         assert doc["theta"] == [float(p) for p in solo_doc.theta]
@@ -328,7 +328,7 @@ def test_concurrent_http_infer_deterministic(client, model_bundle):
     for index, reply in replies.items():
         solo = inferencer.infer_texts(
             [UNSEEN[index]],
-            InferenceConfig(n_iterations=10, seed=7 * index, engine="numpy"))
+            InferenceConfig(n_iterations=10, seed=7 * index, engine="reference"))
         assert reply["documents"][0]["theta"] == \
             [float(p) for p in solo.documents[0].theta]
 
@@ -394,7 +394,7 @@ def test_server_hot_reload_via_http(model_bundle, tmp_path):
     save_bundle(path, model_bundle)
     registry = ModelRegistry()
     registry.register("hot", path)
-    server = ReproServer(registry, port=0, batch_delay=0.0)
+    server = ReproServer(registry, ServeConfig(port=0, batch_delay=0.0))
     server.start_background()
     try:
         client = ServeClient(server.url)
@@ -402,7 +402,7 @@ def test_server_hot_reload_via_http(model_bundle, tmp_path):
         save_bundle(path, model_bundle)
         os.utime(path, ns=(1, 1))
         client.infer(["data mining"], seed=1, iterations=5)
-        assert registry.metrics.counter("registry_reloads_total") == 1
+        assert registry.metrics.value("registry_reloads_total") == 1
     finally:
         server.stop()
 
@@ -422,7 +422,7 @@ def test_segmentation_bundle_segments_but_rejects_inference(fitted_pipeline,
     save_bundle(path, seg_bundle)
     registry = ModelRegistry()
     registry.register("seg", path)
-    server = ReproServer(registry, port=0, batch_delay=0.0)
+    server = ReproServer(registry, ServeConfig(port=0, batch_delay=0.0))
     server.start_background()
     try:
         client = ServeClient(server.url)
@@ -468,25 +468,17 @@ def test_serve_config_validates_fields(bad):
         ServeConfig().replace(**bad)
 
 
-def test_server_legacy_kwargs_still_work_with_warning(bundle_path):
+def test_server_takes_config_not_legacy_kwargs(bundle_path):
     registry = ModelRegistry()
     registry.register("m", bundle_path)
-    with pytest.warns(DeprecationWarning, match="ServeConfig"):
-        server = ReproServer(registry, port=0, batch_delay=0.01)
+    server = ReproServer(registry, ServeConfig(port=0, batch_delay=0.01))
     try:
         assert server.config.batch_delay == 0.01
         assert server.default_iterations == server.config.default_iterations
     finally:
         server.server_close()
-
-
-def test_server_rejects_config_plus_legacy_kwargs(bundle_path):
-    registry = ModelRegistry()
-    registry.register("m", bundle_path)
-    with pytest.raises(TypeError, match="not both"):
-        ReproServer(registry, ServeConfig(port=0), port=0)
     with pytest.raises(TypeError, match="unexpected keyword"):
-        ReproServer(registry, ServeConfig(port=0), prot=0)
+        ReproServer(registry, port=0)
 
 
 def test_worker_identity_in_health_and_models(bundle_path):
@@ -621,7 +613,7 @@ def test_serve_model_spec_parsing(model_bundle, tmp_path, monkeypatch):
     assert registered["alias"] == str(plain)
     registry = ModelRegistry()
     registry.register("m", bundle_path)
-    server = ReproServer(registry, port=0)
+    server = ReproServer(registry, ServeConfig(port=0))
     server.start_background()
     client = ServeClient(server.url, timeout=5)
     assert client.health()["status"] == "ok"

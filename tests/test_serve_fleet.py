@@ -78,7 +78,7 @@ def test_fleet_replies_bit_identical_to_solo_runs(model_bundle, bundle_path):
             reply = client.infer([text], seed=31 * index + 1, iterations=10)
             solo = inferencer.infer_texts(
                 [text], InferenceConfig(n_iterations=10, seed=31 * index + 1,
-                                        engine="numpy"))
+                                        engine="reference"))
             assert reply["documents"][0]["theta"] == \
                 [float(p) for p in solo.documents[0].theta]
 

@@ -272,9 +272,9 @@ def test_ingest_tokenizes_only_the_delta(tmp_path, titles, monkeypatch):
 
     # The metrics agree: every token was counted exactly once at ingest.
     expected_tokens = report_one.n_tokens + report_two.n_tokens
-    assert stream.metrics.counter("stream_ingest_tokens_total") == \
+    assert stream.metrics.value("stream_ingest_tokens_total") == \
         expected_tokens
-    assert stream.metrics.counter("stream_ingested_documents_total") == \
+    assert stream.metrics.value("stream_ingested_documents_total") == \
         report_one.n_documents + report_two.n_documents
 
 
@@ -432,9 +432,9 @@ def test_supervisor_survives_refresh_errors(tmp_path):
     try:
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline and \
-                supervisor.metrics.counter("stream_refresh_errors_total") == 0:
+                supervisor.metrics.value("stream_refresh_errors_total") == 0:
             time.sleep(0.01)
-        assert supervisor.metrics.counter("stream_refresh_errors_total") > 0
+        assert supervisor.metrics.value("stream_refresh_errors_total") > 0
         assert "cannot open stream" in (supervisor.last_error or "")
     finally:
         supervisor.stop()
@@ -467,7 +467,7 @@ def test_supervisor_recovers_and_says_so(tmp_path):
     try:
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline and \
-                supervisor.metrics.counter(
+                supervisor.metrics.value(
                     "stream_refresh_errors_total") == 0:
             time.sleep(0.01)
         assert supervisor._consecutive_errors > 0
@@ -475,11 +475,11 @@ def test_supervisor_recovers_and_says_so(tmp_path):
         supervisor.notify()
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline and \
-                supervisor.metrics.counter(
+                supervisor.metrics.value(
                     "stream_refresh_recoveries_total") == 0:
             supervisor.notify()
             time.sleep(0.01)
-        assert supervisor.metrics.counter(
+        assert supervisor.metrics.value(
             "stream_refresh_recoveries_total") == 1
         assert supervisor._consecutive_errors == 0
         assert supervisor._poll_delay() == 0.01  # backoff reset
@@ -492,7 +492,7 @@ def test_stream_publish_hot_swaps_live_server_under_load(tmp_path, titles):
     """Zero-downtime proof over the real stack: a server under concurrent
     /v1/infer load across a stream publish returns no errors and switches
     model versions."""
-    from repro.serve import ModelRegistry, ReproServer, ServeClient
+    from repro.serve import ModelRegistry, ReproServer, ServeClient, ServeConfig
 
     stream = TopicStream.create(tmp_path / "stream", _stream_config())
     stream.ingest(titles[0])
@@ -500,7 +500,7 @@ def test_stream_publish_hot_swaps_live_server_under_load(tmp_path, titles):
 
     registry = ModelRegistry()
     registry.register("stream", stream.current_model_path)
-    server = ReproServer(registry, port=0, batch_delay=0.001)
+    server = ReproServer(registry, ServeConfig(port=0, batch_delay=0.001))
     server.start_background()
     errors = []
     stop = threading.Event()
@@ -525,7 +525,7 @@ def test_stream_publish_hot_swaps_live_server_under_load(tmp_path, titles):
             assert report.version == 2
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline and \
-                    server.metrics.counter("registry_reloads_total") == 0:
+                    server.metrics.value("registry_reloads_total") == 0:
                 time.sleep(0.02)
             time.sleep(0.2)           # keep hammering across the swap
             stop.set()
@@ -533,7 +533,7 @@ def test_stream_publish_hot_swaps_live_server_under_load(tmp_path, titles):
                 worker.result(timeout=30)
         assert not errors, f"requests failed across the swap: {errors[:3]}"
         # The server switched versions (exactly one single-flight reload)...
-        assert server.metrics.counter("registry_reloads_total") == 1
+        assert server.metrics.value("registry_reloads_total") == 1
         served = registry.get("stream")
         assert served.bundle.metadata["stream_version"] == 2
     finally:
