@@ -145,6 +145,18 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     "stream_ingest_seconds": ("histogram", "Wall-clock per ingest call"),
     "stream_refreshes_total": ("counter", "Stream refreshes published"),
     "stream_refresh_seconds": ("histogram", "Wall-clock per stream refresh"),
+    "stream_refresh_load_seconds": (
+        "histogram", "Refresh stage: recovery, shard-stats load and merge, "
+                     "snapshot assembly"),
+    "stream_refresh_mining_merge_seconds": (
+        "histogram", "Refresh stage: filter the merged counts into the "
+                     "mining result"),
+    "stream_refresh_segmentation_seconds": (
+        "histogram", "Refresh stage: phrase segmentation of the snapshot"),
+    "stream_refresh_topic_modeling_seconds": (
+        "histogram", "Refresh stage: PhraseLDA fit"),
+    "stream_refresh_publish_seconds": (
+        "histogram", "Refresh stage: write the version file and publish it"),
     "stream_refresh_errors_total": (
         "counter", "Stream refresh attempts that raised"),
     "stream_refresh_recoveries_total": (

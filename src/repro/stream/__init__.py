@@ -11,12 +11,15 @@ publish → registry hot-reload, with no server restart:
   hashes) giving O(delta), deduplicated, replayable ingestion;
 * :mod:`repro.stream.counters` — mergeable per-shard Algorithm-1
   statistics (:class:`ShardStats`, :class:`AccumulatedCounts`): each shard
-  is tokenized and counted exactly once, and the running merge filters at
-  refresh time into a result bit-identical to mining the whole snapshot;
+  is tokenized and counted exactly once at ingest and written to its own
+  stats file, and a refresh merges the shard counters in log order and
+  filters them into a result bit-identical to mining the whole snapshot;
 * :mod:`repro.stream.updater` — :class:`TopicStream`, the on-disk state
-  machine whose :meth:`~TopicStream.refresh` re-fits segmentation +
-  PhraseLDA deterministically over the snapshot and atomically publishes
-  a versioned bundle at ``models/current.npz``;
+  machine whose :meth:`~TopicStream.ingest` writes only the delta's files
+  and whose :meth:`~TopicStream.refresh` re-fits segmentation + PhraseLDA
+  deterministically over the snapshot (loading only the stats files its
+  process has not cached yet) and atomically publishes a versioned bundle
+  at ``models/current.npz``;
 * :mod:`repro.stream.supervisor` — :class:`StreamSupervisor`, the
   background worker that watches the log and runs refreshes off the
   request path while a live server keeps answering from the previous
@@ -32,6 +35,7 @@ from repro.stream.supervisor import StreamSupervisor
 from repro.stream.updater import (
     IngestReport,
     RefreshReport,
+    StatsCache,
     StreamConfig,
     StreamError,
     TopicStream,
@@ -44,6 +48,7 @@ __all__ = [
     "IngestReport",
     "RefreshReport",
     "ShardStats",
+    "StatsCache",
     "StreamConfig",
     "StreamError",
     "StreamLogError",

@@ -7,11 +7,14 @@ shards and a *filtering* half that runs at refresh time:
 * At **ingest**, each new shard is tokenized once and its **raw** phrase
   counts — the true occurrence count of *every* contiguous n-gram, i.e.
   Algorithm 1 at ``min_support=1`` — are computed with the vectorized
-  engine (:func:`repro.core.fast_mining.mine_flat_chunks`) and persisted.
-  Raw counts are exactly additive: counting each shard separately and
-  summing (:meth:`~repro.utils.counter.HashCounter.merge_add`) equals
-  counting the concatenated corpus.
-* At **refresh**, the accumulated raw counter is filtered at the snapshot's
+  engine (:func:`repro.core.fast_mining.mine_flat_chunks`) and persisted
+  as that shard's :class:`ShardStats` file.  Raw counts are exactly
+  additive: counting each shard separately and summing
+  (:meth:`~repro.utils.counter.HashCounter.merge_add`) equals counting the
+  concatenated corpus.
+* At **refresh**, the shard counters are merged in log order into an
+  :class:`AccumulatedCounts` (the refresher caches the merge, so only
+  shards it has not seen are loaded), which is filtered at the snapshot's
   support threshold.  Because an n-gram's reported count in Algorithm 1 is
   its true occurrence count whenever the n-gram is frequent (every
   occurrence of a frequent phrase survives the Apriori prefix/suffix and
@@ -66,7 +69,8 @@ class StreamStatsError(Exception):
 
 # -- tokenization ---------------------------------------------------------------------
 def encode_texts(texts: Sequence[str], preprocessor: Preprocessor,
-                 vocabulary: Vocabulary) -> List[List[List[int]]]:
+                 vocabulary: Vocabulary,
+                 grow: bool = True) -> List[List[List[int]]]:
     """Tokenize raw ``texts`` into id chunks, growing ``vocabulary`` in place.
 
     Mirrors :meth:`repro.text.preprocess.Preprocessor.build_corpus` token
@@ -75,6 +79,11 @@ def encode_texts(texts: Sequence[str], preprocessor: Preprocessor,
     exactly the ids — and accumulates exactly the frequencies and
     surface-form counters — that a single offline pass over the
     concatenated texts would.
+
+    With ``grow=False`` the vocabulary is only looked up, never changed:
+    re-encoding texts it has already absorbed yields the same ids without
+    counting their tokens twice.  A word it does not hold raises
+    ``KeyError``.
 
     Returns
     -------
@@ -86,8 +95,11 @@ def encode_texts(texts: Sequence[str], preprocessor: Preprocessor,
     for text in texts:
         id_chunks: List[List[int]] = []
         for chunk in preprocessor.process_text(text):
-            id_chunk = [vocabulary.add(stem, surface_form=surface)
-                        for stem, surface in chunk]
+            if grow:
+                id_chunk = [vocabulary.add(stem, surface_form=surface)
+                            for stem, surface in chunk]
+            else:
+                id_chunk = [vocabulary.id_of(stem) for stem, _ in chunk]
             if id_chunk:
                 id_chunks.append(id_chunk)
         documents.append(id_chunks)
@@ -383,7 +395,11 @@ class ShardStats:
 # -- accumulated statistics -----------------------------------------------------------
 @dataclass
 class AccumulatedCounts:
-    """The running merge of every ingested shard's raw counts.
+    """The running merge of shards' raw counts, in log order.
+
+    A refresh builds it from the shard stats files; :meth:`save` and
+    :meth:`load` persist one for offline use (the stream itself keeps no
+    accumulated file).
 
     Attributes
     ----------
@@ -411,6 +427,13 @@ class AccumulatedCounts:
         self.total_tokens += stats.total_tokens
         self.n_documents += stats.n_documents
         self.shard_names.append(stats.name)
+
+    def copy(self) -> "AccumulatedCounts":
+        """An independent copy (merging into it leaves this one as is)."""
+        return AccumulatedCounts(counter=HashCounter(self.counter.as_dict()),
+                                 total_tokens=self.total_tokens,
+                                 n_documents=self.n_documents,
+                                 shard_names=list(self.shard_names))
 
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the accumulated counts as one ``.npz`` file."""

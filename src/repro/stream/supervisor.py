@@ -38,7 +38,7 @@ from typing import Callable, Optional, Union
 from repro.obs.logging import log_event
 from repro.obs.profile import profiled
 from repro.obs.shards import ShardWriter
-from repro.stream.updater import RefreshReport, TopicStream
+from repro.stream.updater import RefreshReport, StatsCache, TopicStream
 from repro.utils.retry import RetryPolicy
 
 
@@ -95,6 +95,9 @@ class StreamSupervisor:
             else None
         self.last_report: Optional[RefreshReport] = None
         self.last_error: Optional[str] = None
+        # Kept across polls: each re-opened stream refreshes from it, so a
+        # refresh loads only the shard stats ingested since the last one.
+        self._stats_cache = StatsCache()
         self._condition = threading.Condition()
         self._stopped = False
         self._poked = False
@@ -182,7 +185,8 @@ class StreamSupervisor:
     def _poll_once(self) -> None:
         """One supervision step: reopen state, refresh if the policy says so."""
         try:
-            stream = TopicStream.open(self.root, metrics=self.metrics)
+            stream = TopicStream.open(self.root, metrics=self.metrics,
+                                      stats_cache=self._stats_cache)
         except Exception as exc:
             # The stream may not exist yet (e.g. the first ingest has not
             # happened); keep watching rather than dying.

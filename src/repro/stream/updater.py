@@ -8,18 +8,19 @@ on-disk state machine under a single directory::
       log/                   # the append-only document log (repro.stream.log)
       stats/shard-*.npz      # per-shard tokenized docs + raw phrase counts
       vocabulary.json        # shared vocabulary, full surface-form fidelity
-      counts.npz             # accumulated raw counts over all shards
       models/
         model-v00001.npz     # every published version, immutable
         current.npz          # stable serving path, atomically replaced
 
 **Ingest** is O(delta): a document batch is deduplicated and appended to
-the log, tokenized once against the shared growing vocabulary, counted
-once (Algorithm 1 at support 1), and merged into ``counts.npz``.  Old
-shards are never re-read, re-tokenized, or re-counted.
+the log, tokenized once against the shared growing vocabulary, and counted
+once (Algorithm 1 at support 1) into its own stats file.  Old shards are
+never re-read, re-tokenized, re-counted, or rewritten.
 
-**Refresh** rebuilds the model over the accumulated snapshot: the merged
-counts are filtered into a miner-equivalent result
+**Refresh** rebuilds the model over the accumulated snapshot: the shard
+counters are merged in log order — a :class:`StatsCache` keeps the merge
+and the shards' documents, so a refresh loads only the stats files it has
+not seen — and the merged counts are filtered into a miner-equivalent result
 (:meth:`~repro.stream.counters.AccumulatedCounts.mining_result`),
 segmentation and PhraseLDA re-run deterministically (fixed config seed),
 and the fitted bundle is written to a new immutable version file, then
@@ -36,13 +37,13 @@ published version can be reproduced from a corpus snapshot alone.
 
 Crash consistency: the log manifest is the commit point for ingest, and
 the derived state files are written in the fixed order *stats →
-vocabulary → counts* with the vocabulary recording which shards it has
-absorbed.  :meth:`TopicStream._recover` can therefore always finish a
-half-done ingest: shards the vocabulary has not absorbed are re-encoded
-from the log (the only case any text is re-read), and shards absorbed but
-not yet merged re-merge from their stats file.  Writers are single-process
-by design (one ingester at a time); concurrent *readers* — refreshes,
-model servers — are always safe.
+vocabulary* with the vocabulary recording which shards it has absorbed.
+:meth:`TopicStream._recover` can therefore always finish a half-done
+ingest: shards the vocabulary has not absorbed are re-encoded from the log
+(the only case an ingest re-reads text).  A missing or unreadable stats
+file of an absorbed shard is re-derived from the log by the refresh that
+needs it.  Writers are single-process by design (one ingester at a time);
+concurrent *readers* — refreshes, model servers — are always safe.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.phrase_construction import PhraseConstructionConfig
 from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
@@ -81,7 +83,6 @@ _STREAM_FILE = "stream.json"
 _LOG_DIR = "log"
 _STATS_DIR = "stats"
 _VOCAB_FILE = "vocabulary.json"
-_COUNTS_FILE = "counts.npz"
 _MODELS_DIR = "models"
 CURRENT_MODEL = "current.npz"
 
@@ -259,8 +260,9 @@ class RefreshReport:
     seconds:
         Wall-clock of the whole refresh.
     timings:
-        Per-stage seconds (``mining_merge``, ``segmentation``,
-        ``topic_modeling``, ``publish``).
+        Per-stage seconds (``load``, ``mining_merge``, ``segmentation``,
+        ``topic_modeling``, ``publish``).  ``load`` covers recovery, the
+        shard-stats load and merge, and assembling the snapshot corpus.
     """
 
     version: int
@@ -269,6 +271,38 @@ class RefreshReport:
     n_documents: int
     seconds: float
     timings: Dict[str, float] = field(default_factory=dict)
+
+
+FileIdentity = Optional[Tuple[int, int, int]]
+
+
+def _file_identity(path: Path) -> FileIdentity:
+    """``(size, mtime_ns, inode)`` of ``path``, or ``None`` when it is absent."""
+    try:
+        info = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return info.st_size, info.st_mtime_ns, info.st_ino
+
+
+@dataclass
+class StatsCache:
+    """A refresher's merge of one stream's committed shard stats.
+
+    Stats files are write-once, so the merge over a log prefix stays valid
+    for as long as every file in the prefix keeps its identity.  ``keys``
+    holds ``(shard name, stats-file identity)`` for that prefix, in log
+    order; ``documents`` each shard's encoded documents; ``counts`` the
+    merged counter (per-shard counters are dropped once merged).  Every
+    :class:`TopicStream` has one; a long-lived refresher that re-opens
+    the stream (:class:`~repro.stream.supervisor.StreamSupervisor`) passes
+    the same one to each :meth:`TopicStream.open`.
+    """
+
+    keys: List[Tuple[str, FileIdentity]] = field(default_factory=list)
+    documents: List[List[List[List[int]]]] = field(default_factory=list)
+    counts: AccumulatedCounts = field(default_factory=AccumulatedCounts)
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 class TopicStream:
@@ -285,12 +319,17 @@ class TopicStream:
     metrics:
         Optional shared :class:`~repro.obs.shards.ShardWriter`;
         ingest/refresh counters and latencies are recorded into it.
+    stats_cache:
+        Optional :class:`StatsCache` to refresh from, kept by a caller
+        that re-opens the stream; by default the instance starts its own.
     """
 
     def __init__(self, root: Union[str, Path],
-                 metrics: Optional[ShardWriter] = None) -> None:
+                 metrics: Optional[ShardWriter] = None,
+                 stats_cache: Optional[StatsCache] = None) -> None:
         self.root = Path(root)
         self.metrics = metrics or ShardWriter()
+        self.stats_cache = stats_cache or StatsCache()
         self.config = StreamConfig()
         self.published_version = 0
         self.published_documents = 0
@@ -322,10 +361,11 @@ class TopicStream:
 
     @classmethod
     def open(cls, root: Union[str, Path],
-             metrics: Optional[ShardWriter] = None) -> "TopicStream":
+             metrics: Optional[ShardWriter] = None,
+             stats_cache: Optional[StatsCache] = None) -> "TopicStream":
         """Open an existing stream (reads config + published state only)."""
         root = Path(root)
-        stream = cls(root, metrics=metrics)
+        stream = cls(root, metrics=metrics, stats_cache=stats_cache)
         path = root / _STREAM_FILE
         if not path.exists():
             raise StreamError(f"no stream at {root} (missing {_STREAM_FILE}); "
@@ -403,29 +443,13 @@ class TopicStream:
                         in vocabulary.export_state()],
         })
 
-    def _load_counts(self) -> AccumulatedCounts:
-        """Load the accumulated counts, treating corruption as absence.
-
-        ``counts.npz`` is derived state: every merged shard's stats file
-        still exists, so an unreadable archive (e.g. disk truncation) is
-        rebuilt by the recovery re-merge rather than wedging the stream.
-        """
-        path = self.root / _COUNTS_FILE
-        if not path.exists():
-            return AccumulatedCounts()
-        try:
-            return AccumulatedCounts.load(path)
-        except StreamStatsError:
-            return AccumulatedCounts()
-
     # -- recovery ----------------------------------------------------------------------
     def _recover(self, persist: bool = True) -> tuple:
-        """Finish any half-done ingest; return ``(vocabulary, counts)``.
+        """Finish any half-done ingest; return the vocabulary and shards.
 
         The log manifest is the commit point, so recovery replays forward:
         logged shards the vocabulary has not absorbed are re-encoded from
-        the log (the only case any text is re-read), and absorbed shards
-        the accumulated counts miss are re-merged from their stats files.
+        the log and counted.
 
         Parameters
         ----------
@@ -439,53 +463,99 @@ class TopicStream:
 
         Returns
         -------
-        (vocabulary, counts, recovered_documents)
-            The up-to-date vocabulary and accumulated counts, plus the
-            encoded documents of any shard that was recovered during this
-            call, keyed by shard name — with ``persist=False`` those exist
-            *only* here, so snapshot builders must consult the mapping
-            before reaching for the stats files.
+        (vocabulary, absorbed, recovered)
+            The up-to-date vocabulary; the shards it had absorbed before
+            this call (each has a committed stats file), in log order; and
+            the :class:`ShardStats` of every shard recovered during this
+            call, in log order — with ``persist=False`` those exist *only*
+            here, so snapshot builders must take them from this list.
         """
         assert self.log is not None
         self.log.reload()
         vocabulary, absorbed = self._load_vocabulary()
-        counts = self._load_counts()
         logged = self.log.shard_names()
         if absorbed != logged[:len(absorbed)]:
             raise StreamError(
                 f"stream state at {self.root} is corrupt: vocabulary "
                 f"absorbed shards {absorbed} but the log holds {logged}")
-        if counts.shard_names != absorbed[:len(counts.shard_names)]:
-            raise StreamError(
-                f"stream state at {self.root} is corrupt: counts merged "
-                f"{counts.shard_names} but the vocabulary absorbed {absorbed}")
 
-        # Merge order must follow the log, so first catch counts up to the
-        # shards the vocabulary already absorbed, then replay the rest.
-        for name in absorbed[len(counts.shard_names):]:
-            counts.merge_shard(ShardStats.load(self._stats_path(name)))
-            if persist:
-                counts.save(self.root / _COUNTS_FILE)
+        recovered: List[ShardStats] = []
         preprocessor = None
-        recovered_documents: Dict[str, List[List[List[int]]]] = {}
         for name in logged[len(absorbed):]:
             # The vocabulary predates this shard, so re-encoding from the
             # logged text reproduces the interrupted ingest exactly.
             if preprocessor is None:
                 preprocessor = Preprocessor(self.config.preprocess)
-            documents = encode_texts(self.log.read_shard(name), preprocessor,
-                                     vocabulary)
-            stats = ShardStats.compute(name, documents,
-                                       self.config.max_phrase_length,
-                                       self.config.engine)
-            absorbed.append(name)
-            counts.merge_shard(stats)
-            recovered_documents[name] = documents
+            stats = self._compute_stats(name, preprocessor, vocabulary)
+            recovered.append(stats)
             if persist:
                 stats.save(self._stats_path(name))
-                self._save_vocabulary(vocabulary, absorbed)
-                counts.save(self.root / _COUNTS_FILE)
-        return vocabulary, counts, recovered_documents
+                self._save_vocabulary(vocabulary, absorbed + [
+                    shard.name for shard in recovered])
+        return vocabulary, absorbed, recovered
+
+    def _compute_stats(self, name: str, preprocessor: Preprocessor,
+                       vocabulary: Vocabulary, grow: bool = True) -> ShardStats:
+        """Encode and count one logged shard (see :func:`encode_texts`)."""
+        documents = encode_texts(self.log.read_shard(name), preprocessor,
+                                 vocabulary, grow=grow)
+        return ShardStats.compute(name, documents,
+                                  self.config.max_phrase_length,
+                                  self.config.engine)
+
+    def _load_stats(self, name: str, vocabulary: Vocabulary) -> ShardStats:
+        """Load an absorbed shard's stats, re-deriving them if damaged.
+
+        Stats files are derived state: a missing or unreadable one is
+        re-encoded from the logged text against the vocabulary that
+        already absorbed it (lookups only), which reproduces it exactly.
+        """
+        try:
+            return ShardStats.load(self._stats_path(name))
+        except StreamStatsError:
+            try:
+                return self._compute_stats(
+                    name, Preprocessor(self.config.preprocess), vocabulary,
+                    grow=False)
+            except KeyError as exc:
+                raise StreamError(
+                    f"stream state at {self.root} is corrupt: stats of "
+                    f"{name} are unreadable and the vocabulary lacks "
+                    f"{exc} from its text") from None
+
+    def _snapshot(self) -> Tuple[Corpus, AccumulatedCounts]:
+        """Recover in memory; return the snapshot corpus and merged counts.
+
+        Absorbed shards come from :attr:`stats_cache`: it is rebuilt from
+        scratch when any cached stats file changed identity, else extended
+        by the shards it has not seen.  Shards recovered in this call are
+        merged into a copy, never into the cache — their stats are not
+        committed.  The caller holds the cache's lock.
+        """
+        cache = self.stats_cache
+        vocabulary, absorbed, recovered = self._recover(persist=False)
+        keys = [(name, _file_identity(self._stats_path(name)))
+                for name in absorbed]
+        if cache.keys != keys[:len(cache.keys)]:
+            cache.keys, cache.documents = [], []
+            cache.counts = AccumulatedCounts()
+        for name, identity in keys[len(cache.keys):]:
+            stats = self._load_stats(name, vocabulary)
+            cache.counts.merge_shard(stats)
+            cache.documents.append(stats.documents)
+            cache.keys.append((name, identity))
+
+        counts = cache.counts
+        if recovered:
+            counts = counts.copy()
+            for stats in recovered:
+                counts.merge_shard(stats)
+        corpus = Corpus(vocabulary=vocabulary, name=self.config.source)
+        for shard_documents in cache.documents + [
+                stats.documents for stats in recovered]:
+            for chunks in shard_documents:
+                corpus.add_document(chunks)
+        return corpus, counts
 
     # -- ingest ------------------------------------------------------------------------
     @property
@@ -516,24 +586,19 @@ class TopicStream:
         """
         assert self.log is not None
         start = time.perf_counter()
-        vocabulary, counts, _recovered = self._recover()
+        vocabulary, _absorbed, _recovered = self._recover()
         result: AppendResult = self.log.append(texts, source=source)
         self.metrics.inc_counter("stream_duplicate_documents_total",
                                result.n_duplicates)
         n_tokens = 0
         if result.shard is not None:
-            preprocessor = Preprocessor(self.config.preprocess)
-            documents = encode_texts(self.log.read_shard(result.shard.name),
-                                     preprocessor, vocabulary)
-            stats = ShardStats.compute(result.shard.name, documents,
-                                       self.config.max_phrase_length,
-                                       self.config.engine)
+            stats = self._compute_stats(
+                result.shard.name, Preprocessor(self.config.preprocess),
+                vocabulary)
             n_tokens = stats.total_tokens
-            # Commit order (stats → vocabulary → counts) matches _recover.
+            # Commit order (stats → vocabulary) matches _recover.
             stats.save(self._stats_path(result.shard.name))
             self._save_vocabulary(vocabulary, self.log.shard_names())
-            counts.merge_shard(stats)
-            counts.save(self.root / _COUNTS_FILE)
             self.metrics.inc_counter("stream_ingested_documents_total",
                                    result.n_appended)
             self.metrics.inc_counter("stream_ingest_tokens_total", n_tokens)
@@ -575,25 +640,20 @@ class TopicStream:
         # Read-only recovery: the refresh may run concurrently with an
         # external ingester (the serve --stream supervisor does), so it
         # must never write the ingest-owned state files.
-        vocabulary, counts, recovered = self._recover(persist=False)
-        if counts.n_documents == 0:
-            raise StreamError(f"stream at {self.root} has no documents; "
-                              f"ingest before refreshing")
-
         watch = Stopwatch()
-        corpus = Corpus(vocabulary=vocabulary, name=self.config.source)
-        for name in self.log.shard_names():
-            documents = recovered.get(name)
-            if documents is None:
-                documents = ShardStats.load(self._stats_path(name)).documents
-            for chunks in documents:
-                corpus.add_document(chunks)
-
-        with watch.measure("mining_merge"):
-            mining = counts.mining_result(
-                FlatChunks.from_corpus(corpus),
-                min_support=self.config.min_support,
-                max_length=self.config.max_phrase_length)
+        # The cached counter must not grow while this refresh filters it.
+        with self.stats_cache.lock:
+            with watch.measure("load"):
+                corpus, counts = self._snapshot()
+            n_documents = counts.n_documents
+            if n_documents == 0:
+                raise StreamError(f"stream at {self.root} has no documents; "
+                                  f"ingest before refreshing")
+            with watch.measure("mining_merge"):
+                mining = counts.mining_result(
+                    FlatChunks.from_corpus(corpus),
+                    min_support=self.config.min_support,
+                    max_length=self.config.max_phrase_length)
         with watch.measure("segmentation"):
             segmenter = CorpusSegmenter(mining, self.config.construction_config())
             segmented = segmenter.segment(corpus)
@@ -609,7 +669,7 @@ class TopicStream:
                       "seed": self.config.seed,
                       "n_iterations": self.config.n_iterations,
                       "stream_version": version,
-                      "n_documents": counts.n_documents,
+                      "n_documents": n_documents,
                       # Publish timestamp: servers compute the publish-to-
                       # resident swap lag from it (registry_swap_lag_seconds
                       # and /v1/models' swap_lag_seconds).  Metadata only —
@@ -620,15 +680,18 @@ class TopicStream:
             path = save_bundle(self.version_path(version), bundle)
             self._publish(path)
             self.published_version = version
-            self.published_documents = counts.n_documents
+            self.published_documents = n_documents
             self._write_stream_file()
 
         seconds = time.perf_counter() - start
         self.metrics.inc_counter("stream_refreshes_total")
         self.metrics.observe("stream_refresh_seconds", seconds)
+        for stage, stage_seconds in watch.as_dict().items():
+            self.metrics.observe(f"stream_refresh_{stage}_seconds",
+                                 stage_seconds)
         return RefreshReport(version=version, path=path,
                              current_path=self.current_model_path,
-                             n_documents=counts.n_documents,
+                             n_documents=n_documents,
                              seconds=seconds, timings=watch.as_dict())
 
     def _next_version(self) -> int:

@@ -65,7 +65,10 @@ class Vocabulary:
             self._frequencies.append(0)
         self._frequencies[word_id] += count
         if surface_form is not None:
-            self._surface_forms.setdefault(word, Counter())[surface_form] += count
+            forms = self._surface_forms.get(word)
+            if forms is None:
+                forms = self._surface_forms[word] = Counter()
+            forms[surface_form] += count
         return word_id
 
     def encode(self, tokens: Sequence[str], grow: bool = True) -> List[int]:

@@ -3,9 +3,9 @@
 ``phrase_lda_kernel.c`` (same directory) is a dependency-free C99 file that
 implements one collapsed Gibbs sweep over the flattened corpus.  This module
 compiles it with the system C compiler into a small shared library, caches
-the build keyed by a hash of the source, and exposes it through
-:mod:`ctypes`.  Nothing here is required: when no compiler is available the
-callers fall back to the pure-NumPy vectorized sampler
+the build keyed by a hash of the source and the compile flags, and exposes
+it through :mod:`ctypes`.  Nothing here is required: when no compiler is
+available the callers fall back to the pure-NumPy vectorized sampler
 (:class:`repro.topicmodel.gibbs.VectorizedGibbsSampler`), so the kernel is a
 strictly optional accelerator.
 
@@ -33,6 +33,10 @@ from typing import Optional
 import numpy as np
 
 _SOURCE_PATH = Path(__file__).with_name("phrase_lda_kernel.c")
+# -ffp-contract=off keeps the compiler from fusing a multiply and an add into
+# one FMA, which would round once instead of twice and break bit-equality
+# with the reference sampler.
+_COMPILE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
@@ -68,7 +72,7 @@ def _compile(source: Path, destination: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [compiler, "-O2", "-fPIC", "-shared", str(source), "-o", tmp_name],
+            [compiler, *_COMPILE_FLAGS, str(source), "-o", tmp_name],
             check=True, capture_output=True, text=True, timeout=120,
         )
         os.replace(tmp_name, destination)
@@ -81,7 +85,11 @@ def _compile(source: Path, destination: Path) -> None:
 
 
 def _library_path() -> Path:
-    digest = hashlib.sha256(_SOURCE_PATH.read_bytes()).hexdigest()[:16]
+    # The flags are part of the key: a flag change must never reuse a stale
+    # build.
+    hasher = hashlib.sha256(_SOURCE_PATH.read_bytes())
+    hasher.update(" ".join(_COMPILE_FLAGS).encode("ascii"))
+    digest = hasher.hexdigest()[:16]
     return _build_dir() / f"phrase_lda_kernel_{digest}.so"
 
 

@@ -61,21 +61,24 @@ void phrase_lda_sweep(const int32_t *tokens,      /* flat token ids            *
         topic_totals[k_old] -= size;
 
         /* Eq. 7: product over the clique's tokens, in the reference's
-         * operation order:
+         * per-element operation order:
          *   w *= (alpha_k + N_dk) + j
          *   w *= beta + N_wk
-         *   w /= (beta_sum + N_k) + j                                    */
+         *   w /= (beta_sum + N_k) + j
+         * One fused K-loop per token; each weight sees the same three
+         * operations in the same order, so the result is bit-identical. */
         for (int64_t k = 0; k < K; k++)
             weights[k] = 1.0;
         for (int64_t j = 0; j < size; j++) {
             const double jd = (double)j;
             const int64_t *tw = topic_word + (int64_t)tokens[t0 + j] * K;
-            for (int64_t k = 0; k < K; k++)
-                weights[k] *= (alpha[k] + (double)dc[k]) + jd;
-            for (int64_t k = 0; k < K; k++)
-                weights[k] *= beta + (double)tw[k];
-            for (int64_t k = 0; k < K; k++)
-                weights[k] /= (beta_sum + (double)topic_totals[k]) + jd;
+            for (int64_t k = 0; k < K; k++) {
+                double w = weights[k];
+                w *= (alpha[k] + (double)dc[k]) + jd;
+                w *= beta + (double)tw[k];
+                w /= (beta_sum + (double)topic_totals[k]) + jd;
+                weights[k] = w;
+            }
         }
 
         /* Inverse-CDF draw: in-place cumulative sum then the leftmost

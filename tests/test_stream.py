@@ -20,6 +20,7 @@ from repro.stream import (
     AccumulatedCounts,
     DocumentLog,
     ShardStats,
+    StatsCache,
     StreamConfig,
     StreamError,
     StreamLogError,
@@ -345,44 +346,155 @@ def test_recovery_finishes_half_done_ingest(tmp_path, titles):
 
 
 @pytest.mark.parametrize("damage", ["delete", "truncate"])
-def test_recovery_remerges_missing_or_corrupt_counts(tmp_path, titles,
-                                                     damage):
-    """Losing or corrupting the accumulated counts (crash during the final
-    state write) re-merges them from the per-shard stats files instead of
-    wedging the stream."""
+def test_recovery_rebuilds_missing_or_corrupt_shard_stats(tmp_path, titles,
+                                                          damage):
+    """Losing or corrupting an absorbed shard's stats file re-derives them
+    from the logged text (read-only, against the vocabulary that absorbed
+    it) instead of wedging the stream, and the refresh writes nothing."""
     stream = TopicStream.create(tmp_path / "stream", _stream_config())
     stream.ingest(titles[0])
     stream.ingest(titles[1])
     baseline = stream.refresh(force=True)
-    counts_path = tmp_path / "stream" / "counts.npz"
+    stats_path = tmp_path / "stream" / "stats" / "shard-00001.npz"
     if damage == "delete":
-        os.remove(counts_path)
+        os.remove(stats_path)
     else:
-        counts_path.write_bytes(counts_path.read_bytes()[:40])
+        stats_path.write_bytes(stats_path.read_bytes()[:40])
+    damaged_bytes = stats_path.read_bytes() if stats_path.exists() else None
+    vocabulary_before = (tmp_path / "stream" / "vocabulary.json").read_bytes()
     report = TopicStream.open(tmp_path / "stream").refresh(force=True)
     _, baseline_arrays = _read_npz(baseline.path)
     _, recovered_arrays = _read_npz(report.path)
     for name in baseline_arrays:
         assert np.array_equal(baseline_arrays[name], recovered_arrays[name])
+    assert (stats_path.read_bytes() if stats_path.exists() else None) == \
+        damaged_bytes
+    assert (tmp_path / "stream" / "vocabulary.json").read_bytes() == \
+        vocabulary_before
 
 
 def test_refresh_never_writes_ingest_owned_state(tmp_path, titles):
     """Refreshes recover in memory only: the ingester stays the single
-    writer of log/stats/vocabulary/counts, so a supervisor refresh can
-    never race an external ingest's commit window file for file."""
+    writer of log/stats/vocabulary, so a supervisor refresh can never race
+    an external ingest's commit window file for file."""
     stream = TopicStream.create(tmp_path / "stream", _stream_config())
     stream.ingest(titles[0])
     stream.log.append(titles[1])  # crash-simulated: logged, nothing derived
     vocabulary_before = (tmp_path / "stream" / "vocabulary.json").read_bytes()
-    counts_before = (tmp_path / "stream" / "counts.npz").read_bytes()
     TopicStream.open(tmp_path / "stream").refresh(force=True)
     assert not (tmp_path / "stream" / "stats" / "shard-00002.npz").exists()
     assert (tmp_path / "stream" / "vocabulary.json").read_bytes() == \
         vocabulary_before
-    assert (tmp_path / "stream" / "counts.npz").read_bytes() == counts_before
     # The next ingest persists the recovery (it owns the state files).
     TopicStream.open(tmp_path / "stream").ingest([])
     assert (tmp_path / "stream" / "stats" / "shard-00002.npz").exists()
+
+
+def _file_states(root):
+    """``relative path -> (size, mtime_ns, inode)`` of every file under root."""
+    states = {}
+    for path in root.rglob("*"):
+        if path.is_file():
+            info = path.stat()
+            states[str(path.relative_to(root))] = (
+                info.st_size, info.st_mtime_ns, info.st_ino)
+    return states
+
+
+def test_ingest_writes_only_its_delta_files(tmp_path, titles):
+    """An ingest creates or replaces exactly its log shard, the log
+    manifest, its stats file and vocabulary.json — no O(corpus) file such
+    as an accumulated counts archive."""
+    root = tmp_path / "stream"
+    stream = TopicStream.create(root, _stream_config())
+    stream.ingest(titles[0])
+    stream.refresh(force=True)
+    before = _file_states(root)
+    time.sleep(0.01)  # let a rewrite show in mtime_ns on coarse clocks
+    stream.ingest(titles[1])
+    after = _file_states(root)
+    assert set(before) <= set(after)
+    touched = {name for name in after if before.get(name) != after[name]}
+    assert touched == {"log/shards/shard-00002.jsonl", "log/manifest.json",
+                       "stats/shard-00002.npz", "vocabulary.json"}
+    assert not (root / "counts.npz").exists()
+
+
+def test_leftover_counts_file_is_ignored(tmp_path, titles):
+    """A counts.npz left by an older stream layout is neither read nor
+    rewritten: refreshes derive the merge from the shard stats."""
+    clean = TopicStream.create(tmp_path / "clean", _stream_config())
+    clean.ingest(titles[0])
+    clean.ingest(titles[1])
+    clean_report = clean.refresh(force=True)
+
+    old = TopicStream.create(tmp_path / "old", _stream_config())
+    old.ingest(titles[0])
+    leftover = tmp_path / "old" / "counts.npz"
+    leftover.write_bytes(b"not an archive")
+    old.ingest(titles[1])
+    report = TopicStream.open(tmp_path / "old").refresh(force=True)
+    assert leftover.read_bytes() == b"not an archive"
+    _, clean_arrays = _read_npz(clean_report.path)
+    _, old_arrays = _read_npz(report.path)
+    for name in clean_arrays:
+        assert np.array_equal(clean_arrays[name], old_arrays[name])
+
+
+# -- the refresher's shard-stats cache ------------------------------------------------------
+def test_warm_refresh_loads_only_new_shard_stats(tmp_path, titles,
+                                                 monkeypatch):
+    """A StatsCache kept across re-opens (as the supervisor keeps one)
+    holds the merged shard stats: after k new ingests a refresh loads
+    exactly k stats files, and one with no new ingest loads none."""
+    loaded = []
+    original = ShardStats.load
+
+    def counting(path):
+        loaded.append(os.path.basename(path))
+        return original(path)
+
+    monkeypatch.setattr(ShardStats, "load", counting)
+    root = tmp_path / "stream"
+    cache = StatsCache()
+    stream = TopicStream.create(root, _stream_config())
+    stream.ingest(titles[0])
+    TopicStream.open(root, stats_cache=cache).refresh(force=True)
+    assert loaded == ["shard-00001.npz"]
+    stream.ingest(titles[1])
+    stream.ingest(titles[2])
+    loaded.clear()
+    TopicStream.open(root, stats_cache=cache).refresh(force=True)
+    assert loaded == ["shard-00002.npz", "shard-00003.npz"]
+    loaded.clear()
+    TopicStream.open(root, stats_cache=cache).refresh(force=True)
+    assert loaded == []
+    # A stats file that changed identity invalidates the cached prefix.
+    stats_path = root / "stats" / "shard-00002.npz"
+    stats_path.write_bytes(stats_path.read_bytes())
+    os.utime(stats_path, ns=(1, 1))
+    TopicStream.open(root, stats_cache=cache).refresh(force=True)
+    assert loaded == ["shard-00001.npz", "shard-00002.npz", "shard-00003.npz"]
+
+
+def test_cached_refresh_matches_cold_refresh(tmp_path, titles):
+    """A refresh served from a warm cache publishes the same functional
+    bundle as a cold TopicStream.open(...).refresh of the same snapshot."""
+    root = tmp_path / "stream"
+    stream = TopicStream.create(root, _stream_config())
+    stream.ingest(titles[0])
+    stream.refresh(force=True)
+    stream.ingest(titles[1])
+    stream.ingest(titles[2])
+    warm = stream.refresh(force=True)  # the instance's cache holds shard 1
+    cold = TopicStream.open(root).refresh(force=True)
+    warm_manifest, warm_arrays = _read_npz(warm.path)
+    cold_manifest, cold_arrays = _read_npz(cold.path)
+    assert set(warm_arrays) == set(cold_arrays)
+    for name in warm_arrays:
+        assert np.array_equal(warm_arrays[name], cold_arrays[name]), name
+    assert _functional_sections(warm_manifest) == \
+        _functional_sections(cold_manifest)
 
 
 def test_refresh_never_reuses_a_version_number(tmp_path, titles):
@@ -420,6 +532,10 @@ def test_supervisor_publishes_in_background(tmp_path, titles):
         assert supervisor.last_report is not None
         assert supervisor.last_report.version == 2
         assert supervisor.last_error is None
+        # One stats cache outlives the per-poll re-opens.  (Shard 2 may
+        # have been merged as an in-memory recovery, outside the cache, if
+        # a poll landed inside the ingest's commit window.)
+        assert supervisor._stats_cache.keys[0][0] == "shard-00001"
     finally:
         supervisor.stop()
     assert TopicStream.open(tmp_path / "stream").published_version == 2
