@@ -52,8 +52,12 @@ shell pipelines).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
+import math
 import os
+import signal
 import sys
 import threading
 from pathlib import Path
@@ -72,13 +76,42 @@ from repro.io.artifacts import (
     load_segmentation,
     save_bundle,
 )
+from repro.serve.config import ServeConfig
+from repro.stream import StreamConfig, StreamError
 from repro.topicmodel.gibbs import ENGINES, resolve_engine
 
 # Smallest dblp-titles size at which the significance threshold produces a
 # healthy number of multi-word phrase instances (so smoke runs exercise real
 # cliques), while the whole mine→fit→infer chain stays seconds-scale.
 _SMOKE_DOCS = 600
+_SMOKE_TOPICS = 5
+_SMOKE_ITERATIONS = 20
 _SMOKE_INFER_DOCS = 20
+_SMOKE_INFER_ITERATIONS = 10
+
+
+def _error(message: object) -> int:
+    """Report a user-facing failure on stderr; returns exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _smoke_default(value, smoke: bool, smoke_value, default=None):
+    """Explicit values always win; ``--smoke`` only shrinks unset defaults."""
+    if value is not None:
+        return value
+    return smoke_value if smoke else default
+
+
+def _explicit(**values) -> dict:
+    """Drop unset (``None``) values so a config dataclass's defaults apply."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _given(args: argparse.Namespace, actions: List[argparse.Action]) -> List[str]:
+    """The flags among ``actions`` that were set on the command line."""
+    return [action.option_strings[0] for action in actions
+            if getattr(args, action.dest) is not None]
 
 
 def _parse_jsonl_documents(lines: List[str], source: str) -> List[str]:
@@ -105,10 +138,10 @@ def _parse_jsonl_documents(lines: List[str], source: str) -> List[str]:
     return texts
 
 
-def _read_texts(args: argparse.Namespace, default_docs: Optional[int] = None,
+def _read_texts(args: argparse.Namespace, default_docs: int,
                 seed_offset: int = 0) -> tuple[List[str], str]:
     """Resolve ``--input``/``--dataset`` into raw texts plus a source name."""
-    if getattr(args, "input", None):
+    if args.input:
         if args.input == "-":
             texts = _parse_jsonl_documents(sys.stdin.read().splitlines(),
                                            "stdin")
@@ -124,28 +157,96 @@ def _read_texts(args: argparse.Namespace, default_docs: Optional[int] = None,
             raise SystemExit(f"error: {path} contains no documents")
         return texts, path.stem
     dataset = args.dataset or "dblp-titles"
-    n_docs = args.n_docs
-    if getattr(args, "smoke", False) and n_docs is None:
-        n_docs = default_docs
-    generated = load_dataset(dataset, n_documents=n_docs,
-                             seed=args.seed + seed_offset)
+    generated = load_dataset(
+        dataset, n_documents=_smoke_default(args.n_docs, args.smoke,
+                                            default_docs),
+        seed=args.seed + seed_offset)
     return generated.texts, dataset
 
 
-def _add_source_options(parser: argparse.ArgumentParser) -> None:
+# -- shared option groups -------------------------------------------------------------
+# Each shared flag is declared once, here.  Flags a command resolves against
+# a config dataclass stay None when unset (so explicit values can be told
+# apart); their help quotes the dataclass the command falls back to.
+def _add_source_options(parser: argparse.ArgumentParser) -> List[argparse.Action]:
     """Attach the shared text-source options (dataset or file)."""
     source = parser.add_argument_group("text source")
-    source.add_argument("--dataset", default=None,
-                        choices=available_datasets(),
-                        help="registered synthetic dataset (default: dblp-titles)")
-    source.add_argument("--n-docs", type=int, default=None,
-                        help="number of documents to generate "
-                             "(default: the dataset's own size)")
-    source.add_argument("--input", metavar="FILE", default=None,
-                        help="read raw documents from FILE instead "
-                             "(UTF-8, one document per line); pass '-' to "
-                             "read JSONL from stdin — one JSON string or "
-                             "object with a \"text\" field per line")
+    return [
+        source.add_argument("--dataset", choices=available_datasets(),
+                            help="registered synthetic dataset "
+                                 "(default: dblp-titles)"),
+        source.add_argument("--input", metavar="FILE",
+                            help="read raw documents from FILE instead "
+                                 "(UTF-8, one document per line); pass '-' "
+                                 "to read JSONL from stdin — one JSON string "
+                                 "or object with a \"text\" field per line"),
+        source.add_argument("--n-docs", type=int,
+                            help="number of documents to generate "
+                                 "(default: the dataset's own size)"),
+    ]
+
+
+def _add_mining_options(group, defaults) -> List[argparse.Action]:
+    """Attach the phrase-mining flags of ``mine``, ``fit`` and ``ingest``."""
+    return [
+        group.add_argument("--min-support", type=int,
+                           help="minimum phrase support ε (default: scaled "
+                                "to the corpus size)"),
+        group.add_argument("--threshold", type=float,
+                           help=f"merge-significance threshold α "
+                                f"(default: {defaults.significance_threshold})"),
+        group.add_argument("--max-phrase-length", type=int,
+                           help="cap on mined/constructed phrase length"),
+    ]
+
+
+def _mining_settings(args: argparse.Namespace) -> dict:
+    """Config keywords of the mining flags.  An unset ``--min-support``
+    stays ``None`` (scaled to the corpus), never ``ToPMineConfig``'s 10."""
+    return dict(min_support=args.min_support,
+                max_phrase_length=args.max_phrase_length,
+                **_explicit(significance_threshold=args.threshold))
+
+
+def _add_model_options(group, defaults) -> List[argparse.Action]:
+    """Attach the PhraseLDA flags of ``fit`` and ``ingest``."""
+    return [
+        group.add_argument("--topics", "-k", type=int,
+                           help=f"number of topics K (default: {defaults.n_topics}"
+                                f"; {_SMOKE_TOPICS} with --smoke)"),
+        group.add_argument("--iterations", type=int,
+                           help=f"Gibbs sweeps (default: {defaults.n_iterations}"
+                                f"; {_SMOKE_ITERATIONS} with --smoke)"),
+        group.add_argument("--alpha", type=float,
+                           help="document-topic prior (default: 50/K)"),
+        group.add_argument("--beta", type=float,
+                           help=f"topic-word prior (default: {defaults.beta})"),
+    ]
+
+
+def _model_settings(args: argparse.Namespace) -> dict:
+    """Config keywords of the model flags (``--smoke`` shrinks the model)."""
+    return _explicit(
+        n_topics=_smoke_default(args.topics, args.smoke, _SMOKE_TOPICS),
+        n_iterations=_smoke_default(args.iterations, args.smoke,
+                                    _SMOKE_ITERATIONS),
+        alpha=args.alpha, beta=args.beta)
+
+
+def _add_smoke_option(parser: argparse.ArgumentParser, scale: str) -> None:
+    """Attach ``--smoke``: a seconds-scale CI configuration."""
+    parser.add_argument("--smoke", action="store_true",
+                        help=f"tiny CI configuration ({scale})")
+
+
+def _add_remote_options(parser: argparse.ArgumentParser) -> None:
+    """Attach the live-server query flags of ``status`` and ``slo``."""
+    parser.add_argument("--url", default=f"http://{ServeConfig.host}:{ServeConfig.port}",
+                        help="server base URL (default: %(default)s)")
+    parser.add_argument("--timeout", type=float, default=5.0,
+                        help="per-request timeout in seconds (default: %(default)g)")
+    parser.add_argument("--json", action="store_true",
+                        help="emit JSON instead of tables")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,27 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "significance-guided segmentation) and save the result "
                     "as a reusable segmentation bundle.")
     _add_source_options(mine)
-    mine.add_argument("--min-support", type=int, default=None,
-                      help="minimum phrase support ε (default: scaled to "
-                           "corpus size)")
-    mine.add_argument("--threshold", type=float, default=None,
-                      help="merge-significance threshold α (default: 5.0)")
-    mine.add_argument("--max-phrase-length", type=int, default=None,
-                      help="cap on mined/constructed phrase length")
-    mine.add_argument("--engine", dest="mining_engine", default="auto",
+    _add_mining_options(mine, ToPMineConfig)
+    mine.add_argument("--engine", dest="mining_engine",
+                      default=ToPMineConfig.mining_engine,
                       choices=MINING_ENGINES,
-                      help="mining/segmentation engine (default: auto — "
-                           "the vectorized numpy path; all engines are "
+                      help="mining/segmentation engine (default: %(default)s "
+                           "— the vectorized numpy path; all engines are "
                            "bit-identical)")
-    mine.add_argument("--jobs", type=int, default=1,
-                      help="segmentation worker processes (default: 1; "
-                           "results are identical for any value)")
+    mine.add_argument("--jobs", type=int, default=ToPMineConfig.n_jobs,
+                      help="segmentation worker processes (default: "
+                           "%(default)s; results are identical for any value)")
     mine.add_argument("--seed", type=int, default=7,
                       help="dataset generation seed (default: 7)")
     mine.add_argument("--output", "-o", metavar="PATH", required=True,
                       help="where to write the segmentation bundle (.npz)")
-    mine.add_argument("--smoke", action="store_true",
-                      help=f"tiny CI configuration ({_SMOKE_DOCS} documents)")
+    _add_smoke_option(mine, f"{_SMOKE_DOCS} documents")
     mine.set_defaults(func=cmd_mine)
 
     fit = sub.add_parser(
@@ -190,26 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fit PhraseLDA (collapsed Gibbs with phrase cliques) "
                     "over a saved segmentation bundle — or mine inline from "
                     "a dataset/file — and save the fitted model bundle.")
-    fit.add_argument("--segmentation", metavar="PATH", default=None,
+    fit.add_argument("--segmentation", metavar="PATH",
                      help="segmentation bundle written by `repro mine` "
                           "(omit to mine inline from the text source)")
-    _add_source_options(fit)
-    fit.add_argument("--min-support", type=int, default=None,
-                     help="inline mining: minimum phrase support ε")
-    fit.add_argument("--threshold", type=float, default=None,
-                     help="inline mining: significance threshold α "
-                          "(default: 5.0)")
-    fit.add_argument("--max-phrase-length", type=int, default=None,
-                     help="inline mining: cap on mined/constructed phrase "
-                          "length")
-    fit.add_argument("--topics", "-k", type=int, default=None,
-                     help="number of topics K (default: 10; 5 with --smoke)")
-    fit.add_argument("--iterations", type=int, default=None,
-                     help="Gibbs sweeps (default: 100; 20 with --smoke)")
-    fit.add_argument("--alpha", type=float, default=None,
-                     help="document-topic prior (default: 50/K)")
-    fit.add_argument("--beta", type=float, default=0.01,
-                     help="topic-word prior (default: 0.01)")
+    inline = _add_source_options(fit) + _add_mining_options(
+        fit.add_argument_group("inline mining (without --segmentation)"),
+        ToPMineConfig)
+    _add_model_options(fit, PhraseLDAConfig)
     fit.add_argument("--engine", default="auto", choices=ENGINES,
                      help="sampling engine (default: auto)")
     fit.add_argument("--optimize-hyperparameters", action="store_true",
@@ -218,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sampler (and inline-mining) seed (default: 7)")
     fit.add_argument("--output", "-o", metavar="PATH", required=True,
                      help="where to write the model bundle (.npz)")
-    fit.add_argument("--smoke", action="store_true",
-                     help="tiny CI configuration (5 topics, 20 sweeps)")
-    fit.set_defaults(func=cmd_fit)
+    _add_smoke_option(fit, f"{_SMOKE_DOCS} documents, {_SMOKE_TOPICS} "
+                           f"topics, {_SMOKE_ITERATIONS} sweeps")
+    fit.set_defaults(func=cmd_fit, inline_mining_flags=inline)
 
     topics = sub.add_parser(
         "topics", help="render a saved model's topic tables",
@@ -248,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "failures print the server's request id")
     _add_source_options(infer)
     infer.add_argument("--iterations", type=int, default=None,
-                       help="fold-in Gibbs sweeps (default: 50; 10 with --smoke)")
+                       help=f"fold-in Gibbs sweeps (default: "
+                            f"{InferenceConfig.n_iterations}; "
+                            f"{_SMOKE_INFER_ITERATIONS} with --smoke)")
     infer.add_argument("--engine", default="auto", choices=INFERENCE_ENGINES,
                        help="fold-in engine: batch (vectorized; what auto "
                             "picks) or reference (the readable loop)")
@@ -260,9 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="documents echoed to stdout (default: 5)")
     infer.add_argument("--output", "-o", metavar="PATH", default=None,
                        help="write full topic mixtures as JSON to PATH")
-    infer.add_argument("--smoke", action="store_true",
-                       help=f"tiny CI configuration ({_SMOKE_INFER_DOCS} "
-                            f"documents, 10 sweeps)")
+    _add_smoke_option(infer, f"{_SMOKE_INFER_DOCS} documents, "
+                             f"{_SMOKE_INFER_ITERATIONS} sweeps")
     infer.set_defaults(func=cmd_infer)
 
     ingest = sub.add_parser(
@@ -283,40 +366,32 @@ def build_parser() -> argparse.ArgumentParser:
                              "per batch to ingest distinct documents")
     creation = ingest.add_argument_group(
         "stream configuration (first ingest only — frozen afterwards)")
-    creation.add_argument("--topics", "-k", type=int, default=None,
-                          help="number of topics K (default: 10; 5 with "
-                               "--smoke)")
-    creation.add_argument("--iterations", type=int, default=None,
-                          help="Gibbs sweeps per refresh (default: 100; 20 "
-                               "with --smoke)")
-    creation.add_argument("--alpha", type=float, default=None,
-                          help="document-topic prior (default: 50/K)")
-    creation.add_argument("--beta", type=float, default=None,
-                          help="topic-word prior (default: 0.01)")
-    creation.add_argument("--min-support", type=int, default=None,
-                          help="minimum phrase support ε (default: rescaled "
-                               "to the snapshot size every refresh)")
-    creation.add_argument("--threshold", type=float, default=None,
-                          help="merge-significance threshold α (default: 5.0)")
-    creation.add_argument("--max-phrase-length", type=int, default=None,
-                          help="cap on mined/constructed phrase length")
-    creation.add_argument("--engine", default=None, choices=MINING_ENGINES,
-                          help="mining/segmentation engine (default: auto)")
-    creation.add_argument("--lda-engine", default=None, choices=ENGINES,
-                          help="PhraseLDA engine for refreshes "
-                               "(default: auto)")
-    creation.add_argument("--model-seed", type=int, default=None,
-                          help="seed every refresh runs with (default: 7)")
-    creation.add_argument("--refresh-every", type=int, default=None,
-                          help="refresh policy: minimum pending documents "
-                               "before a (non-forced) refresh (default: 1)")
+    frozen = _add_model_options(creation, StreamConfig) + \
+        _add_mining_options(creation, StreamConfig) + [
+            creation.add_argument(
+                "--engine", choices=MINING_ENGINES,
+                help=f"mining/segmentation engine (default: "
+                     f"{StreamConfig.engine})"),
+            creation.add_argument(
+                "--lda-engine", choices=ENGINES,
+                help=f"PhraseLDA engine for refreshes (default: "
+                     f"{StreamConfig.lda_engine})"),
+            creation.add_argument(
+                "--model-seed", type=int,
+                help=f"seed every refresh runs with (default: "
+                     f"{StreamConfig.seed})"),
+            creation.add_argument(
+                "--refresh-every", type=int,
+                help=f"refresh policy: minimum pending documents before a "
+                     f"(non-forced) refresh (default: "
+                     f"{StreamConfig.refresh_min_documents})"),
+        ]
     ingest.add_argument("--refresh", action="store_true",
                         help="run a refresh after ingesting (honours the "
                              "refresh policy)")
-    ingest.add_argument("--smoke", action="store_true",
-                        help=f"tiny CI configuration ({_SMOKE_DOCS} "
-                             f"documents, small model)")
-    ingest.set_defaults(func=cmd_ingest)
+    _add_smoke_option(ingest, f"{_SMOKE_DOCS} documents, {_SMOKE_TOPICS} "
+                              f"topics, {_SMOKE_ITERATIONS} sweeps")
+    ingest.set_defaults(func=cmd_ingest, frozen_flags=frozen)
 
     refresh = sub.add_parser(
         "refresh", help="re-fit a topic stream and publish a new version",
@@ -345,6 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the listing as JSON instead of a table")
     models.set_defaults(func=cmd_models)
 
+    # The serve flags keep their historical names; every default is read
+    # from ServeConfig (--batch-delay-ms is ServeConfig.batch_delay in ms).
     serve = sub.add_parser(
         "serve", help="serve saved bundles over batched JSON-over-HTTP",
         description="Start the repro.serve model server: load bundle(s) "
@@ -369,43 +446,53 @@ def build_parser() -> argparse.ArgumentParser:
                             "(DIR/models/current.npz, named after DIR) and "
                             "auto-refresh it in the background as new "
                             "documents are ingested")
-    serve.add_argument("--stream-poll", type=float, default=2.0,
-                       metavar="SECONDS",
+    serve.add_argument("--stream-poll", type=float, metavar="SECONDS",
+                       default=ServeConfig.stream_poll,
                        help="how often the stream supervisor polls for "
-                            "newly ingested documents (default: 2)")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=8765,
-                       help="bind port; 0 picks a free one (default: 8765)")
-    serve.add_argument("--capacity", type=int, default=4,
+                            "newly ingested documents (default: %(default)g)")
+    serve.add_argument("--host", default=ServeConfig.host,
+                       help="bind address (default: %(default)s)")
+    serve.add_argument("--port", type=int, default=ServeConfig.port,
+                       help="bind port; 0 picks a free one "
+                            "(default: %(default)s)")
+    serve.add_argument("--capacity", type=int,
+                       default=ServeConfig.registry_capacity,
                        help="max bundles resident at once; least-recently "
-                            "used are evicted (default: 4)")
-    serve.add_argument("--max-batch", type=int, default=32,
-                       help="micro-batch size cap for /v1/infer (default: 32)")
-    serve.add_argument("--batch-delay-ms", type=float, default=5.0,
-                       help="micro-batch window in milliseconds (default: 5)")
-    serve.add_argument("--iterations", type=int, default=50,
+                            "used are evicted (default: %(default)s)")
+    serve.add_argument("--max-batch", type=int,
+                       default=ServeConfig.max_batch_size,
+                       help="micro-batch size cap for /v1/infer "
+                            "(default: %(default)s)")
+    serve.add_argument("--batch-delay-ms", type=float,
+                       default=ServeConfig.batch_delay * 1000.0,
+                       help="micro-batch window in milliseconds "
+                            "(default: %(default)g)")
+    serve.add_argument("--iterations", type=int,
+                       default=ServeConfig.default_iterations,
                        help="default fold-in sweeps per /v1/infer request "
-                            "(default: 50)")
-    serve.add_argument("--workers", type=int, default=1,
+                            "(default: %(default)s)")
+    serve.add_argument("--workers", type=int, default=ServeConfig.workers,
                        help="worker processes serving the port via "
                             "SO_REUSEPORT; model arrays are mmap-shared "
-                            "across them (default: 1 — in-process server)")
-    serve.add_argument("--metrics-dir", metavar="DIR", default=None,
+                            "across them (default: %(default)s — "
+                            "in-process server)")
+    serve.add_argument("--metrics-dir", metavar="DIR",
+                       default=ServeConfig.metrics_dir,
                        help="directory for per-worker metric shard files; "
                             "a fleet provisions a temporary one when unset, "
                             "pin it to survive supervisor restarts or to "
                             "scrape from other tooling")
-    serve.add_argument("--slow-request-seconds", type=float, default=None,
+    serve.add_argument("--slow-request-seconds", type=float,
                        metavar="SECONDS",
+                       default=ServeConfig.slow_request_seconds,
                        help="log a structured JSON event (with request id "
                             "and per-span timings) for any request slower "
                             "than SECONDS (default: off)")
-    serve.add_argument("--history-interval", type=float, default=5.0,
-                       metavar="SECONDS",
+    serve.add_argument("--history-interval", type=float, metavar="SECONDS",
+                       default=ServeConfig.history_interval_seconds,
                        help="seconds between metrics-history samples (the "
                             "frames SLO burn rates and `repro slo` are "
-                            "evaluated over; default: 5)")
+                            "evaluated over; default: %(default)g)")
     serve.add_argument("--profile-dir", metavar="DIR", default=None,
                        help="with --stream: profile every background "
                             "refresh and write its collapsed-stack "
@@ -421,13 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "ingest/refresh counters. Works against a single "
                     "server or a --workers fleet — any worker's scrape "
                     "describes the whole fleet.")
-    status.add_argument("--url", default="http://127.0.0.1:8765",
-                        help="server base URL "
-                             "(default: http://127.0.0.1:8765)")
-    status.add_argument("--timeout", type=float, default=5.0,
-                        help="per-request timeout in seconds (default: 5)")
-    status.add_argument("--json", action="store_true",
-                        help="emit the report as JSON instead of tables")
+    _add_remote_options(status)
     status.add_argument("--slo", action="store_true",
                         help="include the SLO burn-rate table (requires "
                              "the server to record metrics history)")
@@ -443,12 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "metrics directory (any --workers fleet does) and "
                     "have recorded at least two history frames. Exits 1 "
                     "when any SLO is in breach.")
-    slo.add_argument("--url", default="http://127.0.0.1:8765",
-                     help="server base URL (default: http://127.0.0.1:8765)")
-    slo.add_argument("--timeout", type=float, default=5.0,
-                     help="per-request timeout in seconds (default: 5)")
-    slo.add_argument("--json", action="store_true",
-                     help="emit the verdicts as JSON instead of a table")
+    _add_remote_options(slo)
     slo.add_argument("--watch", action="store_true",
                      help="re-render every --interval seconds until Ctrl-C")
     slo.add_argument("--interval", type=float, default=2.0,
@@ -484,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     replicate.add_argument("--chunk-bytes", type=int, default=1 << 18,
                            metavar="BYTES",
                            help="max bytes per shard-range fetch "
-                                "(default: 262144)")
+                                "(default: %(default)s)")
     replicate.add_argument("--json", action="store_true",
                            help="with --once: emit the sync report as JSON")
     replicate.set_defaults(func=cmd_replicate)
@@ -535,17 +611,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # -- subcommand implementations -------------------------------------------------------
+@contextlib.contextmanager
+def _until_interrupted():
+    """Leave the block quietly on Ctrl-C *or* SIGTERM (raised as
+    :class:`KeyboardInterrupt` inside it): background jobs of
+    non-interactive shells ignore SIGINT, so ``kill`` must stop cleanly too."""
+    def _interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
+    try:
+        yield
+    except KeyboardInterrupt:
+        pass
+    finally:
+        signal.signal(signal.SIGTERM, previous_sigterm)
+
+
 def _mine_segmentation(args: argparse.Namespace) -> SegmentationBundle:
     """Shared mining path of ``mine`` and ``fit``'s inline-mining branch:
     read the text source, run Algorithm 1 + segmentation, bundle the result."""
     texts, source = _read_texts(args, default_docs=_SMOKE_DOCS)
-    options = {} if args.threshold is None else \
-        {"significance_threshold": args.threshold}
-    config = ToPMineConfig(min_support=args.min_support,
-                           max_phrase_length=args.max_phrase_length,
-                           mining_engine=getattr(args, "mining_engine", "auto"),
-                           n_jobs=getattr(args, "jobs", 1),
-                           seed=args.seed, **options)
+    config = ToPMineConfig(seed=args.seed, **_mining_settings(args), **_explicit(
+        mining_engine=getattr(args, "mining_engine", None),
+        n_jobs=getattr(args, "jobs", None)))
     pipeline = ToPMine(config)
     corpus = pipeline.preprocess(texts, name=source)
     mining = pipeline.mine_phrases(corpus)
@@ -572,24 +661,12 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     """``repro fit``: PhraseLDA over a (saved or inline) segmentation → model."""
-    # Explicit values always win; --smoke only shrinks the unset defaults.
-    n_topics = args.topics if args.topics is not None else (5 if args.smoke else 10)
-    n_iterations = args.iterations if args.iterations is not None else \
-        (20 if args.smoke else 100)
-
     if args.segmentation:
-        conflicting = [flag for flag, value in
-                       (("--dataset", args.dataset), ("--input", args.input),
-                        ("--n-docs", args.n_docs),
-                        ("--min-support", args.min_support),
-                        ("--threshold", args.threshold),
-                        ("--max-phrase-length", args.max_phrase_length))
-                       if value is not None]
+        conflicting = _given(args, args.inline_mining_flags)
         if conflicting:
-            print(f"error: --segmentation already provides the mined corpus; "
-                  f"remove {', '.join(conflicting)} (those only apply to "
-                  f"inline mining)", file=sys.stderr)
-            return 2
+            return _error(f"--segmentation already provides the mined "
+                          f"corpus; remove {', '.join(conflicting)} (those "
+                          f"only apply to inline mining)")
         seg = load_segmentation(args.segmentation)
     else:
         seg = _mine_segmentation(args)
@@ -598,23 +675,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
     try:
         engine = resolve_engine(args.engine)
     except RuntimeError as exc:  # e.g. --engine c without a working compiler
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     lda_config = PhraseLDAConfig(
-        n_topics=n_topics, alpha=args.alpha, beta=args.beta,
-        n_iterations=n_iterations,
         optimize_hyperparameters=args.optimize_hyperparameters,
-        seed=args.seed, engine=engine)
+        seed=args.seed, engine=engine, **_model_settings(args))
     model = PhraseLDA(lda_config)
     state = model.fit(seg.segmented)
 
+    n_iterations = lda_config.n_iterations
     bundle = ModelBundle.from_fit(
         seg.segmented, state, seg.mining,
         construction=seg.construction, preprocess=seg.preprocess,
         metadata={"source": source, "seed": args.seed,
                   "engine": engine, "n_iterations": n_iterations})
     path = save_bundle(args.output, bundle)
-    print(f"fitted PhraseLDA: K={n_topics}, {n_iterations} sweeps, "
+    print(f"fitted PhraseLDA: K={lda_config.n_topics}, {n_iterations} sweeps, "
           f"engine={engine}, corpus={source}")
     print(bundle.render_topics(n_rows=5, title=source))
     print(f"wrote model bundle to {path}")
@@ -628,84 +703,19 @@ def cmd_topics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _infer_remote(args: argparse.Namespace, n_iterations: int) -> int:
-    """``repro infer --url``: fold in through a running ``repro serve``."""
-    from repro.serve.client import ServeClient, ServeError
-
-    texts, source = _read_texts(args, default_docs=_SMOKE_INFER_DOCS,
-                                seed_offset=1)
-    client = ServeClient(args.url)
-    try:
-        reply = client.infer(texts, model=args.model, seed=args.seed,
-                             iterations=n_iterations, top=args.top)
-    except ServeError as exc:
-        # The message already carries the server's X-Request-Id when one
-        # was answered — the handle into server-side metrics and logs.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    request_id = reply.get("request_id")
-    handle = f", request {request_id}" if request_id else ""
-    print(f"folded in {len(reply['documents'])} documents from {source} "
-          f"via {args.url} (model {reply['model']}, "
-          f"{reply['iterations']} sweeps, K={reply['n_topics']}{handle})")
+def _report_fold_in(args: argparse.Namespace, headline: str,
+                    documents: List[dict], payload: dict) -> int:
+    """Shared output of local and remote ``repro infer``: the headline, the
+    first ``--show`` documents' top topics, and ``payload`` to ``--output``."""
+    print(headline)
     show = max(0, args.show)
-    for d, doc in enumerate(reply["documents"][:show]):
+    for d, doc in enumerate(documents[:show]):
         tops = ", ".join(f"topic {k}: {p:.2f}" for k, p in doc["top_topics"])
         print(f"  doc {d}: {tops}  [{doc['n_phrases']} phrases, "
               f"{doc['n_unknown_tokens']} unknown tokens]")
-    if len(reply["documents"]) > show:
-        print(f"  ... ({len(reply['documents']) - show} more)")
+    if len(documents) > show:
+        print(f"  ... ({len(documents) - show} more)")
     if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(reply, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote topic mixtures to {out}")
-    return 0
-
-
-def cmd_infer(args: argparse.Namespace) -> int:
-    """``repro infer``: fold unseen documents into a saved model."""
-    n_iterations = args.iterations if args.iterations is not None else \
-        (10 if args.smoke else 50)
-    if args.url:
-        return _infer_remote(args, n_iterations)
-    if not args.model:
-        print("error: --model is required without --url", file=sys.stderr)
-        return 2
-    bundle = load_model(args.model)
-    texts, source = _read_texts(args, default_docs=_SMOKE_INFER_DOCS,
-                                seed_offset=1)
-    config = InferenceConfig(n_iterations=n_iterations, seed=args.seed,
-                             engine=args.engine)
-    result = bundle.inferencer().infer_texts(texts, config)
-
-    show = max(0, args.show)
-    print(f"folded in {result.n_documents} documents from {source} "
-          f"({n_iterations} sweeps, K={result.n_topics})")
-    for d, doc in enumerate(result.documents[:show]):
-        tops = ", ".join(f"topic {k}: {p:.2f}" for k, p in doc.top_topics(args.top))
-        print(f"  doc {d}: {tops}  [{len(doc.phrases)} phrases, "
-              f"{doc.n_unknown_tokens} unknown tokens]")
-    if result.n_documents > show:
-        print(f"  ... ({result.n_documents - show} more)")
-
-    if args.output:
-        payload = {
-            "model": str(args.model),
-            "source": source,
-            "n_topics": result.n_topics,
-            "n_iterations": n_iterations,
-            "documents": [
-                {
-                    "theta": [round(float(p), 6) for p in doc.theta],
-                    "top_topics": [[k, round(p, 6)] for k, p in
-                                   doc.top_topics(args.top)],
-                    "n_phrases": len(doc.phrases),
-                    "n_unknown_tokens": doc.n_unknown_tokens,
-                }
-                for doc in result.documents
-            ],
-        }
         out = Path(args.output)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
@@ -713,51 +723,91 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-_STREAM_CREATION_FLAGS = (
-    ("--topics", "topics"), ("--iterations", "iterations"),
-    ("--alpha", "alpha"), ("--beta", "beta"),
-    ("--min-support", "min_support"), ("--threshold", "threshold"),
-    ("--max-phrase-length", "max_phrase_length"), ("--engine", "engine"),
-    ("--lda-engine", "lda_engine"), ("--model-seed", "model_seed"),
-    ("--refresh-every", "refresh_every"),
-)
+def _infer_remote(args: argparse.Namespace, n_iterations: int) -> int:
+    """``repro infer --url``: fold in through a running ``repro serve``."""
+    from repro.serve.client import ServeClient, ServeError
+
+    texts, source = _read_texts(args, default_docs=_SMOKE_INFER_DOCS,
+                                seed_offset=1)
+    try:
+        reply = ServeClient(args.url).infer(
+            texts, model=args.model, seed=args.seed,
+            iterations=n_iterations, top=args.top)
+    except ServeError as exc:
+        # The message already carries the server's X-Request-Id when one
+        # was answered — the handle into server-side metrics and logs.
+        return _error(exc)
+    request_id = reply.get("request_id")
+    handle = f", request {request_id}" if request_id else ""
+    return _report_fold_in(
+        args, f"folded in {len(reply['documents'])} documents from {source} "
+              f"via {args.url} (model {reply['model']}, "
+              f"{reply['iterations']} sweeps, K={reply['n_topics']}{handle})",
+        reply["documents"], reply)
+
+
+def cmd_infer(args: argparse.Namespace) -> int:
+    """``repro infer``: fold unseen documents into a saved model."""
+    n_iterations = _smoke_default(args.iterations, args.smoke,
+                                  _SMOKE_INFER_ITERATIONS,
+                                  InferenceConfig.n_iterations)
+    if args.url:
+        return _infer_remote(args, n_iterations)
+    if not args.model:
+        return _error("--model is required without --url")
+    bundle = load_model(args.model)
+    texts, source = _read_texts(args, default_docs=_SMOKE_INFER_DOCS,
+                                seed_offset=1)
+    config = InferenceConfig(n_iterations=n_iterations, seed=args.seed,
+                             engine=args.engine)
+    result = bundle.inferencer().infer_texts(texts, config)
+    documents = [{"top_topics": doc.top_topics(args.top),
+                  "n_phrases": len(doc.phrases),
+                  "n_unknown_tokens": doc.n_unknown_tokens}
+                 for doc in result.documents]
+    payload = {
+        "model": str(args.model),
+        "source": source,
+        "n_topics": result.n_topics,
+        "n_iterations": n_iterations,
+        "documents": [
+            {"theta": [round(float(p), 6) for p in doc.theta],
+             "top_topics": [[k, round(p, 6)] for k, p in row["top_topics"]],
+             "n_phrases": row["n_phrases"],
+             "n_unknown_tokens": row["n_unknown_tokens"]}
+            for doc, row in zip(result.documents, documents)],
+    }
+    return _report_fold_in(
+        args, f"folded in {result.n_documents} documents from {source} "
+              f"({n_iterations} sweeps, K={result.n_topics})",
+        documents, payload)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     """``repro ingest``: append a document batch to a topic stream."""
-    from repro.stream import StreamConfig, TopicStream
+    from repro.stream import TopicStream
 
     texts, source = _read_texts(args, default_docs=_SMOKE_DOCS)
     if TopicStream.exists(args.stream):
-        conflicting = [flag for flag, attribute in _STREAM_CREATION_FLAGS
-                       if getattr(args, attribute) is not None]
+        conflicting = _given(args, args.frozen_flags)
         if conflicting:
-            print(f"error: stream {args.stream} already exists and its "
-                  f"configuration is frozen; remove "
-                  f"{', '.join(conflicting)} (they only apply to the "
-                  f"first ingest)", file=sys.stderr)
-            return 2
+            return _error(f"stream {args.stream} already exists and its "
+                          f"configuration is frozen; remove "
+                          f"{', '.join(conflicting)} (they only apply to the "
+                          f"first ingest)")
         stream = TopicStream.open(args.stream)
     else:
-        # Explicit values always win; --smoke only shrinks unset defaults.
+        # The flags given, over StreamConfig's defaults: frozen from here on.
         config = StreamConfig(
-            n_topics=args.topics if args.topics is not None
-            else (5 if args.smoke else 10),
-            n_iterations=args.iterations if args.iterations is not None
-            else (20 if args.smoke else 100),
-            alpha=args.alpha,
-            beta=args.beta if args.beta is not None else 0.01,
-            seed=args.model_seed if args.model_seed is not None else 7,
-            min_support=args.min_support,
-            significance_threshold=args.threshold
-            if args.threshold is not None else 5.0,
-            max_phrase_length=args.max_phrase_length,
-            engine=args.engine or "auto",
-            lda_engine=args.lda_engine or "auto",
-            refresh_min_documents=args.refresh_every
-            if args.refresh_every is not None else 1,
-            source=args.source or source)
-        stream = TopicStream.create(args.stream, config)
+            source=args.source or source, **_model_settings(args),
+            **_mining_settings(args), **_explicit(
+                seed=args.model_seed, engine=args.engine,
+                lda_engine=args.lda_engine,
+                refresh_min_documents=args.refresh_every))
+        try:
+            stream = TopicStream.create(args.stream, config)
+        except StreamError as exc:  # e.g. --refresh-every 0
+            return _error(exc)
         print(f"created stream at {args.stream} "
               f"(K={config.n_topics}, {config.n_iterations} sweeps, "
               f"seed={config.seed})")
@@ -881,120 +931,103 @@ def _serve_sources(args: argparse.Namespace) -> "dict[str, Path]":
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the batched-inference model server until stopped.
 
-    Stops cleanly on SIGINT (Ctrl-C) *and* SIGTERM — background jobs in
-    non-interactive shells (CI) inherit SIGINT ignored, so a plain
-    ``kill`` must also trigger the clean-shutdown path.  With
-    ``--workers N`` (N > 1) the serving side runs as a
+    Stops cleanly on SIGINT (Ctrl-C) *and* SIGTERM.  With ``--workers N``
+    (N > 1) the serving side runs as a
     :class:`~repro.serve.fleet.ServeFleet` of N processes behind one
     SO_REUSEPORT address; the stream supervisor (``--stream``) always
     stays in this parent process — the single writer of the fleet.
     """
-    import signal
+    from repro.serve import ModelRegistry, ReproServer, ServeFleet
 
-    from repro.serve import ModelRegistry, ReproServer, ServeConfig, ServeFleet
-    from repro.stream import StreamError
-
-    try:
-        sources = _serve_sources(args)
-    except StreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not sources:
-        print("error: nothing to serve; pass --model PATH and/or "
-              "--models-dir DIR", file=sys.stderr)
-        return 2
     # A stream primary publishes its document log so `repro replicate`
     # followers can tail it over /v1/log/*.
     log_root = str(Path(args.stream) / "log") if args.stream else None
-    config = ServeConfig(host=args.host, port=args.port,
-                         workers=max(1, args.workers),
-                         max_batch_size=args.max_batch,
-                         batch_delay=args.batch_delay_ms / 1000.0,
-                         default_iterations=args.iterations,
-                         registry_capacity=args.capacity,
-                         stream_poll=args.stream_poll,
-                         metrics_dir=args.metrics_dir,
-                         history_interval_seconds=args.history_interval,
-                         slow_request_seconds=args.slow_request_seconds,
-                         log_root=log_root)
-
-    supervisor = None
-    fleet = None
-    server = None
-    if config.workers > 1:
-        fleet = ServeFleet(config, sources)
-        fleet.start()
-        url = fleet.url
-        metrics = None
-        if args.stream:
-            # The supervisor runs in this parent process, outside every
-            # worker — give it a file-backed shard in the fleet's metrics
-            # directory so its ingest/refresh series still appear in any
-            # worker's /metrics scrape (labeled worker_id="stream").
-            from repro.obs import ShardWriter, shard_path
-
-            metrics = ShardWriter(
-                shard_path(fleet.config.metrics_dir, "stream"))
-    else:
-        registry = ModelRegistry(capacity=config.registry_capacity)
-        for name, path in sources.items():
-            registry.register(name, path)
-        server = ReproServer(registry, config)
-        url = server.url
-        metrics = server.metrics
-    if args.stream:
-        from repro.stream import StreamSupervisor
-
-        supervisor = StreamSupervisor(args.stream,
-                                      poll_interval=config.stream_poll,
-                                      metrics=metrics,
-                                      profile_dir=args.profile_dir)
-        supervisor.start()
-        print(f"watching stream {args.stream}: new ingests auto-refresh "
-              f"and hot-swap (poll every {config.stream_poll:g}s)")
-    def _interrupt(signum, frame):
-        raise KeyboardInterrupt
-
-    previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
-    names = ", ".join(sorted(sources))
-    if fleet is not None:
-        print(f"serving {names} on {url} with {config.workers} workers "
-              f"(SO_REUSEPORT, mmap-shared bundles; max batch "
-              f"{config.max_batch_size}, window {args.batch_delay_ms}ms)")
-    else:
-        print(f"serving {names} on {url} "
-              f"(max batch {config.max_batch_size}, "
-              f"window {args.batch_delay_ms}ms)")
-    endpoints = ("/healthz /metrics /debug/profile /v1/models /v1/infer "
-                 "/v1/segment /v1/topics")
-    if config.log_root:
-        endpoints += " /v1/log/manifest /v1/log/shard/<name>"
-    print(f"endpoints: {endpoints} — Ctrl-C (or SIGTERM) to stop")
     try:
+        config = ServeConfig(host=args.host, port=args.port,
+                             workers=max(1, args.workers),
+                             max_batch_size=args.max_batch,
+                             batch_delay=args.batch_delay_ms / 1000.0,
+                             default_iterations=args.iterations,
+                             registry_capacity=args.capacity,
+                             stream_poll=args.stream_poll,
+                             metrics_dir=args.metrics_dir,
+                             history_interval_seconds=args.history_interval,
+                             slow_request_seconds=args.slow_request_seconds,
+                             log_root=log_root)
+    except ValueError as exc:  # e.g. --port 70000, --max-batch 0
+        return _error(exc)
+    try:
+        sources = _serve_sources(args)
+    except StreamError as exc:
+        return _error(exc)
+    if not sources:
+        return _error("nothing to serve; pass --model PATH and/or "
+                      "--models-dir DIR")
+
+    with contextlib.ExitStack() as running:
+        if config.workers > 1:
+            fleet = ServeFleet(config, sources)
+            fleet.start()
+            running.callback(fleet.stop)
+            url = fleet.url
+            metrics = None
+            if args.stream:
+                # The supervisor runs in this parent process, outside every
+                # worker — give it a file-backed shard in the fleet's metrics
+                # directory so its ingest/refresh series still appear in any
+                # worker's /metrics scrape (labeled worker_id="stream").
+                from repro.obs import ShardWriter, shard_path
+
+                metrics = ShardWriter(
+                    shard_path(fleet.config.metrics_dir, "stream"))
+        else:
+            fleet = None
+            registry = ModelRegistry(capacity=config.registry_capacity)
+            for name, path in sources.items():
+                registry.register(name, path)
+            server = ReproServer(registry, config)
+            running.callback(server.close)
+            url = server.url
+            metrics = server.metrics
+        if args.stream:
+            from repro.stream import StreamSupervisor
+
+            supervisor = StreamSupervisor(args.stream,
+                                          poll_interval=config.stream_poll,
+                                          metrics=metrics,
+                                          profile_dir=args.profile_dir)
+            supervisor.start()
+            running.callback(supervisor.stop)
+            print(f"watching stream {args.stream}: new ingests auto-refresh "
+                  f"and hot-swap (poll every {config.stream_poll:g}s)")
+        # Up before the "serving" line: whoever waits for it may SIGTERM next.
+        running.enter_context(_until_interrupted())
+        names = ", ".join(sorted(sources))
+        if fleet is not None:
+            print(f"serving {names} on {url} with {config.workers} workers "
+                  f"(SO_REUSEPORT, mmap-shared bundles; max batch "
+                  f"{config.max_batch_size}, window {args.batch_delay_ms}ms)")
+        else:
+            print(f"serving {names} on {url} "
+                  f"(max batch {config.max_batch_size}, "
+                  f"window {args.batch_delay_ms}ms)")
+        endpoints = ("/healthz /metrics /debug/profile /v1/models /v1/infer "
+                     "/v1/segment /v1/topics")
+        if config.log_root:
+            endpoints += " /v1/log/manifest /v1/log/shard/<name>"
+        print(f"endpoints: {endpoints} — Ctrl-C (or SIGTERM) to stop")
         if fleet is not None:
             fleet.wait_until_ready()
             print(f"fleet ready: workers {fleet.alive_workers()} listening")
             threading.Event().wait()
         else:
             server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous_sigterm)
-        if supervisor is not None:
-            supervisor.stop()
-        if fleet is not None:
-            fleet.stop()
-        if server is not None:
-            server.close()
     print("server stopped cleanly")
     return 0
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
     """``repro replicate``: tail a primary's log into a local replica."""
-    import signal
-
     from repro.replicate import LogFollower, ReplicationError
     from repro.serve.client import ServeError
 
@@ -1009,19 +1042,11 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         try:
             report = follower.sync_once()
         except (ReplicationError, ServeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(exc)
         if args.json:
-            print(json.dumps({
-                "primary": args.primary, "root": str(args.root),
-                "n_shards_fetched": report.n_shards_fetched,
-                "n_documents_fetched": report.n_documents_fetched,
-                "n_bytes_fetched": report.n_bytes_fetched,
-                "primary_documents": report.primary_documents,
-                "lag_documents": report.lag_documents,
-                "converged": report.converged,
-                "shards": report.shards,
-            }, indent=2, sort_keys=True))
+            print(json.dumps({"primary": args.primary, "root": str(args.root),
+                              **dataclasses.asdict(report)},
+                             indent=2, sort_keys=True))
         else:
             print(f"synced {args.root} from {args.primary}: "
                   f"+{report.n_shards_fetched} shard(s), "
@@ -1032,27 +1057,15 @@ def cmd_replicate(args: argparse.Namespace) -> int:
                   f"{'converged' if report.converged else 'NOT converged'}")
         return 0 if report.converged else 1
 
-    stop = threading.Event()
-
-    def _interrupt(signum, frame):
-        stop.set()
-
-    previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
-    print(f"replicating {args.primary} -> {args.root} "
-          f"(poll every {args.poll:g}s) — Ctrl-C (or SIGTERM) to stop")
-
     def on_cycle(report) -> None:
         if report.n_shards_fetched:
             print(f"caught up: +{report.n_documents_fetched} document(s), "
                   f"lag {report.lag_documents}")
 
-    try:
-        follower.follow(poll_interval=args.poll, stop=stop,
-                        on_cycle=on_cycle)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous_sigterm)
+    with _until_interrupted():
+        print(f"replicating {args.primary} -> {args.root} "
+              f"(poll every {args.poll:g}s) — Ctrl-C (or SIGTERM) to stop")
+        follower.follow(poll_interval=args.poll, on_cycle=on_cycle)
     print("replica stopped cleanly")
     return 0
 
@@ -1073,13 +1086,11 @@ def cmd_rollout(args: argparse.Namespace) -> int:
             poll_interval=args.poll_interval,
             slo_gate=args.slo_gate)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     try:
         report = coordinator.rollout(args.version)
     except RolloutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
         return 0 if report.succeeded else 1
@@ -1179,22 +1190,35 @@ def _status_report(health: dict, families: dict, models: list) -> dict:
     }
 
 
+def _ask_server(args: argparse.Namespace, request):
+    """The one client path of ``status`` and ``slo``: ``request(client)``
+    against ``--url``, one attempt per call within ``--timeout`` seconds.
+    A bad timeout or a client error prints ``error: ...`` and gives None."""
+    from repro.serve.client import ServeClient, ServeError
+
+    if not 0 <= args.timeout < math.inf:  # the socket layer would raise
+        _error(f"--timeout must be a finite number of seconds >= 0, "
+               f"got {args.timeout}")
+        return None
+    try:
+        return request(ServeClient(args.url, timeout=args.timeout, retries=0))
+    except ServeError as exc:
+        _error(exc)
+        return None
+
+
 def cmd_status(args: argparse.Namespace) -> int:
     """``repro status``: one-shot fleet + stream health table."""
     import datetime
 
     from repro.obs import parse_prometheus
-    from repro.serve.client import ServeClient, ServeError
 
-    client = ServeClient(args.url, timeout=args.timeout, retries=0)
-    try:
-        health = client.health()
-        families = parse_prometheus(client.metrics_text())
-        models = client.models()
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    scrape = _ask_server(args, lambda client: (
+        client.health(), parse_prometheus(client.metrics_text()),
+        client.models()))
+    if scrape is None:
         return 2
-    report = _status_report(health, families, models)
+    report = _status_report(*scrape)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
@@ -1284,21 +1308,16 @@ def cmd_slo(args: argparse.Namespace) -> int:
     """
     import time
 
-    from repro.serve.client import ServeClient, ServeError
-
-    client = ServeClient(args.url, timeout=args.timeout, retries=0)
     try:
         while True:
-            try:
-                verdicts = client.health().get("slo")
-            except ServeError as exc:
-                print(f"error: {exc}", file=sys.stderr)
+            health = _ask_server(args, lambda client: client.health())
+            if health is None:
                 return 2
+            verdicts = health.get("slo")
             if verdicts is None:
-                print(f"error: {args.url} reports no SLO verdicts — the "
-                      f"server records no metrics history (run it with "
-                      f"--metrics-dir or --workers > 1)", file=sys.stderr)
-                return 2
+                return _error(f"{args.url} reports no SLO verdicts — the "
+                              f"server records no metrics history (run it "
+                              f"with --metrics-dir or --workers > 1)")
             if args.json:
                 print(json.dumps(verdicts, indent=2, sort_keys=True))
             else:
@@ -1333,8 +1352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed the pipe: exit quietly,
         # pointing stdout at devnull so interpreter shutdown can't re-raise.

@@ -38,7 +38,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.segmentation import CorpusSegmenter, SegmentedDocument
-from repro.text.corpus import Corpus
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel.gibbs import (
@@ -376,14 +375,6 @@ class TopicInferencer:
         # seed scoring (and sharding, when configured).
         segmented = self.segmenter.segment_documents(encoded)
         return segmented, unknown_counts
-
-    def infer_corpus(self, corpus: Corpus,
-                     config: Optional[InferenceConfig] = None) -> InferenceResult:
-        """Fold in an already-encoded corpus (tokens over the frozen vocabulary)."""
-        segmented = self.segmenter.segment_documents(
-            [doc.chunks for doc in corpus],
-            doc_ids=[doc.doc_id for doc in corpus])
-        return self._infer_segmented_documents(segmented, config)
 
     def infer_segmented(self, phrase_docs: Sequence[Sequence[Sequence[int]]],
                         config: Optional[InferenceConfig] = None) -> InferenceResult:

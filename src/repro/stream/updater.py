@@ -53,7 +53,7 @@ import os
 import shutil
 import threading
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,7 +61,7 @@ from repro.core.phrase_construction import PhraseConstructionConfig
 from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
 from repro.core.segmentation import CorpusSegmenter
 from repro.core.topmine import ToPMineConfig
-from repro.io.artifacts import ModelBundle, save_bundle
+from repro.io.artifacts import ModelBundle, _config_from_dict, save_bundle
 from repro.obs.shards import ShardWriter
 from repro.stream.counters import (
     AccumulatedCounts,
@@ -89,12 +89,6 @@ CURRENT_MODEL = "current.npz"
 
 class StreamError(Exception):
     """The stream directory is missing, corrupt, or was misused."""
-
-
-def _dataclass_from_dict(cls, payload: Dict[str, Any]):
-    """Rebuild a flat dataclass, ignoring unknown (forward-compat) keys."""
-    known = {f.name for f in fields(cls)}
-    return cls(**{key: value for key, value in payload.items() if key in known})
 
 
 @dataclass
@@ -168,10 +162,7 @@ class StreamConfig:
 
     def construction_config(self) -> PhraseConstructionConfig:
         """Segmenter parameters for refreshes (matches ``repro mine``)."""
-        return PhraseConstructionConfig(
-            significance_threshold=self.significance_threshold,
-            max_phrase_words=self.max_phrase_length,
-            engine=self.engine, n_jobs=self.n_jobs)
+        return self.topmine_config().construction_config()
 
     def phrase_lda_config(self) -> PhraseLDAConfig:
         """PhraseLDA parameters for refreshes (matches ``repro fit``)."""
@@ -206,9 +197,9 @@ class StreamConfig:
     def from_dict(cls, payload: Dict[str, Any]) -> "StreamConfig":
         """Rebuild a config, tolerating unknown forward-compat keys."""
         payload = dict(payload)
-        preprocess = _dataclass_from_dict(PreprocessConfig,
+        preprocess = _config_from_dict(PreprocessConfig,
                                           payload.pop("preprocess", {}) or {})
-        config = _dataclass_from_dict(cls, payload)
+        config = _config_from_dict(cls, payload)
         config.preprocess = preprocess
         return config
 

@@ -432,7 +432,8 @@ class BatchFoldInSampler:
     Fold-in keeps the trained topic-word statistics fixed and resamples only
     the new documents' clique assignments, which is the standard way to
     estimate ``θ`` for held-out text without retraining (the clique-aware
-    generalisation of :meth:`LatentDirichletAllocation.infer_document_topics`).
+    generalisation of the per-token LDA fold-in used for held-out
+    perplexity, :func:`repro.topicmodel.perplexity._fold_in_theta`).
     The per-clique conditional is Eq. 7 with the word and topic-total factors
     frozen at their trained values::
 

@@ -253,41 +253,6 @@ class LatentDirichletAllocation:
         run_fit_loop(sampler, state, config, rng, callback)
         return state
 
-    def infer_document_topics(self, document: Sequence[int],
-                              n_iterations: int = 20,
-                              seed: SeedLike = None) -> np.ndarray:
-        """Fold a new document in against the trained model and return θ̂.
-
-        Keeps the trained topic-word counts fixed and Gibbs-samples only the
-        new document's assignments — the standard fold-in used for held-out
-        perplexity.
-        """
-        if self.state is None:
-            raise RuntimeError("fit() must be called before inference")
-        state = self.state
-        rng = new_rng(seed)
-        n_topics = state.n_topics
-        beta_sum = state.beta * state.vocabulary_size
-
-        doc = np.asarray(list(document), dtype=np.int64)
-        local_topic = np.zeros(n_topics, dtype=np.int64)
-        assign = rng.integers(0, n_topics, size=len(doc))
-        for k in assign:
-            local_topic[k] += 1
-
-        word_factor = state.topic_word_counts + state.beta
-        topic_denominator = state.topic_counts + beta_sum
-        for _ in range(n_iterations):
-            for i, w in enumerate(doc):
-                k_old = assign[i]
-                local_topic[k_old] -= 1
-                weights = (state.alpha + local_topic) * word_factor[w] / topic_denominator
-                k_new = _sample_index(rng, weights)
-                assign[i] = k_new
-                local_topic[k_new] += 1
-        theta = (local_topic + state.alpha)
-        return theta / theta.sum()
-
     # -- internals -------------------------------------------------------------------
     def _sweep(self, token_docs: List[np.ndarray], state: TopicModelState,
                rng: np.random.Generator) -> None:

@@ -273,3 +273,29 @@ def test_models_handles_junk_and_missing_directories(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["models", str(tmp_path / "empty")]) == 0
     assert "no .npz bundles" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--model", "m.npz", "--max-batch", "0"],
+    ["serve", "--model", "m.npz", "--port", "70000"],
+    ["ingest", "--stream", "s", "--smoke", "--refresh-every", "0"],
+    ["status", "--url", "http://127.0.0.1:1", "--timeout", "-1"],
+], ids=["serve-max-batch-0", "serve-port-70000", "ingest-refresh-every-0",
+        "status-negative-timeout"])
+def test_bad_option_values_fail_cleanly(argv, tmp_path):
+    """Values the config dataclasses (or the client) reject print
+    `error: ...` and exit 2 — never a traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "s").exists()  # a rejected stream is never created
