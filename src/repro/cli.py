@@ -334,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{InferenceConfig.n_iterations}; "
                             f"{_SMOKE_INFER_ITERATIONS} with --smoke)")
     infer.add_argument("--engine", default="auto", choices=INFERENCE_ENGINES,
-                       help="fold-in engine: batch (vectorized; what auto "
-                            "picks) or reference (the readable loop)")
+                       help="fold-in engine: c (the compiled kernel; what "
+                            "auto picks when it builds) or reference (the "
+                            "readable loop)")
     infer.add_argument("--seed", type=int, default=7,
                        help="fold-in seed (default: 7)")
     infer.add_argument("--top", type=int, default=3,
@@ -465,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: %(default)s)")
     serve.add_argument("--batch-delay-ms", type=float,
                        default=ServeConfig.batch_delay * 1000.0,
-                       help="micro-batch window in milliseconds "
+                       help="micro-batch accumulation window in "
+                            "milliseconds; 0 dispatches at once when idle "
                             "(default: %(default)g)")
     serve.add_argument("--iterations", type=int,
                        default=ServeConfig.default_iterations,

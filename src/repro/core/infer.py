@@ -14,20 +14,19 @@ retraining:
    against the frozen topic-word counts and read off each document's topic
    mixture ``θ̂``.
 
-Two interchangeable engines run the fold-in sweep: ``"batch"``
-(:class:`~repro.topicmodel.gibbs.BatchFoldInSampler`, the cross-document
-slot-vectorized sampler, what ``"auto"`` resolves to) and ``"reference"``,
-a readable nested loop kept as the executable specification.  ``"c"`` is
-rejected explicitly — the compiled training kernel mutates global counts
-and therefore does not apply to fold-in.  Both engines consume the random
-stream identically, so a fixed seed yields identical clique assignments
-regardless of engine.
+Two interchangeable engines run the fold-in sweeps: ``"c"``, the
+``phrase_lda_fold_in`` entry point of the compiled PhraseLDA kernel
+(:func:`repro.topicmodel.ckernel.run_fold_in`, what ``"auto"`` picks when
+the kernel loads), and ``"reference"``, a readable nested loop kept as the
+executable specification and the no-compiler fallback.  Both consume the
+random stream identically, so a fixed seed yields identical clique
+assignments regardless of engine.
 
 For the serving layer, :meth:`TopicInferencer.infer_texts_grouped` folds
-several independent *requests* (each with its own seed) in one batched
-pass whose per-request results are bit-identical to running each request
-alone — the contract the micro-batching scheduler in
-:mod:`repro.serve.batching` relies on.
+several independent *requests* (each with its own seed) in one call whose
+per-request results are bit-identical to running each request alone — the
+contract the micro-batching scheduler in :mod:`repro.serve.batching`
+relies on.
 """
 
 from __future__ import annotations
@@ -40,56 +39,70 @@ import numpy as np
 from repro.core.segmentation import CorpusSegmenter, SegmentedDocument
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
-from repro.topicmodel.gibbs import (
-    BatchFoldInSampler,
-    FlatPhraseCorpus,
-    validate_fold_in_input,
-)
+from repro.topicmodel import ckernel
+from repro.topicmodel.gibbs import FlatPhraseCorpus, validate_fold_in_input
 from repro.topicmodel.lda import TopicModelState
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.timing import Stopwatch
 
 Phrase = Tuple[int, ...]
 
-INFERENCE_ENGINES = ("auto", "batch", "reference")
+INFERENCE_ENGINES = ("auto", "c", "reference")
+
+# The C engine draws its uniforms in chunks of whole sweeps holding at most
+# this many doubles (but always at least one sweep), so a request's buffer
+# stays bounded however many iterations it asks for.
+_UNIFORM_CHUNK = 1 << 16
 
 
 def resolve_inference_engine(engine: str) -> str:
     """Map an inference engine request onto a concrete engine name.
 
-    Parameters
-    ----------
-    engine:
-        One of ``"auto"``, ``"batch"``, ``"reference"``.
-        ``"auto"`` resolves to ``"batch"``, the cross-document vectorized
-        fold-in — bit-identical to the reference loop under a fixed seed,
-        without its per-clique Python loop.  (The compiled training kernel updates
-        the global count matrices in place, which fold-in must *not* do,
-        so ``"c"`` never applies here.)
+    ``"auto"`` resolves to ``"c"`` when the compiled kernel is available and
+    to ``"reference"`` otherwise.  An explicit ``"c"`` without a working
+    kernel raises rather than silently running something slower, as
+    :func:`repro.topicmodel.gibbs.resolve_engine` does for training.
 
     Returns
     -------
     str
-        ``"batch"`` or ``"reference"``.
+        ``"c"`` or ``"reference"``.
 
     Raises
     ------
     ValueError
-        If ``engine`` is not a known inference engine — including ``"c"``,
-        which is rejected explicitly (rather than silently substituted)
-        because the training kernel does not apply to fold-in.
+        If ``engine`` is not one of :data:`INFERENCE_ENGINES`.
+    RuntimeError
+        If ``"c"`` is requested but the kernel cannot be built or loaded.
     """
-    if engine == "c":
-        raise ValueError(
-            "engine 'c' is not available for fold-in inference (the "
-            "compiled kernel mutates the trained counts); use 'auto' or "
-            "'batch'")
     if engine not in INFERENCE_ENGINES:
         raise ValueError(
             f"unknown inference engine {engine!r}; expected one of {INFERENCE_ENGINES}")
     if engine == "auto":
-        return "batch"
+        return "c" if ckernel.kernel_available() else "reference"
+    if engine == "c" and not ckernel.kernel_available():
+        raise RuntimeError(
+            f"engine='c' requested but the kernel is unavailable "
+            f"({ckernel.load_error()}); use engine='auto' to fall back")
     return engine
+
+
+def _frozen_counts(name: str, counts: np.ndarray,
+                   shape: Tuple[int, ...]) -> np.ndarray:
+    """``counts`` as a C-contiguous ``int64`` array of ``shape``.
+
+    Raises ``ValueError`` for a wrong shape, a non-integer dtype, or a
+    negative count (including ``uint64`` values that do not fit ``int64``).
+    """
+    array = np.asarray(counts)
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}; expected {shape}")
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer counts, not {array.dtype}")
+    array = np.ascontiguousarray(array, dtype=np.int64)
+    if array.size and int(array.min()) < 0:
+        raise ValueError(f"{name} must be non-negative")
+    return array
 
 
 @dataclass
@@ -103,8 +116,8 @@ class InferenceConfig:
     seed:
         Random seed (int or :class:`numpy.random.Generator`).
     engine:
-        Sweep implementation: ``"auto"`` (→ the cross-document ``"batch"``
-        sampler), ``"batch"``, or ``"reference"``.
+        Sweep implementation: ``"auto"`` (→ ``"c"`` when the kernel loads,
+        ``"reference"`` otherwise), ``"c"``, or ``"reference"``.
     """
 
     n_iterations: int = 50
@@ -179,7 +192,10 @@ class TopicInferencer:
         Trained topic-model counts (a
         :class:`~repro.topicmodel.lda.TopicModelState` or subclass); only
         ``topic_word_counts``, ``topic_counts``, ``alpha`` and ``beta`` are
-        read, never written.
+        read, never written.  They are converted once, here, into the
+        C-contiguous ``int64``/``float64`` arrays the kernel reads, so they
+        must be non-negative integer counts of shapes ``(V, K)`` and
+        ``(K,)``.  ``None`` builds a segmentation-only inferencer.
     segmenter:
         A :class:`~repro.core.segmentation.CorpusSegmenter` built from the
         *training* mining result, so unseen text is segmented with the
@@ -199,7 +215,8 @@ class TopicInferencer:
         result.theta.shape      # (1, K)
     """
 
-    def __init__(self, state: TopicModelState, segmenter: CorpusSegmenter,
+    def __init__(self, state: Optional[TopicModelState],
+                 segmenter: CorpusSegmenter,
                  vocabulary: Optional[Vocabulary] = None,
                  preprocess: Optional[PreprocessConfig] = None) -> None:
         self.state = state
@@ -207,6 +224,21 @@ class TopicInferencer:
         self.vocabulary = vocabulary
         self.preprocess = preprocess or PreprocessConfig()
         self._preprocessor = Preprocessor(self.preprocess)
+        if state is not None:
+            topic_word = np.asarray(state.topic_word_counts)
+            if topic_word.ndim != 2 or topic_word.shape[1] < 1:
+                raise ValueError(f"topic_word_counts must be V x K with K >= 1; "
+                                 f"got shape {topic_word.shape}")
+            n_topics = topic_word.shape[1]
+            self._topic_word = _frozen_counts("topic_word_counts", topic_word,
+                                              topic_word.shape)
+            self._topic_totals = _frozen_counts("topic_counts",
+                                                state.topic_counts, (n_topics,))
+            self._alpha = np.ascontiguousarray(state.alpha, dtype=np.float64)
+            if self._alpha.shape != (n_topics,):
+                raise ValueError(f"alpha has shape {self._alpha.shape}; "
+                                 f"expected {(n_topics,)}")
+            self._beta = float(state.beta)
 
     # -- public API ------------------------------------------------------------------
     def infer_texts(self, texts: Sequence[str],
@@ -244,15 +276,15 @@ class TopicInferencer:
                             config: Optional[InferenceConfig] = None,
                             watch: Optional[Stopwatch] = None,
                             ) -> List[InferenceResult]:
-        """Fold in several independent *requests* in one batched pass.
+        """Fold in several independent *requests* in one call.
 
         The multi-request entry point behind the serving layer's
         micro-batching scheduler: every group is an independent request with
-        its own seed, and the whole batch runs as a single slot-vectorized
-        fold-in (:class:`~repro.topicmodel.gibbs.BatchFoldInSampler`) with
-        one random stream per group.  Results are **bit-identical** to
-        calling :meth:`infer_texts` once per group with that group's seed —
-        batching is purely a throughput optimisation, never a semantic one.
+        its own seed.  All groups share one segmentation pass; each group is
+        then folded in with its own random stream, exactly as a solo call
+        would.  Results are **bit-identical** to calling :meth:`infer_texts`
+        once per group with that group's seed — batching is purely a
+        throughput optimisation, never a semantic one.
 
         Parameters
         ----------
@@ -262,9 +294,8 @@ class TopicInferencer:
             One seed (or generator) per request, aligned with ``groups``;
             overrides ``config.seed``.
         config:
-            Shared fold-in options.  ``config.engine`` must resolve to
-            ``"batch"`` (the only multi-stream engine); iterations apply to
-            every group.
+            Shared fold-in options (iterations and engine apply to every
+            group).
         watch:
             Optional :class:`~repro.utils.timing.Stopwatch` that receives
             the batch's ``"segmentation"`` and ``"fold_in"`` stage times —
@@ -278,52 +309,23 @@ class TopicInferencer:
         """
         config = config or InferenceConfig()
         engine = resolve_inference_engine(config.engine)
-        if engine != "batch":
-            raise ValueError(
-                f"grouped inference requires the 'batch' engine (got "
-                f"{config.engine!r}); it is the only engine that consumes "
-                f"one random stream per request")
         if len(seeds) != len(groups):
             raise ValueError(f"got {len(groups)} groups but {len(seeds)} seeds")
         watch = watch if watch is not None else Stopwatch()
-        # All requests share one vectorized segmentation pass; the per-group
-        # ranges then carve the batch back apart.
+        # All requests share one vectorized segmentation pass; each group's
+        # slice is then folded in on its own stream.
         with watch.measure("segmentation"):
             segmented, unknown_counts = self._segment_texts(
                 [text for texts in groups for text in texts])
-        ranges: List[Tuple[int, int]] = []
-        start = 0
-        for texts in groups:
-            ranges.append((start, start + len(texts)))
-            start += len(texts)
-
-        with watch.measure("fold_in"):
-            phrase_docs = [[tuple(p) for p in doc.phrases]
-                           for doc in segmented]
-            flat = FlatPhraseCorpus(phrase_docs)
-            state = self.state
-            sampler = BatchFoldInSampler(flat, state.topic_word_counts,
-                                         state.topic_counts, state.alpha,
-                                         state.beta, group_doc_ranges=ranges)
-            rngs = [new_rng(seed) for seed in seeds]
-            sampler.initialize(rngs)
-            for _ in range(config.n_iterations):
-                sampler.sweep(rngs)
-            theta = sampler.theta()
-            assigns = [np.ascontiguousarray(sampler.assign[g0:g1])
-                       for g0, g1 in flat.doc_ranges]
-
         results: List[InferenceResult] = []
-        for start, end in ranges:
-            documents = [
-                DocumentInference(theta=theta[d], phrases=phrase_docs[d],
-                                  clique_topics=assigns[d],
-                                  n_unknown_tokens=unknown_counts[d])
-                for d in range(start, end)
-            ]
-            results.append(InferenceResult(
-                theta=np.ascontiguousarray(theta[start:end]),
-                documents=documents))
+        start = 0
+        with watch.measure("fold_in"):
+            for texts, seed in zip(groups, seeds):
+                end = start + len(texts)
+                results.append(self._fold_in(
+                    segmented[start:end], unknown_counts[start:end], seed,
+                    config.n_iterations, engine))
+                start = end
         return results
 
     def segment_texts(self, texts: Sequence[str],
@@ -393,79 +395,93 @@ class TopicInferencer:
                                    ) -> InferenceResult:
         """Run the configured fold-in engine over segmented documents."""
         config = config or InferenceConfig()
-        engine = resolve_inference_engine(config.engine)
-        phrase_docs = [[tuple(p) for p in doc.phrases] for doc in segmented]
-        flat = FlatPhraseCorpus(phrase_docs)
-        if engine == "reference":
-            # The batch sampler validates on construction; validate the
-            # reference path here with the same shared check.
-            validate_fold_in_input(flat, self.state.alpha, self.state.beta,
-                                   self.state.vocabulary_size)
-            theta, assigns = self._fold_in_reference(phrase_docs, config)
-        else:
-            theta, assigns = self._fold_in_batch(flat, config)
         if unknown_counts is None:
             unknown_counts = [0] * len(segmented)
+        return self._fold_in(segmented, unknown_counts, config.seed,
+                             config.n_iterations,
+                             resolve_inference_engine(config.engine))
+
+    def _fold_in(self, segmented: Sequence[SegmentedDocument],
+                 unknown_counts: Sequence[int], seed: SeedLike,
+                 n_iterations: int, engine: str) -> InferenceResult:
+        """Fold in one request's documents on one random stream.
+
+        The stream is consumed the same way by both engines: one
+        ``integers`` draw per document to initialise its clique topics, then
+        one uniform per non-empty clique per sweep, in document and clique
+        order.
+        """
+        if self.state is None:
+            raise RuntimeError("this inferencer has no topic model to fold in with")
+        phrase_docs = [[tuple(p) for p in doc.phrases] for doc in segmented]
+        flat = FlatPhraseCorpus(phrase_docs)
+        validate_fold_in_input(flat, self._alpha, self._beta,
+                               self._topic_word.shape[0])
+        rng = new_rng(seed)
+        n_topics = self._topic_word.shape[1]
+        assign = np.empty(flat.n_cliques, dtype=np.int64)
+        for g0, g1 in flat.doc_ranges:
+            assign[g0:g1] = rng.integers(0, n_topics, size=g1 - g0)
+        sizes = flat.clique_sizes()
+        doc_topic = np.zeros((flat.n_docs, n_topics), dtype=np.int64)
+        np.add.at(doc_topic, (np.repeat(flat.clique_doc, sizes),
+                              np.repeat(assign, sizes)), 1)
+        if flat.n_sampled:
+            if engine == "c":
+                self._sweeps_c(flat, doc_topic, assign, n_iterations, rng)
+            else:
+                self._sweeps_reference(phrase_docs, flat.doc_ranges, doc_topic,
+                                       assign, n_iterations, rng)
+
+        theta = doc_topic + self._alpha
+        theta /= theta.sum(axis=1, keepdims=True)
         documents = [
             DocumentInference(theta=theta[d], phrases=phrase_docs[d],
-                              clique_topics=assigns[d],
+                              clique_topics=assign[g0:g1],
                               n_unknown_tokens=unknown_counts[d])
-            for d in range(len(segmented))
+            for d, (g0, g1) in enumerate(flat.doc_ranges)
         ]
         return InferenceResult(theta=theta, documents=documents)
 
-    def _fold_in_batch(self, flat: FlatPhraseCorpus,
-                       config: InferenceConfig,
-                       ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Slot-vectorized fold-in across documents (``"auto"``'s choice).
+    def _sweeps_c(self, flat: FlatPhraseCorpus, doc_topic: np.ndarray,
+                  assign: np.ndarray, n_iterations: int,
+                  rng: np.random.Generator) -> None:
+        """Fold-in sweeps in the C kernel, a bounded chunk of whole sweeps
+        per call (the GIL is released for each call)."""
+        per_chunk = max(1, _UNIFORM_CHUNK // flat.n_sampled)
+        beta_sum = self._beta * self._topic_word.shape[0]
+        done = 0
+        while done < n_iterations:
+            sweeps = min(per_chunk, n_iterations - done)
+            ckernel.run_fold_in(
+                flat.tokens, flat.offsets, flat.clique_doc, self._alpha,
+                self._beta, beta_sum, self._topic_word, self._topic_totals,
+                doc_topic, assign, sweeps, rng.random(sweeps * flat.n_sampled))
+            done += sweeps
 
-        A single group covering every document, driven by one generator —
-        the same random stream as :meth:`_fold_in_reference`, so the engines
-        stay bit-identical while the batch sampler removes the per-clique
-        Python loop.
+    def _sweeps_reference(self, phrase_docs: List[List[Phrase]],
+                          doc_ranges: Sequence[Tuple[int, int]],
+                          doc_topic: np.ndarray, assign: np.ndarray,
+                          n_iterations: int, rng: np.random.Generator) -> None:
+        """Readable nested-loop fold-in sweeps, the executable specification.
+
+        Eq. 7 with the word and topic-total factors frozen at their trained
+        values; only the new documents' counts ``doc_topic`` (and their
+        clique assignments) change::
+
+            p(C_{d,g} = k) ∝ Π_{j=1}^{W_{d,g}}
+                (α_k + n_{d,k} + j − 1) ·
+                (β + N_{w_j,k}) / (Σ_x β_x + N_k + j − 1)
         """
-        state = self.state
-        rng = new_rng(config.seed)
-        sampler = BatchFoldInSampler(flat, state.topic_word_counts,
-                                     state.topic_counts, state.alpha,
-                                     state.beta)
-        sampler.initialize([rng])
-        for _ in range(config.n_iterations):
-            sampler.sweep([rng])
-        assigns = [np.ascontiguousarray(sampler.assign[g0:g1])
-                   for g0, g1 in flat.doc_ranges]
-        return sampler.theta(), assigns
+        n_topics = doc_topic.shape[1]
+        alpha = self._alpha
+        wfac = self._topic_word + self._beta
+        tfac = self._topic_totals + self._beta * self._topic_word.shape[0]
 
-    def _fold_in_reference(self, phrase_docs: List[List[Phrase]],
-                           config: InferenceConfig,
-                           ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Readable nested-loop fold-in, the executable specification.
-
-        Consumes the random stream exactly like :meth:`_fold_in_batch` (one
-        ``integers`` draw per document, one uniform per non-empty clique per
-        sweep), so both engines agree under a fixed seed.
-        """
-        state = self.state
-        rng = new_rng(config.seed)
-        n_topics = state.n_topics
-        alpha = np.asarray(state.alpha, dtype=np.float64)
-        beta = float(state.beta)
-        beta_sum = beta * state.vocabulary_size
-        wfac = state.topic_word_counts + beta
-        tfac = state.topic_counts + beta_sum
-
-        assigns: List[np.ndarray] = []
-        locals_: List[np.ndarray] = []
-        for phrases in phrase_docs:
-            doc_assign = rng.integers(0, n_topics, size=len(phrases))
-            local = np.zeros(n_topics, dtype=np.int64)
-            for phrase, k in zip(phrases, doc_assign):
-                local[k] += len(phrase)
-            assigns.append(doc_assign)
-            locals_.append(local)
-
-        for _ in range(config.n_iterations):
-            for phrases, doc_assign, local in zip(phrase_docs, assigns, locals_):
+        for _ in range(n_iterations):
+            for phrases, local, (g0, g1) in zip(phrase_docs, doc_topic,
+                                                doc_ranges):
+                doc_assign = assign[g0:g1]
                 for g, phrase in enumerate(phrases):
                     size = len(phrase)
                     if size == 0:
@@ -489,9 +505,3 @@ class TopicInferencer:
                         k_new = min(int(u * n_topics), n_topics - 1)
                     doc_assign[g] = k_new
                     local[k_new] += size
-
-        theta = np.empty((len(phrase_docs), n_topics))
-        for d, local in enumerate(locals_):
-            row = local + alpha
-            theta[d] = row / row.sum()
-        return theta, [np.asarray(a, dtype=np.int64) for a in assigns]

@@ -112,7 +112,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     # Micro-batching scheduler -------------------------------------------
     "infer_requests_total": ("counter", "Inference requests submitted"),
     "infer_documents_total": ("counter", "Documents folded in, all requests"),
-    "infer_batches_total": ("counter", "Vectorized fold-in batches executed"),
+    "infer_batches_total": ("counter", "Grouped fold-in batches executed"),
     "infer_batch_seconds": ("histogram", "Wall-clock per executed batch"),
     "infer_batch_size": ("histogram", "Requests coalesced per batch"),
     # Request spans ------------------------------------------------------
@@ -208,8 +208,8 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
 def build_info() -> Dict[str, str]:
     """Labels for the ``repro_build_info`` gauge: version, engine defaults.
 
-    Uses the cheap engine resolvers (never the LDA kernel compiler), so
-    rendering ``/metrics`` can never trigger a C build.
+    The fold-in resolver loads the C kernel, building it when no cached
+    build exists, as the first inference request would anyway.
     """
     from repro import __version__
     from repro.core.frequent_phrases import resolve_mining_engine

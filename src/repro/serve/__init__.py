@@ -13,7 +13,7 @@ them to many concurrent clients (the apply-many half at traffic):
   :class:`LoadedModel` state, with hot-reload on file change and an LRU
   capacity cap;
 * :mod:`repro.serve.batching` — a :class:`MicroBatcher` that coalesces
-  concurrent inference requests into one vectorized fold-in pass
+  concurrent inference requests into one grouped fold-in call
   (per-request results stay bit-identical to solo runs under fixed
   per-request seeds);
 * :mod:`repro.serve.http` — a dependency-free JSON-over-HTTP server

@@ -1,9 +1,8 @@
 """Micro-batching inference scheduler: coalesce requests, keep determinism.
 
-Concurrent ``/v1/infer`` requests arriving within a short window are
-coalesced into **one** vectorized fold-in pass
-(:meth:`~repro.core.infer.TopicInferencer.infer_texts_grouped`) instead of
-running one sampler per request.  Batching is purely a throughput
+Concurrent ``/v1/infer`` requests are coalesced into **one** grouped
+fold-in call (:meth:`~repro.core.infer.TopicInferencer.infer_texts_grouped`)
+instead of one call per request.  Batching is purely a throughput
 optimisation: every request keeps its own seed and random stream inside
 the batch, so its topic mixtures are bit-identical to a solo
 :class:`~repro.core.infer.TopicInferencer` run with that seed — the
@@ -11,17 +10,19 @@ property the serving test suite pins.
 
 The scheduler is a single daemon worker thread over a condition-guarded
 queue.  A batch closes when ``max_batch_size`` requests are pending or
-``max_delay`` seconds have passed since the oldest pending request; it is
-then partitioned by ``(model, n_iterations)`` — only requests that agree
-on those can share one sampler configuration — and each partition runs as
-one grouped fold-in.
+``max_delay`` seconds have passed since the worker picked up its first
+request.  The default delay is 0 (continuous batching): an idle worker
+dispatches a request at once, and requests that arrive while a batch
+executes queue up and form the next batch together.  A positive delay is
+an opt-in accumulation window.  Each batch is partitioned by
+``(model, n_iterations)`` — only requests that agree on those can share one
+fold-in configuration — and each partition runs as one grouped call.
 
 Segmentation piggybacks on the same coalescing: ``infer_texts_grouped``
 segments every request of a partition in **one** vectorized pass of the
 frozen phrase table (the batched numpy engine in
-:mod:`repro.core.fast_construction`) before the shared fold-in, so the
-pre-processing half of the serving hot path is batched exactly like the
-sampling half.
+:mod:`repro.core.fast_construction`) before the per-request fold-ins, so
+the pre-processing half of the serving hot path is batched too.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class _Pending:
 
 
 class MicroBatcher:
-    """Coalesces concurrent inference requests into vectorized batches.
+    """Coalesces concurrent inference requests into grouped batches.
 
     Parameters
     ----------
@@ -65,7 +66,8 @@ class MicroBatcher:
         Close a batch as soon as this many requests are pending.
     max_delay:
         Seconds to keep a batch open after its first request, waiting for
-        company (the micro-batching window).
+        company.  ``0`` (the :class:`~repro.serve.config.ServeConfig`
+        default) dispatches at once when idle.
     metrics:
         Optional shared metric shard; the batcher records
         ``infer_requests_total``, ``infer_documents_total``,
@@ -73,8 +75,9 @@ class MicroBatcher:
         ``infer_batch_size`` latencies into it.
     """
 
-    def __init__(self, registry: ModelRegistry, max_batch_size: int = 32,
-                 max_delay: float = 0.005,
+    def __init__(self, registry: ModelRegistry,
+                 max_batch_size: int = ServeConfig.max_batch_size,
+                 max_delay: float = ServeConfig.batch_delay,
                  metrics: Optional[ShardWriter] = None) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -223,7 +226,7 @@ class MicroBatcher:
                         [request.texts for request in requests],
                         [request.seed for request in requests],
                         InferenceConfig(n_iterations=n_iterations,
-                                        engine="batch"),
+                                        engine="auto"),
                         watch=watch)
                     for span in ("segmentation", "fold_in"):
                         self._record_span(requests, span,

@@ -42,7 +42,10 @@ class ServeConfig:
     max_batch_size, batch_delay:
         The micro-batching window of each worker's scheduler: a batch
         closes at ``max_batch_size`` pending requests or after
-        ``batch_delay`` seconds, whichever comes first.
+        ``batch_delay`` seconds, whichever comes first.  The default
+        ``batch_delay=0`` is continuous batching: an idle scheduler
+        dispatches at once, and batches form only from requests that
+        arrive while one is executing.
     default_iterations:
         Fold-in sweeps when a request does not specify ``iterations``.
     registry_capacity:
@@ -86,7 +89,7 @@ class ServeConfig:
     port: int = 8765
     workers: int = 1
     max_batch_size: int = 32
-    batch_delay: float = 0.005
+    batch_delay: float = 0.0
     default_iterations: int = DEFAULT_ITERATIONS
     registry_capacity: int = 4
     stream_poll: float = 2.0

@@ -18,8 +18,8 @@ of a :class:`~repro.serve.registry.ModelRegistry` through nine endpoints:
 
 Inference requests funnel through the
 :class:`~repro.serve.batching.MicroBatcher`, so concurrent clients are
-coalesced into one vectorized fold-in per batching window while each
-request keeps its seed-deterministic result.  Request and response bodies
+coalesced into one grouped fold-in per batch while each request keeps
+its seed-deterministic result.  Request and response bodies
 are JSON, validated and serialized through the typed schemas of
 :mod:`repro.serve.api`; errors come back as ``{"error": ...}`` with a
 4xx/5xx status.  See ``docs/serving.md`` for the full schemas.

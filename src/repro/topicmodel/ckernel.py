@@ -1,13 +1,17 @@
-"""On-demand compilation and loading of the PhraseLDA C sweep kernel.
+"""On-demand compilation and loading of the PhraseLDA C kernels.
 
-``phrase_lda_kernel.c`` (same directory) is a dependency-free C99 file that
-implements one collapsed Gibbs sweep over the flattened corpus.  This module
+``phrase_lda_kernel.c`` (same directory) is a dependency-free C99 file with
+two entry points over the flattened corpus: ``phrase_lda_sweep``, one
+training sweep (:func:`run_sweep`), and ``phrase_lda_fold_in``, a chunk of
+fold-in sweeps against frozen counts (:func:`run_fold_in`).  This module
 compiles it with the system C compiler into a small shared library, caches
 the build keyed by a hash of the source and the compile flags, and exposes
-it through :mod:`ctypes`.  Nothing here is required: when no compiler is
-available the callers fall back to the pure-NumPy vectorized sampler
-(:class:`repro.topicmodel.gibbs.VectorizedGibbsSampler`), so the kernel is a
-strictly optional accelerator.
+it through :mod:`ctypes`, which releases the GIL for the duration of each
+call.  Nothing here is required: when no compiler is available, training
+falls back to the pure-NumPy vectorized sampler
+(:class:`repro.topicmodel.gibbs.VectorizedGibbsSampler`) and fold-in to the
+reference loop in :mod:`repro.core.infer`, so the kernel is a strictly
+optional accelerator.
 
 Environment variables
 ---------------------
@@ -16,7 +20,7 @@ Environment variables
     file).
 ``REPRO_DISABLE_C_KERNEL``
     Set to any non-empty value to pretend no compiler exists (useful for
-    exercising the NumPy fallback).
+    exercising the no-compiler fallbacks).
 """
 
 from __future__ import annotations
@@ -130,6 +134,25 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             ctypes.POINTER(ctypes.c_double),  # uniforms
             ctypes.POINTER(ctypes.c_double),  # scratch
         ]
+        fn = lib.phrase_lda_fold_in
+        fn.restype = None
+        fn.argtypes = [
+            ctypes.POINTER(ctypes.c_int32),   # tokens
+            ctypes.POINTER(ctypes.c_int64),   # offsets
+            ctypes.POINTER(ctypes.c_int32),   # clique_doc
+            ctypes.c_int64,                   # n_cliques
+            ctypes.c_int64,                   # n_topics
+            ctypes.POINTER(ctypes.c_double),  # alpha
+            ctypes.c_double,                  # beta
+            ctypes.c_double,                  # beta_sum
+            ctypes.POINTER(ctypes.c_int64),   # topic_word (const)
+            ctypes.POINTER(ctypes.c_int64),   # topic_totals (const)
+            ctypes.POINTER(ctypes.c_int64),   # doc_topic
+            ctypes.POINTER(ctypes.c_int64),   # assign
+            ctypes.c_int64,                   # n_sweeps
+            ctypes.POINTER(ctypes.c_double),  # uniforms
+            ctypes.POINTER(ctypes.c_double),  # scratch
+        ]
         _lib = lib
     except Exception as exc:  # missing compiler, failed build, bad .so, ...
         _load_error = f"{type(exc).__name__}: {exc}"
@@ -138,7 +161,7 @@ def load_kernel() -> Optional[ctypes.CDLL]:
 
 
 def kernel_available() -> bool:
-    """True when the C sweep kernel can be compiled and loaded."""
+    """True when the C kernels can be compiled and loaded."""
     return load_kernel() is not None
 
 
@@ -160,19 +183,66 @@ def _f64(array: np.ndarray):
     return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
 
 
+def _kernel() -> ctypes.CDLL:
+    lib = load_kernel()
+    if lib is None:
+        raise RuntimeError(f"C kernel unavailable: {_load_error}")
+    return lib
+
+
 def run_sweep(tokens: np.ndarray, offsets: np.ndarray, clique_doc: np.ndarray,
               n_topics: int, alpha: np.ndarray, beta: float, beta_sum: float,
               topic_word: np.ndarray, doc_topic: np.ndarray,
               topic_totals: np.ndarray, assign: np.ndarray,
               uniforms: np.ndarray, scratch: np.ndarray) -> None:
     """Invoke one C sweep over all cliques (arrays must be C-contiguous)."""
-    lib = load_kernel()
-    if lib is None:
-        raise RuntimeError(f"C kernel unavailable: {_load_error}")
-    lib.phrase_lda_sweep(
+    _kernel().phrase_lda_sweep(
         _i32(tokens), _i64(offsets), _i32(clique_doc),
         ctypes.c_int64(len(offsets) - 1), ctypes.c_int64(n_topics),
         _f64(alpha), ctypes.c_double(beta), ctypes.c_double(beta_sum),
         _i64(topic_word), _i64(doc_topic), _i64(topic_totals),
         _i64(assign), _f64(uniforms), _f64(scratch),
+    )
+
+
+def _require(name: str, array: np.ndarray, dtype, size: int) -> None:
+    if (array.dtype != dtype or not array.flags.c_contiguous
+            or array.size != size):
+        raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} "
+                         f"array of {size} elements")
+
+
+def run_fold_in(tokens: np.ndarray, offsets: np.ndarray,
+                clique_doc: np.ndarray, alpha: np.ndarray, beta: float,
+                beta_sum: float, topic_word: np.ndarray,
+                topic_totals: np.ndarray, doc_topic: np.ndarray,
+                assign: np.ndarray, n_sweeps: int,
+                uniforms: np.ndarray) -> None:
+    """Run ``n_sweeps`` fold-in sweeps in C, mutating only ``doc_topic``
+    and ``assign``.
+
+    Buffer dtypes, contiguity and sizes are checked here; the caller
+    guarantees the index ranges the kernel trusts (token ids in ``[0, V)``,
+    assignments in ``[0, K)``, ``clique_doc`` rows of ``doc_topic``) and
+    one uniform per non-empty clique per sweep.
+    """
+    n_words, n_topics = topic_word.shape
+    n_cliques = len(offsets) - 1
+    _require("tokens", tokens, np.int32, tokens.size)
+    _require("offsets", offsets, np.int64, n_cliques + 1)
+    _require("clique_doc", clique_doc, np.int32, n_cliques)
+    _require("alpha", alpha, np.float64, n_topics)
+    _require("topic_word", topic_word, np.int64, n_words * n_topics)
+    _require("topic_totals", topic_totals, np.int64, n_topics)
+    _require("doc_topic", doc_topic, np.int64, doc_topic.shape[0] * n_topics)
+    _require("assign", assign, np.int64, n_cliques)
+    n_sampled = int(np.count_nonzero(np.diff(offsets)))
+    _require("uniforms", uniforms, np.float64, n_sweeps * n_sampled)
+    _kernel().phrase_lda_fold_in(
+        _i32(tokens), _i64(offsets), _i32(clique_doc),
+        ctypes.c_int64(n_cliques), ctypes.c_int64(n_topics),
+        _f64(alpha), ctypes.c_double(beta), ctypes.c_double(beta_sum),
+        _i64(topic_word), _i64(topic_totals), _i64(doc_topic),
+        _i64(assign), ctypes.c_int64(n_sweeps), _f64(uniforms),
+        _f64(np.empty(n_topics, dtype=np.float64)),
     )

@@ -407,279 +407,24 @@ def validate_fold_in_input(flat: FlatPhraseCorpus, alpha: np.ndarray,
                            beta: float, vocabulary_size: int) -> None:
     """Reject degenerate priors and out-of-range token ids for fold-in.
 
-    The single validation shared by :class:`BatchFoldInSampler` and the
-    reference fold-in loop in :mod:`repro.core.infer`, so both engines are
-    equally strict and the error messages cannot drift.
+    Run by :mod:`repro.core.infer` before either fold-in engine, so both
+    are equally strict, and the C kernel never indexes outside the frozen
+    ``V × K`` counts.
 
     Raises
     ------
     ValueError
-        If ``beta`` or any ``alpha`` entry is non-positive (a clique
-        posterior could then have zero mass), or if any token id falls
-        outside ``[0, vocabulary_size)``.
+        If ``beta`` or any ``alpha`` entry is non-positive or not finite (a
+        clique posterior could then have zero or undefined mass), or if any
+        token id falls outside ``[0, vocabulary_size)``.
     """
-    if beta <= 0 or np.any(np.asarray(alpha) <= 0):
+    alpha = np.asarray(alpha)
+    if not (0 < beta < np.inf) or not np.all((alpha > 0) & (alpha < np.inf)):
         raise ValueError(
-            f"fold-in requires alpha > 0 and beta > 0 (got alpha min "
+            f"fold-in requires finite alpha > 0 and beta > 0 (got alpha min "
             f"{float(np.min(alpha))}, beta {beta}), so every clique "
             f"posterior has positive mass")
     _check_token_range(flat.tokens, vocabulary_size)
-
-
-class BatchFoldInSampler:
-    """Cross-document vectorized Gibbs fold-in over a frozen topic model.
-
-    Fold-in keeps the trained topic-word statistics fixed and resamples only
-    the new documents' clique assignments, which is the standard way to
-    estimate ``θ`` for held-out text without retraining (the clique-aware
-    generalisation of the per-token LDA fold-in used for held-out
-    perplexity, :func:`repro.topicmodel.perplexity._fold_in_theta`).
-    The per-clique conditional is Eq. 7 with the word and topic-total factors
-    frozen at their trained values::
-
-        p(C_{d,g} = k) ∝ Π_{j=1}^{W_{d,g}}
-            (α_k + n_{d,k} + j − 1) ·
-            (β + N_{w_j,k}) / (Σ_x β_x + N_k + j − 1)
-
-    where ``n_{d,k}`` counts only the *new* document's tokens.
-
-    The reference fold-in (``TopicInferencer._fold_in_reference`` in
-    :mod:`repro.core.infer`, the executable specification) walks one clique
-    at a time in a Python loop.
-    Fold-in documents are statistically *independent* of each other — only
-    the per-document counts ``n_{d,k}`` change between sweeps, never the
-    frozen topic-word statistics — so cliques of *different* documents can
-    be resampled simultaneously.  This sampler exploits that: cliques are
-    grouped into *slots* (slot ``s`` holds every document's ``s``-th
-    non-empty clique), and each slot is resampled with one batched NumPy
-    pass over all active documents.  Per sweep the Python-level work drops
-    from ``O(total cliques)`` to ``O(max cliques per document)`` iterations,
-    which is the measurable multi-document speedup behind the ``"batch"``
-    inference engine and the serving layer's micro-batching scheduler.
-
-    **Bit-exactness.**  Every elementwise operation is applied in the same
-    order with the same operands as the reference fold-in (posterior
-    products per Eq. 7, row-wise cumulative sums, inverse-CDF draws, the
-    underflow fallback), and float64 elementwise NumPy ops are deterministic
-    per element regardless of batching — so a slot-parallel sweep produces
-    exactly the assignments the reference loop would.
-
-    **Independent request streams.**  Documents are partitioned into
-    *groups* (one per client request in the serving scenario); each group
-    consumes its own :class:`numpy.random.Generator` exactly like a solo
-    reference fold-in over just that group's documents (one
-    ``integers`` draw per document at initialisation, one ``random`` batch
-    of that group's non-empty-clique count per sweep).  A batched pass over
-    many requests with per-request seeds is therefore bit-identical to
-    running each request alone with its seed — the property the serving
-    tests pin.
-
-    Parameters
-    ----------
-    flat:
-        Flattened unseen documents (already segmented with the frozen
-        phrase table), covering *all* groups back to back.
-    topic_word_counts, topic_counts:
-        Trained ``V × K`` and length-``K`` count arrays; never mutated.
-    alpha, beta:
-        The trained model's Dirichlet hyper-parameters.
-    group_doc_ranges:
-        ``(doc_start, doc_end)`` per group, partitioning ``flat``'s
-        documents in order.  Defaults to a single group covering everything
-        (the single-request case of the ``"batch"`` engine).
-    """
-
-    name = "batch"
-
-    def __init__(self, flat: FlatPhraseCorpus, topic_word_counts: np.ndarray,
-                 topic_counts: np.ndarray, alpha: np.ndarray, beta: float,
-                 group_doc_ranges: Sequence[Tuple[int, int]] = None) -> None:
-        n_topics = topic_word_counts.shape[1]
-        vocabulary_size = topic_word_counts.shape[0]
-        validate_fold_in_input(flat, alpha, beta, vocabulary_size)
-        if group_doc_ranges is None:
-            group_doc_ranges = [(0, flat.n_docs)]
-        self._validate_groups(group_doc_ranges, flat.n_docs)
-        self.flat = flat
-        self.n_topics = n_topics
-        self.vocabulary_size = vocabulary_size
-        self.alpha = np.asarray(alpha, dtype=np.float64)
-        self.beta = float(beta)
-        self.group_doc_ranges = [(int(a), int(b)) for a, b in group_doc_ranges]
-        # Frozen factors of the trained model (never written).
-        self.wfac = topic_word_counts + self.beta
-        self.tfac = topic_counts + self.beta * vocabulary_size
-        self.doc_topic = np.zeros((flat.n_docs, n_topics), dtype=np.int64)
-        self.assign = np.empty(flat.n_cliques, dtype=np.int64)
-        self._build_slots()
-
-    @staticmethod
-    def _validate_groups(ranges: Sequence[Tuple[int, int]], n_docs: int) -> None:
-        """Require ``ranges`` to partition ``[0, n_docs)`` in order."""
-        expected = 0
-        for a, b in ranges:
-            if a != expected or b < a:
-                raise ValueError(
-                    f"group_doc_ranges must partition [0, {n_docs}) in "
-                    f"order; got {list(ranges)}")
-            expected = b
-        if expected != n_docs:
-            raise ValueError(
-                f"group_doc_ranges cover [0, {expected}) but the corpus has "
-                f"{n_docs} documents")
-
-    def _build_slots(self) -> None:
-        """Precompute the slot structure driving the vectorized sweeps.
-
-        Slot ``s`` gathers the ``s``-th *non-empty* clique of every document
-        (documents with fewer cliques simply drop out), sorted by descending
-        clique size so the per-token Eq. 7 loop can operate on shrinking
-        contiguous prefixes instead of boolean masks.  Each clique also gets
-        a precomputed index into the per-sweep uniform buffer: uniforms are
-        drawn per *group* in document order, skipping empty cliques —
-        exactly the order a solo reference fold-in over that group would
-        consume them in.
-        """
-        flat = self.flat
-        sizes = flat.clique_sizes()
-        uniform_index = np.full(flat.n_cliques, -1, dtype=np.int64)
-        group_sampled: List[int] = []
-        group_starts: List[int] = []
-        per_doc: List[List[int]] = [[] for _ in range(flat.n_docs)]
-        base = 0
-        for doc_start, doc_end in self.group_doc_ranges:
-            group_starts.append(base)
-            cursor = 0
-            for d in range(doc_start, doc_end):
-                g0, g1 = flat.doc_ranges[d]
-                for g in range(g0, g1):
-                    if sizes[g] == 0:
-                        continue
-                    uniform_index[g] = base + cursor
-                    cursor += 1
-                    per_doc[d].append(g)
-            group_sampled.append(cursor)
-            base += cursor
-        self._group_sampled = group_sampled
-        self._group_starts = group_starts
-        self._total_sampled = base
-
-        max_slots = max((len(cliques) for cliques in per_doc), default=0)
-        slots = []
-        for s in range(max_slots):
-            ids = np.asarray([cliques[s] for cliques in per_doc
-                              if len(cliques) > s], dtype=np.int64)
-            slot_sizes = sizes[ids]
-            order = np.argsort(-slot_sizes, kind="stable")
-            ids = ids[order]
-            slot_sizes = slot_sizes[order]
-            # size_prefix[j] = number of cliques in this slot with > j tokens
-            # (valid rows for the j-th factor of Eq. 7, given the sort).
-            max_size = int(slot_sizes[0]) if len(slot_sizes) else 0
-            size_prefix = [int(np.searchsorted(-slot_sizes, -j, side="left"))
-                           for j in range(max_size + 1)]
-            slots.append({
-                "ids": ids,
-                "docs": flat.clique_doc[ids].astype(np.int64),
-                "sizes": slot_sizes,
-                "first": flat.offsets[ids],
-                "uniform": uniform_index[ids],
-                "size_prefix": size_prefix,
-                "max_size": max_size,
-            })
-        self._slots = slots
-
-    def initialize(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Draw one topic per clique and (re)build the local document counts.
-
-        Parameters
-        ----------
-        rngs:
-            One generator per group, each consuming one ``integers`` draw
-            per document of its group (the solo initialisation stream).
-        """
-        flat = self.flat
-        if len(rngs) != len(self.group_doc_ranges):
-            raise ValueError(f"expected {len(self.group_doc_ranges)} "
-                             f"generators, got {len(rngs)}")
-        for rng, (doc_start, doc_end) in zip(rngs, self.group_doc_ranges):
-            for d in range(doc_start, doc_end):
-                g0, g1 = flat.doc_ranges[d]
-                self.assign[g0:g1] = rng.integers(0, self.n_topics, size=g1 - g0)
-        sizes = flat.clique_sizes()
-        token_topics = np.repeat(self.assign, sizes)
-        token_docs = np.repeat(flat.clique_doc.astype(np.int64), sizes)
-        self.doc_topic[:] = 0
-        np.add.at(self.doc_topic, (token_docs, token_topics), 1)
-
-    def sweep(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Resample every clique once, slot-parallel across documents.
-
-        Per group, the sweep's uniforms are drawn up front from that group's
-        generator (``rng.random(n_sampled)``, the solo stream); slots then
-        consume them via the precomputed per-clique indices, so computation
-        order never affects which uniform a clique sees.
-        """
-        if len(rngs) != len(self.group_doc_ranges):
-            raise ValueError(f"expected {len(self.group_doc_ranges)} "
-                             f"generators, got {len(rngs)}")
-        if self._total_sampled == 0:
-            return
-        K = self.n_topics
-        alpha, wfac, tfac = self.alpha, self.wfac, self.tfac
-        tokens = self.flat.tokens
-        local = self.doc_topic
-        assign = self.assign
-
-        uniforms = np.empty(self._total_sampled, dtype=np.float64)
-        for rng, start, count in zip(rngs, self._group_starts,
-                                     self._group_sampled):
-            uniforms[start:start + count] = rng.random(count)
-
-        for slot in self._slots:
-            ids = slot["ids"]
-            docs = slot["docs"]
-            sizes = slot["sizes"]
-            k_old = assign[ids]
-            local[docs, k_old] -= sizes
-            # Fresh float base per clique (the reference's ``alpha + local``
-            # term), then the Eq. 7 factors in the reference loop's exact
-            # elementwise order: numerator multiply, word-factor multiply,
-            # denominator divide, per token.
-            dfr = local[docs] + alpha[None, :]
-            buf = dfr * wfac[tokens[slot["first"]]]
-            buf /= tfac[None, :]
-            prefix = slot["size_prefix"]
-            for j in range(1, slot["max_size"]):
-                nj = prefix[j]
-                jf = float(j)
-                active = buf[:nj]
-                active *= dfr[:nj] + jf
-                active *= wfac[tokens[slot["first"][:nj] + j]]
-                active /= tfac[None, :] + jf
-            cum = np.cumsum(buf, axis=1)
-            total = cum[:, K - 1]
-            u = uniforms[slot["uniform"]]
-            k_new = np.sum(cum < (u * total)[:, None], axis=1)
-            underflowed = ~(total > 0.0)
-            if underflowed.any():
-                # Same uniform fallback as the reference fold-in: an
-                # underflowed posterior draws uniformly from the consumed u.
-                k_new[underflowed] = np.minimum(
-                    (u[underflowed] * K).astype(np.int64), K - 1)
-            local[docs, k_new] += sizes
-            assign[ids] = k_new
-
-    def theta(self) -> np.ndarray:
-        """Posterior ``θ̂`` for every folded-in document (all groups).
-
-        Returns
-        -------
-        numpy.ndarray
-            ``D × K`` row-normalised ``(α_k + n_{d,k}) / Σ_k (α_k + n_{d,k})``.
-        """
-        theta = self.doc_topic + self.alpha[None, :]
-        return theta / theta.sum(axis=1, keepdims=True)
 
 
 def run_fit_loop(sampler, state, config, rng: np.random.Generator,

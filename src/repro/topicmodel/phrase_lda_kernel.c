@@ -1,12 +1,20 @@
-/* Collapsed Gibbs sweep kernel for PhraseLDA (paper Eq. 7).
+/* Collapsed Gibbs kernels for PhraseLDA (paper Eq. 7).
  *
- * One call performs one full sweep over every clique (phrase instance) of
- * the flattened corpus, resampling the clique topic from the posterior of
- * Eq. 7.  The floating-point operations mirror, term for term and in the
- * same order, the readable NumPy reference sampler in
- * repro/core/phrase_lda.py (ReferencePhraseLDA._sweep), so the kernel
- * produces bit-identical topic assignments when driven with the same
- * pre-drawn uniforms.
+ * Two entry points share one Eq. 7 loop:
+ *
+ *   phrase_lda_sweep    training: one full sweep over every clique
+ *                       (phrase instance) of the flattened corpus, updating
+ *                       the global topic-word, doc-topic and topic counts;
+ *   phrase_lda_fold_in  inference: a chunk of whole sweeps over unseen
+ *                       documents against *frozen* topic-word and topic
+ *                       counts (const here), mutating only the new
+ *                       documents' counts and assignments.
+ *
+ * The floating-point operations mirror, term for term and in the same
+ * order, the readable NumPy references -- ReferencePhraseLDA._sweep in
+ * repro/core/phrase_lda.py for training and the reference fold-in loop in
+ * repro/core/infer.py -- so each kernel produces bit-identical topic
+ * assignments when driven with the same pre-drawn uniforms.
  *
  * LDA is the all-singleton special case: with every clique of size one the
  * inner product below collapses to the standard collapsed-Gibbs
@@ -15,13 +23,18 @@
  * Compiled on demand by repro.topicmodel.ckernel via the system C compiler;
  * no Python.h dependency, plain C99 + ctypes.
  *
- * Preconditions (enforced by the Python wrapper):
- *   - alpha[k] > 0 for all k and beta > 0, so every clique posterior has
- *     strictly positive mass and the inverse-CDF draw below never needs the
- *     degenerate uniform fallback of the reference `_sample_index`;
- *   - uniforms holds one draw in [0, 1) per *non-empty* clique, consumed in
- *     clique order (the reference consumes exactly one rng.random() per
- *     non-empty clique and skips empty ones);
+ * Preconditions (enforced by the Python callers):
+ *   - alpha[k] > 0 for all k and beta > 0.  Training relies on it: every
+ *     clique posterior then has strictly positive mass, so the sweep skips
+ *     the reference's degenerate uniform fallback.  Fold-in keeps the
+ *     fallback, because a long clique against a large model can underflow
+ *     the product to exactly 0;
+ *   - every token id lies in [0, V), every assignment in [0, K), every
+ *     clique_doc entry indexes a row of doc_topic, and offsets are
+ *     non-decreasing;
+ *   - uniforms holds one draw in [0, 1) per *non-empty* clique per sweep,
+ *     consumed in clique order (the reference consumes exactly one
+ *     rng.random() per non-empty clique and skips empty ones);
  *   - scratch has room for n_topics doubles.
  */
 
@@ -95,5 +108,73 @@ void phrase_lda_sweep(const int32_t *tokens,      /* flat token ids            *
             topic_word[(int64_t)tokens[t] * K + k_new] += 1;
         dc[k_new] += size;
         topic_totals[k_new] += size;
+    }
+}
+
+void phrase_lda_fold_in(const int32_t *tokens,      /* flat token ids            */
+                        const int64_t *offsets,     /* n_cliques+1 token offsets */
+                        const int32_t *clique_doc,  /* doc id per clique         */
+                        int64_t n_cliques,
+                        int64_t n_topics,
+                        const double *alpha,        /* K-vector document prior   */
+                        double beta,
+                        double beta_sum,            /* beta * vocabulary size    */
+                        const int64_t *topic_word,  /* V x K frozen counts       */
+                        const int64_t *topic_totals,/* K frozen counts           */
+                        int64_t *doc_topic,         /* D x K new-document counts */
+                        int64_t *assign,            /* clique topic per clique   */
+                        int64_t n_sweeps,
+                        const double *uniforms,     /* n_sweeps x non-empty      */
+                        double *scratch)            /* K doubles                 */
+{
+    const int64_t K = n_topics;
+    double *weights = scratch;
+    int64_t next_uniform = 0;
+
+    for (int64_t sweep = 0; sweep < n_sweeps; sweep++) {
+        for (int64_t g = 0; g < n_cliques; g++) {
+            const int64_t t0 = offsets[g];
+            const int64_t size = offsets[g + 1] - t0;
+            if (size == 0)
+                continue;
+            int64_t *dc = doc_topic + (int64_t)clique_doc[g] * K;
+            dc[assign[g]] -= size;
+
+            /* Eq. 7 with the word and topic-total factors frozen, in the
+             * reference fold-in's per-element order (see phrase_lda_sweep). */
+            for (int64_t k = 0; k < K; k++)
+                weights[k] = 1.0;
+            for (int64_t j = 0; j < size; j++) {
+                const double jd = (double)j;
+                const int64_t *tw = topic_word + (int64_t)tokens[t0 + j] * K;
+                for (int64_t k = 0; k < K; k++) {
+                    double w = weights[k];
+                    w *= (alpha[k] + (double)dc[k]) + jd;
+                    w *= beta + (double)tw[k];
+                    w /= (beta_sum + (double)topic_totals[k]) + jd;
+                    weights[k] = w;
+                }
+            }
+
+            for (int64_t k = 1; k < K; k++)
+                weights[k] += weights[k - 1];
+            const double u = uniforms[next_uniform++];
+            const double total = weights[K - 1];
+            int64_t k_new;
+            if (total > 0.0) {
+                const double target = u * total;
+                k_new = 0;
+                while (k_new < K - 1 && weights[k_new] < target)
+                    k_new++;
+            } else {
+                /* Underflowed (or NaN) posterior: the reference's uniform
+                 * fallback from the same consumed uniform. */
+                k_new = (int64_t)(u * (double)K);
+                if (k_new > K - 1)
+                    k_new = K - 1;
+            }
+            assign[g] = k_new;
+            dc[k_new] += size;
+        }
     }
 }

@@ -75,7 +75,7 @@ CONTRACT = {
         ("--model",): ("model", None, None, False, "store"),
         ("--url",): ("url", None, None, False, "store"),
         ("--iterations",): ("iterations", "int", None, False, "store"),
-        ("--engine",): ("engine", None, ("auto", "batch", "reference"), False,
+        ("--engine",): ("engine", None, ("auto", "c", "reference"), False,
                         "store"),
         ("--top",): ("top", "int", None, False, "store"),
         ("--show",): ("show", "int", None, False, "store"),

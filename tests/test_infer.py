@@ -1,5 +1,11 @@
 """Fold-in inference: engine equivalence, determinism, and semantics."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +14,14 @@ from repro.core.infer import (
     TopicInferencer,
     resolve_inference_engine,
 )
-from repro.topicmodel.gibbs import BatchFoldInSampler, FlatPhraseCorpus
+from repro.io.artifacts import save_bundle
+from repro.topicmodel import ckernel
+
+requires_c_kernel = pytest.mark.skipif(
+    not ckernel.kernel_available(),
+    reason=f"C kernel unavailable: {ckernel.load_error()}")
+
+ENGINES = ["reference", pytest.param("c", marks=requires_c_kernel)]
 
 
 @pytest.fixture(scope="module")
@@ -28,26 +41,49 @@ def unseen_texts():
 
 
 def test_resolve_inference_engine():
-    assert resolve_inference_engine("auto") == "batch"
-    assert resolve_inference_engine("batch") == "batch"
+    expected = "c" if ckernel.kernel_available() else "reference"
+    assert resolve_inference_engine("auto") == expected
     assert resolve_inference_engine("reference") == "reference"
-    with pytest.raises(ValueError, match="not available for fold-in"):
-        resolve_inference_engine("c")
-    for engine in ("numpy", "cuda"):
+    if ckernel.kernel_available():
+        assert resolve_inference_engine("c") == "c"
+    else:
+        with pytest.raises(RuntimeError, match="kernel is unavailable"):
+            resolve_inference_engine("c")
+    for engine in ("batch", "numpy", "cuda"):
         with pytest.raises(ValueError, match="unknown inference engine"):
             resolve_inference_engine(engine)
 
 
+@requires_c_kernel
 def test_engines_identical_under_fixed_seed(inferencer, unseen_texts):
     """Both fold-in engines must agree bit-for-bit under one seed."""
-    batch, reference = (
+    fast, reference = (
         inferencer.infer_texts(
             unseen_texts, InferenceConfig(n_iterations=25, seed=3, engine=engine))
-        for engine in ("batch", "reference"))
-    assert np.array_equal(batch.theta, reference.theta)
-    for a, b in zip(batch.documents, reference.documents):
+        for engine in ("c", "reference"))
+    assert np.array_equal(fast.theta, reference.theta)
+    for a, b in zip(fast.documents, reference.documents):
         assert np.array_equal(a.clique_topics, b.clique_topics)
         assert a.phrases == b.phrases
+
+
+@requires_c_kernel
+@pytest.mark.parametrize("chunk", [1, 40])
+def test_chunked_uniform_draws_match_the_reference(inferencer, unseen_texts,
+                                                   monkeypatch, chunk):
+    """The C engine draws its uniforms a bounded chunk of whole sweeps at a
+    time (one sweep per chunk at ``chunk=1``); chunk boundaries must not
+    change the stream."""
+    import repro.core.infer as infer_module
+
+    monkeypatch.setattr(infer_module, "_UNIFORM_CHUNK", chunk)
+    fast, reference = (
+        inferencer.infer_texts(
+            unseen_texts, InferenceConfig(n_iterations=7, seed=5, engine=engine))
+        for engine in ("c", "reference"))
+    assert np.array_equal(fast.theta, reference.theta)
+    for a, b in zip(fast.documents, reference.documents):
+        assert np.array_equal(a.clique_topics, b.clique_topics)
 
 
 def test_grouped_inference_matches_solo_runs(inferencer, unseen_texts):
@@ -71,9 +107,9 @@ def test_grouped_inference_matches_solo_runs(inferencer, unseen_texts):
 def test_grouped_inference_validates_arguments(inferencer, unseen_texts):
     with pytest.raises(ValueError, match="groups but"):
         inferencer.infer_texts_grouped([unseen_texts], [1, 2])
-    with pytest.raises(ValueError, match="batch"):
+    with pytest.raises(ValueError, match="unknown inference engine"):
         inferencer.infer_texts_grouped([unseen_texts], [1],
-                                       InferenceConfig(engine="reference"))
+                                       InferenceConfig(engine="batch"))
 
 
 def test_segment_texts_matches_infer_segmentation(inferencer, unseen_texts):
@@ -186,7 +222,8 @@ def test_top_topics_ordering(inferencer, unseen_texts):
         assert probabilities == sorted(probabilities, reverse=True)
 
 
-def test_underflowed_posterior_falls_back_uniformly_and_identically():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_underflowed_posterior_falls_back_uniformly_and_identically(engine):
     """A clique long enough to underflow Eq. 7 to exactly 0 must fall back
     to an unbiased uniform draw — identically in both engines."""
     from repro.topicmodel.lda import TopicModelState
@@ -205,8 +242,8 @@ def test_underflowed_posterior_falls_back_uniformly_and_identically():
         results = [
             inferencer.infer_segmented(
                 giant_clique,
-                InferenceConfig(n_iterations=3, seed=seed, engine=engine))
-            for engine in ("reference", "batch")
+                InferenceConfig(n_iterations=3, seed=seed, engine=name))
+            for name in ("reference", engine)
         ]
         for other in results[1:]:
             assert np.array_equal(results[0].documents[0].clique_topics,
@@ -215,21 +252,21 @@ def test_underflowed_posterior_falls_back_uniformly_and_identically():
     assert len(assigned) > 1, "fallback must not be biased to one topic"
 
 
-def test_fold_in_sampler_rejects_degenerate_priors(model_bundle):
-    flat = FlatPhraseCorpus([[(0, 1)]])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_fold_in_sampler_rejects_degenerate_priors(model_bundle, engine):
+    state = model_bundle.state()
+    state.alpha = np.zeros(model_bundle.n_topics)
+    inferencer = TopicInferencer(state, segmenter=None)
     with pytest.raises(ValueError, match="alpha > 0 and beta > 0"):
-        BatchFoldInSampler(flat, model_bundle.topic_word_counts,
-                           model_bundle.topic_counts,
-                           np.zeros(model_bundle.n_topics), model_bundle.beta)
+        inferencer.infer_segmented([[(0, 1)]], InferenceConfig(engine=engine))
 
 
-def test_fold_in_sampler_rejects_out_of_range_tokens(model_bundle):
+@requires_c_kernel
+def test_fold_in_sampler_rejects_out_of_range_tokens(model_bundle, inferencer):
     vocabulary_size = model_bundle.topic_word_counts.shape[0]
-    flat = FlatPhraseCorpus([[(vocabulary_size + 5,)]])
     with pytest.raises(ValueError, match="token ids must be in"):
-        BatchFoldInSampler(flat, model_bundle.topic_word_counts,
-                           model_bundle.topic_counts, model_bundle.alpha,
-                           model_bundle.beta)
+        inferencer.infer_segmented([[(vocabulary_size + 5,)]],
+                                   InferenceConfig(engine="c"))
 
 
 def test_inferencer_without_vocabulary_rejects_raw_text(model_bundle):
@@ -237,3 +274,71 @@ def test_inferencer_without_vocabulary_rejects_raw_text(model_bundle):
                                  vocabulary=None)
     with pytest.raises(RuntimeError, match="without a vocabulary"):
         inferencer.infer_texts(["some text"])
+
+
+# Folds one text into the bundle at argv[1] with each engine in argv[2:],
+# printing one JSON line per engine: the θ rows, or the ValueError message.
+_HOSTILE_CHILD = """
+import json, sys
+from repro.core.infer import InferenceConfig
+from repro.io.artifacts import load_bundle
+
+bundle = load_bundle(sys.argv[1])
+for engine in sys.argv[2:]:
+    try:
+        result = bundle.infer_texts(
+            ["support vector machine training data and feature selection"],
+            InferenceConfig(n_iterations=5, seed=1, engine=engine))
+    except ValueError as exc:
+        print(json.dumps({"engine": engine, "error": str(exc)}))
+    else:
+        print(json.dumps({"engine": engine, "theta": result.theta.tolist()}))
+"""
+
+
+def _hostile_counts(case, topic_word, topic_totals):
+    if case == "float":
+        return topic_word.astype(np.float64), topic_totals
+    if case == "fortran":
+        return np.asfortranarray(topic_word), topic_totals
+    if case == "negative":
+        topic_word = topic_word.copy()
+        topic_word[0, 0] = -(2 ** 40)
+        return topic_word, topic_totals
+    return topic_word + 2 ** 62, topic_totals + 2 ** 62  # "huge"
+
+
+@pytest.mark.parametrize("case", ["float", "fortran", "negative", "huge"])
+def test_hostile_bundle_counts_fold_in_safely(model_bundle, tmp_path, case):
+    """Bundles with float, Fortran-order, negative or ~2^62 counts either
+    fold in to a finite θ or raise ValueError; the process never dies by
+    signal inside the kernel."""
+    clean = tmp_path / "clean.npz"
+    save_bundle(clean, model_bundle)
+    with np.load(clean) as archive:
+        arrays = dict(archive)
+    arrays["topic_word_counts"], arrays["topic_counts"] = _hostile_counts(
+        case, arrays["topic_word_counts"], arrays["topic_counts"])
+    hostile = tmp_path / f"{case}.npz"
+    np.savez(hostile, **arrays)
+
+    engines = ["reference"] + (["c"] if ckernel.kernel_available() else [])
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _HOSTILE_CHILD, str(hostile), *engines],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    replies = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [reply["engine"] for reply in replies] == engines
+    for reply in replies:
+        if case in ("float", "negative"):
+            assert "error" in reply
+        else:
+            assert np.isfinite(reply["theta"]).all()
+    if case == "fortran":
+        # Same counts in another memory order: the same mixtures.
+        expected = model_bundle.infer_texts(
+            ["support vector machine training data and feature selection"],
+            InferenceConfig(n_iterations=5, seed=1)).theta.tolist()
+        assert all(reply["theta"] == expected for reply in replies)

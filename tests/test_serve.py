@@ -264,6 +264,58 @@ def test_batcher_concurrent_requests_bit_identical(bundle_path, model_bundle):
         < batcher.metrics.value("infer_requests_total")
 
 
+def test_batcher_dispatches_idle_requests_at_once_and_batches_behind_busy(
+        bundle_path, model_bundle, monkeypatch):
+    """Continuous batching under the default config: an idle batcher runs a
+    request alone at once, and requests arriving while a batch executes
+    form the next batch together."""
+    registry = ModelRegistry()
+    registry.register("m", bundle_path)
+    real_get = registry.get
+    first_running, release = threading.Event(), threading.Event()
+    calls = []
+
+    def held_get(name):
+        calls.append(name)
+        if len(calls) == 1:  # hold the first batch until the rest queued
+            first_running.set()
+            assert release.wait(30)
+        return real_get(name)
+
+    monkeypatch.setattr(registry, "get", held_get)
+    batcher = MicroBatcher(registry)
+    assert batcher.max_delay == ServeConfig().batch_delay == 0.0
+    assert batcher.max_batch_size == ServeConfig().max_batch_size
+    batcher.start()
+    try:
+        with ThreadPoolExecutor(len(UNSEEN)) as pool:
+            first = pool.submit(batcher.submit, "m", [UNSEEN[0]], 100, 5)
+            assert first_running.wait(30)
+            rest = [pool.submit(batcher.submit, "m", [UNSEEN[i]], 100 + i, 5)
+                    for i in range(1, len(UNSEEN))]
+            deadline = time.monotonic() + 30
+            while (batcher.metrics.value("infer_requests_total") < len(UNSEEN)
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            release.set()
+            results = [first.result(30)] + [f.result(30) for f in rest]
+    finally:
+        release.set()
+        batcher.stop()
+
+    # The first request ran alone (dispatched before any follower was
+    # submitted), then the followers ran as one batch.
+    assert batcher.metrics.value("infer_requests_total") == len(UNSEEN)
+    assert batcher.metrics.value("infer_batches_total") == 2
+    assert len(calls) == 2
+    inferencer = model_bundle.inferencer()
+    for index, result in enumerate(results):
+        solo = inferencer.infer_texts(
+            [UNSEEN[index]],
+            InferenceConfig(n_iterations=5, seed=100 + index, engine="reference"))
+        assert np.array_equal(result.theta, solo.theta)
+
+
 def test_batcher_delivers_errors_per_request(bundle_path):
     registry = ModelRegistry()
     registry.register("m", bundle_path)
