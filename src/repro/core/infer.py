@@ -22,6 +22,10 @@ executable specification and the no-compiler fallback.  Both consume the
 random stream identically, so a fixed seed yields identical clique
 assignments regardless of engine.
 
+Held-out perplexity (:mod:`repro.topicmodel.perplexity`) folds its
+estimation halves in through :meth:`TopicInferencer.infer_segmented`, so
+evaluation and serving share one fold-in.
+
 For the serving layer, :meth:`TopicInferencer.infer_texts_grouped` folds
 several independent *requests* (each with its own seed) in one call whose
 per-request results are bit-identical to running each request alone — the
@@ -199,7 +203,10 @@ class TopicInferencer:
     segmenter:
         A :class:`~repro.core.segmentation.CorpusSegmenter` built from the
         *training* mining result, so unseen text is segmented with the
-        frozen significance statistics.
+        frozen significance statistics.  ``None`` suffices when only
+        pre-segmented documents are folded in through
+        :meth:`infer_segmented` (as
+        :func:`~repro.topicmodel.perplexity.held_out_perplexity` does).
     vocabulary:
         The frozen training vocabulary used to encode raw text.
     preprocess:
@@ -216,7 +223,7 @@ class TopicInferencer:
     """
 
     def __init__(self, state: Optional[TopicModelState],
-                 segmenter: CorpusSegmenter,
+                 segmenter: Optional[CorpusSegmenter],
                  vocabulary: Optional[Vocabulary] = None,
                  preprocess: Optional[PreprocessConfig] = None) -> None:
         self.state = state

@@ -40,60 +40,22 @@ import numpy as np
 from repro.core.segmentation import SegmentedCorpus, SegmentedDocument  # noqa: F401  (re-export)
 from repro.topicmodel.gibbs import (
     FlatPhraseCorpus,
+    _check_token_range,
     make_sampler,
     random_initialization,
     resolve_engine,
     run_fit_loop,
 )
 from repro.topicmodel.hyperopt import optimize_asymmetric_alpha, optimize_symmetric_beta
-from repro.topicmodel.lda import TopicModelState, _sample_index
-from repro.utils.rng import SeedLike, new_rng
+from repro.topicmodel.lda import LDAConfig, TopicModelState, _sample_index
+from repro.utils.rng import new_rng
 
 Phrase = Tuple[int, ...]
 PhraseDocuments = Sequence[Sequence[Sequence[int]]]
 
 
-@dataclass
-class PhraseLDAConfig:
-    """Configuration for PhraseLDA collapsed Gibbs sampling.
-
-    Parameters
-    ----------
-    n_topics:
-        Number of topics ``K``.
-    alpha:
-        Symmetric document-topic prior; defaults to ``50 / K``.
-    beta:
-        Symmetric topic-word prior.
-    n_iterations:
-        Number of Gibbs sweeps over all cliques.
-    optimize_hyperparameters:
-        Apply Minka's fixed-point updates (paper Section 5.3) every
-        ``hyper_optimize_interval`` iterations after ``burn_in``.
-    hyper_optimize_interval, burn_in:
-        Scheduling of the hyper-parameter updates.
-    seed:
-        Random seed.
-    engine:
-        Sweep implementation: ``"auto"`` (compiled kernel when available,
-        NumPy otherwise), ``"c"``, ``"numpy"``, or ``"reference"``.
-    """
-
-    n_topics: int = 10
-    alpha: Optional[float] = None
-    beta: float = 0.01
-    n_iterations: int = 100
-    optimize_hyperparameters: bool = False
-    hyper_optimize_interval: int = 25
-    burn_in: int = 10
-    seed: SeedLike = None
-    engine: str = "auto"
-
-    def resolved_alpha(self) -> float:
-        """Return the symmetric α value, defaulting to ``50 / K``."""
-        if self.alpha is not None:
-            return float(self.alpha)
-        return 50.0 / self.n_topics
+# One sampler configuration serves LDA and PhraseLDA alike (see LDAConfig).
+PhraseLDAConfig = LDAConfig
 
 
 @dataclass
@@ -204,6 +166,9 @@ class PhraseLDA:
                        callback: Optional[IterationCallback]) -> PhraseLDAState:
         """The original readable nested-loop fit, kept as the executable
         specification the fast engines are tested against."""
+        _check_token_range(np.asarray([w for phrases in phrase_docs
+                                       for phrase in phrases for w in phrase],
+                                      dtype=np.int64), vocabulary_size)
         config = self.config
         rng = new_rng(config.seed)
         n_topics = config.n_topics

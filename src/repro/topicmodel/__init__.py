@@ -5,11 +5,15 @@ generalises Latent Dirichlet Allocation: when every phrase is a single word it
 reduces exactly to collapsed-Gibbs LDA.  This subpackage holds the shared
 machinery:
 
-* :mod:`repro.topicmodel.lda` — plain collapsed Gibbs LDA (the paper's main
-  baseline and the topic-model component of KERT and Turbo Topics).
+* :mod:`repro.topicmodel.lda` — collapsed Gibbs LDA (the paper's main
+  baseline and the topic-model component of KERT and Turbo Topics), fitted
+  as PhraseLDA on the all-singleton segmentation; also the sampler
+  configuration and model state both models share.
+* :mod:`repro.topicmodel.gibbs` — the flat-buffer training engines.
 * :mod:`repro.topicmodel.hyperopt` — Minka's fixed-point Dirichlet
   hyper-parameter updates (the paper optimises α, β this way, citing [22]).
-* :mod:`repro.topicmodel.perplexity` — held-out perplexity used in Figures 6-7.
+* :mod:`repro.topicmodel.perplexity` — held-out perplexity used in Figures
+  6-7, folding documents in through the serving fold-in engines.
 * :mod:`repro.topicmodel.dirichlet` — small Dirichlet/multinomial utilities.
 """
 

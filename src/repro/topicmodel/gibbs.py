@@ -1,8 +1,9 @@
-"""Flat-buffer collapsed Gibbs engines shared by LDA and PhraseLDA.
+"""Flat-buffer collapsed Gibbs engines of PhraseLDA (and so of LDA).
 
-The readable reference samplers in :mod:`repro.topicmodel.lda` and
-:mod:`repro.core.phrase_lda` walk nested Python lists and pay NumPy's
-per-call overhead for every token.  The engines here restructure the
+The readable reference sampler in :mod:`repro.core.phrase_lda` walks nested
+Python lists and pays NumPy's per-call overhead for every token.  LDA
+(:mod:`repro.topicmodel.lda`) runs as PhraseLDA on all-singleton cliques,
+so it uses the same engines.  The engines here restructure the
 problem once at ``fit()`` time:
 
 * :class:`FlatPhraseCorpus` flattens the corpus into contiguous buffers —
@@ -17,10 +18,10 @@ problem once at ``fit()`` time:
   pre-drawn once per sweep;
 * :class:`CKernelSampler` drives the optional C sweep kernel
   (:mod:`repro.topicmodel.ckernel`) over the same flat buffers, and is
-  bit-exact with the reference samplers.
+  bit-exact with the reference sampler.
 
 Both engines consume the random stream in exactly the same order as the
-reference samplers — one ``rng.integers`` call per document at
+reference sampler — one ``rng.integers`` call per document at
 initialisation, one uniform per clique per sweep — so a fixed seed produces
 identical topic assignments across all engines (a property the test suite
 asserts).
@@ -113,35 +114,6 @@ class FlatPhraseCorpus:
         self._token_list = None
         self._offset_list = None
 
-    @classmethod
-    def from_token_docs(cls, token_docs: Sequence[Sequence[int]]) -> "FlatPhraseCorpus":
-        """Build the all-singleton flattening of bag-of-words documents.
-
-        Every token is its own clique, which makes the engines sample
-        standard collapsed-Gibbs LDA ("LDA is a special case of PhraseLDA").
-        """
-        flat = cls.__new__(cls)
-        token_list: List[int] = []
-        doc_ranges: List[Tuple[int, int]] = []
-        clique_doc: List[int] = []
-        for d, doc in enumerate(token_docs):
-            start = len(token_list)
-            token_list.extend(int(w) for w in doc)
-            doc_ranges.append((start, len(token_list)))
-            clique_doc.extend([d] * (len(token_list) - start))
-        flat.tokens = np.asarray(token_list, dtype=np.int32)
-        flat.offsets = np.arange(len(token_list) + 1, dtype=np.int64)
-        flat.clique_doc = np.asarray(clique_doc, dtype=np.int32)
-        flat.doc_ranges = doc_ranges
-        flat.n_cliques = len(token_list)
-        flat.n_sampled = len(token_list)
-        flat.n_tokens = len(token_list)
-        flat.n_docs = len(token_docs)
-        flat.max_clique_size = 1 if token_list else 0
-        flat._token_list = None
-        flat._offset_list = None
-        return flat
-
     @property
     def token_list(self) -> List[int]:
         """Token ids as a Python list (lazy; only the NumPy sampler needs
@@ -167,13 +139,13 @@ def random_initialization(flat: FlatPhraseCorpus, n_topics: int,
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw one topic per clique and build the count matrices.
 
-    Consumes the random stream exactly like the reference samplers: one
+    Consumes the random stream exactly like the reference sampler: one
     ``rng.integers(0, K, size=n_cliques_of_doc)`` call per document, in
     document order.  Counting is vectorized with ``np.add.at``/``bincount``
     over the flat buffers.
 
     Returns ``(topic_word, doc_topic, topic_totals, assign)`` with the same
-    dtypes and layouts the reference samplers use.
+    dtypes and layouts the reference sampler uses.
     """
     # np.add.at rejects ids >= V below, but negative ids would silently
     # wrap here and corrupt memory inside the C kernel — refuse both.
@@ -432,9 +404,9 @@ def run_fit_loop(sampler, state, config, rng: np.random.Generator,
     """Drive a flat sampler through a full fit: sweeps, Minka hyper-parameter
     updates, and per-iteration callbacks.
 
-    Shared by :class:`~repro.topicmodel.lda.LatentDirichletAllocation` and
-    :class:`~repro.core.phrase_lda.PhraseLDA` so the sweep/hyperopt/callback
-    choreography exists in exactly one place.  ``config`` provides
+    Used by :class:`~repro.core.phrase_lda.PhraseLDA` (and so by
+    :class:`~repro.topicmodel.lda.LatentDirichletAllocation`, which runs as
+    all-singleton PhraseLDA) for its flat engines.  ``config`` provides
     ``n_iterations``, ``optimize_hyperparameters``, ``burn_in``, and
     ``hyper_optimize_interval``; ``state`` holds the count matrices the
     sampler mutates (synchronised before every external observation).

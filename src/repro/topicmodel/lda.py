@@ -10,8 +10,12 @@ sampler is the standard collapsed Gibbs sampler of Griffiths (2002): with
 
 PhraseLDA (:mod:`repro.core.phrase_lda`) generalises this sampler to cliques
 of tokens; when every clique has size one its conditional reduces exactly to
-the expression above, which is why the paper can reuse one implementation for
-both models ("LDA is a special case of PhraseLDA").
+the expression above ("LDA is a special case of PhraseLDA").  So LDA has no
+sampler of its own: :class:`LatentDirichletAllocation` fits
+:class:`~repro.core.phrase_lda.PhraseLDA` on the all-singleton segmentation
+of its documents, on any of PhraseLDA's engines.  This module also holds
+what the two models share: the sampler configuration :class:`LDAConfig`
+(``PhraseLDAConfig`` is the same class) and :class:`TopicModelState`.
 """
 
 from __future__ import annotations
@@ -23,22 +27,16 @@ import numpy as np
 
 from repro.text.corpus import Corpus
 from repro.topicmodel.dirichlet import collapsed_log_likelihood, normalize_rows
-from repro.topicmodel.gibbs import (
-    FlatPhraseCorpus,
-    make_sampler,
-    random_initialization,
-    resolve_engine,
-    run_fit_loop,
-)
-from repro.topicmodel.hyperopt import optimize_asymmetric_alpha, optimize_symmetric_beta
-from repro.utils.rng import SeedLike, new_rng
+from repro.utils.rng import SeedLike
 
 DocumentsLike = Union[Corpus, Sequence[Sequence[int]]]
 
 
 @dataclass
 class LDAConfig:
-    """Configuration for collapsed Gibbs LDA.
+    """Configuration of collapsed Gibbs sampling for LDA and PhraseLDA.
+
+    ``repro.core.phrase_lda.PhraseLDAConfig`` is this same class.
 
     Parameters
     ----------
@@ -50,10 +48,11 @@ class LDAConfig:
     beta:
         Symmetric topic-word prior.
     n_iterations:
-        Number of Gibbs sweeps.
+        Number of Gibbs sweeps over all cliques (tokens, for LDA).
     optimize_hyperparameters:
         Re-estimate α (asymmetric) and β (symmetric) with Minka's fixed-point
-        update every ``hyper_optimize_interval`` iterations (paper Section 5.3).
+        update every ``hyper_optimize_interval`` iterations after ``burn_in``
+        (paper Section 5.3).
     hyper_optimize_interval:
         Iterations between hyper-parameter updates.
     burn_in:
@@ -63,8 +62,8 @@ class LDAConfig:
     engine:
         Sweep implementation: ``"auto"`` (compiled kernel when available,
         NumPy otherwise), ``"c"``, ``"numpy"``, or ``"reference"`` (the
-        readable per-token loop).  All engines produce identical
-        assignments under a fixed seed.
+        readable nested loop).  All engines produce identical assignments
+        under a fixed seed.
     """
 
     n_topics: int = 10
@@ -144,7 +143,7 @@ IterationCallback = Callable[[int, TopicModelState], None]
 
 
 class LatentDirichletAllocation:
-    """Collapsed Gibbs LDA over token-id documents.
+    """Collapsed Gibbs LDA over token-id documents (all-singleton PhraseLDA).
 
     Example
     -------
@@ -174,114 +173,24 @@ class LatentDirichletAllocation:
         callback:
             Called as ``callback(iteration, state)`` after every sweep —
             used by the perplexity-vs-iteration experiments (Figures 6, 7).
+            ``state.assignments`` then holds the current per-token topics.
         """
+        # Function-local import: repro.core imports this module.
+        from repro.core.phrase_lda import PhraseLDA, unigram_segmentation
+
         token_docs, vocabulary_size = _extract_documents(documents, vocabulary_size)
-        engine = resolve_engine(self.config.engine)
-        if engine != "reference":
-            state = self._fit_flat(engine, token_docs, vocabulary_size, callback)
-            self.state = state
-            return state
-        rng = new_rng(self.config.seed)
-        config = self.config
-        n_topics = config.n_topics
-
-        alpha = np.full(n_topics, config.resolved_alpha(), dtype=float)
-        beta = float(config.beta)
-
-        n_docs = len(token_docs)
-        topic_word = np.zeros((vocabulary_size, n_topics), dtype=np.int64)
-        doc_topic = np.zeros((n_docs, n_topics), dtype=np.int64)
-        topic_totals = np.zeros(n_topics, dtype=np.int64)
-        assignments: List[np.ndarray] = []
-
-        # -- random initialisation ------------------------------------------------
-        for d, doc in enumerate(token_docs):
-            doc_assign = rng.integers(0, n_topics, size=len(doc))
-            assignments.append(doc_assign)
-            for w, k in zip(doc, doc_assign):
-                topic_word[w, k] += 1
-                doc_topic[d, k] += 1
-                topic_totals[k] += 1
-
-        state = TopicModelState(topic_word_counts=topic_word,
-                                doc_topic_counts=doc_topic,
-                                topic_counts=topic_totals,
-                                alpha=alpha, beta=beta,
-                                assignments=assignments)
-
-        # -- Gibbs sweeps ------------------------------------------------------------
-        for iteration in range(config.n_iterations):
-            self._sweep(token_docs, state, rng)
-            if (config.optimize_hyperparameters
-                    and iteration >= config.burn_in
-                    and (iteration + 1) % config.hyper_optimize_interval == 0):
-                state.alpha = optimize_asymmetric_alpha(state.doc_topic_counts, state.alpha)
-                state.beta = optimize_symmetric_beta(state.topic_word_counts, state.beta)
-            if callback is not None:
+        observe = None
+        if callback is not None:
+            def observe(iteration: int, state: TopicModelState) -> None:
+                # PhraseLDA expands clique topics into per-token ones only
+                # after its last sweep; singleton cliques *are* tokens, so
+                # the live clique topics are the current token topics.
+                state.assignments = state.clique_assignments
                 callback(iteration, state)
 
-        self.state = state
-        return state
-
-    def _fit_flat(self, engine: str, token_docs: List[np.ndarray],
-                  vocabulary_size: int,
-                  callback: Optional[IterationCallback]) -> TopicModelState:
-        """Fit via a flat-buffer engine (all-singleton PhraseLDA sampling).
-
-        Consumes the random stream exactly like the reference loop, so a
-        fixed seed gives identical assignments across engines.
-        """
-        config = self.config
-        rng = new_rng(config.seed)
-        n_topics = config.n_topics
-        alpha = np.full(n_topics, config.resolved_alpha(), dtype=float)
-        beta = float(config.beta)
-
-        flat = FlatPhraseCorpus.from_token_docs(token_docs)
-        topic_word, doc_topic, topic_totals, assign = random_initialization(
-            flat, n_topics, vocabulary_size, rng)
-        # For all-singleton cliques the per-token assignments ARE the clique
-        # assignments; the per-document arrays are views into the flat buffer.
-        assignments = [assign[g0:g1] for g0, g1 in flat.doc_ranges]
-        state = TopicModelState(topic_word_counts=topic_word,
-                                doc_topic_counts=doc_topic,
-                                topic_counts=topic_totals,
-                                alpha=alpha, beta=beta,
-                                assignments=assignments)
-        sampler = make_sampler(engine, flat, topic_word, doc_topic,
-                               topic_totals, assign, alpha, beta)
-        run_fit_loop(sampler, state, config, rng, callback)
-        return state
-
-    # -- internals -------------------------------------------------------------------
-    def _sweep(self, token_docs: List[np.ndarray], state: TopicModelState,
-               rng: np.random.Generator) -> None:
-        """One full Gibbs sweep over every token."""
-        topic_word = state.topic_word_counts
-        doc_topic = state.doc_topic_counts
-        topic_totals = state.topic_counts
-        alpha = state.alpha
-        beta = state.beta
-        beta_sum = beta * state.vocabulary_size
-
-        for d, doc in enumerate(token_docs):
-            doc_assign = state.assignments[d]
-            doc_counts = doc_topic[d]
-            for i in range(len(doc)):
-                w = doc[i]
-                k_old = doc_assign[i]
-                # remove token from counts
-                topic_word[w, k_old] -= 1
-                doc_counts[k_old] -= 1
-                topic_totals[k_old] -= 1
-                # conditional posterior over topics
-                weights = (alpha + doc_counts) * (beta + topic_word[w]) / (beta_sum + topic_totals)
-                k_new = _sample_index(rng, weights)
-                # add token back
-                doc_assign[i] = k_new
-                topic_word[w, k_new] += 1
-                doc_counts[k_new] += 1
-                topic_totals[k_new] += 1
+        self.state = PhraseLDA(self.config).fit(
+            unigram_segmentation(token_docs), vocabulary_size, observe)
+        return self.state
 
 
 def _extract_documents(documents: DocumentsLike,

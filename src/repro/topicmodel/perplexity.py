@@ -17,16 +17,19 @@ Two evaluation modes are provided:
   current state (cheap; monotone proxy used for per-iteration traces).
 * :func:`held_out_perplexity` — document-completion perplexity: for every
   held-out document, θ is estimated on the first half of its tokens (fold-in
-  using the trained φ) and perplexity is measured on the second half.
+  using the trained φ) and perplexity is measured on the second half.  The
+  fold-in runs on the same engines as serving-time inference
+  (:class:`~repro.core.infer.TopicInferencer`): LDA and PhraseLDA fold-in
+  coincide on all-singleton cliques.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.topicmodel.lda import TopicModelState, _sample_index
+from repro.topicmodel.lda import TopicModelState
 from repro.utils.rng import SeedLike, new_rng
 
 
@@ -61,14 +64,26 @@ def held_out_perplexity(state: TopicModelState,
     """Document-completion perplexity on held-out documents.
 
     For each held-out document the tokens are split into an *estimation* half
-    (used to fold in a document-topic mixture with the trained ``φ`` held
+    (used to fold in a document-topic mixture with the trained counts held
     fixed) and an *evaluation* half on which the log-likelihood is measured.
-    Documents with fewer than two tokens are skipped.
+    Token ids outside the vocabulary are dropped first, and documents with
+    fewer than two tokens are skipped.  Documents are folded in one at a
+    time on one shared random stream.
+
+    Raises
+    ------
+    ValueError
+        If no document has two in-vocabulary tokens, or if the state's
+        ``beta`` or any ``alpha`` entry is not positive (fold-in needs every
+        posterior to have positive mass).
     """
-    rng = new_rng(seed)
+    # Function-local imports: repro.core imports this package.
+    from repro.core.infer import InferenceConfig, TopicInferencer
+    from repro.core.phrase_lda import unigram_segmentation
+
+    inferencer = TopicInferencer(state, segmenter=None)
+    config = InferenceConfig(n_iterations=n_fold_in_iterations, seed=new_rng(seed))
     phi = state.phi()
-    alpha = state.alpha
-    n_topics = state.n_topics
 
     log_likelihood = 0.0
     n_tokens = 0
@@ -78,32 +93,11 @@ def held_out_perplexity(state: TopicModelState,
             continue
         half = len(doc) // 2
         estimation, evaluation = doc[:half], doc[half:]
-        theta = _fold_in_theta(phi, alpha, estimation, n_fold_in_iterations, rng)
+        theta = inferencer.infer_segmented(unigram_segmentation([estimation]),
+                                           config).theta[0]
         token_probs = theta @ phi[:, np.asarray(evaluation, dtype=np.int64)]
         log_likelihood += float(np.sum(np.log(np.maximum(token_probs, 1e-300))))
         n_tokens += len(evaluation)
     if n_tokens == 0:
         raise ValueError("no held-out tokens available for evaluation")
     return perplexity_from_likelihood(log_likelihood, n_tokens)
-
-
-def _fold_in_theta(phi: np.ndarray, alpha: np.ndarray, tokens: List[int],
-                   n_iterations: int, rng: np.random.Generator) -> np.ndarray:
-    """Estimate θ for a new document by Gibbs sampling with φ fixed."""
-    n_topics = phi.shape[0]
-    tokens = np.asarray(tokens, dtype=np.int64)
-    assign = rng.integers(0, n_topics, size=len(tokens))
-    topic_counts = np.zeros(n_topics, dtype=np.int64)
-    for k in assign:
-        topic_counts[k] += 1
-
-    for _ in range(n_iterations):
-        for i, w in enumerate(tokens):
-            k_old = assign[i]
-            topic_counts[k_old] -= 1
-            weights = (alpha + topic_counts) * phi[:, w]
-            k_new = _sample_index(rng, weights)
-            assign[i] = k_new
-            topic_counts[k_new] += 1
-    theta = topic_counts + alpha
-    return theta / theta.sum()

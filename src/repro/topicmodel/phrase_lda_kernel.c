@@ -18,7 +18,9 @@
  *
  * LDA is the all-singleton special case: with every clique of size one the
  * inner product below collapses to the standard collapsed-Gibbs
- * conditional, which is why repro/topicmodel/lda.py reuses this kernel.
+ * conditional, which is why repro/topicmodel/lda.py fits LDA as
+ * all-singleton PhraseLDA on this kernel, and why held-out perplexity
+ * (repro/topicmodel/perplexity.py) folds in through phrase_lda_fold_in.
  *
  * Compiled on demand by repro.topicmodel.ckernel via the system C compiler;
  * no Python.h dependency, plain C99 + ctypes.
