@@ -122,7 +122,6 @@ class PhraseLDA:
             state = self._fit_reference(phrase_docs, vocabulary_size, callback)
         else:
             state = self._fit_flat(engine, phrase_docs, vocabulary_size, callback)
-        self._refresh_token_assignments(phrase_docs, state)
         self.state = state
         return state
 
@@ -145,20 +144,17 @@ class PhraseLDA:
         clique_assignments = [assign[g0:g1] for g0, g1 in flat.doc_ranges]
         # Initial per-token expansion, so callbacks observe the same (stale,
         # init-time) token assignments the reference fit exposes; refreshed
-        # from the final clique topics after the loop by fit().
-        token_topics = np.repeat(assign, flat.clique_sizes())
-        token_assignments = [
-            np.ascontiguousarray(token_topics[flat.offsets[g0]:flat.offsets[g1]])
-            for g0, g1 in flat.doc_ranges]
+        # from the final clique topics after the loop.
         state = PhraseLDAState(topic_word_counts=topic_word,
                                doc_topic_counts=doc_topic,
                                topic_counts=topic_totals,
                                alpha=alpha, beta=beta,
-                               assignments=token_assignments,
+                               assignments=_expand_token_topics(flat, assign),
                                clique_assignments=clique_assignments)
         sampler = make_sampler(engine, flat, topic_word, doc_topic,
                                topic_totals, assign, alpha, beta)
         run_fit_loop(sampler, state, config, rng, callback)
+        state.assignments = _expand_token_topics(flat, assign)
         return state
 
     # -- reference implementation --------------------------------------------------
@@ -212,6 +208,7 @@ class PhraseLDA:
                 state.beta = optimize_symmetric_beta(state.topic_word_counts, state.beta)
             if callback is not None:
                 callback(iteration, state)
+        self._refresh_token_assignments(phrase_docs, state)
         return state
 
     # -- internals ---------------------------------------------------------------------
@@ -272,6 +269,15 @@ class ReferencePhraseLDA(PhraseLDA):
         config = replace(config, engine="reference") if config else \
             PhraseLDAConfig(engine="reference")
         super().__init__(config)
+
+
+def _expand_token_topics(flat: FlatPhraseCorpus,
+                         assign: np.ndarray) -> List[np.ndarray]:
+    """Per-document token assignments: every clique topic repeated over the
+    clique's tokens, split at each document's token offsets."""
+    token_topics = np.repeat(assign, flat.clique_sizes())
+    offsets = flat.offsets
+    return [token_topics[offsets[g0]:offsets[g1]] for g0, g1 in flat.doc_ranges]
 
 
 def _extract_phrase_documents(documents: Union[SegmentedCorpus, PhraseDocuments],

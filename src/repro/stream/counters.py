@@ -73,37 +73,15 @@ def encode_texts(texts: Sequence[str], preprocessor: Preprocessor,
                  grow: bool = True) -> List[List[List[int]]]:
     """Tokenize raw ``texts`` into id chunks, growing ``vocabulary`` in place.
 
-    Mirrors :meth:`repro.text.preprocess.Preprocessor.build_corpus` token
-    for token (same chunking, same ``Vocabulary.add`` call order), so
-    encoding a corpus shard by shard against one shared vocabulary assigns
-    exactly the ids — and accumulates exactly the frequencies and
-    surface-form counters — that a single offline pass over the
-    concatenated texts would.
-
-    With ``grow=False`` the vocabulary is only looked up, never changed:
-    re-encoding texts it has already absorbed yields the same ids without
-    counting their tokens twice.  A word it does not hold raises
-    ``KeyError``.
-
-    Returns
-    -------
-    list
-        One list of token-id chunks per document (documents whose chunks
-        are all empty keep their slot as an empty list).
+    The same encoder :meth:`~repro.text.preprocess.Preprocessor.build_corpus`
+    uses (:meth:`~repro.text.preprocess.Preprocessor.encode`), so encoding
+    a corpus shard by shard against one shared vocabulary assigns exactly
+    the ids — and accumulates exactly the frequencies and surface-form
+    counters — that a single offline pass over the concatenated texts
+    would.  With ``grow=False`` the vocabulary is only looked up; a word it
+    does not hold raises ``KeyError``.
     """
-    documents: List[List[List[int]]] = []
-    for text in texts:
-        id_chunks: List[List[int]] = []
-        for chunk in preprocessor.process_text(text):
-            if grow:
-                id_chunk = [vocabulary.add(stem, surface_form=surface)
-                            for stem, surface in chunk]
-            else:
-                id_chunk = [vocabulary.id_of(stem) for stem, _ in chunk]
-            if id_chunk:
-                id_chunks.append(id_chunk)
-        documents.append(id_chunks)
-    return documents
+    return preprocessor.encode(texts, vocabulary, grow=grow)
 
 
 # -- raw counting ---------------------------------------------------------------------

@@ -14,13 +14,19 @@ Stemming and stop-word removal are both optional so that synthetic corpora
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.text.corpus import Corpus
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import ENGLISH_STOP_WORDS
-from repro.text.tokenizer import Tokenizer
+from repro.text.tokenizer import _TOKEN_RE, Tokenizer
+from repro.text.vocabulary import Vocabulary
+
+# What one raw token becomes in :meth:`Preprocessor.process_text`: it closes
+# the current chunk, it is dropped, or it is kept as ``(stem, surface)``.
+_BREAK = object()
+_DROP = object()
 
 
 @dataclass
@@ -53,7 +59,17 @@ class PreprocessConfig:
 
 
 class Preprocessor:
-    """Turns an iterable of raw document strings into a :class:`Corpus`."""
+    """Turns an iterable of raw document strings into a :class:`Corpus`.
+
+    Every token's fate is a pure function of the raw token and the config,
+    so :meth:`process_text` classifies each *distinct* raw token once and
+    memoises the outcome.  The memo is bounded like the stemmer's cache (it
+    resets after :attr:`MEMO_LIMIT` distinct tokens), so a long-lived
+    serving process fed hostile input cannot grow it without bound.
+    """
+
+    #: Distinct raw tokens memoised before the memo resets.
+    MEMO_LIMIT = 262144
 
     def __init__(self, config: Optional[PreprocessConfig] = None) -> None:
         self.config = config or PreprocessConfig()
@@ -61,24 +77,96 @@ class Preprocessor:
                                     keep_numbers=self.config.keep_numbers,
                                     min_token_length=self.config.min_token_length)
         self._stemmer = PorterStemmer()
+        self._memo: Dict[str, object] = {}
 
     # -- single-document helpers -------------------------------------------------
+    def _classify(self, raw: str) -> object:
+        """Apply the tokenizer's case-fold, breaker and word rules, then stop
+        words and stemming, to one raw token."""
+        tokenizer = self._tokenizer
+        token = raw.lower() if tokenizer.lowercase else raw
+        if token in tokenizer.breakers:
+            return _BREAK
+        if not tokenizer.is_word(token):
+            return _DROP
+        if self.config.remove_stop_words and token in ENGLISH_STOP_WORDS:
+            return _DROP
+        stem = self._stemmer.stem(token) if self.config.stem else token
+        return (stem, token) if stem else _DROP
+
     def process_text(self, text: str) -> List[List[tuple[str, str]]]:
-        """Return chunks of ``(processed_token, surface_token)`` pairs."""
-        chunks = self._tokenizer.chunk(text)
-        processed: List[List[tuple[str, str]]] = []
-        for chunk in chunks:
-            out_chunk: List[tuple[str, str]] = []
-            for token in chunk:
-                if self.config.remove_stop_words and token in ENGLISH_STOP_WORDS:
-                    continue
-                stem = self._stemmer.stem(token) if self.config.stem else token
-                if not stem:
-                    continue
-                out_chunk.append((stem, token))
-            if out_chunk:
-                processed.append(out_chunk)
-        return processed
+        """Return chunks of ``(processed_token, surface_token)`` pairs.
+
+        Equal to chunking with the tokenizer, then dropping stop words and
+        stemming each remaining token (empty chunks are skipped).
+        """
+        memo = self._memo
+        chunks: List[List[tuple[str, str]]] = []
+        current: List[tuple[str, str]] = []
+        for raw in _TOKEN_RE.findall(text):
+            entry = memo.get(raw)
+            if entry is None:
+                if len(memo) >= self.MEMO_LIMIT:
+                    memo.clear()
+                entry = memo[raw] = self._classify(raw)
+            if entry is _BREAK:
+                if current:
+                    chunks.append(current)
+                    current = []
+            elif entry is not _DROP:
+                current.append(entry)
+        if current:
+            chunks.append(current)
+        return chunks
+
+    def encode(self, texts: Iterable[str], vocabulary: Vocabulary,
+               grow: bool = True) -> List[List[List[int]]]:
+        """Preprocess ``texts`` into token-id chunks over ``vocabulary``.
+
+        With ``grow=True`` the vocabulary grows in place exactly as one
+        ``Vocabulary.add(stem, surface_form=surface)`` per token, in text
+        order, would grow it: new stems get ids in first-appearance order,
+        and the ``(stem, surface)`` occurrences are counted first and folded
+        in once each, in first-appearance order, so frequencies and
+        surface-form counters (insertion order included) match too.  That
+        is why encoding a corpus shard by shard against one shared
+        vocabulary equals a single pass over the concatenated texts.
+
+        With ``grow=False`` the vocabulary is only looked up, never
+        changed: re-encoding texts it has already absorbed yields the same
+        ids without counting their tokens twice.  A stem it does not hold
+        raises ``KeyError``.
+
+        Returns
+        -------
+        list
+            One list of token-id chunks per document (a document whose
+            chunks are all empty keeps its slot as an empty list).
+        """
+        documents: List[List[List[int]]] = []
+        if not grow:
+            id_of = vocabulary.id_of
+            for text in texts:
+                documents.append([[id_of(stem) for stem, _ in chunk]
+                                  for chunk in self.process_text(text)])
+            return documents
+        word_to_id = vocabulary.word_to_id
+        pair_counts: Dict[tuple[str, str], int] = {}
+        for text in texts:
+            id_chunks: List[List[int]] = []
+            for chunk in self.process_text(text):
+                id_chunk: List[int] = []
+                for pair in chunk:
+                    word_id = word_to_id.get(pair[0])
+                    if word_id is None:
+                        word_id = vocabulary.add(pair[0], count=0)
+                    id_chunk.append(word_id)
+                    pair_counts[pair] = pair_counts.get(pair, 0) + 1
+                id_chunks.append(id_chunk)
+            documents.append(id_chunks)
+        for (stem, surface), count in pair_counts.items():
+            vocabulary.add(stem, count=count, surface_form=surface)
+        return documents
 
     # -- corpus construction -------------------------------------------------------
     def build_corpus(self, texts: Iterable[str], name: str = "corpus") -> Corpus:
@@ -90,21 +178,9 @@ class Preprocessor:
         stable, but they no longer appear in any chunk).
         """
         corpus = Corpus(name=name)
-        per_doc_chunks: List[List[List[tuple[str, str]]]] = []
-        raw_texts: List[str] = []
-        for text in texts:
-            per_doc_chunks.append(self.process_text(text))
-            raw_texts.append(text)
-
-        for doc_chunks, raw in zip(per_doc_chunks, raw_texts):
-            id_chunks: List[List[int]] = []
-            for chunk in doc_chunks:
-                id_chunk = [
-                    corpus.vocabulary.add(stem, surface_form=surface)
-                    for stem, surface in chunk
-                ]
-                if id_chunk:
-                    id_chunks.append(id_chunk)
+        raw_texts = list(texts)
+        for id_chunks, raw in zip(self.encode(raw_texts, corpus.vocabulary),
+                                  raw_texts):
             corpus.add_document(id_chunks, raw_text=raw)
 
         if self.config.min_word_frequency > 1:

@@ -89,9 +89,21 @@ class Tokenizer:
             tokens = [tok.lower() for tok in tokens]
         return tokens
 
+    @property
+    def breakers(self) -> frozenset:
+        """Tokens that close the current chunk."""
+        return PHRASE_INVARIANT_PUNCTUATION | self.extra_phrase_breakers
+
+    def is_word(self, token: str) -> bool:
+        """Whether a (case-folded, non-breaker) ``token`` joins a chunk."""
+        if not (_WORD_RE.match(token)
+                or (self.keep_numbers and _NUMBER_RE.match(token))):
+            return False
+        return len(token) >= self.min_token_length
+
     def chunk(self, text: str) -> List[List[str]]:
         """Return phrase-invariant chunks of word tokens for ``text``."""
-        breakers = PHRASE_INVARIANT_PUNCTUATION | self.extra_phrase_breakers
+        breakers = self.breakers
         chunks: List[List[str]] = []
         current: List[str] = []
         for token in self.tokenize(text):
@@ -100,13 +112,8 @@ class Tokenizer:
                     chunks.append(current)
                     current = []
                 continue
-            is_word = bool(_WORD_RE.match(token))
-            is_number = bool(_NUMBER_RE.match(token))
-            if not is_word and not (self.keep_numbers and is_number):
-                continue
-            if len(token) < self.min_token_length:
-                continue
-            current.append(token)
+            if self.is_word(token):
+                current.append(token)
         if current:
             chunks.append(current)
         return chunks

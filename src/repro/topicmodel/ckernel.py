@@ -37,10 +37,14 @@ from typing import Optional
 import numpy as np
 
 _SOURCE_PATH = Path(__file__).with_name("phrase_lda_kernel.c")
+# -O3 lets the compiler vectorise the kernels' per-topic Eq. 7 loops.  That
+# stays bit-exact: each lane does the same IEEE operations in the same order
+# as the scalar code, and no flag here permits reassociation (the cumulative
+# sum stays a serial loop).
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add into
 # one FMA, which would round once instead of twice and break bit-equality
 # with the reference sampler.
-_COMPILE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_COMPILE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
@@ -130,6 +134,8 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             ctypes.POINTER(ctypes.c_int64),   # topic_word
             ctypes.POINTER(ctypes.c_int64),   # doc_topic
             ctypes.POINTER(ctypes.c_int64),   # topic_totals
+            ctypes.POINTER(ctypes.c_double),  # wfac
+            ctypes.POINTER(ctypes.c_double),  # tfac
             ctypes.POINTER(ctypes.c_int64),   # assign
             ctypes.POINTER(ctypes.c_double),  # uniforms
             ctypes.POINTER(ctypes.c_double),  # scratch
@@ -193,15 +199,25 @@ def _kernel() -> ctypes.CDLL:
 def run_sweep(tokens: np.ndarray, offsets: np.ndarray, clique_doc: np.ndarray,
               n_topics: int, alpha: np.ndarray, beta: float, beta_sum: float,
               topic_word: np.ndarray, doc_topic: np.ndarray,
-              topic_totals: np.ndarray, assign: np.ndarray,
-              uniforms: np.ndarray, scratch: np.ndarray) -> None:
-    """Invoke one C sweep over all cliques (arrays must be C-contiguous)."""
+              topic_totals: np.ndarray, wfac: np.ndarray, tfac: np.ndarray,
+              assign: np.ndarray, uniforms: np.ndarray,
+              scratch: np.ndarray) -> None:
+    """Invoke one C sweep over all cliques (arrays must be C-contiguous).
+
+    ``wfac`` must hold ``beta + topic_word`` and ``tfac`` ``beta_sum +
+    topic_totals`` on entry; the kernel keeps both equal to those
+    expressions as it moves counts.  ``scratch`` holds ``2 * n_topics``
+    doubles.
+    """
+    _require("wfac", wfac, np.float64, topic_word.size)
+    _require("tfac", tfac, np.float64, n_topics)
+    _require("scratch", scratch, np.float64, 2 * n_topics)
     _kernel().phrase_lda_sweep(
         _i32(tokens), _i64(offsets), _i32(clique_doc),
         ctypes.c_int64(len(offsets) - 1), ctypes.c_int64(n_topics),
         _f64(alpha), ctypes.c_double(beta), ctypes.c_double(beta_sum),
         _i64(topic_word), _i64(doc_topic), _i64(topic_totals),
-        _i64(assign), _f64(uniforms), _f64(scratch),
+        _f64(wfac), _f64(tfac), _i64(assign), _f64(uniforms), _f64(scratch),
     )
 
 

@@ -168,7 +168,13 @@ def random_initialization(flat: FlatPhraseCorpus, n_topics: int,
 
 class CKernelSampler:
     """Gibbs sweeps via the compiled C kernel, mutating the count arrays
-    (``int64``, shared with the caller's state object) in place."""
+    (``int64``, shared with the caller's state object) in place.
+
+    Beside the counts it keeps the prior-baked factors the kernel reads,
+    ``wfac = beta + N_wk`` (V × K) and ``tfac = beta * V + N_k`` (K), as
+    doubles; the kernel re-derives each one from its count whenever the
+    count moves, so they always equal these expressions bit for bit.
+    """
 
     name = "c"
 
@@ -182,26 +188,29 @@ class CKernelSampler:
         self.assign = assign
         self.n_topics = topic_word.shape[1]
         self.vocabulary_size = topic_word.shape[0]
-        self.alpha = np.ascontiguousarray(alpha, dtype=np.float64)
-        self.beta = float(beta)
-        self._scratch = np.empty(self.n_topics, dtype=np.float64)
+        self._scratch = np.empty(2 * self.n_topics, dtype=np.float64)
+        self._uniforms = np.empty(flat.n_sampled, dtype=np.float64)
+        self.rebuild(alpha, beta)
 
     def rebuild(self, alpha: np.ndarray, beta: float) -> None:
-        """Adopt new hyper-parameters (after Minka fixed-point updates)."""
+        """Adopt new hyper-parameters (after Minka fixed-point updates) and
+        re-derive the factor arrays from the integer counts."""
         self.alpha = np.ascontiguousarray(alpha, dtype=np.float64)
         self.beta = float(beta)
+        self.beta_sum = self.beta * self.vocabulary_size
+        self.wfac = self.beta + self.topic_word
+        self.tfac = self.beta_sum + self.topic_totals
 
     def sweep(self, rng: np.random.Generator) -> None:
         """One full Gibbs sweep over every clique."""
         if self.flat.n_sampled == 0:
             return
-        uniforms = rng.random(self.flat.n_sampled)
+        rng.random(out=self._uniforms)
         ckernel.run_sweep(
             self.flat.tokens, self.flat.offsets, self.flat.clique_doc,
-            self.n_topics, self.alpha, self.beta,
-            self.beta * self.vocabulary_size,
+            self.n_topics, self.alpha, self.beta, self.beta_sum,
             self.topic_word, self.doc_topic, self.topic_totals,
-            self.assign, uniforms, self._scratch)
+            self.wfac, self.tfac, self.assign, self._uniforms, self._scratch)
 
     def sync_counts(self) -> None:
         """No-op: the kernel mutates the integer count arrays directly."""

@@ -37,7 +37,38 @@
  *   - uniforms holds one draw in [0, 1) per *non-empty* clique per sweep,
  *     consumed in clique order (the reference consumes exactly one
  *     rng.random() per non-empty clique and skips empty ones);
- *   - scratch has room for n_topics doubles.
+ *   - scratch has room for 2 * n_topics doubles (sweep) or n_topics
+ *     doubles (fold-in).
+ *
+ * Prior-baked factors (training sweep only)
+ * -----------------------------------------
+ * Beside the int64 counts the sweep keeps the reference's factor
+ * expressions as doubles, so the Eq. 7 loop does no int->double conversion
+ * and no prior add:
+ *
+ *   wfac[w*K + k] == beta + (double)topic_word[w*K + k]       (V x K, caller)
+ *   tfac[k]       == beta_sum + (double)topic_totals[k]       (K, caller)
+ *   df[k]         == alpha[k] + (double)doc_topic[d*K + k]    (K, scratch)
+ *
+ * The caller establishes the first two on entry (and after every
+ * hyper-parameter update); df is rebuilt from the counts whenever
+ * clique_doc changes (and at the first clique of a sweep), so there is no
+ * D x K factor array.  Each factor is recomputed with exactly
+ * that expression the moment its count changes, so it always equals what
+ * the reference computes from the counts, bit for bit.
+ *
+ * With the factors, the reference's j = 0 step
+ *   w = 1.0;  w *= df + 0.0;  w *= wf;  w /= tfac + 0.0
+ * is (df * wf) / tfac exactly: 1.0 * x == x and x + 0.0 == x for x > 0.
+ * That is the whole weight of a singleton clique, and the starting weight
+ * of a longer one.
+ *
+ * The draw counts k_new = #{k < K-1 : cum[k] < u * total}.  With positive
+ * priors every weight is >= 0 and NaN-free, so cum is nondecreasing and
+ * the indices with cum[k] < target form a prefix: the count equals the
+ * leftmost index with cum[k] >= target (capped at K-1) that numpy's
+ * searchsorted(side="left") and the reference return, without a
+ * data-dependent branch.
  */
 
 #include <stdint.h>
@@ -53,12 +84,16 @@ void phrase_lda_sweep(const int32_t *tokens,      /* flat token ids            *
                       int64_t *topic_word,        /* V x K row-major counts    */
                       int64_t *doc_topic,         /* D x K row-major counts    */
                       int64_t *topic_totals,      /* K counts                  */
+                      double *wfac,               /* V x K: beta + topic_word  */
+                      double *tfac,               /* K: beta_sum + topic_totals*/
                       int64_t *assign,            /* clique topic per clique   */
                       const double *uniforms,     /* one U[0,1) per clique     */
-                      double *scratch)            /* K doubles                 */
+                      double *scratch)            /* 2K doubles                */
 {
     const int64_t K = n_topics;
     double *weights = scratch;
+    double *df = scratch + K;
+    int64_t current_doc = -1;
     int64_t next_uniform = 0;
 
     for (int64_t g = 0; g < n_cliques; g++) {
@@ -66,50 +101,69 @@ void phrase_lda_sweep(const int32_t *tokens,      /* flat token ids            *
         const int64_t size = offsets[g + 1] - t0;
         if (size == 0)
             continue;
-        int64_t *dc = doc_topic + (int64_t)clique_doc[g] * K;
+        const int64_t d = clique_doc[g];
+        int64_t *dc = doc_topic + d * K;
+        if (d != current_doc) {
+            for (int64_t k = 0; k < K; k++)
+                df[k] = alpha[k] + (double)dc[k];
+            current_doc = d;
+        }
         const int64_t k_old = assign[g];
 
-        /* Remove the whole clique from the counts (Z without C_{d,g}). */
-        for (int64_t t = t0; t < t0 + size; t++)
-            topic_word[(int64_t)tokens[t] * K + k_old] -= 1;
+        /* Remove the whole clique from the counts (Z without C_{d,g}),
+         * re-deriving each touched factor from its count. */
+        for (int64_t t = t0; t < t0 + size; t++) {
+            const int64_t cell = (int64_t)tokens[t] * K + k_old;
+            topic_word[cell] -= 1;
+            wfac[cell] = beta + (double)topic_word[cell];
+        }
         dc[k_old] -= size;
+        df[k_old] = alpha[k_old] + (double)dc[k_old];
         topic_totals[k_old] -= size;
+        tfac[k_old] = beta_sum + (double)topic_totals[k_old];
 
         /* Eq. 7: product over the clique's tokens, in the reference's
          * per-element operation order:
-         *   w *= (alpha_k + N_dk) + j
-         *   w *= beta + N_wk
-         *   w /= (beta_sum + N_k) + j
-         * One fused K-loop per token; each weight sees the same three
-         * operations in the same order, so the result is bit-identical. */
+         *   w *= df_k + j
+         *   w *= wfac_wk
+         *   w /= tfac_k + j
+         * j = 0 reduces exactly to (df_k * wfac_wk) / tfac_k (see the
+         * header); every later token is one fused K-loop. */
+        const double *wf = wfac + (int64_t)tokens[t0] * K;
         for (int64_t k = 0; k < K; k++)
-            weights[k] = 1.0;
-        for (int64_t j = 0; j < size; j++) {
+            weights[k] = (df[k] * wf[k]) / tfac[k];
+        for (int64_t j = 1; j < size; j++) {
             const double jd = (double)j;
-            const int64_t *tw = topic_word + (int64_t)tokens[t0 + j] * K;
+            wf = wfac + (int64_t)tokens[t0 + j] * K;
             for (int64_t k = 0; k < K; k++) {
                 double w = weights[k];
-                w *= (alpha[k] + (double)dc[k]) + jd;
-                w *= beta + (double)tw[k];
-                w /= (beta_sum + (double)topic_totals[k]) + jd;
+                w *= df[k] + jd;
+                w *= wf[k];
+                w /= tfac[k] + jd;
                 weights[k] = w;
             }
         }
 
-        /* Inverse-CDF draw: in-place cumulative sum then the leftmost
-         * index with cum[k] >= u * total (numpy searchsorted, side="left"). */
+        /* Inverse-CDF draw: in-place cumulative sum, then the branchless
+         * count of cum[k] < u * total over k < K-1 (== the leftmost index
+         * with cum[k] >= target, numpy searchsorted side="left"). */
         for (int64_t k = 1; k < K; k++)
             weights[k] += weights[k - 1];
         const double target = uniforms[next_uniform++] * weights[K - 1];
         int64_t k_new = 0;
-        while (k_new < K - 1 && weights[k_new] < target)
-            k_new++;
+        for (int64_t k = 0; k < K - 1; k++)
+            k_new += weights[k] < target;
 
         assign[g] = k_new;
-        for (int64_t t = t0; t < t0 + size; t++)
-            topic_word[(int64_t)tokens[t] * K + k_new] += 1;
+        for (int64_t t = t0; t < t0 + size; t++) {
+            const int64_t cell = (int64_t)tokens[t] * K + k_new;
+            topic_word[cell] += 1;
+            wfac[cell] = beta + (double)topic_word[cell];
+        }
         dc[k_new] += size;
+        df[k_new] = alpha[k_new] + (double)dc[k_new];
         topic_totals[k_new] += size;
+        tfac[k_new] = beta_sum + (double)topic_totals[k_new];
     }
 }
 

@@ -1,0 +1,76 @@
+"""The C training sweep on a corpus large enough to exercise its
+prior-baked factors: many documents (so the per-document factor row is
+rebuilt often), 3-4-token cliques (the j >= 1 Eq. 7 steps) and Minka
+hyper-parameter updates (factor re-derivation)."""
+
+import numpy as np
+import pytest
+
+from repro.core import phrase_lda
+from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
+from repro.topicmodel import ckernel
+
+pytestmark = pytest.mark.skipif(
+    not ckernel.kernel_available(),
+    reason=f"C kernel unavailable: {ckernel.load_error()}")
+
+VOCABULARY_SIZE = 400
+
+
+def make_long_clique_docs(n_docs=240, seed=5):
+    rng = np.random.default_rng(seed)
+    docs = []
+    for _ in range(n_docs):
+        phrases = []
+        for _ in range(int(rng.integers(4, 20))):
+            size = int(rng.choice([1, 1, 2, 3, 3, 4, 4]))
+            phrases.append(tuple(int(w) for w in
+                                 rng.integers(0, VOCABULARY_SIZE, size=size)))
+        docs.append(phrases)
+    return docs
+
+
+def test_c_sweep_matches_reference_and_keeps_factors_exact(monkeypatch):
+    docs = make_long_clique_docs()
+    sizes = {len(phrase) for doc in docs for phrase in doc}
+    assert {3, 4} <= sizes
+
+    captured = []
+
+    original = phrase_lda.make_sampler
+
+    def capturing_make_sampler(*args, **kwargs):
+        sampler = original(*args, **kwargs)
+        captured.append(sampler)
+        return sampler
+
+    monkeypatch.setattr(phrase_lda, "make_sampler", capturing_make_sampler)
+
+    # Minka updates after sweeps 10 and 20; sweeps 21-25 then run on
+    # factors the kernel itself maintained since the last rebuild.
+    states = {}
+    for engine in ("reference", "c"):
+        config = PhraseLDAConfig(n_topics=9, n_iterations=25, seed=17,
+                                 engine=engine, optimize_hyperparameters=True,
+                                 hyper_optimize_interval=10, burn_in=4)
+        states[engine] = PhraseLDA(config).fit(docs, VOCABULARY_SIZE)
+    reference, fast = states["reference"], states["c"]
+
+    for a, b in zip(reference.clique_assignments, fast.clique_assignments):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(reference.assignments, fast.assignments):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(reference.topic_word_counts,
+                                  fast.topic_word_counts)
+    np.testing.assert_array_equal(reference.doc_topic_counts,
+                                  fast.doc_topic_counts)
+    np.testing.assert_array_equal(reference.topic_counts, fast.topic_counts)
+    assert reference.alpha.tobytes() == fast.alpha.tobytes()
+    assert reference.beta == fast.beta != PhraseLDAConfig().beta
+
+    (sampler,) = captured
+    assert sampler.beta == fast.beta
+    assert sampler.wfac.tobytes() == \
+        (sampler.beta + sampler.topic_word).tobytes()
+    assert sampler.tfac.tobytes() == \
+        (sampler.beta * VOCABULARY_SIZE + sampler.topic_totals).tobytes()
