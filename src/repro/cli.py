@@ -268,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                       default=ToPMineConfig.mining_engine,
                       choices=MINING_ENGINES,
                       help="mining/segmentation engine (default: %(default)s "
-                           "— the vectorized numpy path; all engines are "
+                           "— the numpy miner and the C segmenter, numpy "
+                           "without a compiler; all engines are "
                            "bit-identical)")
     mine.add_argument("--jobs", type=int, default=ToPMineConfig.n_jobs,
                       help="segmentation worker processes (default: "

@@ -1,33 +1,44 @@
-"""Batched, id-based phrase construction (the ``"numpy"`` segmentation engine).
+"""Batched, id-based phrase construction (the ``"c"`` and ``"numpy"``
+segmentation engines).
 
-Algorithm 2 (bottom-up agglomerative merging) is greedy *per chunk*, but
+Algorithm 2 (bottom-up agglomerative merging) is greedy *per chunk*, and
 chunks are mutually independent — the merge order that matters is only the
-order within one chunk.  This engine exploits that: instead of running one
-heap per chunk like the reference
-:class:`~repro.core.phrase_construction.PhraseConstructor`, it advances
-**every chunk's next merge simultaneously**, one vectorized round at a time,
-over the flat chunk buffer (:class:`~repro.text.flat.FlatChunks`):
+order within one chunk.  Both engines here share one class,
+:class:`FastSegmentationEngine`: the significance tables are precomputed
+once (:class:`~repro.core.significance.IndexedSignificanceScorer`), a batch
+of documents is encoded into one flat chunk buffer
+(:class:`~repro.text.flat.FlatChunks`), and the surviving spans are emitted
+as phrase tuples by one loop.  Only the seed pass and the merge cascade
+differ:
 
-1. **Seed pass** — one vectorized scoring of every adjacent token pair of
-   every chunk, using the precomputed bigram arrays of
-   :class:`~repro.core.significance.IndexedSignificanceScorer`.  Chunks whose
-   best seed pair is below the threshold α can never merge anything (the
-   reference pops that same best pair first and terminates), so they emit
-   all-singleton partitions without entering the cascade.
-2. **Merge cascade** — each round pops every active chunk's best pair with
-   one ``lexsort`` (priority ``(significance, insertion sequence)``, exactly
-   the reference heap's ordering), applies all merges as array scatters, and
-   re-scores the merged spans' neighbour pairs with one sorted-key lookup
-   into the precomputed pair table.  A chunk leaves the cascade when its best
-   remaining pair falls below α — the reference's termination — or when its
-   pairs run out.
-3. **Emission** — surviving spans are read off the linked-list arrays in
-   position order.
+* ``"c"`` runs both in one call to the ``phrase_segment`` entry point of
+  the compiled kernel library (:func:`repro.topicmodel.ckernel.run_segment`),
+  chunk by chunk, with per-chunk scratch sized to the longest chunk;
+* ``"numpy"`` (the no-compiler fallback) advances **every chunk's next
+  merge simultaneously**, one vectorized round at a time, over the flat
+  buffer:
 
-Scores are computed once, into arrays, by the indexed scorer — Algorithm 2
-stops re-hashing token tuples entirely.  Partitions are **bit-identical** to
-the reference constructor (same scores, same per-chunk pop order, same
-tie-breaking, same ``max_phrase_words`` skip semantics), asserted by
+  1. **Seed pass** — one vectorized scoring of every adjacent token pair of
+     every chunk.  Chunks whose best seed pair is below the threshold α can
+     never merge anything (the reference pops that same best pair first and
+     terminates), so they emit all-singleton partitions without entering
+     the cascade.
+  2. **Merge cascade** — each round pops every active chunk's best pair
+     (priority ``(significance, insertion sequence)``, exactly the
+     reference heap's ordering) with segmented reductions, applies all
+     merges as array scatters, and re-scores the merged spans' neighbour
+     pairs with one sorted-key lookup into the precomputed pair table.  A
+     chunk leaves the cascade when its best remaining pair falls below α —
+     the reference's termination — or when its pairs run out.
+
+  Each round costs about twenty NumPy calls, so this engine pays off on
+  corpus-scale batches and loses to the reference on serving-sized ones;
+  the C engine wins on both.
+
+Partitions are **bit-identical** to the reference constructor
+:class:`~repro.core.phrase_construction.PhraseConstructor` (same stored
+scores, same per-chunk pop order, same tie-breaking, same
+``max_phrase_words`` skip semantics), asserted by
 ``tests/test_mining_equivalence.py`` over datasets, thresholds, and caps.
 """
 
@@ -42,12 +53,13 @@ from repro.core.frequent_phrases import FrequentPhraseMiningResult
 from repro.core.phrase_construction import PhraseConstructionConfig
 from repro.core.significance import IndexedSignificanceScorer
 from repro.text.flat import FlatChunks
+from repro.topicmodel import ckernel
 
 Phrase = Tuple[int, ...]
 
 
 class FastSegmentationEngine:
-    """Vectorized batch driver for Algorithm 2 over many chunks at once.
+    """Algorithm 2 over many chunks at once, batched.
 
     Parameters
     ----------
@@ -57,46 +69,105 @@ class FastSegmentationEngine:
         Threshold α and other construction options.  The engine requires a
         finite threshold (the segmenter falls back to the reference
         constructor otherwise).
+    engine:
+        ``"c"`` (one compiled kernel call per batch; the kernel must load)
+        or ``"numpy"`` (vectorized merge rounds).
     """
 
     def __init__(self, mining_result: FrequentPhraseMiningResult,
-                 config: Optional[PhraseConstructionConfig] = None) -> None:
+                 config: Optional[PhraseConstructionConfig] = None,
+                 engine: str = "numpy") -> None:
         self.config = config or PhraseConstructionConfig()
+        if engine not in ("c", "numpy"):
+            raise ValueError(f"unknown batched segmentation engine {engine!r}")
         if not math.isfinite(self.config.significance_threshold):
             raise ValueError(
-                "the numpy segmentation engine requires a finite "
+                f"the {engine} segmentation engine requires a finite "
                 "significance threshold; use the reference engine")
-        self.scorer = IndexedSignificanceScorer.from_mining_result(mining_result)
+        self.engine = engine
+        self.scorer = scorer = IndexedSignificanceScorer.from_mining_result(
+            mining_result)
+        if engine == "c":
+            self._tables = ckernel.SegmentTables(
+                scorer.word_id, scorer.pair_keys, scorer.pair_key_sigs,
+                scorer.pair_key_merged, scorer.n_phrases)
 
     # -- public API -------------------------------------------------------------------
-    def segment_documents(self, documents: Sequence[Sequence[Sequence[int]]],
-                          ) -> List[List[Phrase]]:
-        """Partition every chunk of every document, in one batched pass.
+    def segment_flat(self, flat: FlatChunks) -> List[List[Phrase]]:
+        """Partition every chunk of an encoded batch of documents at once.
 
         Parameters
         ----------
-        documents:
-            One sequence of token-id chunks per document.
+        flat:
+            The batch, one flat chunk buffer
+            (:meth:`~repro.text.flat.FlatChunks.from_documents`).
 
         Returns
         -------
         list of list of tuple
-            Per-document phrase lists (chunks concatenated in order),
-            aligned with ``documents``.
+            Per-document phrase lists (chunks concatenated in order), one
+            per encoded document.
         """
-        flat = FlatChunks.from_documents(documents)
-        tokens = flat.tokens.astype(np.int64, copy=False)
-        token_list = tokens.tolist()
-        offsets = flat.offsets.tolist()
-        chunk_docs = flat.doc_ids.tolist()
-        threshold = self.config.significance_threshold
-        max_words = self.config.max_phrase_words
-
         results: List[List[Phrase]] = [[] for _ in range(flat.n_documents)]
         if not flat.n_chunks:
             return results
+        if self.engine == "c":
+            merged, length, nxt = self._run_kernel(flat)
+        else:
+            merged, length, nxt = self._run_numpy(flat)
 
-        # -- seed pass ---------------------------------------------------------------
+        # -- emission ----------------------------------------------------------------
+        token_list = flat.tokens.tolist()
+        offsets = flat.offsets.tolist()
+        chunk_docs = flat.doc_ids.tolist()
+        merged_list = merged.tolist()
+        if length is not None:
+            length_list = length.tolist()
+            nxt_list = nxt.tolist()
+        singletons = [(w,) for w in token_list]
+        for chunk_id in range(flat.n_chunks):
+            start, end = offsets[chunk_id], offsets[chunk_id + 1]
+            doc_phrases = results[chunk_docs[chunk_id]]
+            if not merged_list[chunk_id]:
+                doc_phrases.extend(singletons[start:end])
+                continue
+            head = start
+            while head >= 0:
+                span = length_list[head]
+                doc_phrases.append(singletons[head] if span == 1 else
+                                   tuple(token_list[head:head + span]))
+                head = nxt_list[head]
+        return results
+
+    # -- internals --------------------------------------------------------------------
+    def _run_kernel(self, flat: FlatChunks,
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Seed pass and cascade in one compiled-kernel call.
+
+        Returns ``(merged, length, nxt)``: per chunk whether it merged
+        anything, and the span arrays :meth:`_run_cascade` describes.
+        """
+        max_words = self.config.max_phrase_words
+        if max_words is None:
+            # No cap: pass a length no chunk can reach.
+            max_words = flat.longest_chunk + 1
+        return ckernel.run_segment(
+            self._tables, flat.tokens, flat.offsets, flat.longest_chunk,
+            self.config.significance_threshold, max_words)
+
+    def _run_numpy(self, flat: FlatChunks,
+                   ) -> Tuple[np.ndarray, Optional[np.ndarray],
+                              Optional[np.ndarray]]:
+        """Vectorized seed pass, then the merge cascade on flagged chunks.
+
+        Returns ``(needs_cascade, length, nxt)``: per chunk whether its best
+        seed pair clears the threshold, and the span arrays of
+        :meth:`_run_cascade` (``None`` when no chunk needs the cascade).
+        """
+        tokens = flat.tokens.astype(np.int64)
+        threshold = self.config.significance_threshold
+        max_words = self.config.max_phrase_words
+
         chunk_end = flat.chunk_end_per_position()
         positions = np.arange(len(tokens), dtype=np.int64)
         has_pair = positions + 1 < chunk_end
@@ -116,33 +187,12 @@ class FastSegmentationEngine:
                 chunk_index = flat.chunk_index_per_position()
                 needs_cascade[chunk_index[significant]] = True
 
-        if needs_cascade.any():
-            length, nxt = self._run_cascade(flat, tokens, seed_sig,
-                                            needs_cascade, chunk_end,
-                                            chunk_index)
-            length_list = length.tolist()
-            nxt_list = nxt.tolist()
-        else:
-            length_list = nxt_list = None
+        if not needs_cascade.any():
+            return needs_cascade, None, None
+        length, nxt = self._run_cascade(flat, tokens, seed_sig, needs_cascade,
+                                        chunk_end, chunk_index)
+        return needs_cascade, length, nxt
 
-        # -- emission ----------------------------------------------------------------
-        needs_list = needs_cascade.tolist()
-        singletons = [(w,) for w in token_list]
-        for chunk_id in range(flat.n_chunks):
-            start, end = offsets[chunk_id], offsets[chunk_id + 1]
-            doc_phrases = results[chunk_docs[chunk_id]]
-            if not needs_list[chunk_id]:
-                doc_phrases.extend(singletons[start:end])
-                continue
-            head = start
-            while head >= 0:
-                span = length_list[head]
-                doc_phrases.append(singletons[head] if span == 1 else
-                                   tuple(token_list[head:head + span]))
-                head = nxt_list[head]
-        return results
-
-    # -- internals --------------------------------------------------------------------
     def _run_cascade(self, flat: FlatChunks, tokens: np.ndarray,
                      seed_sig: np.ndarray, needs_cascade: np.ndarray,
                      chunk_end: np.ndarray, chunk_index: np.ndarray,

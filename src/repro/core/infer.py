@@ -429,10 +429,12 @@ class TopicInferencer:
         assign = np.empty(flat.n_cliques, dtype=np.int64)
         for g0, g1 in flat.doc_ranges:
             assign[g0:g1] = rng.integers(0, n_topics, size=g1 - g0)
-        sizes = flat.clique_sizes()
-        doc_topic = np.zeros((flat.n_docs, n_topics), dtype=np.int64)
-        np.add.at(doc_topic, (np.repeat(flat.clique_doc, sizes),
-                              np.repeat(assign, sizes)), 1)
+        # One count per token, in the (document, topic) cell of its clique.
+        cells = np.repeat(flat.clique_doc.astype(np.int64) * n_topics + assign,
+                          flat.clique_sizes())
+        doc_topic = np.bincount(
+            cells, minlength=flat.n_docs * n_topics,
+        ).astype(np.int64, copy=False).reshape(flat.n_docs, n_topics)
         if flat.n_sampled:
             if engine == "c":
                 self._sweeps_c(flat, doc_topic, assign, n_iterations, rng)

@@ -11,10 +11,12 @@ clique whose tokens must share a topic.
 
 Like the miner and the PhraseLDA samplers, the segmenter is engine-based:
 ``"reference"`` runs the readable per-chunk
-:class:`~repro.core.phrase_construction.PhraseConstructor`, while
-``"numpy"`` (what ``"auto"`` selects) runs the batched
+:class:`~repro.core.phrase_construction.PhraseConstructor`, while ``"c"``
+(what ``"auto"`` selects when the compiled kernel loads) and ``"numpy"``
+(the no-compiler fallback) run the batched
 :class:`~repro.core.fast_construction.FastSegmentationEngine` — bit-identical
-partitions, an order of magnitude faster at corpus scale.  Independently of
+partitions, an order of magnitude faster at corpus scale, and for ``"c"``
+also on serving-sized batches of a few documents.  Independently of
 the engine, :meth:`CorpusSegmenter.segment` can shard documents across
 ``n_jobs`` worker processes; shards are merged back in document order, so
 the result is identical to a sequential run.
@@ -34,12 +36,14 @@ from repro.core.phrase_construction import (
 )
 from repro.core.significance import SignificanceScorer
 from repro.text.corpus import Corpus
+from repro.text.flat import FlatChunks
 from repro.text.vocabulary import Vocabulary
+from repro.topicmodel import ckernel
 
 Phrase = Tuple[int, ...]
 
-#: Engine names accepted by the segmentation layer (mirrors the miner's).
-SEGMENTATION_ENGINES = ("auto", "numpy", "reference")
+#: Engine names accepted by the segmentation layer.
+SEGMENTATION_ENGINES = ("auto", "c", "numpy", "reference")
 
 #: Documents below this count are never sharded — worker startup would
 #: dominate the segmentation itself.
@@ -50,26 +54,36 @@ def resolve_segmentation_engine(engine: str,
                                 significance_threshold: float = 0.0) -> str:
     """Map a segmentation engine request onto a concrete engine name.
 
-    ``"auto"`` resolves to ``"numpy"`` except for non-finite significance
-    thresholds (a ``-inf`` threshold makes the reference loop merge
-    zero-frequency pairs, which the indexed scorer deliberately cannot
-    express), where the reference engine is selected instead.
+    ``"auto"`` resolves to ``"c"`` when the compiled kernel loads, to
+    ``"numpy"`` otherwise, and to ``"reference"`` for non-finite
+    significance thresholds (a ``-inf`` threshold makes the reference loop
+    merge zero-frequency pairs, which the indexed scorer deliberately
+    cannot express).
 
     Raises
     ------
     ValueError
         If ``engine`` is not one of :data:`SEGMENTATION_ENGINES`, or
-        ``"numpy"`` is requested explicitly with a non-finite threshold.
+        ``"c"``/``"numpy"`` is requested explicitly with a non-finite
+        threshold.
+    RuntimeError
+        If ``"c"`` is requested but the kernel cannot be built or loaded.
     """
     if engine not in SEGMENTATION_ENGINES:
         raise ValueError(f"unknown segmentation engine {engine!r}; "
                          f"expected one of {SEGMENTATION_ENGINES}")
     finite = math.isfinite(significance_threshold)
-    if engine == "numpy" and not finite:
-        raise ValueError("the numpy segmentation engine requires a finite "
-                         "significance threshold; use 'reference'")
+    if engine in ("c", "numpy") and not finite:
+        raise ValueError(f"the {engine} segmentation engine requires a "
+                         "finite significance threshold; use 'reference'")
     if engine == "auto":
-        return "numpy" if finite else "reference"
+        if not finite:
+            return "reference"
+        return "c" if ckernel.kernel_available() else "numpy"
+    if engine == "c" and not ckernel.kernel_available():
+        raise RuntimeError(
+            f"engine='c' requested but the kernel is unavailable "
+            f"({ckernel.load_error()}); use engine='auto' to fall back")
     return engine
 
 
@@ -188,15 +202,15 @@ class CorpusSegmenter:
         self.engine = resolve_segmentation_engine(
             self.config.engine, self.config.significance_threshold)
         self._fast = None
-        if self.engine == "numpy":
+        if self.engine in ("c", "numpy"):
             from repro.core.fast_construction import FastSegmentationEngine
 
-            self._fast = FastSegmentationEngine(mining_result, self.config)
+            self._fast = FastSegmentationEngine(mining_result, self.config,
+                                                self.engine)
 
     def segment_document(self, chunks: Sequence[Sequence[int]], doc_id: int = 0) -> SegmentedDocument:
         """Partition one document (given as token-id chunks) into phrases."""
-        return SegmentedDocument(
-            phrases=self._segment_phrase_lists([chunks])[0], doc_id=doc_id)
+        return self.segment_documents([chunks], doc_ids=[doc_id])[0]
 
     def segment_documents(self, documents: Sequence[Sequence[Sequence[int]]],
                           doc_ids: Optional[Sequence[int]] = None,
@@ -205,8 +219,8 @@ class CorpusSegmenter:
         """Partition a batch of documents (each a sequence of chunks).
 
         The batched entry point behind :meth:`segment` and the serving
-        layer: with the numpy engine all documents share one vectorized
-        seed-scoring pass (and one chunk memo cache), and with
+        layer: with the ``c`` and ``numpy`` engines all documents share one
+        flat chunk buffer and one kernel call or vectorized pass, and with
         ``n_jobs > 1`` the batch is sharded across worker processes.  The
         per-document results are identical to calling
         :meth:`segment_document` in a loop, whatever the engine or job
@@ -226,14 +240,25 @@ class CorpusSegmenter:
         -------
         list of SegmentedDocument
             Aligned with ``documents``.
+
+        Raises
+        ------
+        ValueError
+            If a token id lies outside
+            ``[0, repro.text.flat.MAX_TOKEN_ID]``, whatever the engine.
         """
+        # Encoding the batch checks every token id's range, for every
+        # engine alike; the batched engines then segment this buffer.
+        flat = FlatChunks.from_documents(documents)
         if doc_ids is None:
             doc_ids = range(len(documents))
         jobs = self.config.n_jobs if n_jobs is None else n_jobs
         if jobs > 1 and len(documents) >= jobs * MIN_DOCUMENTS_PER_SHARD:
             phrase_lists = self._segment_sharded(documents, jobs)
+        elif self._fast is not None:
+            phrase_lists = self._fast.segment_flat(flat)
         else:
-            phrase_lists = self._segment_phrase_lists(documents)
+            phrase_lists = self._segment_reference(documents)
         return [SegmentedDocument(phrases=phrases, doc_id=doc_id)
                 for phrases, doc_id in zip(phrase_lists, doc_ids)]
 
@@ -246,11 +271,9 @@ class CorpusSegmenter:
         return segmented
 
     # -- internals --------------------------------------------------------------------
-    def _segment_phrase_lists(self, documents: Sequence[Sequence[Sequence[int]]],
-                              ) -> List[List[Phrase]]:
-        """Sequential batch segmentation returning raw phrase lists."""
-        if self._fast is not None:
-            return self._fast.segment_documents(documents)
+    def _segment_reference(self, documents: Sequence[Sequence[Sequence[int]]],
+                           ) -> List[List[Phrase]]:
+        """The reference constructor, one chunk at a time."""
         results: List[List[Phrase]] = []
         for chunks in documents:
             phrases: List[Phrase] = []
@@ -301,4 +324,4 @@ def _shard_initializer(mining_result: FrequentPhraseMiningResult,
 def _segment_shard(documents: List[List[List[int]]]) -> List[List[Phrase]]:
     """Segment one shard of documents inside a worker process."""
     assert _SHARD_SEGMENTER is not None
-    return _SHARD_SEGMENTER._segment_phrase_lists(documents)
+    return [doc.phrases for doc in _SHARD_SEGMENTER.segment_documents(documents)]

@@ -148,7 +148,7 @@ class DocumentMixture:
     def from_inference(cls, document: Any, top: int) -> "DocumentMixture":
         """Build from one :class:`~repro.core.infer.DocumentInference`."""
         return cls(
-            theta=tuple(float(p) for p in document.theta),
+            theta=tuple(document.theta.tolist()),
             top_topics=tuple((int(k), float(p))
                              for k, p in document.top_topics(top)),
             n_phrases=len(document.phrases),

@@ -101,6 +101,7 @@ class StreamSupervisor:
         self._condition = threading.Condition()
         self._stopped = False
         self._poked = False
+        self._refreshing = False
         self._worker: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------------------
@@ -143,15 +144,26 @@ class StreamSupervisor:
                          timeout: float = 60.0) -> bool:
         """Block until the published version reaches ``version``.
 
-        Returns ``False`` on timeout.  Intended for tests and smoke
-        scripts that need to observe a background publish.
+        When this supervisor's own refresh publishes it, also until that
+        refresh has set :attr:`last_report`.  Returns ``False`` on timeout.
+        Intended for tests and smoke scripts that need to observe a
+        background publish.
         """
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.published_version >= version:
-                return True
-            time.sleep(min(0.05, self.poll_interval))
-        return self.published_version >= version
+        while True:
+            # The on-disk version first, then the in-flight flag: a refresh
+            # of this supervisor writes the version before _poll_once sets
+            # last_report, so a version it published counts only once its
+            # refresh has finished (versions published elsewhere count as
+            # soon as they are on disk).
+            on_disk = self.published_version
+            with self._condition:
+                if not self._refreshing and on_disk >= version:
+                    return True
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._condition.wait(min(remaining, 0.05, self.poll_interval))
 
     # -- worker ------------------------------------------------------------------------
     def _poll_delay(self) -> float:
@@ -194,15 +206,23 @@ class StreamSupervisor:
             return
         if not stream.should_refresh():
             return
+        with self._condition:
+            self._refreshing = True
         try:
             report = self._refresh(stream)
+            if report is not None:
+                self.last_report = report
+                self.last_error = None
         except Exception as exc:
             self._record_error(f"refresh failed: {exc}")
             return
+        finally:
+            # Wake wait_for_version() once last_report is set.
+            with self._condition:
+                self._refreshing = False
+                self._condition.notify_all()
         if report is None:
             return
-        self.last_report = report
-        self.last_error = None
         if self.on_publish is not None:
             try:
                 self.on_publish(report)

@@ -11,7 +11,9 @@ per-position tuple slicing.
 
 Empty chunks are dropped during encoding — mirroring the reference miner,
 which skips them — so :attr:`FlatChunks.total_tokens` is by construction the
-token count the mining algorithms actually see.
+token count the mining algorithms actually see.  Token ids must lie in
+``[0, MAX_TOKEN_ID]``: the engines index arrays with them and store them as
+``int32``, so encoding rejects anything else.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.text.corpus import Corpus
+
+#: The largest token id a flat buffer can hold (``int32``).
+MAX_TOKEN_ID = 2**31 - 1
 
 
 @dataclass
@@ -44,12 +49,15 @@ class FlatChunks:
     n_documents:
         Number of documents encoded (including documents whose chunks were
         all empty).
+    longest_chunk:
+        Token count of the longest chunk (0 when there are none).
     """
 
     tokens: np.ndarray
     offsets: np.ndarray
     doc_ids: np.ndarray
     n_documents: int
+    longest_chunk: int = 0
 
     @classmethod
     def from_documents(cls, documents: Sequence[Sequence[Sequence[int]]]) -> "FlatChunks":
@@ -58,6 +66,11 @@ class FlatChunks:
         Empty chunks are dropped (they carry no tokens and the miners skip
         them); empty documents keep their slot in ``n_documents`` so callers
         can reassemble per-document results positionally.
+
+        Raises
+        ------
+        ValueError
+            If a token id lies outside ``[0, MAX_TOKEN_ID]``.
         """
         flat_tokens: List[int] = []
         lengths: List[int] = []
@@ -69,13 +82,22 @@ class FlatChunks:
                 flat_tokens.extend(chunk)
                 lengths.append(len(chunk))
                 doc_ids.append(doc_index)
+        try:
+            tokens = np.asarray(flat_tokens, dtype=np.int64)
+            # One reduction: viewed as unsigned, a negative id is huge.
+            in_range = not tokens.size or \
+                tokens.view(np.uint64).max() <= MAX_TOKEN_ID
+        except OverflowError:  # beyond int64
+            in_range = False
+        if not in_range:
+            raise ValueError(f"token ids must lie in [0, {MAX_TOKEN_ID}]")
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        if lengths:
-            np.cumsum(lengths, out=offsets[1:])
-        return cls(tokens=np.asarray(flat_tokens, dtype=np.int32),
+        np.asarray(lengths, dtype=np.int64).cumsum(out=offsets[1:])
+        return cls(tokens=tokens.astype(np.int32),
                    offsets=offsets,
                    doc_ids=np.asarray(doc_ids, dtype=np.int32),
-                   n_documents=len(documents))
+                   n_documents=len(documents),
+                   longest_chunk=max(lengths, default=0))
 
     @classmethod
     def from_corpus(cls, corpus: "Corpus") -> "FlatChunks":

@@ -1,16 +1,19 @@
-"""On-demand compilation and loading of the PhraseLDA C kernels.
+"""On-demand compilation and loading of the repository's C kernels.
 
 ``phrase_lda_kernel.c`` (same directory) is a dependency-free C99 file with
-two entry points over the flattened corpus: ``phrase_lda_sweep``, one
-training sweep (:func:`run_sweep`), and ``phrase_lda_fold_in``, a chunk of
-fold-in sweeps against frozen counts (:func:`run_fold_in`).  This module
-compiles it with the system C compiler into a small shared library, caches
+three entry points: ``phrase_lda_sweep``, one PhraseLDA training sweep over
+the flattened corpus (:func:`run_sweep`); ``phrase_lda_fold_in``, a chunk of
+fold-in sweeps against frozen counts (:func:`run_fold_in`); and
+``phrase_segment``, Algorithm 2's seed scoring and merge cascade over every
+chunk of a flat chunk buffer (:func:`run_segment`).  This module compiles
+the file with the system C compiler into one small shared library, caches
 the build keyed by a hash of the source and the compile flags, and exposes
 it through :mod:`ctypes`, which releases the GIL for the duration of each
 call.  Nothing here is required: when no compiler is available, training
 falls back to the pure-NumPy vectorized sampler
-(:class:`repro.topicmodel.gibbs.VectorizedGibbsSampler`) and fold-in to the
-reference loop in :mod:`repro.core.infer`, so the kernel is a strictly
+(:class:`repro.topicmodel.gibbs.VectorizedGibbsSampler`), fold-in to the
+reference loop in :mod:`repro.core.infer`, and segmentation to the NumPy
+cascade in :mod:`repro.core.fast_construction`, so the kernel is a strictly
 optional accelerator.
 
 Environment variables
@@ -32,7 +35,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -120,45 +123,31 @@ def load_kernel() -> Optional[ctypes.CDLL]:
         if not path.exists():
             _compile(_SOURCE_PATH, path)
         lib = ctypes.CDLL(str(path))
-        fn = lib.phrase_lda_sweep
-        fn.restype = None
-        fn.argtypes = [
-            ctypes.POINTER(ctypes.c_int32),   # tokens
-            ctypes.POINTER(ctypes.c_int64),   # offsets
-            ctypes.POINTER(ctypes.c_int32),   # clique_doc
-            ctypes.c_int64,                   # n_cliques
-            ctypes.c_int64,                   # n_topics
-            ctypes.POINTER(ctypes.c_double),  # alpha
-            ctypes.c_double,                  # beta
-            ctypes.c_double,                  # beta_sum
-            ctypes.POINTER(ctypes.c_int64),   # topic_word
-            ctypes.POINTER(ctypes.c_int64),   # doc_topic
-            ctypes.POINTER(ctypes.c_int64),   # topic_totals
-            ctypes.POINTER(ctypes.c_double),  # wfac
-            ctypes.POINTER(ctypes.c_double),  # tfac
-            ctypes.POINTER(ctypes.c_int64),   # assign
-            ctypes.POINTER(ctypes.c_double),  # uniforms
-            ctypes.POINTER(ctypes.c_double),  # scratch
-        ]
-        fn = lib.phrase_lda_fold_in
-        fn.restype = None
-        fn.argtypes = [
-            ctypes.POINTER(ctypes.c_int32),   # tokens
-            ctypes.POINTER(ctypes.c_int64),   # offsets
-            ctypes.POINTER(ctypes.c_int32),   # clique_doc
-            ctypes.c_int64,                   # n_cliques
-            ctypes.c_int64,                   # n_topics
-            ctypes.POINTER(ctypes.c_double),  # alpha
-            ctypes.c_double,                  # beta
-            ctypes.c_double,                  # beta_sum
-            ctypes.POINTER(ctypes.c_int64),   # topic_word (const)
-            ctypes.POINTER(ctypes.c_int64),   # topic_totals (const)
-            ctypes.POINTER(ctypes.c_int64),   # doc_topic
-            ctypes.POINTER(ctypes.c_int64),   # assign
-            ctypes.c_int64,                   # n_sweeps
-            ctypes.POINTER(ctypes.c_double),  # uniforms
-            ctypes.POINTER(ctypes.c_double),  # scratch
-        ]
+        # Every pointer is declared c_void_p and passed as ``arr.ctypes.data``
+        # (a plain int): no per-call ctypes pointer objects.  The Python
+        # wrappers below check dtypes, contiguity and sizes instead.
+        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+        for name, argtypes in (
+            # tokens, offsets, clique_doc, n_cliques, n_topics, alpha,
+            # beta, beta_sum, topic_word, doc_topic, topic_totals, wfac,
+            # tfac, assign, uniforms, scratch
+            ("phrase_lda_sweep", [ptr, ptr, ptr, i64, i64, ptr, f64, f64,
+                                  ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
+            # tokens, offsets, clique_doc, n_cliques, n_topics, alpha,
+            # beta, beta_sum, topic_word, topic_totals, doc_topic, assign,
+            # n_sweeps, uniforms, scratch
+            ("phrase_lda_fold_in", [ptr, ptr, ptr, i64, i64, ptr, f64, f64,
+                                    ptr, ptr, ptr, ptr, i64, ptr, ptr]),
+            # tokens, offsets, n_chunks, word_id, vocab_bound, pair_keys,
+            # pair_sigs, pair_merged, n_pairs, n_phrases, threshold,
+            # max_words, out, out_size
+            ("phrase_segment", [ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, i64,
+                                i64, f64, i64, ptr, i64]),
+        ):
+            fn = getattr(lib, name)
+            fn.restype = None
+            fn.argtypes = argtypes
+        lib.phrase_segment.restype = i64
         _lib = lib
     except Exception as exc:  # missing compiler, failed build, bad .so, ...
         _load_error = f"{type(exc).__name__}: {exc}"
@@ -175,18 +164,6 @@ def load_error() -> Optional[str]:
     """Why the kernel is unavailable (``None`` when it loaded fine)."""
     load_kernel()
     return _load_error
-
-
-def _i32(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
-
-
-def _i64(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-
-
-def _f64(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
 
 
 def _kernel() -> ctypes.CDLL:
@@ -213,12 +190,11 @@ def run_sweep(tokens: np.ndarray, offsets: np.ndarray, clique_doc: np.ndarray,
     _require("tfac", tfac, np.float64, n_topics)
     _require("scratch", scratch, np.float64, 2 * n_topics)
     _kernel().phrase_lda_sweep(
-        _i32(tokens), _i64(offsets), _i32(clique_doc),
-        ctypes.c_int64(len(offsets) - 1), ctypes.c_int64(n_topics),
-        _f64(alpha), ctypes.c_double(beta), ctypes.c_double(beta_sum),
-        _i64(topic_word), _i64(doc_topic), _i64(topic_totals),
-        _f64(wfac), _f64(tfac), _i64(assign), _f64(uniforms), _f64(scratch),
-    )
+        tokens.ctypes.data, offsets.ctypes.data, clique_doc.ctypes.data,
+        len(offsets) - 1, n_topics, alpha.ctypes.data, beta, beta_sum,
+        topic_word.ctypes.data, doc_topic.ctypes.data,
+        topic_totals.ctypes.data, wfac.ctypes.data, tfac.ctypes.data,
+        assign.ctypes.data, uniforms.ctypes.data, scratch.ctypes.data)
 
 
 def _require(name: str, array: np.ndarray, dtype, size: int) -> None:
@@ -254,11 +230,77 @@ def run_fold_in(tokens: np.ndarray, offsets: np.ndarray,
     _require("assign", assign, np.int64, n_cliques)
     n_sampled = int(np.count_nonzero(np.diff(offsets)))
     _require("uniforms", uniforms, np.float64, n_sweeps * n_sampled)
+    scratch = np.empty(n_topics, dtype=np.float64)
     _kernel().phrase_lda_fold_in(
-        _i32(tokens), _i64(offsets), _i32(clique_doc),
-        ctypes.c_int64(n_cliques), ctypes.c_int64(n_topics),
-        _f64(alpha), ctypes.c_double(beta), ctypes.c_double(beta_sum),
-        _i64(topic_word), _i64(topic_totals), _i64(doc_topic),
-        _i64(assign), ctypes.c_int64(n_sweeps), _f64(uniforms),
-        _f64(np.empty(n_topics, dtype=np.float64)),
-    )
+        tokens.ctypes.data, offsets.ctypes.data, clique_doc.ctypes.data,
+        n_cliques, n_topics, alpha.ctypes.data, beta, beta_sum,
+        topic_word.ctypes.data, topic_totals.ctypes.data,
+        doc_topic.ctypes.data, assign.ctypes.data, n_sweeps,
+        uniforms.ctypes.data, scratch.ctypes.data)
+
+
+class SegmentTables:
+    """The significance tables ``phrase_segment`` reads, checked once.
+
+    Wraps the arrays :class:`~repro.core.significance.IndexedSignificanceScorer`
+    precomputes: ``word_id`` (token id -> unigram phrase id, ids ``>=
+    len(word_id) - 1`` read its last entry) and the sorted ``pair_keys``
+    (``left_id * n_phrases + right_id``) with their ``pair_sigs`` and
+    ``pair_merged`` ids.  Their addresses are taken here, once per model,
+    rather than on every :func:`run_segment` call.
+    """
+
+    def __init__(self, word_id: np.ndarray, pair_keys: np.ndarray,
+                 pair_sigs: np.ndarray, pair_merged: np.ndarray,
+                 n_phrases: int) -> None:
+        n_pairs = len(pair_keys)
+        _require("word_id", word_id, np.int64, word_id.size)
+        _require("pair_keys", pair_keys, np.int64, n_pairs)
+        _require("pair_sigs", pair_sigs, np.float64, n_pairs)
+        _require("pair_merged", pair_merged, np.int64, n_pairs)
+        self._arrays = (word_id, pair_keys, pair_sigs, pair_merged)
+        self._args = (word_id.ctypes.data, word_id.size - 1,
+                      pair_keys.ctypes.data, pair_sigs.ctypes.data,
+                      pair_merged.ctypes.data, n_pairs, n_phrases)
+
+    def __reduce__(self):
+        # A copy (pickle, deepcopy) re-takes the addresses of its own arrays.
+        return (SegmentTables, (*self._arrays, self._args[-1]))
+
+
+def run_segment(tables: SegmentTables, tokens: np.ndarray,
+                offsets: np.ndarray, longest: int, threshold: float,
+                max_words: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run Algorithm 2 over every chunk of a flat chunk buffer in C.
+
+    ``longest`` is the token count of the longest chunk: it sizes the
+    kernel's scratch, and the kernel refuses a buffer it would overrun.
+    ``max_words`` caps the words per phrase (pass a value above
+    ``longest`` for no cap).  The caller guarantees every token id is
+    non-negative.
+
+    Returns
+    -------
+    (merged, length, nxt)
+        ``int64`` arrays: one flag per chunk, and two over token positions.
+        In a chunk whose ``merged`` flag is set, the span headed at
+        position ``p`` covers ``tokens[p:p + length[p]]`` and is followed
+        by the span headed at ``nxt[p]`` (``-1`` ends the chunk); the
+        chunk's first position is always a head.  Chunks without a merge
+        are all singletons.
+    """
+    n_chunks = len(offsets) - 1
+    _require("offsets", offsets, np.int64, n_chunks + 1)
+    n_pos = int(offsets[-1])
+    _require("tokens", tokens, np.int32, n_pos)
+    # Results, then five eight-byte scratch slots per token of the longest
+    # chunk, in one buffer (see the kernel's comment).
+    out = np.empty(2 * n_pos + n_chunks + 5 * longest, dtype=np.int64)
+    needed = _kernel().phrase_segment(
+        tokens.ctypes.data, offsets.ctypes.data, n_chunks, *tables._args,
+        threshold, max_words, out.ctypes.data, out.size)
+    if needed:
+        raise ValueError(f"longest={longest} is below the longest chunk: "
+                         f"the kernel needs {needed} slots, got {out.size}")
+    return (out[2 * n_pos:2 * n_pos + n_chunks], out[:n_pos],
+            out[n_pos:2 * n_pos])

@@ -1,6 +1,6 @@
-/* Collapsed Gibbs kernels for PhraseLDA (paper Eq. 7).
+/* C kernels: collapsed Gibbs for PhraseLDA (paper Eq. 7) and Algorithm 2.
  *
- * Two entry points share one Eq. 7 loop:
+ * Three entry points; the first two share one Eq. 7 loop:
  *
  *   phrase_lda_sweep    training: one full sweep over every clique
  *                       (phrase instance) of the flattened corpus, updating
@@ -8,12 +8,16 @@
  *   phrase_lda_fold_in  inference: a chunk of whole sweeps over unseen
  *                       documents against *frozen* topic-word and topic
  *                       counts (const here), mutating only the new
- *                       documents' counts and assignments.
+ *                       documents' counts and assignments;
+ *   phrase_segment      segmentation: Algorithm 2 (bottom-up merging) over
+ *                       every chunk of a flat chunk buffer, reading the
+ *                       significance tables precomputed in Python (see the
+ *                       comment above the function).
  *
  * The floating-point operations mirror, term for term and in the same
  * order, the readable NumPy references -- ReferencePhraseLDA._sweep in
  * repro/core/phrase_lda.py for training and the reference fold-in loop in
- * repro/core/infer.py -- so each kernel produces bit-identical topic
+ * repro/core/infer.py -- so each Gibbs kernel produces bit-identical topic
  * assignments when driven with the same pre-drawn uniforms.
  *
  * LDA is the all-singleton special case: with every clique of size one the
@@ -25,7 +29,7 @@
  * Compiled on demand by repro.topicmodel.ckernel via the system C compiler;
  * no Python.h dependency, plain C99 + ctypes.
  *
- * Preconditions (enforced by the Python callers):
+ * Gibbs preconditions (enforced by the Python callers):
  *   - alpha[k] > 0 for all k and beta > 0.  Training relies on it: every
  *     clique posterior then has strictly positive mass, so the sweep skips
  *     the reference's degenerate uniform fallback.  Fold-in keeps the
@@ -71,6 +75,7 @@
  * data-dependent branch.
  */
 
+#include <math.h>
 #include <stdint.h>
 
 void phrase_lda_sweep(const int32_t *tokens,      /* flat token ids            */
@@ -233,4 +238,169 @@ void phrase_lda_fold_in(const int32_t *tokens,      /* flat token ids           
             dc[k_new] += size;
         }
     }
+}
+
+/* Significance and merged id of the pair (left, right) of phrase ids: a
+ * lower-bound binary search of left * n_phrases + right in the sorted
+ * pair keys.  A rare constituent (id -1) or a key absent from the table
+ * is an impossible merge: -inf, merged id -1. */
+static double pair_lookup(int64_t left, int64_t right,
+                          const int64_t *pair_keys, const double *pair_sigs,
+                          const int64_t *pair_merged, int64_t n_pairs,
+                          int64_t n_phrases, int64_t *merged)
+{
+    *merged = -1;
+    if (left < 0 || right < 0)
+        return -INFINITY;
+    const int64_t key = left * n_phrases + right;
+    int64_t lo = 0, hi = n_pairs;
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (pair_keys[mid] < key)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    if (lo == n_pairs || pair_keys[lo] != key)
+        return -INFINITY;
+    *merged = pair_merged[lo];
+    return pair_sigs[lo];
+}
+
+/* Algorithm 2 (bottom-up agglomerative merging), one chunk at a time.
+ *
+ * The readable reference is PhraseConstructor.construct in
+ * repro/core/phrase_construction.py: a heap of adjacent pairs keyed by
+ * significance, ties broken on the push sequence number.  Here each chunk
+ * keeps the pair starting at every live span head in flat arrays and pops
+ * by a linear scan for the highest significance, lowest sequence number --
+ * the same order, since every decision compares the same stored doubles
+ * (the pair table IndexedSignificanceScorer builds with the reference's
+ * expression).  Sequence numbers follow the reference's pushes: seeds take
+ * their position, each merge re-scores the left-neighbour pair and then its
+ * own pair, and a merge the max_words cap blocks drops its pair for good
+ * without consuming one.  A pair below the threshold is stored dead: the
+ * reference would pop it only as its terminating pop.  Chunks are short
+ * (punctuation-delimited), so the O(n) scan per merge is cheap.
+ *
+ * Preconditions (enforced by repro.core.segmentation): every token id is
+ * >= 0; ids >= vocab_bound read word_id[vocab_bound] (-1, a rare word).
+ * out needs 2 * n_pos + n_chunks int64 results plus 5 eight-byte scratch
+ * slots (4 int64, 1 double) per token of the longest chunk; the kernel
+ * checks that against out_size before it writes anything.
+ */
+int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0      */
+                       const int64_t *offsets,      /* n_chunks+1 token offsets  */
+                       int64_t n_chunks,
+                       const int64_t *word_id,      /* vocab_bound+1 unigram ids */
+                       int64_t vocab_bound,
+                       const int64_t *pair_keys,    /* sorted merge keys         */
+                       const double *pair_sigs,     /* significance per key      */
+                       const int64_t *pair_merged,  /* merged phrase id per key  */
+                       int64_t n_pairs,
+                       int64_t n_phrases,
+                       double threshold,
+                       int64_t max_words,           /* phrase cap (no cap: huge) */
+                       int64_t *out,                /* results, then scratch     */
+                       int64_t out_size)            /* int64 slots in out        */
+{
+    /* out holds, in order: length and nxt per token position (the span
+     * length at each head, and the next head or -1 at the chunk's end),
+     * one merged flag per chunk, then the per-chunk scratch.  Returns 0,
+     * or the slot count out needs when out_size is smaller (nothing is
+     * written then). */
+    const int64_t n_pos = offsets[n_chunks];
+    int64_t longest = 0;
+    for (int64_t c = 0; c < n_chunks; c++)
+        if (offsets[c + 1] - offsets[c] > longest)
+            longest = offsets[c + 1] - offsets[c];
+    const int64_t needed = 2 * n_pos + n_chunks + 5 * longest;
+    if (needed > out_size)
+        return needed;
+    int64_t *length = out, *nxt = out + n_pos, *merged_chunk = nxt + n_pos;
+    int64_t *scratch = merged_chunk + n_chunks;
+
+    for (int64_t c = 0; c < n_chunks; c++) {
+        const int64_t s = offsets[c];
+        const int64_t n = offsets[c + 1] - s;
+        /* Local (0-based) linked list over the chunk; length and nxt are
+         * written at global positions for the caller's emission loop. */
+        int64_t *pid = scratch, *prv = pid + n, *seq = prv + n,
+                *pmerged = seq + n;
+        double *sig = (double *)(pmerged + n);
+        for (int64_t i = 0; i < n; i++) {
+            length[s + i] = 1;
+            nxt[s + i] = i + 1 < n ? s + i + 1 : -1;
+        }
+        merged_chunk[c] = 0;
+        /* A cap below two words blocks every merge outright. */
+        if (n < 2 || max_words < 2)
+            continue;
+
+        /* Seed pass: one pair per adjacent token, seq = position.  A pair
+         * below the threshold never pops (the chunk terminates first), so
+         * it is stored as dead: seq = -1. */
+        for (int64_t i = 0; i < n; i++) {
+            const int64_t w = tokens[s + i];
+            pid[i] = word_id[w < vocab_bound ? w : vocab_bound];
+            prv[i] = i - 1;
+        }
+        for (int64_t i = 0; i + 1 < n; i++) {
+            sig[i] = pair_lookup(pid[i], pid[i + 1], pair_keys, pair_sigs,
+                                 pair_merged, n_pairs, n_phrases, &pmerged[i]);
+            seq[i] = sig[i] >= threshold ? i : -1;
+        }
+        seq[n - 1] = -1;
+        int64_t next_seq = n - 1;
+
+        for (;;) {
+            /* Pop the live pair of highest significance, lowest seq. */
+            int64_t best = -1;
+            for (int64_t i = 0; i >= 0; i = nxt[s + i] >= 0 ? nxt[s + i] - s : -1) {
+                if (seq[i] < 0)
+                    continue;
+                if (best < 0 || sig[i] > sig[best]
+                        || (sig[i] == sig[best] && seq[i] < seq[best]))
+                    best = i;
+            }
+            if (best < 0)
+                break;
+            const int64_t right = nxt[s + best] - s;
+            const int64_t merged_length = length[s + best] + length[s + right];
+            if (merged_length > max_words) {
+                /* Cap-blocked: dropped for good, no seq consumed. */
+                seq[best] = -1;
+                continue;
+            }
+
+            pid[best] = pmerged[best];
+            length[s + best] = merged_length;
+            const int64_t follower = nxt[s + right] >= 0 ? nxt[s + right] - s : -1;
+            nxt[s + best] = nxt[s + right];
+            if (follower >= 0)
+                prv[follower] = best;
+            seq[right] = -1;
+            seq[best] = -1;
+            merged_chunk[c] = 1;
+
+            /* Re-score the neighbour pairs in the reference's push order:
+             * left neighbour first, own pair second. */
+            const int64_t left = prv[best];
+            if (left >= 0) {
+                sig[left] = pair_lookup(pid[left], pid[best], pair_keys,
+                                        pair_sigs, pair_merged, n_pairs,
+                                        n_phrases, &pmerged[left]);
+                seq[left] = sig[left] >= threshold ? next_seq : -1;
+                next_seq++;
+            }
+            if (follower >= 0) {
+                sig[best] = pair_lookup(pid[best], pid[follower], pair_keys,
+                                        pair_sigs, pair_merged, n_pairs,
+                                        n_phrases, &pmerged[best]);
+                seq[best] = sig[best] >= threshold ? next_seq : -1;
+                next_seq++;
+            }
+        }
+    }
+    return 0;
 }

@@ -74,3 +74,24 @@ def test_c_sweep_matches_reference_and_keeps_factors_exact(monkeypatch):
         (sampler.beta + sampler.topic_word).tobytes()
     assert sampler.tfac.tobytes() == \
         (sampler.beta * VOCABULARY_SIZE + sampler.topic_totals).tobytes()
+
+
+def test_segment_kernel_refuses_an_undersized_buffer():
+    """``run_segment`` sizes the kernel's scratch from the caller's
+    ``longest``; the kernel measures the chunks itself and writes nothing
+    into a buffer it would overrun."""
+    from repro.text.flat import FlatChunks
+
+    tables = ckernel.SegmentTables(
+        word_id=np.array([0, 1, -1], dtype=np.int64),
+        pair_keys=np.array([0 * 3 + 1], dtype=np.int64),
+        pair_sigs=np.array([7.0]), pair_merged=np.array([2], dtype=np.int64),
+        n_phrases=3)
+    flat = FlatChunks.from_documents([[[0, 1, 0, 1, 5]], [[1]]])
+    merged, length, nxt = ckernel.run_segment(
+        tables, flat.tokens, flat.offsets, flat.longest_chunk, 5.0, 9)
+    assert merged.tolist() == [1, 0]
+    assert length[[0, 2, 4]].tolist() == [2, 2, 1]  # (0 1) (0 1) (5)
+    assert nxt[[0, 2, 4]].tolist() == [2, 4, -1]
+    with pytest.raises(ValueError, match="longest"):
+        ckernel.run_segment(tables, flat.tokens, flat.offsets, 2, 5.0, 9)

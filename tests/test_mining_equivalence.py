@@ -1,10 +1,11 @@
 """Engine equivalence for the phrase-mining front end.
 
-The vectorized (``"numpy"``) mining and segmentation engines must reproduce
-the readable reference implementations **bit for bit**: identical frequent
-phrases and counts, identical token totals and iteration counts, identical
-document partitions — across datasets, supports, thresholds, length caps,
-and adversarial random corpora.  These are the Algorithm 1/Algorithm 2
+The vectorized (``"numpy"``) mining and segmentation engines and the
+compiled (``"c"``) segmentation engine must reproduce the readable
+reference implementations **bit for bit**: identical frequent phrases and
+counts, identical token totals and iteration counts, identical document
+partitions — across datasets, supports, thresholds, length caps, and
+adversarial random corpora.  These are the Algorithm 1/Algorithm 2
 counterparts of ``tests/test_phrase_lda_equivalence.py``.
 """
 
@@ -20,6 +21,7 @@ from repro.core.frequent_phrases import (
     mining_token_count,
     resolve_mining_engine,
 )
+from repro.core.infer import TopicInferencer
 from repro.core.phrase_construction import (
     PhraseConstructionConfig,
     PhraseConstructor,
@@ -33,7 +35,11 @@ from repro.core.topmine import ToPMine, ToPMineConfig
 from repro.datasets.registry import load_dataset
 from repro.text.corpus import Corpus
 from repro.text.flat import FlatChunks
+from repro.topicmodel import ckernel
 from repro.utils.counter import HashCounter
+
+#: The batched segmentation engines; ``"c"`` only where the kernel builds.
+BATCHED_ENGINES = ("numpy", "c") if ckernel.kernel_available() else ("numpy",)
 
 
 def prepared_corpus(dataset="dblp-titles", n_documents=250, seed=7):
@@ -80,16 +86,27 @@ def test_resolve_mining_engine():
     assert set(MINING_ENGINES) == {"auto", "numpy", "reference"}
 
 
-def test_resolve_segmentation_engine():
-    assert resolve_segmentation_engine("auto", 5.0) == "numpy"
+def test_resolve_segmentation_engine(monkeypatch):
+    # auto picks the compiled kernel when it loads, numpy without it (as
+    # under REPRO_DISABLE_C_KERNEL).
+    expected = "c" if ckernel.kernel_available() else "numpy"
+    assert resolve_segmentation_engine("auto", 5.0) == expected
     assert resolve_segmentation_engine("reference", 5.0) == "reference"
+    assert resolve_segmentation_engine("numpy", 5.0) == "numpy"
     # A -inf threshold lets the reference merge zero-frequency pairs, which
-    # the indexed scorer cannot express: auto degrades, explicit numpy fails.
+    # the indexed scorer cannot express: auto degrades, explicit c and
+    # numpy fail.
     assert resolve_segmentation_engine("auto", float("-inf")) == "reference"
-    with pytest.raises(ValueError, match="finite"):
-        resolve_segmentation_engine("numpy", float("-inf"))
+    for engine in ("c", "numpy"):
+        with pytest.raises(ValueError, match="finite"):
+            resolve_segmentation_engine(engine, float("-inf"))
     with pytest.raises(ValueError, match="unknown"):
         resolve_segmentation_engine("fortran", 5.0)
+
+    monkeypatch.setattr(ckernel, "kernel_available", lambda: False)
+    assert resolve_segmentation_engine("auto", 5.0) == "numpy"
+    with pytest.raises(RuntimeError, match="unavailable"):
+        resolve_segmentation_engine("c", 5.0)
 
 
 # -- flat-buffer encoding -------------------------------------------------------------
@@ -176,9 +193,12 @@ def test_segmentation_engines_match_on_datasets(dataset):
     mining = mine(corpus, "numpy")
     for threshold in (-2.0, 0.0, 2.0, 5.0):
         for cap in (None, 1, 2, 3):
-            assert_partitions_equal(
-                segment_with(corpus, mining, "reference", threshold, cap),
-                segment_with(corpus, mining, "numpy", threshold, cap))
+            reference = segment_with(corpus, mining, "reference", threshold,
+                                     cap)
+            for engine in BATCHED_ENGINES:
+                assert_partitions_equal(
+                    reference,
+                    segment_with(corpus, mining, engine, threshold, cap))
 
 
 def test_segmentation_engines_match_on_random_corpora():
@@ -190,19 +210,48 @@ def test_segmentation_engines_match_on_random_corpora():
             continue
         threshold = rng.choice([-1.0, 0.0, 1.0, 5.0])
         cap = rng.choice([None, 1, 2, 3])
-        assert_partitions_equal(
-            segment_with(corpus, mining, "reference", threshold, cap),
-            segment_with(corpus, mining, "numpy", threshold, cap))
+        reference = segment_with(corpus, mining, "reference", threshold, cap)
+        for engine in BATCHED_ENGINES:
+            assert_partitions_equal(
+                reference, segment_with(corpus, mining, engine, threshold, cap))
 
 
 def test_segment_document_matches_batched_segment():
     corpus = prepared_corpus(n_documents=150)
     mining = mine(corpus, "numpy")
-    segmenter = CorpusSegmenter(mining, PhraseConstructionConfig(engine="numpy"))
-    batched = segmenter.segment(corpus)
-    for doc in corpus:
-        assert (segmenter.segment_document(doc.chunks, doc_id=doc.doc_id).phrases
-                == batched[doc.doc_id].phrases)
+    for engine in BATCHED_ENGINES:
+        segmenter = CorpusSegmenter(mining,
+                                    PhraseConstructionConfig(engine=engine))
+        batched = segmenter.segment(corpus)
+        for doc in corpus:
+            assert (segmenter.segment_document(doc.chunks,
+                                               doc_id=doc.doc_id).phrases
+                    == batched[doc.doc_id].phrases)
+
+
+def test_serving_sized_batches_match_reference():
+    """Many 1-4-document batches through ``TopicInferencer.segment_texts``
+    (the serving layer's shape) partition identically on every engine."""
+    generated = load_dataset("dblp-titles", n_documents=600, seed=5)
+    pipeline = ToPMine(ToPMineConfig())
+    corpus = pipeline.preprocess(generated.texts[:450])
+    mining = mine(corpus, "numpy")
+    inferencers = {
+        engine: TopicInferencer(None, CorpusSegmenter(
+            mining, PhraseConstructionConfig(engine=engine)),
+            corpus.vocabulary, pipeline.config.preprocess)
+        for engine in ("reference",) + BATCHED_ENGINES}
+    held_out = generated.texts[450:]
+    rng = random.Random(13)
+    start, n_multiword = 0, 0
+    while start < len(held_out):
+        batch = held_out[start:start + rng.randint(1, 4)]
+        start += len(batch)
+        reference = inferencers["reference"].segment_texts(batch)
+        n_multiword += sum(len(p) > 1 for doc in reference[0] for p in doc)
+        for engine in BATCHED_ENGINES:
+            assert inferencers[engine].segment_texts(batch) == reference
+    assert n_multiword > 10  # the batches actually exercised merging
 
 
 def test_indexed_scorer_matches_reference_scores_bitwise():
@@ -282,7 +331,7 @@ def test_capped_construction_pins_expected_partition():
 
 
 def test_capped_construction_matches_brute_force_oracle():
-    """Both constructors match the oracle across random capped runs."""
+    """Every constructor matches the oracle across random capped runs."""
     rng = random.Random(11)
     for _ in range(200):
         corpus = random_corpus(rng, max_vocab=4)
@@ -297,10 +346,11 @@ def test_capped_construction_matches_brute_force_oracle():
         chunk = [rng.randrange(4) for _ in range(rng.randint(2, 7))]
         expected = brute_force_construct(chunk, scorer, threshold, cap)
         assert PhraseConstructor(scorer, config).construct(chunk).phrases == expected
-        fast = CorpusSegmenter(mining, PhraseConstructionConfig(
-            significance_threshold=threshold, max_phrase_words=cap,
-            engine="numpy")).segment_document([chunk])
-        assert fast.phrases == expected
+        for engine in BATCHED_ENGINES:
+            fast = CorpusSegmenter(mining, PhraseConstructionConfig(
+                significance_threshold=threshold, max_phrase_words=cap,
+                engine=engine)).segment_document([chunk])
+            assert fast.phrases == expected
 
 
 # -- satellite: support scaling uses the mining-visible token count -------------------
@@ -346,3 +396,30 @@ def test_non_finite_threshold_falls_back_to_reference_engine():
     assert segmenter.engine == "reference"
     segmented = segmenter.segment(corpus)
     assert segmented.num_tokens == mining_token_count(corpus)
+
+
+# -- token-id range guard -------------------------------------------------------------
+def test_out_of_range_token_ids_raise_on_every_engine():
+    """A negative id once wrapped around the numpy engine's ``word_id``
+    table (merging where the reference did not), and an id >= 2**31
+    overflowed the flat ``int32`` buffer; every engine now rejects both."""
+    corpus = prepared_corpus(n_documents=200)
+    mining = mine(corpus, "numpy")
+    scorer = IndexedSignificanceScorer.from_mining_result(mining)
+    # The most significant frequent bigram, merged at threshold 0.
+    (a, b), significance = max(
+        ((scorer.phrases[left] + scorer.phrases[right], sig)
+         for (left, right), (sig, _) in scorer.pair_table.items()
+         if len(scorer.phrases[left]) == len(scorer.phrases[right]) == 1),
+        key=lambda item: item[1])
+    assert significance > 0
+    wrapped = a - (scorer.vocab_bound + 1)
+    for engine in ("reference",) + BATCHED_ENGINES:
+        segmenter = CorpusSegmenter(mining, PhraseConstructionConfig(
+            significance_threshold=0.0, engine=engine))
+        assert segmenter.segment_document([[a, b]]).phrases == [(a, b)]
+        for chunk in ([wrapped, b], [a, 2**31]):
+            with pytest.raises(ValueError, match=r"\[0, 2147483647\]"):
+                segmenter.segment_document([chunk])
+            with pytest.raises(ValueError, match="token ids"):
+                segmenter.segment_documents([[[a, b]], [chunk]])
