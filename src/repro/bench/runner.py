@@ -595,8 +595,8 @@ def bench_serving(config: BenchConfig) -> Dict[str, Any]:
         server.start_background()
         try:
             client = ServeClient(server.url)
-            # Warmup: loads the bundle and primes the batcher thread so the
-            # measured window reflects steady-state serving.
+            # Warmup: loads the bundle and runs one batch so the measured
+            # window reflects steady-state serving.
             client.infer([unseen[0]], seed=0,
                          iterations=config.serving_iterations)
 

@@ -44,6 +44,7 @@ import re
 import struct
 import threading
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,6 +86,23 @@ def histogram_kind(name: str) -> int:
 def bucket_bounds(kind: int) -> Tuple[float, ...]:
     """Return the fixed upper bucket bounds for histogram ``kind``."""
     return _BUCKETS_BY_KIND[kind]
+
+
+def bucket_index(bounds: Sequence[float], value: float) -> int:
+    """Return the bucket ``value`` falls in: the first bound >= ``value``.
+
+    ``len(bounds)`` is the overflow bucket.  Matches
+    ``np.searchsorted(bounds, value, side="left")``, NaN included (NaN
+    compares false with every bound, so it is sent to overflow explicitly).
+
+    Example
+    -------
+    >>> bucket_index((1.0, 2.0), 1.5), bucket_index((1.0, 2.0), float("nan"))
+    (1, 2)
+    """
+    if value != value:
+        return len(bounds)
+    return bisect_left(bounds, value)
 
 
 def bucket_quantile(bounds: Sequence[float], counts: Sequence[float],
@@ -293,8 +311,7 @@ class ShardWriter:
         n_slots = len(bounds) + 3  # buckets + overflow + sum + count
         offset, _ = self._entry(name, kind, n_slots)
         base = offset // 8
-        bucket = int(np.searchsorted(bounds, value, side="left"))
-        self._array[base + bucket] += 1.0
+        self._array[base + bucket_index(bounds, value)] += 1.0
         self._array[base + n_slots - 2] += value
         self._array[base + n_slots - 1] += 1.0
 

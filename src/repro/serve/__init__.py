@@ -13,8 +13,9 @@ them to many concurrent clients (the apply-many half at traffic):
   :class:`LoadedModel` state, with hot-reload on file change and an LRU
   capacity cap;
 * :mod:`repro.serve.batching` — a :class:`MicroBatcher` that coalesces
-  concurrent inference requests into one grouped fold-in call
-  (per-request results stay bit-identical to solo runs under fixed
+  concurrent inference requests into one grouped fold-in call, run by
+  the submitting thread that leads the batch (no scheduler thread;
+  per-request results stay bit-identical to solo runs under fixed
   per-request seeds);
 * :mod:`repro.serve.http` — a dependency-free JSON-over-HTTP server
   (stdlib ``ThreadingHTTPServer``) exposing ``/healthz``, ``/metrics``,

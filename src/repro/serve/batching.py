@@ -8,28 +8,36 @@ the batch, so its topic mixtures are bit-identical to a solo
 :class:`~repro.core.infer.TopicInferencer` run with that seed — the
 property the serving test suite pins.
 
-The scheduler is a single daemon worker thread over a condition-guarded
-queue.  A batch closes when ``max_batch_size`` requests are pending or
-``max_delay`` seconds have passed since the worker picked up its first
-request.  The default delay is 0 (continuous batching): an idle worker
-dispatches a request at once, and requests that arrive while a batch
-executes queue up and form the next batch together.  A positive delay is
-an opt-in accumulation window.  Each batch is partitioned by
-``(model, n_iterations)`` — only requests that agree on those can share one
-fold-in configuration — and each partition runs as one grouped call.
+There is no scheduler thread.  The submitting (HTTP handler) threads share
+one condition-guarded queue, and a submitter that finds no batch executing
+becomes the **leader**: it takes up to ``max_batch_size`` queued requests
+and runs the batch itself, so an idle server answers a request without a
+thread hop.  Requests that arrive meanwhile queue up and wait; when the
+batch ends the leader gives up the lead and wakes the owners of the
+finished requests plus the owner of the oldest queued one, which leads the
+next batch.  At most one batch executes at a time, as with a single
+worker.  The default delay is 0 (continuous batching): an idle batcher
+dispatches a request at once, and requests that queue behind a running
+batch form the next batch together.  A positive ``max_delay`` is an opt-in
+accumulation window: the leader holds the batch open that long after it
+takes the lead, closing early at ``max_batch_size`` pending requests.
+Each batch is partitioned by ``(model, n_iterations)`` — only requests
+that agree on those can share one fold-in configuration — and each
+partition runs as one grouped call.
 
 Segmentation piggybacks on the same coalescing: ``infer_texts_grouped``
-segments every request of a partition in **one** vectorized pass of the
-frozen phrase table (the batched numpy engine in
-:mod:`repro.core.fast_construction`) before the per-request fold-ins, so
-the pre-processing half of the serving hot path is batched too.
+segments every request of a partition in **one** pass of the frozen
+phrase table (Algorithm 2 in the compiled kernel's ``phrase_segment``
+entry point, see :mod:`repro.core.fast_construction`) before the
+per-request fold-ins, so the pre-processing half of the serving hot path
+is batched too.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,17 +49,25 @@ from repro.serve.registry import ModelRegistry
 from repro.utils.timing import Stopwatch
 
 
-@dataclass
+@dataclass(eq=False)
 class _Pending:
-    """One queued inference request awaiting its batch."""
+    """One inference request, from submit until its batch delivers."""
 
     model: str
     texts: Sequence[str]
     seed: int
     n_iterations: int
-    future: "Future[InferenceResult]" = field(default_factory=Future)
     trace: Optional[RequestTrace] = None
     enqueued_at: float = field(default_factory=time.perf_counter)
+    #: Taken off the queue into a batch.
+    taken: bool = False
+    #: ``result`` or ``error`` is delivered.
+    done: bool = False
+    result: Optional[InferenceResult] = None
+    error: Optional[BaseException] = None
+    #: Notified (under the batcher's lock) when the request is done or may
+    #: lead; created only once its owner has to wait.
+    wake: Optional[threading.Condition] = None
 
 
 class MicroBatcher:
@@ -65,9 +81,10 @@ class MicroBatcher:
     max_batch_size:
         Close a batch as soon as this many requests are pending.
     max_delay:
-        Seconds to keep a batch open after its first request, waiting for
-        company.  ``0`` (the :class:`~repro.serve.config.ServeConfig`
-        default) dispatches at once when idle.
+        Seconds the leader keeps a batch open after taking the lead,
+        waiting for company.  ``0`` (the
+        :class:`~repro.serve.config.ServeConfig` default) dispatches at
+        once when idle.
     metrics:
         Optional shared metric shard; the batcher records
         ``infer_requests_total``, ``infer_documents_total``,
@@ -88,9 +105,12 @@ class MicroBatcher:
         self.max_delay = max_delay
         self.metrics = metrics or ShardWriter()
         self._queue: List[_Pending] = []
-        self._condition = threading.Condition()
-        self._stopped = False
-        self._worker: Optional[threading.Thread] = None
+        self._lock = threading.Lock()
+        # Waited on by a leader holding its delay window open and by
+        # stop() waiting for the running batch to end.
+        self._changed = threading.Condition(self._lock)
+        self._running = False
+        self._busy = False  # a leader holds the lead
 
     @classmethod
     def from_config(cls, registry: ModelRegistry, config: "ServeConfig",
@@ -106,28 +126,28 @@ class MicroBatcher:
 
     # -- lifecycle ---------------------------------------------------------------------
     def start(self) -> None:
-        """Start the worker thread (idempotent)."""
-        with self._condition:
-            if self._worker is not None and self._worker.is_alive():
-                return
-            self._stopped = False
-            self._worker = threading.Thread(target=self._run,
-                                            name="repro-serve-batcher",
-                                            daemon=True)
-            self._worker.start()
+        """Accept submissions (idempotent)."""
+        with self._lock:
+            self._running = True
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Stop the worker; pending requests fail with ``RuntimeError``."""
-        with self._condition:
-            self._stopped = True
+        """Stop accepting; queued requests fail with ``RuntimeError``.
+
+        A batch already executing runs to completion: ``stop`` waits up to
+        ``timeout`` seconds for it to end.
+        """
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            self._running = False
             pending, self._queue = self._queue, []
-            self._condition.notify_all()
-        for request in pending:
-            request.future.set_exception(
-                RuntimeError("inference scheduler stopped"))
-        worker = self._worker
-        if worker is not None and worker.is_alive():
-            worker.join(timeout)
+            for request in pending:
+                self._fail(request, RuntimeError("inference scheduler stopped"))
+            self._changed.notify_all()
+            while self._busy:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._changed.wait(remaining)
 
     # -- submission --------------------------------------------------------------------
     def submit(self, model: str, texts: Sequence[str], seed: int,
@@ -138,7 +158,10 @@ class MicroBatcher:
 
         Returns the request's own :class:`~repro.core.infer.InferenceResult`
         — bit-identical to a solo ``infer_texts`` run with ``seed`` —
-        regardless of which other requests shared the batch.
+        regardless of which other requests shared the batch.  The calling
+        thread may execute the batch itself (see the module docstring);
+        ``timeout`` bounds only the wait for a batch another thread runs,
+        and raises :class:`concurrent.futures.TimeoutError` when it ends.
 
         When a :class:`~repro.obs.tracing.RequestTrace` is passed, the
         batch records its span timings (queue wait, batch assembly, model
@@ -151,41 +174,87 @@ class MicroBatcher:
         """
         request = _Pending(model=model, texts=list(texts), seed=seed,
                            n_iterations=n_iterations, trace=trace)
-        with self._condition:
-            if self._stopped or self._worker is None:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._lock:
+            if not self._running:
                 raise RuntimeError("inference scheduler is not running")
             self._queue.append(request)
-            self._condition.notify_all()
-        self.metrics.inc_counter("infer_requests_total")
-        return request.future.result(timeout=timeout)
+            self.metrics.inc_counter("infer_requests_total")
+            if self._busy and self.max_delay > 0:
+                self._changed.notify_all()  # a leader may be holding a window
+            batch = self._await_turn(request, deadline)
+        while batch is not None:
+            try:
+                if batch:
+                    self._execute(batch)
+            finally:
+                with self._lock:
+                    self._release(batch)
+            if request.done:
+                break
+            with self._lock:
+                batch = self._await_turn(request, deadline)
+        if request.error is not None:
+            raise request.error
+        return request.result
 
-    # -- worker ------------------------------------------------------------------------
-    def _collect_batch(self) -> List[_Pending]:
-        """Block until a batch is ready; empty means the batcher stopped."""
-        with self._condition:
-            while not self._queue and not self._stopped:
-                self._condition.wait()
-            if self._stopped:
-                return []
+    # -- leadership (all called with the lock held) -----------------------------------
+    def _await_turn(self, request: _Pending,
+                    deadline: Optional[float]) -> Optional[List[_Pending]]:
+        """Wait until ``request`` is done (``None``) or may lead (its batch)."""
+        while not request.done:
+            if not self._busy and not request.taken:
+                self._busy = True
+                return self._take_batch()
+            if request.wake is None:
+                request.wake = threading.Condition(self._lock)
+            if deadline is None:
+                request.wake.wait()
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                if not request.taken:
+                    self._queue.remove(request)
+                raise FuturesTimeoutError()
+            request.wake.wait(remaining)
+        return None
+
+    def _take_batch(self) -> List[_Pending]:
+        """Close the next batch: hold the delay window, then take the head."""
+        if self.max_delay > 0:
             deadline = time.monotonic() + self.max_delay
-            while (len(self._queue) < self.max_batch_size
-                   and not self._stopped):
+            while len(self._queue) < self.max_batch_size and self._running:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                self._condition.wait(timeout=remaining)
-            batch = self._queue[:self.max_batch_size]
-            del self._queue[:self.max_batch_size]
-            return batch
+                self._changed.wait(remaining)
+        batch = self._queue[:self.max_batch_size]
+        del self._queue[:self.max_batch_size]
+        for request in batch:
+            request.taken = True
+        return batch
 
-    def _run(self) -> None:
-        """Worker loop: collect → partition → execute until stopped."""
-        while True:
-            batch = self._collect_batch()
-            if not batch:
-                return
-            self._execute(batch)
+    def _release(self, batch: List[_Pending]) -> None:
+        """Give up the lead; wake the batch's owners and the next leader."""
+        self._busy = False
+        for request in batch:
+            if not request.done:  # _execute itself raised
+                self._fail(request,
+                           RuntimeError("inference batch was interrupted"))
+            elif request.wake is not None:
+                request.wake.notify()
+        if self._queue and self._queue[0].wake is not None:
+            self._queue[0].wake.notify()
+        self._changed.notify_all()
 
+    @staticmethod
+    def _fail(request: _Pending, error: BaseException) -> None:
+        request.error = error
+        request.done = True
+        if request.wake is not None:
+            request.wake.notify()
+
+    # -- batch execution ---------------------------------------------------------------
     def _record_span(self, requests: List[_Pending], span: str,
                      seconds: float) -> None:
         """Observe one span histogram and mirror it into request traces."""
@@ -195,7 +264,11 @@ class MicroBatcher:
                 request.trace.record(span, seconds)
 
     def _execute(self, batch: List[_Pending]) -> None:
-        """Run one collected batch, partitioned by (model, iterations)."""
+        """Run one collected batch, partitioned by (model, iterations).
+
+        Runs without the lock: it fills each request's ``result`` or
+        ``error``, and :meth:`_release` wakes the owners afterwards.
+        """
         execution_start = time.perf_counter()
         for request in batch:
             wait = execution_start - request.enqueued_at
@@ -231,14 +304,14 @@ class MicroBatcher:
                     for span in ("segmentation", "fold_in"):
                         self._record_span(requests, span,
                                           watch.timings.get(span, 0.0))
-            except Exception as exc:  # delivered per request, worker survives
+            except Exception as exc:  # delivered per request
                 for request in requests:
-                    if not request.future.cancelled():
-                        request.future.set_exception(exc)
+                    request.error = exc
+                    request.done = True
                 continue
             self.metrics.inc_counter(
                 "infer_documents_total",
                 sum(len(request.texts) for request in requests))
             for request, result in zip(requests, results):
-                if not request.future.cancelled():
-                    request.future.set_result(result)
+                request.result = result
+                request.done = True

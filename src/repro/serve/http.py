@@ -24,6 +24,14 @@ are JSON, validated and serialized through the typed schemas of
 :mod:`repro.serve.api`; errors come back as ``{"error": ...}`` with a
 4xx/5xx status.  See ``docs/serving.md`` for the full schemas.
 
+The handler reads requests itself: a small request-line and header reader
+replaces ``http.server``'s ``email.parser`` pass while keeping its limits
+and statuses, and it owns body framing — a conflicting or non-decimal
+``Content-Length`` is a 400, any ``Transfer-Encoding`` a 501, and a reply
+sent with the declared body unread closes the connection, so body bytes
+never run as the next request.  Each reply goes out in one socket write,
+and ``http_<route>_seconds`` times a request from its request line.
+
 A server is configured by one frozen
 :class:`~repro.serve.config.ServeConfig`.  As a
 fleet member (:mod:`repro.serve.fleet`), each worker process constructs
@@ -41,6 +49,7 @@ import re
 import socket
 import threading
 import time
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -79,6 +88,19 @@ _SHARD_NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 #: The collapsed route prefix for ranged shard fetches.
 _LOG_SHARD_PREFIX = "/v1/log/shard/"
+
+#: ``http.server``'s limits, kept by the request reader: bytes in one
+#: header line, and header lines per request counting the blank line that
+#: ends the block (so 99 headers pass).
+_MAX_LINE = 65536
+_MAX_HEADER_LINES = 100
+
+
+class _Headers(dict):
+    """Request headers by lower-cased name; the first of repeated names wins."""
+
+    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
+        return dict.get(self, name.lower(), default)
 
 
 class RequestError(Exception):
@@ -274,33 +296,162 @@ class _Handler(BaseHTTPRequestHandler):
     trace: Optional[RequestTrace] = None
     #: Shard name extracted from a ``/v1/log/shard/<name>`` path.
     log_shard_name: Optional[str] = None
+    #: ``perf_counter()`` when the request line was read.
+    request_started = 0.0
+    #: Declared body bytes not yet read off the connection.
+    unread_body = 0
+    #: A Content-Length/Transfer-Encoding problem, answered by ``_dispatch``.
+    framing_error: Optional[RequestError] = None
+
+    # -- request reader ----------------------------------------------------------------
+    def parse_request(self) -> bool:
+        """Read the request line and header block (replaces http.server's).
+
+        Keeps ``BaseHTTPRequestHandler.parse_request``'s request-line
+        rules, limits and statuses (400, 431, 505, HTTP/1.0 and
+        ``Connection`` semantics, ``100 Continue``) but fills a plain
+        :class:`_Headers` dict instead of running ``email.parser``, and
+        owns the body framing: only a single decimal ``Content-Length``
+        frames a body.  Returns ``False`` once an error reply is sent.
+        """
+        self.request_started = time.perf_counter()
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.unread_body = 0
+        self.framing_error = None
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                major, minor = version[5:].split(".")
+                if not (major.isdigit() and minor.isdigit()) \
+                        or len(major) > 10 or len(minor) > 10:
+                    raise ValueError
+                number = int(major), int(minor)
+            except ValueError:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad request version ({version!r})")
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        # A leading '//' would read as a scheme-less absolute URI.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        headers = _Headers()
+        lengths: List[str] = []
+        for count in range(1, _MAX_HEADER_LINES + 2):
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                                "Line too long",
+                                f"header line over {_MAX_LINE} bytes")
+                return False
+            if count > _MAX_HEADER_LINES:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                                "Too many headers",
+                                f"got more than {_MAX_HEADER_LINES} headers")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon or name.split() != [name]:
+                # Empty or spaced names, obsolete line folding (a leading
+                # space or tab) and lines without a colon.
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
+                return False
+            name, value = name.lower(), value.strip(" \t\r\n")
+            if name == "content-length":
+                lengths.append(value)
+            headers.setdefault(name, value)
+        self.headers = headers  # type: ignore[assignment]
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if "transfer-encoding" in headers:
+            self.framing_error = RequestError(
+                501, "Transfer-Encoding is not supported; send Content-Length")
+        elif len(set(lengths)) > 1:
+            self.framing_error = RequestError(
+                400, "conflicting Content-Length headers")
+        elif lengths and not (lengths[0].isascii() and lengths[0].isdigit()):
+            self.framing_error = RequestError(
+                400, f"invalid Content-Length header {lengths[0]!r}")
+        elif lengths:
+            self.unread_body = int(lengths[0])
+        if self.framing_error is not None:
+            # The body's extent is unknown: never read past this request.
+            self.close_connection = True
+        elif (headers.get("expect", "").lower() == "100-continue"
+              and self.request_version >= "HTTP/1.1"
+              and self.unread_body <= MAX_BODY_BYTES):
+            # An oversized body is refused (413) without inviting it.
+            return self.handle_expect_100()
+        return True
 
     def _send_payload(self, status: int, body: bytes, content_type: str,
                       extra_headers: Optional[Dict[str, str]] = None) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        """Write the status line, headers and body in one socket write."""
+        if self.unread_body:
+            # A body left on the connection would parse as the next request.
+            self.close_connection = True
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)
+            return
+        reason = self.responses.get(status, ("",))[0]
+        lines = [f"{self.protocol_version} {status} {reason}",
+                 f"Server: {self.version_string()}",
+                 f"Date: {self.date_time_string()}",
+                 f"Content-Type: {content_type}",
+                 f"Content-Length: {len(body)}"]
         if self.trace is not None:
-            self.send_header("X-Request-Id", self.trace.request_id)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            lines.append(f"X-Request-Id: {self.trace.request_id}")
+        lines.extend(f"{name}: {value}"
+                     for name, value in (extra_headers or {}).items())
+        if self.close_connection:
+            lines.append("Connection: close")
+        lines.append("\r\n")
+        self.wfile.write("\r\n".join(lines).encode("latin-1") + body)
 
     def _send_json(self, status: int, payload: Any) -> None:
         body = (json.dumps(payload) + "\n").encode("utf-8")
         self._send_payload(status, body, "application/json")
 
     def _read_json_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        length = self.unread_body
+        if length == 0:
             raise RequestError(400, "request body required")
         if length > MAX_BODY_BYTES:
-            # The oversized body is never drained; drop the connection so a
-            # keep-alive client cannot desynchronise its next request.
-            self.close_connection = True
+            # Never drained: the reply closes the connection instead.
             raise RequestError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
+        self.unread_body = 0
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -309,7 +460,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise RequestError(400, "JSON body must be an object")
         return payload
 
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self, method: str, start: float) -> None:
+        """Route one request; ``start`` is when its request line was read."""
         parsed = urlparse(self.path)
         route = parsed.path.rstrip("/") or "/"
         # Shard fetches carry the shard name in the path; collapse them to
@@ -330,9 +482,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.trace = RequestTrace(
             request_id=(sanitize_request_id(self.headers.get("X-Request-Id"))
                         or new_request_id()),
-            route=bucket)
-        start = time.perf_counter()
+            route=bucket, started=start)
         try:
+            if self.framing_error is not None:
+                raise self.framing_error
             handler = _ROUTES.get((method, route))
             if handler is None:
                 if known_route:
@@ -372,11 +525,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler naming)
         """Serve the GET endpoints."""
-        self._dispatch("GET")
+        self._dispatch("GET", self.request_started)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler naming)
         """Serve the POST endpoints."""
-        self._dispatch("POST")
+        self._dispatch("POST", self.request_started)
 
     # -- shared request helpers --------------------------------------------------------
     def _resolve_model_name(self, requested: Optional[str]) -> str:

@@ -1,8 +1,7 @@
 """Background refresh worker: watch the log, re-fit, publish, hot-swap.
 
-:class:`StreamSupervisor` runs the refresh loop off the request path, in
-the same condition-guarded daemon-worker style as the serving layer's
-:class:`~repro.serve.batching.MicroBatcher`.  Its job:
+:class:`StreamSupervisor` runs the refresh loop off the request path, on
+one condition-guarded daemon worker thread.  Its job:
 
 1. poll the stream's on-disk state (cross-process safe — every poll
    re-opens the manifests, so documents ingested by *other* processes are

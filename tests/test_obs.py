@@ -17,6 +17,7 @@ The tentpole contracts under test:
 
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -25,6 +26,7 @@ import threading
 import urllib.request
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.io.artifacts import save_bundle
@@ -45,6 +47,8 @@ from repro.obs import (
     shard_path,
     span_metric,
 )
+from repro.obs.shards import (KIND_LATENCY, KIND_SIZE, bucket_bounds,
+                               bucket_index)
 from repro.obs.tracing import RequestTrace, new_request_id
 from repro.serve import ModelRegistry, ReproServer, ServeConfig, ServeFleet
 from repro.serve.client import ServeClient
@@ -78,6 +82,28 @@ def test_shard_counter_and_histogram_roundtrip(tmp_path):
     assert sum(latency.bucket_counts) == 3  # every sample fell in a bucket
     assert entries["infer_batch_size"].count == 1
     writer.close()
+
+
+@pytest.mark.parametrize("kind", [KIND_LATENCY, KIND_SIZE])
+def test_bucket_index_matches_searchsorted(kind):
+    bounds = bucket_bounds(kind)
+    midpoints = [(low + high) / 2 for low, high in zip(bounds, bounds[1:])]
+    values = [*bounds, *midpoints, 0.0, -0.0, -1.0, -1e9, bounds[-1] * 2,
+              math.inf, -math.inf, math.nan, np.float64(bounds[0]),
+              np.float64(math.nan)]
+    for value in values:
+        assert bucket_index(bounds, value) == \
+            int(np.searchsorted(bounds, value, side="left")), value
+    # observe() files each sample in that bucket.
+    writer = ShardWriter()
+    name = "probe_seconds" if kind == KIND_LATENCY else "probe_size"
+    with np.errstate(invalid="ignore"):  # the sum slot sees inf + -inf
+        for value in values:
+            writer.observe(name, value)
+    counts = writer.read()[name].bucket_counts
+    expected = np.bincount(np.searchsorted(bounds, values, side="left"),
+                           minlength=len(bounds) + 1)
+    assert counts.tolist() == expected.tolist()
 
 
 def test_shard_reopen_accumulates(tmp_path):

@@ -1,0 +1,335 @@
+"""repro.serve HTTP/1.1 wire behaviour, driven over raw sockets.
+
+The request reader in :mod:`repro.serve.http` owns the request line, the
+header block and the body framing.  These tests pin what a client sees on
+the wire: the limits and statuses of ``http.server`` (414, 431, 400, 505,
+HTTP/1.0 and ``Connection: close`` semantics, ``100 Continue``), pipelined
+keep-alive requests answered in order, and the framing rules that keep a
+body the server did not read from ever running as the next request.
+"""
+
+import json
+import socket
+import time
+
+import pytest
+
+from repro.core.infer import InferenceConfig
+from repro.io.artifacts import save_bundle
+from repro.serve import ModelRegistry, ReproServer, ServeConfig
+
+TITLES = ["support vector machine training data and feature selection",
+          "query processing over relational database systems"]
+
+
+@pytest.fixture(scope="module")
+def server(model_bundle, tmp_path_factory):
+    path = tmp_path_factory.mktemp("wire") / "model.npz"
+    save_bundle(path, model_bundle)
+    registry = ModelRegistry()
+    registry.register("model", path)
+    server = ReproServer(registry, ServeConfig(port=0))
+    server.start_background()
+    yield server
+    server.stop()
+
+
+class Wire:
+    """One raw TCP connection that parses HTTP/1.1 replies off the stream."""
+
+    def __init__(self, server, timeout: float = 10.0) -> None:
+        self.sock = socket.create_connection(
+            ("127.0.0.1", server.server_port), timeout=timeout)
+        self.buffer = b""
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def _fill(self) -> None:
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise EOFError("server closed the connection")
+        self.buffer += chunk
+
+    def reply(self):
+        """Read one reply: ``(status, lower-cased headers, body)``."""
+        while b"\r\n\r\n" not in self.buffer:
+            self._fill()
+        head, self.buffer = self.buffer.split(b"\r\n\r\n", 1)
+        lines = head.decode("latin-1").split("\r\n")
+        status = int(lines[0].split()[1])
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        while len(self.buffer) < length:
+            self._fill()
+        body, self.buffer = self.buffer[:length], self.buffer[length:]
+        return status, headers, body
+
+    def rest(self, wait: float = 5.0) -> bytes:
+        """Every byte until the server closes; raises if it stays open."""
+        self.sock.settimeout(wait)
+        data = self.buffer
+        self.buffer = b""
+        try:
+            while True:
+                chunk = self.sock.recv(65536)
+                if not chunk:
+                    return data
+                data += chunk
+        except ConnectionResetError:
+            return data
+        except socket.timeout:
+            raise AssertionError(
+                f"connection still open; unread bytes {data[:200]!r}") from None
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+@pytest.fixture
+def wire(server):
+    connection = Wire(server)
+    yield connection
+    connection.close()
+
+
+def request(method: str, path: str, body: bytes = b"", **headers) -> bytes:
+    lines = [f"{method} {path} HTTP/1.1", "Host: test"]
+    if body:
+        lines.append(f"Content-Length: {len(body)}")
+    lines += [f"{name.replace('_', '-')}: {value}"
+              for name, value in headers.items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def infer_body(documents, seed: int) -> bytes:
+    return json.dumps({"documents": documents, "seed": seed,
+                       "iterations": 10}).encode("utf-8")
+
+
+def errors(server) -> float:
+    return server.metrics.value("http_errors_total")
+
+
+# -- keep-alive and pipelining ----------------------------------------------------------
+def test_pipelined_keep_alive_requests_answer_in_order(wire, model_bundle):
+    wire.send(request("POST", "/v1/infer", infer_body(TITLES[:1], 3),
+                      X_Request_Id="first")
+              + request("GET", "/healthz", X_Request_Id="second")
+              + request("POST", "/v1/infer", infer_body(TITLES, 4),
+                        X_Request_Id="third"))
+    replies = [wire.reply() for _ in range(3)]
+    assert [status for status, _, _ in replies] == [200, 200, 200]
+    assert [headers["x-request-id"] for _, headers, _ in replies] == \
+        ["first", "second", "third"]
+    inferencer = model_bundle.inferencer()
+    for (_, _, body), texts, seed in ((replies[0], TITLES[:1], 3),
+                                      (replies[2], TITLES, 4)):
+        solo = inferencer.infer_texts(
+            texts, InferenceConfig(n_iterations=10, seed=seed,
+                                   engine="reference"))
+        documents = json.loads(body)["documents"]
+        assert [doc["theta"] for doc in documents] == \
+            [[float(p) for p in doc.theta] for doc in solo.documents]
+    # The connection is still usable afterwards.
+    wire.send(request("GET", "/healthz"))
+    assert wire.reply()[0] == 200
+
+
+def test_http10_request_closes_after_reply(wire):
+    wire.send(b"GET /healthz HTTP/1.0\r\n\r\n")
+    assert wire.reply()[0] == 200
+    assert wire.rest() == b""
+
+
+def test_http10_keep_alive_stays_open(wire):
+    wire.send(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+    assert wire.reply()[0] == 200
+    wire.send(request("GET", "/healthz"))
+    assert wire.reply()[0] == 200
+
+
+def test_connection_close_header_closes_after_reply(wire):
+    wire.send(request("GET", "/healthz", Connection="close"))
+    assert wire.reply()[0] == 200
+    assert wire.rest() == b""
+
+
+def test_expect_100_continue(wire):
+    body = infer_body(TITLES[:1], 5)
+    wire.send(request("POST", "/v1/infer", Content_Length=len(body),
+                      Expect="100-continue"))
+    assert wire.reply()[0] == 100
+    wire.send(body)
+    status, _, reply = wire.reply()
+    assert status == 200
+    assert len(json.loads(reply)["documents"]) == 1
+
+
+# -- request-line and header limits -----------------------------------------------------
+def test_request_line_over_64k_is_414(wire):
+    line = b"GET /" + b"a" * 65536  # 65 537 bytes, all consumed by the server
+    wire.send(line[:65537])
+    assert wire.reply()[0] == 414
+    assert wire.rest() == b""
+
+
+def test_header_count_limit_is_431(wire, server):
+    # The limit counts the blank line that ends the block: 99 header lines
+    # pass, 100 do not.
+    head = b"GET /healthz HTTP/1.1\r\n"
+    wire.send(head + b"".join(b"X-H%d: v\r\n" % i for i in range(99))
+              + b"\r\n")
+    assert wire.reply()[0] == 200
+    wire.send(head + b"".join(b"X-H%d: v\r\n" % i for i in range(100))
+              + b"\r\n")
+    assert wire.reply()[0] == 431
+    assert wire.rest() == b""
+
+
+def test_header_line_over_64k_is_431(wire):
+    wire.send(b"GET /healthz HTTP/1.1\r\nX-Big: "
+              + b"v" * (65537 - len(b"X-Big: ")))
+    assert wire.reply()[0] == 431
+    assert wire.rest() == b""
+
+
+def test_http2_request_line_is_505(wire):
+    # As in http.server, the error goes out before a version is accepted,
+    # so it is written HTTP/0.9 style: the error page alone.
+    wire.send(b"GET /healthz HTTP/2.0\r\n")
+    assert b"Error code: 505" in wire.rest()
+
+
+def test_malformed_request_lines_are_400(server):
+    wire = Wire(server)
+    try:
+        wire.send(b"GET /a b HTTP/1.1\r\n")
+        assert wire.reply()[0] == 400
+        assert wire.rest() == b""
+    finally:
+        wire.close()
+    # Without a parseable version the error goes out HTTP/0.9 style.
+    wire = Wire(server)
+    try:
+        wire.send(b"garbage\r\n")
+        assert b"Error code: 400" in wire.rest()
+    finally:
+        wire.close()
+
+
+@pytest.mark.parametrize("line", [b"NoColon", b" Folded: x", b"Bad Name: x",
+                                  b": no name", b"Trailing : x"])
+def test_malformed_header_lines_are_400(wire, line):
+    wire.send(b"GET /healthz HTTP/1.1\r\nHost: test\r\n" + line + b"\r\n\r\n")
+    assert wire.reply()[0] == 400
+    assert wire.rest() == b""
+
+
+def test_oversized_body_with_expect_gets_413_not_100_continue(wire):
+    wire.send(request("POST", "/v1/infer", Content_Length=9 * 1024 * 1024,
+                      Expect="100-continue"))
+    assert wire.reply()[0] == 413
+    assert wire.rest() == b""
+
+
+def test_oversized_body_is_413_and_closes(wire):
+    wire.send(request("POST", "/v1/infer", Content_Length=9 * 1024 * 1024))
+    status, _, body = wire.reply()
+    assert status == 413
+    assert "exceeds" in json.loads(body)["error"]
+    assert wire.rest() == b""
+
+
+def test_negative_content_length_is_400(wire):
+    wire.send(request("POST", "/v1/infer", Content_Length=-5))
+    assert wire.reply()[0] == 400
+
+
+# -- body framing -----------------------------------------------------------------------
+SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+@pytest.mark.parametrize("method, path, status", [
+    ("POST", "/v1/nope", 404),     # unknown route
+    ("GET", "/v1/infer", 405),     # known route, wrong method
+    ("GET", "/healthz", 200),      # a body sent to a GET route
+])
+def test_unread_body_is_never_run_as_a_request(wire, method, path, status):
+    wire.send(request(method, path, SMUGGLED))
+    assert wire.reply()[0] == status
+    assert wire.rest() == b""
+
+
+def test_conflicting_content_lengths_are_400_and_close(wire, server):
+    before = errors(server)
+    wire.send(b"POST /v1/infer HTTP/1.1\r\nContent-Length: 2\r\n"
+              b"Content-Length: %d\r\n\r\n{}" % (2 + len(SMUGGLED))
+              + SMUGGLED)
+    status, _, body = wire.reply()
+    assert status == 400
+    assert "Content-Length" in json.loads(body)["error"]
+    assert wire.rest() == b""
+    assert errors(server) == before + 1
+
+
+def test_repeated_equal_content_length_is_accepted(wire):
+    body = infer_body(TITLES[:1], 6)
+    wire.send(b"POST /v1/infer HTTP/1.1\r\nContent-Length: %d\r\n"
+              b"Content-Length: %d\r\n\r\n" % (len(body), len(body)) + body)
+    assert wire.reply()[0] == 200
+
+
+def test_transfer_encoding_is_501_and_closes(wire, server):
+    before = errors(server)
+    body = infer_body(TITLES[:1], 7)
+    chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    wire.send(request("POST", "/v1/infer", Transfer_Encoding="chunked")
+              + chunked + SMUGGLED)
+    assert wire.reply()[0] == 501
+    assert wire.rest() == b""
+    assert errors(server) == before + 1
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "0x10"])
+def test_non_integer_content_length_is_counted_400(wire, server, value):
+    before = errors(server)
+    wire.send(request("POST", "/v1/infer", Content_Length=value) + b"{}")
+    status, _, body = wire.reply()
+    assert status == 400
+    assert "Content-Length" in json.loads(body)["error"]
+    assert wire.rest() == b""
+    assert errors(server) == before + 1
+
+
+# -- request clock ----------------------------------------------------------------------
+def _healthz_timed(server, wire, *chunks, pause: float = 0.0) -> float:
+    """Seconds ``http_healthz_seconds`` gained for one request sent in chunks."""
+    def entry():
+        return server.metrics.read().get("http_healthz_seconds")
+
+    before = entry()
+    count, total = (0.0, 0.0) if before is None else (before.count, before.sum)
+    for index, chunk in enumerate(chunks):
+        if index:
+            time.sleep(pause)
+        wire.send(chunk)
+    assert wire.reply()[0] == 200
+    # The server observes the request after its reply is written.
+    deadline = time.monotonic() + 10
+    while entry() is None or entry().count == count:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    return entry().sum - total
+
+
+def test_request_clock_starts_at_the_request_line(wire, server):
+    # Header bytes that trickle in after the request line are server time.
+    assert _healthz_timed(server, wire, b"GET /healthz HTTP/1.1\r\n",
+                          b"Host: test\r\n\r\n", pause=0.3) >= 0.3
+    # An idle keep-alive connection waiting for its next request is not.
+    time.sleep(0.3)
+    assert _healthz_timed(server, wire, request("GET", "/healthz")) < 0.3
