@@ -312,11 +312,14 @@ class _Handler(BaseHTTPRequestHandler):
         ``Connection`` semantics, ``100 Continue``) but fills a plain
         :class:`_Headers` dict instead of running ``email.parser``, and
         owns the body framing: only a single decimal ``Content-Length``
-        frames a body.  Returns ``False`` once an error reply is sent.
+        frames a body.  Unlike http.server, an error sent before a version
+        is accepted carries an HTTP/1.1 status line, not a bare page.
+        Returns ``False`` once an error reply is sent.
         """
         self.request_started = time.perf_counter()
         self.command = None
-        self.request_version = self.default_request_version
+        # Only a two-word ``GET`` is answered HTTP/0.9 style (bare body).
+        self.request_version = self.protocol_version
         self.close_connection = True
         self.unread_body = 0
         self.framing_error = None
@@ -357,6 +360,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_error(HTTPStatus.BAD_REQUEST,
                                 f"Bad HTTP/0.9 request type ({command!r})")
                 return False
+            self.request_version = self.default_request_version
         self.command = command
         # A leading '//' would read as a scheme-less absolute URI.
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path

@@ -5,12 +5,15 @@ These helpers implement the closed-form pieces of the collapsed joint
 appearing in the integrated-out Dirichlet terms, Dirichlet sampling for the
 synthetic corpus generators, and row normalisation used when converting count
 matrices into estimated ``φ``/``θ`` distributions.
+
+``scipy.special`` is imported on first call of the Beta-function helpers, not
+with the module, so processes that never evaluate a log-likelihood never load
+SciPy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def log_multinomial_beta(alpha: np.ndarray, axis: int | None = None) -> np.ndarray | float:
@@ -19,6 +22,8 @@ def log_multinomial_beta(alpha: np.ndarray, axis: int | None = None) -> np.ndarr
     When ``axis`` is given the Beta function is evaluated along that axis of a
     matrix (e.g. per topic row of a count-plus-prior matrix).
     """
+    from scipy.special import gammaln
+
     alpha = np.asarray(alpha, dtype=float)
     if axis is None:
         return float(np.sum(gammaln(alpha)) - gammaln(np.sum(alpha)))

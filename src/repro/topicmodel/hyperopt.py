@@ -14,13 +14,14 @@ The fixed-point update for an asymmetric Dirichlet given count matrix
 
     α_k ← α_k · Σ_d [Ψ(N_dk + α_k) − Ψ(α_k)] / Σ_d [Ψ(N_d· + Σα) − Ψ(Σα)]
 
-where Ψ is the digamma function.
+where Ψ is the digamma function.  ``scipy.special.psi`` is imported on first
+call of either update, not with the module: optimisation is off by default, and
+a default-config process never loads SciPy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import psi  # digamma
 
 _MIN_HYPER = 1e-8
 
@@ -42,6 +43,8 @@ def optimize_asymmetric_alpha(doc_topic_counts: np.ndarray,
     tolerance:
         Stop early when the largest absolute change falls below this.
     """
+    from scipy.special import psi  # digamma
+
     counts = np.asarray(doc_topic_counts, dtype=float)
     alpha = np.asarray(alpha, dtype=float).copy()
     if counts.ndim != 2:
@@ -80,6 +83,8 @@ def optimize_symmetric_beta(topic_word_counts: np.ndarray,
     beta:
         Current symmetric concentration (scalar, per-dimension value).
     """
+    from scipy.special import psi  # digamma
+
     counts = np.asarray(topic_word_counts, dtype=float)
     if counts.ndim != 2:
         raise ValueError("topic_word_counts must be a 2-D matrix")

@@ -198,27 +198,35 @@ def test_header_line_over_64k_is_431(wire):
 
 
 def test_http2_request_line_is_505(wire):
-    # As in http.server, the error goes out before a version is accepted,
-    # so it is written HTTP/0.9 style: the error page alone.
+    # The error goes out before a version is accepted, yet still carries
+    # an HTTP/1.1 status line and headers.
     wire.send(b"GET /healthz HTTP/2.0\r\n")
-    assert b"Error code: 505" in wire.rest()
+    status, headers, _ = wire.reply()
+    assert status == 505
+    assert headers["connection"] == "close"
+    assert wire.rest() == b""
 
 
 def test_malformed_request_lines_are_400(server):
-    wire = Wire(server)
-    try:
-        wire.send(b"GET /a b HTTP/1.1\r\n")
-        assert wire.reply()[0] == 400
-        assert wire.rest() == b""
-    finally:
-        wire.close()
-    # Without a parseable version the error goes out HTTP/0.9 style.
-    wire = Wire(server)
-    try:
-        wire.send(b"garbage\r\n")
-        assert b"Error code: 400" in wire.rest()
-    finally:
-        wire.close()
+    # Without a parseable version the error still has a status line.
+    for line in (b"GET /a b HTTP/1.1", b"garbage", b"GET / HTTP/1.x",
+                 b"POST /healthz"):
+        wire = Wire(server)
+        try:
+            wire.send(line + b"\r\n")
+            status, headers, _ = wire.reply()
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert wire.rest() == b""
+        finally:
+            wire.close()
+
+
+def test_http09_get_is_answered_with_the_bare_body(wire):
+    wire.send(b"GET /healthz\r\n\r\n")
+    body = wire.rest()
+    assert not body.startswith(b"HTTP/")
+    assert json.loads(body)["status"] == "ok"
 
 
 @pytest.mark.parametrize("line", [b"NoColon", b" Folded: x", b"Bad Name: x",
