@@ -60,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for corpora and samplers (default: 7)")
     parser.add_argument("--engines", type=_csv_strs, default=None,
                         metavar="E1,E2,...",
-                        help="PhraseLDA engines to race (default: reference,"
-                             "numpy plus c when a compiler is available)")
+                        help="PhraseLDA engines to race (default: reference "
+                             "plus c when a compiler is available)")
     parser.add_argument("--stages", type=_csv_strs, default=None,
                         metavar="S1,S2,...",
                         help=f"stages to run (default: all of {','.join(ALL_STAGES)})")

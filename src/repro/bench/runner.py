@@ -4,8 +4,8 @@ The runner reproduces the paper's scalability methodology (Section 6,
 Figure 8): generate synthetic corpora of increasing size with a fixed seed,
 time each half of the framework separately, and decompose the end-to-end
 ToPMine runtime into its phrase-mining and topic-modeling parts.  On top of
-that it races the PhraseLDA sampling engines (reference loop vs. vectorized
-NumPy vs. compiled kernel) on identical Gibbs sweeps, which is the number
+that it races the PhraseLDA sampling engines (reference loop vs. compiled
+kernel) on identical Gibbs sweeps, which is the number
 quoted in the acceptance gate: ``speedups`` in ``BENCH_phrase_lda.json``.
 
 The ``serving`` stage measures the query path instead of the train path:
@@ -41,8 +41,8 @@ from repro.datasets.registry import load_dataset
 from repro.eval.runtime import figure8_decomposition
 from repro.topicmodel import ckernel
 from repro.topicmodel.gibbs import (
+    CKernelSampler,
     FlatPhraseCorpus,
-    make_sampler,
     random_initialization,
     resolve_engine,
 )
@@ -73,8 +73,8 @@ class BenchConfig:
         Seed for corpus generation and samplers — the whole run is
         deterministic given this value.
     engines:
-        PhraseLDA engines to race.  ``None`` selects the reference and
-        NumPy samplers plus the C kernel when it is available.
+        PhraseLDA engines to race.  ``None`` selects the reference sampler
+        plus the C kernel when it is available.
     stages:
         Subset of :data:`ALL_STAGES` to run.
     output_dir:
@@ -135,7 +135,7 @@ class BenchConfig:
         timing work starts, and de-duplicates ``auto`` aliases.
         """
         if self.engines is None:
-            names = ["reference", "numpy"] + (
+            names = ["reference"] + (
                 ["c"] if ckernel.kernel_available() else [])
         else:
             names = [resolve_engine(engine) for engine in self.engines]
@@ -266,9 +266,8 @@ def bench_segmentation(config: BenchConfig) -> Dict[str, Any]:
     from repro.core.phrase_construction import PhraseConstructionConfig
     from repro.core.segmentation import CorpusSegmenter
 
-    # The mining race plus the C kernel when it loads.
-    engines = MINING_RACE_ENGINES + (("c",) if ckernel.kernel_available()
-                                     else ())
+    # The reference constructor plus the C kernel when it loads.
+    engines = ("reference",) + (("c",) if ckernel.kernel_available() else ())
     records: List[Dict[str, Any]] = []
     for size in config.sizes:
         pipeline, corpus, mining, segmented = _prepare_corpus(config, size)
@@ -279,7 +278,7 @@ def bench_segmentation(config: BenchConfig) -> Dict[str, Any]:
                 significance_threshold=base.significance_threshold,
                 max_phrase_words=base.max_phrase_words, engine=engine)
             # The segmenter is built inside the timed callable so the batched
-            # engines pay for its one-time scorer/table precompute in the
+            # engine pays for its one-time scorer/table precompute in the
             # recorded seconds — the speedup is end to end, not just the
             # per-chunk pass.
             seconds = _best_of(
@@ -320,16 +319,16 @@ def _time_reference_sweeps(config: BenchConfig, phrase_docs, vocabulary_size,
     return _best_of(run, config.repeats), n_cliques
 
 
-def _time_engine_sweeps(config: BenchConfig, engine: str, phrase_docs,
+def _time_kernel_sweeps(config: BenchConfig, phrase_docs,
                         vocabulary_size) -> float:
-    """Best-of time for ``sweeps`` flat-engine Gibbs sweeps."""
+    """Best-of time for ``sweeps`` C-kernel Gibbs sweeps."""
     flat = FlatPhraseCorpus(phrase_docs)
     rng = new_rng(config.seed)
     topic_word, doc_topic, topic_totals, assign = random_initialization(
         flat, config.n_topics, vocabulary_size, rng)
     alpha = np.full(config.n_topics, 50.0 / config.n_topics)
-    sampler = make_sampler(engine, flat, topic_word, doc_topic, topic_totals,
-                           assign, alpha, 0.01)
+    sampler = CKernelSampler(flat, topic_word, doc_topic, topic_totals,
+                             assign, alpha, 0.01)
     sweep_rng = new_rng(config.seed + 1)
 
     def run() -> None:
@@ -368,14 +367,12 @@ def bench_phrase_lda(config: BenchConfig) -> Dict[str, Any]:
                 "seconds": reference_seconds,
                 "seconds_per_sweep": reference_seconds / config.sweeps,
             })
-        for engine in engines:
-            if engine == "reference":
-                continue
-            seconds = _time_engine_sweeps(config, engine, phrase_docs,
+        if "c" in engines:
+            seconds = _time_kernel_sweeps(config, phrase_docs,
                                           vocabulary_size)
             record = {
                 "stage": "phrase_lda_sweep",
-                "engine": engine,
+                "engine": "c",
                 "dataset": config.dataset,
                 "n_documents": size,
                 "sweeps": config.sweeps,
@@ -384,7 +381,7 @@ def bench_phrase_lda(config: BenchConfig) -> Dict[str, Any]:
             }
             if reference_seconds is not None and seconds > 0:
                 record["speedup_vs_reference"] = reference_seconds / seconds
-                speedups[engine] = reference_seconds / seconds
+                speedups["c"] = reference_seconds / seconds
             records.append(record)
     # The headline speedups come from the largest corpus size benchmarked
     # (the most representative of the scalability claim), regardless of the

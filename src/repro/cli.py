@@ -268,8 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default=ToPMineConfig.mining_engine,
                       choices=MINING_ENGINES,
                       help="mining/segmentation engine (default: %(default)s "
-                           "— the numpy miner and the C segmenter, numpy "
-                           "without a compiler; all engines are "
+                           "— the numpy miner with the C segmenter, or with "
+                           "the reference segmenter without a compiler; "
+                           "numpy selects the same pair; all engines are "
                            "bit-identical)")
     mine.add_argument("--jobs", type=int, default=ToPMineConfig.n_jobs,
                       help="segmentation worker processes (default: "
@@ -294,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
         ToPMineConfig)
     _add_model_options(fit, PhraseLDAConfig)
     fit.add_argument("--engine", default="auto", choices=ENGINES,
-                     help="sampling engine (default: auto)")
+                     help="sampling engine (default: auto — c, the compiled "
+                          "kernel, or reference without a compiler; numpy is "
+                          "a deprecated alias of auto)")
     fit.add_argument("--optimize-hyperparameters", action="store_true",
                      help="enable Minka fixed-point hyper-parameter updates")
     fit.add_argument("--seed", type=int, default=7,
@@ -377,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
             creation.add_argument(
                 "--lda-engine", choices=ENGINES,
                 help=f"PhraseLDA engine for refreshes (default: "
-                     f"{StreamConfig.lda_engine})"),
+                     f"{StreamConfig.lda_engine} — c, or reference without "
+                     f"a compiler; numpy is a deprecated alias of auto)"),
             creation.add_argument(
                 "--model-seed", type=int,
                 help=f"seed every refresh runs with (default: "

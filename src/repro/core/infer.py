@@ -319,7 +319,7 @@ class TopicInferencer:
         if len(seeds) != len(groups):
             raise ValueError(f"got {len(groups)} groups but {len(seeds)} seeds")
         watch = watch if watch is not None else Stopwatch()
-        # All requests share one vectorized segmentation pass; each group's
+        # All requests share one batched segmentation pass; each group's
         # slice is then folded in on its own stream.
         with watch.measure("segmentation"):
             segmented, unknown_counts = self._segment_texts(
@@ -380,8 +380,8 @@ class TopicInferencer:
                     chunks.append(ids)
             encoded.append(chunks)
             unknown_counts.append(unknown)
-        # One batched pass: every document shares the segmenter's vectorized
-        # seed scoring (and sharding, when configured).
+        # One batched pass: every document shares the segmenter's kernel
+        # call (and sharding, when configured).
         segmented = self.segmenter.segment_documents(encoded)
         return segmented, unknown_counts
 

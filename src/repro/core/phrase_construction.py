@@ -46,9 +46,10 @@ class PhraseConstructionConfig:
     engine:
         Segmentation implementation used by
         :class:`~repro.core.segmentation.CorpusSegmenter`: ``"reference"``
-        (this module's readable constructor), ``"numpy"`` (the batched
-        id-indexed engine), or ``"auto"``.  Partitions are bit-identical
-        across engines.
+        (this module's readable constructor), ``"c"`` (the batched compiled
+        engine), or ``"auto"`` (``"c"`` when the kernel loads, else
+        ``"reference"``; ``"numpy"`` resolves the same way).  Partitions
+        are bit-identical across engines.
     n_jobs:
         Worker processes for corpus-scale segmentation; documents are
         sharded contiguously and merged back in order, so any value

@@ -15,17 +15,16 @@ When every phrase has a single token this reduces to the standard LDA
 conditional, so LDA is run here as the special case of an all-singleton
 segmentation (exactly as the paper does for its timing experiments).
 
-Two interchangeable sampling engines implement the sweep (plus a readable
-reference):
+Two interchangeable sampling engines implement the sweep:
 
 * ``engine="c"`` — the compiled flat-buffer kernel
-  (:mod:`repro.topicmodel.ckernel`), bit-exact with the reference;
-* ``engine="numpy"`` — the vectorized flat-buffer sampler
-  (:class:`repro.topicmodel.gibbs.VectorizedGibbsSampler`);
+  (:class:`repro.topicmodel.gibbs.CKernelSampler`), bit-exact with the
+  reference;
 * ``engine="reference"`` — the original nested-loop sampler, kept as the
   executable specification (also available as :class:`ReferencePhraseLDA`).
 
-All engines consume the random stream identically, so a fixed seed yields
+``"auto"`` picks the kernel when it loads and the reference otherwise.
+Both engines consume the random stream identically, so a fixed seed yields
 identical ``clique_assignments`` regardless of engine — the equivalence the
 test suite and ``python -m repro.bench`` both rely on.
 """
@@ -37,14 +36,14 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.segmentation import SegmentedCorpus, SegmentedDocument  # noqa: F401  (re-export)
+from repro.core.segmentation import SegmentedCorpus
 from repro.topicmodel.gibbs import (
+    CKernelSampler,
     FlatPhraseCorpus,
     _check_token_range,
-    make_sampler,
+    check_priors,
     random_initialization,
     resolve_engine,
-    run_fit_loop,
 )
 from repro.topicmodel.hyperopt import optimize_asymmetric_alpha, optimize_symmetric_beta
 from repro.topicmodel.lda import LDAConfig, TopicModelState, _sample_index
@@ -117,19 +116,23 @@ class PhraseLDA:
             topic assignments (also stored on :attr:`state`).
         """
         phrase_docs, vocabulary_size = _extract_phrase_documents(documents, vocabulary_size)
+        check_priors(self.config.resolved_alpha(), self.config.beta,
+                     "PhraseLDA", positive=False)
         engine = resolve_engine(self.config.engine)
         if engine == "reference":
             state = self._fit_reference(phrase_docs, vocabulary_size, callback)
         else:
-            state = self._fit_flat(engine, phrase_docs, vocabulary_size, callback)
+            state = self._fit_flat(phrase_docs, vocabulary_size, callback)
         self.state = state
         return state
 
-    # -- flat-buffer engines ------------------------------------------------------
-    def _fit_flat(self, engine: str, phrase_docs: List[List[Phrase]],
-                  vocabulary_size: int,
+    # -- compiled engine ----------------------------------------------------------
+    def _fit_flat(self, phrase_docs: List[List[Phrase]], vocabulary_size: int,
                   callback: Optional[IterationCallback]) -> PhraseLDAState:
-        """Fit via a flat-buffer sampler (``engine`` is ``"c"`` or ``"numpy"``)."""
+        """Fit via the C kernel over the flat buffers: sweeps, Minka
+        hyper-parameter updates and per-iteration callbacks.  The kernel
+        mutates the state's count arrays in place, so every observation
+        sees current counts."""
         config = self.config
         rng = new_rng(config.seed)
         n_topics = config.n_topics
@@ -151,9 +154,18 @@ class PhraseLDA:
                                alpha=alpha, beta=beta,
                                assignments=_expand_token_topics(flat, assign),
                                clique_assignments=clique_assignments)
-        sampler = make_sampler(engine, flat, topic_word, doc_topic,
-                               topic_totals, assign, alpha, beta)
-        run_fit_loop(sampler, state, config, rng, callback)
+        sampler = CKernelSampler(flat, topic_word, doc_topic, topic_totals,
+                                 assign, alpha, beta)
+        for iteration in range(config.n_iterations):
+            sampler.sweep(rng)
+            if (config.optimize_hyperparameters
+                    and iteration >= config.burn_in
+                    and (iteration + 1) % config.hyper_optimize_interval == 0):
+                state.alpha = optimize_asymmetric_alpha(state.doc_topic_counts, state.alpha)
+                state.beta = optimize_symmetric_beta(state.topic_word_counts, state.beta)
+                sampler.rebuild(state.alpha, state.beta)
+            if callback is not None:
+                callback(iteration, state)
         state.assignments = _expand_token_topics(flat, assign)
         return state
 
@@ -161,7 +173,7 @@ class PhraseLDA:
     def _fit_reference(self, phrase_docs: List[List[Phrase]], vocabulary_size: int,
                        callback: Optional[IterationCallback]) -> PhraseLDAState:
         """The original readable nested-loop fit, kept as the executable
-        specification the fast engines are tested against."""
+        specification the C engine is tested against."""
         _check_token_range(np.asarray([w for phrases in phrase_docs
                                        for phrase in phrases for w in phrase],
                                       dtype=np.int64), vocabulary_size)

@@ -12,11 +12,11 @@ clique whose tokens must share a topic.
 Like the miner and the PhraseLDA samplers, the segmenter is engine-based:
 ``"reference"`` runs the readable per-chunk
 :class:`~repro.core.phrase_construction.PhraseConstructor`, while ``"c"``
-(what ``"auto"`` selects when the compiled kernel loads) and ``"numpy"``
-(the no-compiler fallback) run the batched
+runs the batched compiled
 :class:`~repro.core.fast_construction.FastSegmentationEngine` — bit-identical
-partitions, an order of magnitude faster at corpus scale, and for ``"c"``
-also on serving-sized batches of a few documents.  Independently of
+partitions, an order of magnitude faster at corpus scale and also on
+serving-sized batches of a few documents.  ``"auto"`` picks ``"c"`` when
+the kernel loads and ``"reference"`` otherwise.  Independently of
 the engine, :meth:`CorpusSegmenter.segment` can shard documents across
 ``n_jobs`` worker processes; shards are merged back in document order, so
 the result is identical to a sequential run.
@@ -54,18 +54,18 @@ def resolve_segmentation_engine(engine: str,
                                 significance_threshold: float = 0.0) -> str:
     """Map a segmentation engine request onto a concrete engine name.
 
-    ``"auto"`` resolves to ``"c"`` when the compiled kernel loads, to
-    ``"numpy"`` otherwise, and to ``"reference"`` for non-finite
-    significance thresholds (a ``-inf`` threshold makes the reference loop
-    merge zero-frequency pairs, which the indexed scorer deliberately
-    cannot express).
+    ``"auto"`` resolves to ``"c"`` when the compiled kernel loads and the
+    significance threshold is finite, and to ``"reference"`` otherwise (a
+    ``-inf`` threshold makes the reference loop merge zero-frequency pairs,
+    which the indexed scorer deliberately cannot express).  ``"numpy"`` resolves like ``"auto"``: it names the
+    vectorized *miner*, and a config's mining engine doubles as its
+    segmentation engine.
 
     Raises
     ------
     ValueError
         If ``engine`` is not one of :data:`SEGMENTATION_ENGINES`, or
-        ``"c"``/``"numpy"`` is requested explicitly with a non-finite
-        threshold.
+        ``"c"`` is requested explicitly with a non-finite threshold.
     RuntimeError
         If ``"c"`` is requested but the kernel cannot be built or loaded.
     """
@@ -73,17 +73,16 @@ def resolve_segmentation_engine(engine: str,
         raise ValueError(f"unknown segmentation engine {engine!r}; "
                          f"expected one of {SEGMENTATION_ENGINES}")
     finite = math.isfinite(significance_threshold)
-    if engine in ("c", "numpy") and not finite:
-        raise ValueError(f"the {engine} segmentation engine requires a "
-                         "finite significance threshold; use 'reference'")
-    if engine == "auto":
+    if engine in ("auto", "numpy"):
+        return "c" if finite and ckernel.kernel_available() else "reference"
+    if engine == "c":
         if not finite:
-            return "reference"
-        return "c" if ckernel.kernel_available() else "numpy"
-    if engine == "c" and not ckernel.kernel_available():
-        raise RuntimeError(
-            f"engine='c' requested but the kernel is unavailable "
-            f"({ckernel.load_error()}); use engine='auto' to fall back")
+            raise ValueError("the c segmentation engine requires a finite "
+                             "significance threshold; use 'reference'")
+        if not ckernel.kernel_available():
+            raise RuntimeError(
+                f"engine='c' requested but the kernel is unavailable "
+                f"({ckernel.load_error()}); use engine='auto' to fall back")
     return engine
 
 
@@ -202,11 +201,10 @@ class CorpusSegmenter:
         self.engine = resolve_segmentation_engine(
             self.config.engine, self.config.significance_threshold)
         self._fast = None
-        if self.engine in ("c", "numpy"):
+        if self.engine == "c":
             from repro.core.fast_construction import FastSegmentationEngine
 
-            self._fast = FastSegmentationEngine(mining_result, self.config,
-                                                self.engine)
+            self._fast = FastSegmentationEngine(mining_result, self.config)
 
     def segment_document(self, chunks: Sequence[Sequence[int]], doc_id: int = 0) -> SegmentedDocument:
         """Partition one document (given as token-id chunks) into phrases."""
@@ -219,8 +217,8 @@ class CorpusSegmenter:
         """Partition a batch of documents (each a sequence of chunks).
 
         The batched entry point behind :meth:`segment` and the serving
-        layer: with the ``c`` and ``numpy`` engines all documents share one
-        flat chunk buffer and one kernel call or vectorized pass, and with
+        layer: with the ``c`` engine all documents share one flat chunk
+        buffer and one kernel call, and with
         ``n_jobs > 1`` the batch is sharded across worker processes.  The
         per-document results are identical to calling
         :meth:`segment_document` in a loop, whatever the engine or job
@@ -248,7 +246,7 @@ class CorpusSegmenter:
             ``[0, repro.text.flat.MAX_TOKEN_ID]``, whatever the engine.
         """
         # Encoding the batch checks every token id's range, for every
-        # engine alike; the batched engines then segment this buffer.
+        # engine alike; the c engine then segments this buffer.
         flat = FlatChunks.from_documents(documents)
         if doc_ids is None:
             doc_ids = range(len(documents))

@@ -18,6 +18,10 @@ Treating each already-merged phrase as a single constituent is what defeats
 the "free-rider" problem: a long phrase is only merged further when the merge
 of its two *sub-phrases* is itself significant, instead of comparing against
 every constituent unigram independently.
+
+:class:`SignificanceScorer` is the readable scorer the reference
+constructor queries; :class:`IndexedSignificanceScorer` precomputes every
+legal merge once into the arrays the C segmentation kernel reads.
 """
 
 from __future__ import annotations
@@ -103,11 +107,12 @@ class IndexedSignificanceScorer:
     into two frequent constituents — is precomputed into a table mapping the
     constituent id pair to ``(significance, merged_id)``.
 
-    During construction a merge query is then a single dictionary probe on
-    an ``(int, int)`` key; merges absent from the table have a merged
-    frequency of zero (phrase frequency is downward closed, so a frequent
-    concatenation implies frequent constituents) and score ``-inf``, exactly
-    like the reference.  All stored significances are computed with the
+    A merge query is then a single probe on an ``(int, int)`` key: a
+    dictionary lookup in :meth:`pair_score`, a binary search over the
+    sorted pair arrays in the C segmentation kernel.  Merges absent from
+    the table have a merged frequency of zero (phrase frequency is downward
+    closed, so a frequent concatenation implies frequent constituents) and
+    score ``-inf``, exactly like the reference.  All stored significances are computed with the
     same floating-point expression and operation order as
     :meth:`SignificanceScorer.significance`, so scores — and therefore
     construction decisions — are bit-identical.
@@ -151,8 +156,9 @@ class IndexedSignificanceScorer:
                     (observed - expected) / root, merged_id)
         self.pair_table = pair_table
 
-        # Token-indexed unigram ids, and sorted bigram key/significance
-        # arrays: the batch segmenter's one-pass seed scoring.
+        # Token-indexed unigram ids (ids past the vocabulary read the last
+        # entry, -1): the tables the C segmentation kernel reads, with the
+        # sorted pair arrays below.
         self.vocab_bound = 1 + max(
             (w for p in phrases for w in p), default=-1)
         word_id = np.full(self.vocab_bound + 1, -1, dtype=np.int64)
@@ -161,9 +167,8 @@ class IndexedSignificanceScorer:
                 word_id[phrase[0]] = phrase_id
         self.word_id = word_id
 
-        # Sorted pair-key arrays: the vectorized view of ``pair_table``,
-        # keyed by ``left_id * n_phrases + right_id`` for searchsorted
-        # gathers.
+        # Sorted pair-key arrays: ``pair_table`` keyed by
+        # ``left_id * n_phrases + right_id``, binary-searched by the kernel.
         n_phrases = max(len(phrases), 1)
         self.n_phrases = n_phrases
         keys = np.array([left * n_phrases + right
@@ -193,62 +198,3 @@ class IndexedSignificanceScorer:
         if left_id < 0 or right_id < 0:
             return (float("-inf"), -1)
         return self.pair_table.get((left_id, right_id), (float("-inf"), -1))
-
-    def word_ids(self, tokens: np.ndarray) -> np.ndarray:
-        """Map a token-id array to frequent-unigram phrase ids (``-1`` = rare)."""
-        clipped = np.minimum(tokens, self.vocab_bound)
-        return self.word_id[clipped]
-
-    def pair_lookup(self, left_ids: np.ndarray, right_ids: np.ndarray,
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`pair_score` over phrase-id arrays.
-
-        Parameters
-        ----------
-        left_ids, right_ids:
-            Aligned ``int64`` arrays of phrase ids (``-1`` marks a
-            non-frequent constituent).
-
-        Returns
-        -------
-        (significances, merged_ids)
-            Float64 significances (``-inf`` for impossible merges) and the
-            merged phrases' ids (``-1`` where impossible) — the same values
-            :meth:`pair_score` returns entry by entry.
-        """
-        sigs = np.full(len(left_ids), float("-inf"))
-        merged = np.full(len(left_ids), -1, dtype=np.int64)
-        if not len(left_ids) or not len(self.pair_keys):
-            return sigs, merged
-        legal = np.flatnonzero((left_ids >= 0) & (right_ids >= 0))
-        keys = left_ids[legal] * self.n_phrases + right_ids[legal]
-        slot = np.searchsorted(self.pair_keys, keys)
-        slot = np.minimum(slot, len(self.pair_keys) - 1)
-        match = self.pair_keys[slot] == keys
-        hit = legal[match]
-        slot = slot[match]
-        sigs[hit] = self.pair_key_sigs[slot]
-        merged[hit] = self.pair_key_merged[slot]
-        return sigs, merged
-
-    def adjacent_pair_significance(self, tokens: np.ndarray,
-                                   valid: np.ndarray) -> np.ndarray:
-        """Significance of merging ``tokens[p]`` with ``tokens[p + 1]``.
-
-        Parameters
-        ----------
-        tokens:
-            Flat ``int64`` token array.
-        valid:
-            Positions ``p`` such that ``p + 1`` is in the same chunk.
-
-        Returns
-        -------
-        numpy.ndarray
-            One float64 per entry of ``valid``: the seed-pair significance,
-            ``-inf`` where the bigram is not frequent — bit-identical to
-            scoring the singleton pair with the reference scorer.
-        """
-        sigs, _ = self.pair_lookup(self.word_ids(tokens[valid]),
-                                   self.word_ids(tokens[valid + 1]))
-        return sigs

@@ -64,8 +64,9 @@ class ToPMineConfig:
     mining_engine:
         Engine for the phrase-mining front end (Algorithm 1 **and**
         Algorithm 2): ``"auto"``, ``"numpy"``, or ``"reference"``.  All
-        engines are bit-identical; ``"auto"`` picks the vectorized miner and
-        the compiled segmenter (the vectorized one without a compiler).
+        engines are bit-identical; ``"auto"`` and ``"numpy"`` pick the
+        vectorized miner and the compiled segmenter (the reference one
+        without a compiler).
     n_jobs:
         Worker processes for corpus segmentation (documents are sharded
         and merged back in order — results are identical to ``1``).

@@ -123,7 +123,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     "span_model_load_seconds": (
         "histogram", "Registry fetch inside a batch (usually a cache hit)"),
     "span_segmentation_seconds": (
-        "histogram", "Vectorized phrase segmentation half of a batch"),
+        "histogram", "Batched phrase segmentation half of a batch"),
     "span_fold_in_seconds": (
         "histogram", "Gibbs fold-in sampling half of a batch"),
     # Model registry -----------------------------------------------------

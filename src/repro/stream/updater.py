@@ -116,9 +116,10 @@ class StreamConfig:
         per-shard counting).
     engine:
         Mining/segmentation engine (``"auto"``, ``"numpy"``,
-        ``"reference"``).
+        ``"reference"``; see :class:`~repro.core.topmine.ToPMineConfig`).
     lda_engine:
-        PhraseLDA sampling engine.
+        PhraseLDA sampling engine (``"numpy"`` is a deprecated alias of
+        ``"auto"``).
     n_jobs:
         Segmentation worker processes at refresh.
     preprocess:

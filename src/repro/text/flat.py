@@ -1,10 +1,10 @@
 """Flat-buffer corpus encoding: chunked documents as contiguous arrays.
 
-The vectorized phrase-mining and segmentation engines operate on a *flat*
-view of the corpus: every chunk's token ids concatenated into one contiguous
-``int32`` array, plus an offsets array delimiting chunks and a per-chunk
-document index.  This is the same buffers-first layout the PhraseLDA engines
-use for cliques (:class:`repro.topicmodel.gibbs.FlatPhraseCorpus`), applied
+The vectorized phrase-mining engine and the C segmentation engine operate
+on a *flat* view of the corpus: every chunk's token ids concatenated into one
+contiguous ``int32`` array, plus an offsets array delimiting chunks and a
+per-chunk document index.  This is the same buffers-first layout the C
+PhraseLDA engine uses for cliques (:class:`repro.topicmodel.gibbs.FlatPhraseCorpus`), applied
 one stage earlier in the pipeline: a single pass of NumPy indexing can then
 answer questions that the pure-Python reference engines answer with
 per-position tuple slicing.

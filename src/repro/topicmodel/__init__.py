@@ -9,7 +9,7 @@ machinery:
   baseline and the topic-model component of KERT and Turbo Topics), fitted
   as PhraseLDA on the all-singleton segmentation; also the sampler
   configuration and model state both models share.
-* :mod:`repro.topicmodel.gibbs` — the flat-buffer training engines.
+* :mod:`repro.topicmodel.gibbs` — the flat-buffer C training engine.
 * :mod:`repro.topicmodel.hyperopt` — Minka's fixed-point Dirichlet
   hyper-parameter updates (the paper optimises α, β this way, citing [22]).
 * :mod:`repro.topicmodel.perplexity` — held-out perplexity used in Figures
@@ -29,7 +29,6 @@ from repro.topicmodel.hyperopt import (
 from repro.topicmodel.gibbs import (
     ENGINES,
     FlatPhraseCorpus,
-    VectorizedGibbsSampler,
     resolve_engine,
 )
 from repro.topicmodel.lda import LDAConfig, LatentDirichletAllocation, TopicModelState
@@ -47,7 +46,6 @@ __all__ = [
     "optimize_symmetric_beta",
     "ENGINES",
     "FlatPhraseCorpus",
-    "VectorizedGibbsSampler",
     "resolve_engine",
     "LDAConfig",
     "LatentDirichletAllocation",

@@ -9,11 +9,10 @@ chunk of a flat chunk buffer (:func:`run_segment`).  This module compiles
 the file with the system C compiler into one small shared library, caches
 the build keyed by a hash of the source and the compile flags, and exposes
 it through :mod:`ctypes`, which releases the GIL for the duration of each
-call.  Nothing here is required: when no compiler is available, training
-falls back to the pure-NumPy vectorized sampler
-(:class:`repro.topicmodel.gibbs.VectorizedGibbsSampler`), fold-in to the
-reference loop in :mod:`repro.core.infer`, and segmentation to the NumPy
-cascade in :mod:`repro.core.fast_construction`, so the kernel is a strictly
+call.  Nothing here is required: when no compiler is available, training,
+fold-in and segmentation fall back to their readable reference loops
+(:mod:`repro.core.phrase_lda`, :mod:`repro.core.infer` and
+:mod:`repro.core.phrase_construction`), so the kernel is a strictly
 optional accelerator.
 
 Environment variables

@@ -1,38 +1,34 @@
-"""Flat-buffer collapsed Gibbs engines of PhraseLDA (and so of LDA).
+"""Flat-buffer collapsed Gibbs engine of PhraseLDA (and so of LDA).
 
 The readable reference sampler in :mod:`repro.core.phrase_lda` walks nested
 Python lists and pays NumPy's per-call overhead for every token.  LDA
 (:mod:`repro.topicmodel.lda`) runs as PhraseLDA on all-singleton cliques,
-so it uses the same engines.  The engines here restructure the
+so it uses the same engines.  The fast engine here restructures the
 problem once at ``fit()`` time:
 
 * :class:`FlatPhraseCorpus` flattens the corpus into contiguous buffers —
   token ids (int32), clique boundary offsets, and per-document clique
-  ranges — so the samplers never touch Python object graphs in the hot
+  ranges — so the sampler never touches Python object graphs in the hot
   loop;
-* :class:`VectorizedGibbsSampler` is a pure-NumPy sampler that keeps the
-  count matrices as *float factor arrays* with the Dirichlet priors baked
-  in (``wfac = beta + N_wk``, the ``n_z_t`` idiom), computes each clique
-  posterior with row gathers instead of per-token Python arithmetic, and
-  draws topics by cumulative-sum inverse-CDF sampling against uniforms
-  pre-drawn once per sweep;
-* :class:`CKernelSampler` drives the optional C sweep kernel
-  (:mod:`repro.topicmodel.ckernel`) over the same flat buffers, and is
-  bit-exact with the reference sampler.
+* :class:`CKernelSampler` drives the C sweep kernel
+  (:mod:`repro.topicmodel.ckernel`) over those buffers, and is bit-exact
+  with the reference sampler.
 
-Both engines consume the random stream in exactly the same order as the
+The kernel consumes the random stream in exactly the same order as the
 reference sampler — one ``rng.integers`` call per document at
 initialisation, one uniform per clique per sweep — so a fixed seed produces
-identical topic assignments across all engines (a property the test suite
+identical topic assignments on both engines (a property the test suite
 asserts).
 
-Engine selection: ``"auto"`` picks the C kernel when a compiler is
-available and the NumPy sampler otherwise; ``"c"``, ``"numpy"`` and
-``"reference"`` force a specific implementation.
+Engine selection: ``"auto"`` picks the C kernel when it loads and the
+reference sampler otherwise; ``"c"`` and ``"reference"`` force one.
+``"numpy"``, the name of a NumPy sampler that no longer exists, is a
+deprecated alias of ``"auto"``.
 """
 
 from __future__ import annotations
 
+import warnings
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -46,19 +42,43 @@ def resolve_engine(engine: str) -> str:
     """Map an engine request onto a concrete engine name.
 
     ``"auto"`` resolves to ``"c"`` when the compiled kernel is available and
-    to ``"numpy"`` otherwise.  Explicit requests are validated: asking for
-    ``"c"`` without a working compiler raises immediately rather than
-    silently running something slower.
+    to ``"reference"`` otherwise; ``"numpy"`` warns (``DeprecationWarning``)
+    and resolves like ``"auto"``.  Asking for ``"c"`` without a working
+    compiler raises immediately rather than silently running something
+    slower.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if engine == "numpy":
+        warnings.warn("PhraseLDA engine 'numpy' is deprecated and resolves "
+                      "like 'auto'", DeprecationWarning, stacklevel=2)
+        engine = "auto"
     if engine == "auto":
-        return "c" if ckernel.kernel_available() else "numpy"
+        return "c" if ckernel.kernel_available() else "reference"
     if engine == "c" and not ckernel.kernel_available():
         raise RuntimeError(
             f"engine='c' requested but the kernel is unavailable "
             f"({ckernel.load_error()}); use engine='auto' to fall back")
     return engine
+
+
+def check_priors(alpha, beta: float, context: str, *, positive: bool,
+                 hint: str = "") -> None:
+    """Raise ``ValueError`` unless ``alpha`` and ``beta`` are finite and,
+    with ``positive``, strictly positive.
+
+    ``context`` names the caller in the message and ``hint`` is appended
+    to it.  Training accepts zero priors on the reference engine; fold-in
+    and the C sweep need positive ones, so that every clique posterior has
+    positive mass.
+    """
+    values = np.append(np.asarray(alpha, dtype=np.float64), float(beta))
+    if np.isfinite(values).all() and (not positive or (values > 0).all()):
+        return
+    bound = " > 0" if positive else ""
+    raise ValueError(
+        f"{context} requires finite alpha{bound} and beta{bound} (got alpha "
+        f"min {float(np.min(alpha))}, beta {beta}){hint}")
 
 
 class FlatPhraseCorpus:
@@ -78,15 +98,13 @@ class FlatPhraseCorpus:
     """
 
     __slots__ = ("tokens", "offsets", "clique_doc", "doc_ranges",
-                 "n_cliques", "n_sampled", "n_tokens", "n_docs",
-                 "max_clique_size", "_token_list", "_offset_list")
+                 "n_cliques", "n_sampled", "n_docs")
 
     def __init__(self, phrase_docs: Sequence[Sequence[Sequence[int]]]) -> None:
         token_list: List[int] = []
         offset_list: List[int] = [0]
         clique_doc: List[int] = []
         doc_ranges: List[Tuple[int, int]] = []
-        max_size = 0
         n_sampled = 0
         for d, phrases in enumerate(phrase_docs):
             start = len(offset_list) - 1
@@ -97,8 +115,6 @@ class FlatPhraseCorpus:
                 token_list.extend(phrase)
                 offset_list.append(len(token_list))
                 clique_doc.append(d)
-                if len(phrase) > max_size:
-                    max_size = len(phrase)
                 if phrase:
                     n_sampled += 1
             doc_ranges.append((start, len(offset_list) - 1))
@@ -108,26 +124,7 @@ class FlatPhraseCorpus:
         self.doc_ranges = doc_ranges
         self.n_cliques = len(offset_list) - 1
         self.n_sampled = n_sampled
-        self.n_tokens = len(token_list)
         self.n_docs = len(phrase_docs)
-        self.max_clique_size = max_size
-        self._token_list = None
-        self._offset_list = None
-
-    @property
-    def token_list(self) -> List[int]:
-        """Token ids as a Python list (lazy; only the NumPy sampler needs
-        list-speed scalar access — the C engine never materialises this)."""
-        if self._token_list is None:
-            self._token_list = self.tokens.tolist()
-        return self._token_list
-
-    @property
-    def offset_list(self) -> List[int]:
-        """Clique offsets as a Python list (lazy, see :attr:`token_list`)."""
-        if self._offset_list is None:
-            self._offset_list = self.offsets.tolist()
-        return self._offset_list
 
     def clique_sizes(self) -> np.ndarray:
         """Length of every clique, as an ``int64`` array."""
@@ -176,11 +173,13 @@ class CKernelSampler:
     count moves, so they always equal these expressions bit for bit.
     """
 
-    name = "c"
-
     def __init__(self, flat: FlatPhraseCorpus, topic_word: np.ndarray,
                  doc_topic: np.ndarray, topic_totals: np.ndarray,
                  assign: np.ndarray, alpha: np.ndarray, beta: float) -> None:
+        # The kernel draws by inverse CDF without the reference sampler's
+        # zero-total uniform fallback, which only degenerate priors reach.
+        check_priors(alpha, beta, "engine 'c'", positive=True,
+                     hint="; use engine='reference' for degenerate priors")
         self.flat = flat
         self.topic_word = topic_word
         self.doc_topic = doc_topic
@@ -212,166 +211,6 @@ class CKernelSampler:
             self.topic_word, self.doc_topic, self.topic_totals,
             self.wfac, self.tfac, self.assign, self._uniforms, self._scratch)
 
-    def sync_counts(self) -> None:
-        """No-op: the kernel mutates the integer count arrays directly."""
-
-
-class VectorizedGibbsSampler:
-    """Pure-NumPy Gibbs sweeps over the flat buffers.
-
-    The sampler keeps three float *factor* arrays with the priors baked in,
-    mutated in place as cliques are reassigned (the copulaLDA idiom):
-
-    * ``wfac[w, k] = beta + N_wk`` — gathered per clique as contiguous rows;
-    * ``dfac[d, k] = alpha_k + N_dk``;
-    * ``tfac[k] = beta * V + N_k``.
-
-    Per document it maintains ``ratio = dfac[d] / tfac`` (and ``ratio1``,
-    the same quantity shifted by one — the ``j = 1`` term of Eq. 7) so a
-    singleton clique posterior is a single elementwise product and a
-    two-token clique three products; topics are then drawn by inverse-CDF
-    against a per-sweep batch of uniforms.  The integer count matrices of
-    the caller's state are refreshed from the factor arrays on demand by
-    :meth:`sync_counts`.
-    """
-
-    name = "numpy"
-
-    def __init__(self, flat: FlatPhraseCorpus, topic_word: np.ndarray,
-                 doc_topic: np.ndarray, topic_totals: np.ndarray,
-                 assign: np.ndarray, alpha: np.ndarray, beta: float) -> None:
-        self.flat = flat
-        self.topic_word = topic_word
-        self.doc_topic = doc_topic
-        self.topic_totals = topic_totals
-        self.assign = assign
-        self.n_topics = topic_word.shape[1]
-        self.vocabulary_size = topic_word.shape[0]
-        self.rebuild(alpha, beta)
-
-    def rebuild(self, alpha: np.ndarray, beta: float) -> None:
-        """(Re)derive the float factor arrays from the integer counts."""
-        self.alpha = np.asarray(alpha, dtype=np.float64)
-        self.beta = float(beta)
-        self.wfac = self.topic_word + self.beta
-        self.dfac = self.doc_topic + self.alpha[None, :]
-        self.tfac = self.topic_totals + self.beta * self.vocabulary_size
-
-    def sync_counts(self) -> None:
-        """Write the integer counts implied by the factor arrays back into
-        the shared state arrays (rounded, so ulp drift cannot leak)."""
-        np.copyto(self.topic_word, np.rint(self.wfac - self.beta),
-                  casting="unsafe")
-        np.copyto(self.doc_topic, np.rint(self.dfac - self.alpha[None, :]),
-                  casting="unsafe")
-        np.copyto(self.topic_totals,
-                  np.rint(self.tfac - self.beta * self.vocabulary_size),
-                  casting="unsafe")
-
-    def sweep(self, rng: np.random.Generator) -> None:
-        """One full Gibbs sweep over every clique.
-
-        The loop is written for minimal per-clique overhead: all arrays are
-        bound to locals, scalar bookkeeping uses Python lists where NumPy
-        indexing would dominate, and every elementwise operation writes into
-        a preallocated buffer.
-        """
-        flat = self.flat
-        if flat.n_sampled == 0:
-            return
-        K = self.n_topics
-        tokens = flat.token_list
-        offsets = flat.offset_list
-        wfac, dfac, tfac = self.wfac, self.dfac, self.tfac
-        assign_list = self.assign.tolist()
-        us = rng.random(flat.n_sampled).tolist()
-        next_uniform = 0
-
-        buf = np.empty(K)
-        cum = np.empty(K)
-        dbuf = np.empty(K)
-        tbuf = np.empty(K)
-        ratio1 = np.empty(K)
-        mul = np.multiply
-        div = np.divide
-        add = np.add
-        acc = np.add.accumulate
-        last = K - 1
-
-        for d, (g0, g1) in enumerate(flat.doc_ranges):
-            if g0 == g1:
-                continue
-            dfr = dfac[d]
-            ratio = div(dfr, tfac)
-            add(dfr, 1.0, dbuf)
-            add(tfac, 1.0, tbuf)
-            div(dbuf, tbuf, ratio1)
-            for g in range(g0, g1):
-                t0 = offsets[g]
-                size = offsets[g + 1] - t0
-                k_old = assign_list[g]
-                if size == 1:
-                    # -- singleton fast path: one gather, one product -----
-                    wfr = wfac[tokens[t0]]
-                    wfr[k_old] -= 1.0
-                    d_ko = dfr[k_old] - 1.0
-                    t_ko = tfac[k_old] - 1.0
-                    dfr[k_old] = d_ko
-                    tfac[k_old] = t_ko
-                    ratio[k_old] = d_ko / t_ko
-                    ratio1[k_old] = (d_ko + 1.0) / (t_ko + 1.0)
-                    mul(ratio, wfr, buf)
-                    acc(buf, 0, None, cum)
-                    k_new = int(cum.searchsorted(us[next_uniform] * cum[last]))
-                    next_uniform += 1
-                    wfr[k_new] += 1.0
-                    d_kn = dfr[k_new] + 1.0
-                    t_kn = tfac[k_new] + 1.0
-                    dfr[k_new] = d_kn
-                    tfac[k_new] = t_kn
-                    ratio[k_new] = d_kn / t_kn
-                    ratio1[k_new] = (d_kn + 1.0) / (t_kn + 1.0)
-                    assign_list[g] = k_new
-                elif size == 0:
-                    # Empty clique: keeps its assignment slot, never sampled
-                    # (mirrors the reference sampler's `continue`).
-                    continue
-                else:
-                    # -- multi-token clique: Eq. 7 product via row views --
-                    sf = float(size)
-                    ws = tokens[t0:t0 + size]
-                    for w in ws:
-                        wfac[w, k_old] -= 1.0
-                    d_ko = dfr[k_old] - sf
-                    t_ko = tfac[k_old] - sf
-                    dfr[k_old] = d_ko
-                    tfac[k_old] = t_ko
-                    ratio[k_old] = d_ko / t_ko
-                    ratio1[k_old] = (d_ko + 1.0) / (t_ko + 1.0)
-                    mul(ratio, wfac[ws[0]], buf)
-                    mul(buf, ratio1, buf)
-                    mul(buf, wfac[ws[1]], buf)
-                    for j in range(2, size):
-                        jf = float(j)
-                        add(dfr, jf, dbuf)
-                        mul(buf, dbuf, buf)
-                        mul(buf, wfac[ws[j]], buf)
-                        add(tfac, jf, tbuf)
-                        div(buf, tbuf, buf)
-                    acc(buf, 0, None, cum)
-                    k_new = int(cum.searchsorted(us[next_uniform] * cum[last]))
-                    next_uniform += 1
-                    for w in ws:
-                        wfac[w, k_new] += 1.0
-                    d_kn = dfr[k_new] + sf
-                    t_kn = tfac[k_new] + sf
-                    dfr[k_new] = d_kn
-                    tfac[k_new] = t_kn
-                    ratio[k_new] = d_kn / t_kn
-                    ratio1[k_new] = (d_kn + 1.0) / (t_kn + 1.0)
-                    assign_list[g] = k_new
-        self.assign[:] = assign_list
-
 
 def _check_token_range(tokens: np.ndarray, vocabulary_size: int) -> None:
     """Raise ``ValueError`` unless every token id lies in ``[0, V)``."""
@@ -399,67 +238,6 @@ def validate_fold_in_input(flat: FlatPhraseCorpus, alpha: np.ndarray,
         clique posterior could then have zero or undefined mass), or if any
         token id falls outside ``[0, vocabulary_size)``.
     """
-    alpha = np.asarray(alpha)
-    if not (0 < beta < np.inf) or not np.all((alpha > 0) & (alpha < np.inf)):
-        raise ValueError(
-            f"fold-in requires finite alpha > 0 and beta > 0 (got alpha min "
-            f"{float(np.min(alpha))}, beta {beta}), so every clique "
-            f"posterior has positive mass")
+    check_priors(alpha, beta, "fold-in", positive=True,
+                 hint=", so every clique posterior has positive mass")
     _check_token_range(flat.tokens, vocabulary_size)
-
-
-def run_fit_loop(sampler, state, config, rng: np.random.Generator,
-                 callback=None) -> None:
-    """Drive a flat sampler through a full fit: sweeps, Minka hyper-parameter
-    updates, and per-iteration callbacks.
-
-    Used by :class:`~repro.core.phrase_lda.PhraseLDA` (and so by
-    :class:`~repro.topicmodel.lda.LatentDirichletAllocation`, which runs as
-    all-singleton PhraseLDA) for its flat engines.  ``config`` provides
-    ``n_iterations``, ``optimize_hyperparameters``, ``burn_in``, and
-    ``hyper_optimize_interval``; ``state`` holds the count matrices the
-    sampler mutates (synchronised before every external observation).
-    """
-    from repro.topicmodel.hyperopt import (
-        optimize_asymmetric_alpha,
-        optimize_symmetric_beta,
-    )
-
-    for iteration in range(config.n_iterations):
-        sampler.sweep(rng)
-        if (config.optimize_hyperparameters
-                and iteration >= config.burn_in
-                and (iteration + 1) % config.hyper_optimize_interval == 0):
-            sampler.sync_counts()
-            state.alpha = optimize_asymmetric_alpha(state.doc_topic_counts, state.alpha)
-            state.beta = optimize_symmetric_beta(state.topic_word_counts, state.beta)
-            sampler.rebuild(state.alpha, state.beta)
-        if callback is not None:
-            sampler.sync_counts()
-            callback(iteration, state)
-    sampler.sync_counts()
-
-
-_SAMPLERS = {"c": CKernelSampler, "numpy": VectorizedGibbsSampler}
-
-
-def make_sampler(engine: str, flat: FlatPhraseCorpus, topic_word: np.ndarray,
-                 doc_topic: np.ndarray, topic_totals: np.ndarray,
-                 assign: np.ndarray, alpha: np.ndarray, beta: float):
-    """Build the sampler for a resolved (non-reference) engine name.
-
-    The flat samplers draw by inverse CDF without the reference sampler's
-    zero-total uniform fallback, which is only reachable with degenerate
-    priors — so strictly positive ``alpha`` and ``beta`` are required here
-    (guaranteeing every clique posterior has positive mass).
-    """
-    if beta <= 0 or np.any(np.asarray(alpha) <= 0):
-        raise ValueError(
-            f"engine {engine!r} requires alpha > 0 and beta > 0 (got "
-            f"alpha min {float(np.min(alpha))}, beta {beta}); use "
-            f"engine='reference' for degenerate priors")
-    try:
-        cls = _SAMPLERS[engine]
-    except KeyError:
-        raise ValueError(f"no flat sampler for engine {engine!r}") from None
-    return cls(flat, topic_word, doc_topic, topic_totals, assign, alpha, beta)

@@ -13,7 +13,7 @@ of tokens; when every clique has size one its conditional reduces exactly to
 the expression above ("LDA is a special case of PhraseLDA").  So LDA has no
 sampler of its own: :class:`LatentDirichletAllocation` fits
 :class:`~repro.core.phrase_lda.PhraseLDA` on the all-singleton segmentation
-of its documents, on any of PhraseLDA's engines.  This module also holds
+of its documents, on either of PhraseLDA's engines.  This module also holds
 what the two models share: the sampler configuration :class:`LDAConfig`
 (``PhraseLDAConfig`` is the same class) and :class:`TopicModelState`.
 """
@@ -61,9 +61,9 @@ class LDAConfig:
         Random seed.
     engine:
         Sweep implementation: ``"auto"`` (compiled kernel when available,
-        NumPy otherwise), ``"c"``, ``"numpy"``, or ``"reference"`` (the
-        readable nested loop).  All engines produce identical assignments
-        under a fixed seed.
+        the reference otherwise), ``"c"``, or ``"reference"`` (the readable
+        nested loop); ``"numpy"`` is a deprecated alias of ``"auto"``.  Both
+        engines produce identical assignments under a fixed seed.
     """
 
     n_topics: int = 10

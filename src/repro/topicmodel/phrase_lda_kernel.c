@@ -244,7 +244,7 @@ void phrase_lda_fold_in(const int32_t *tokens,      /* flat token ids           
  * lower-bound binary search of left * n_phrases + right in the sorted
  * pair keys.  A rare constituent (id -1) or a key absent from the table
  * is an impossible merge: -inf, merged id -1. */
-static double pair_lookup(int64_t left, int64_t right,
+static double pair_score(int64_t left, int64_t right,
                           const int64_t *pair_keys, const double *pair_sigs,
                           const int64_t *pair_merged, int64_t n_pairs,
                           int64_t n_phrases, int64_t *merged)
@@ -346,7 +346,7 @@ int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0     
             prv[i] = i - 1;
         }
         for (int64_t i = 0; i + 1 < n; i++) {
-            sig[i] = pair_lookup(pid[i], pid[i + 1], pair_keys, pair_sigs,
+            sig[i] = pair_score(pid[i], pid[i + 1], pair_keys, pair_sigs,
                                  pair_merged, n_pairs, n_phrases, &pmerged[i]);
             seq[i] = sig[i] >= threshold ? i : -1;
         }
@@ -387,14 +387,14 @@ int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0     
              * left neighbour first, own pair second. */
             const int64_t left = prv[best];
             if (left >= 0) {
-                sig[left] = pair_lookup(pid[left], pid[best], pair_keys,
+                sig[left] = pair_score(pid[left], pid[best], pair_keys,
                                         pair_sigs, pair_merged, n_pairs,
                                         n_phrases, &pmerged[left]);
                 seq[left] = sig[left] >= threshold ? next_seq : -1;
                 next_seq++;
             }
             if (follower >= 0) {
-                sig[best] = pair_lookup(pid[best], pid[follower], pair_keys,
+                sig[best] = pair_score(pid[best], pid[follower], pair_keys,
                                         pair_sigs, pair_merged, n_pairs,
                                         n_phrases, &pmerged[best]);
                 seq[best] = sig[best] >= threshold ? next_seq : -1;

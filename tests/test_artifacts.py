@@ -120,11 +120,11 @@ def test_model_round_trip_exact(model_bundle, tmp_path):
     assert loaded.render_topics(n_rows=10) == model_bundle.render_topics(n_rows=10)
 
 
-@pytest.mark.parametrize("engine", ["numpy", "c"])
+@pytest.mark.parametrize("engine", ["reference", "c"])
 def test_model_reload_reproduces_top_phrases_per_engine(fitted_pipeline, tmp_path,
                                                         engine):
     """Acceptance gate: a reloaded bundle reproduces the trained model's top
-    topical phrases exactly, for every available fast engine."""
+    topical phrases exactly, for every available engine."""
     if engine == "c" and not ckernel.kernel_available():
         pytest.skip("C kernel unavailable")
     config, result = fitted_pipeline

@@ -6,6 +6,11 @@ import pytest
 
 from repro.bench import BenchConfig, run_benchmarks, validate_report
 from repro.bench.report import SCHEMA, load_report, make_report, write_report
+from repro.topicmodel import ckernel
+
+requires_c_kernel = pytest.mark.skipif(
+    not ckernel.kernel_available(),
+    reason=f"C kernel unavailable: {ckernel.load_error()}")
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +45,11 @@ def test_reports_validate_and_round_trip(smoke_reports):
 
 def test_mining_and_segmentation_reports_race_engines(smoke_reports):
     """The front-end stages record every engine plus headline speedups
-    (segmentation also races the C kernel when it loads)."""
-    from repro.topicmodel import ckernel
-
+    (segmentation races the reference against the C kernel when it loads)."""
     _, reports = smoke_reports
     kernel = {"c"} if ckernel.kernel_available() else set()
     for stage, raced in (("phrase_mining", {"numpy"}),
-                         ("segmentation", {"numpy"} | kernel)):
+                         ("segmentation", kernel)):
         report = reports[stage]
         engines = {r["engine"] for r in report["records"]}
         assert engines == {"reference"} | raced
@@ -55,7 +58,8 @@ def test_mining_and_segmentation_reports_race_engines(smoke_reports):
         summary = report["summary"]
         assert set(summary["speedups"]) == raced
         assert all(speedup > 0 for speedup in summary["speedups"].values())
-        assert summary["best_speedup"] == max(summary["speedups"].values())
+        if raced:
+            assert summary["best_speedup"] == max(summary["speedups"].values())
         assert summary["tokens_per_second"]
 
 
@@ -147,15 +151,28 @@ def test_bench_cli_compare_gate(smoke_reports, tmp_path):
     assert main(argv) == 1
 
 
+@requires_c_kernel
 def test_phrase_lda_report_has_speedups(smoke_reports):
     _, reports = smoke_reports
     summary = reports["phrase_lda"]["summary"]
     assert "speedups" in summary
-    assert "numpy" in summary["speedups"]
-    assert summary["speedups"]["numpy"] > 0
-    assert summary["best_speedup"] >= summary["speedups"]["numpy"]
+    assert "c" in summary["speedups"]
+    assert summary["speedups"]["c"] > 0
+    assert summary["best_speedup"] >= summary["speedups"]["c"]
     engines = {r["engine"] for r in reports["phrase_lda"]["records"]}
-    assert {"reference", "numpy"} <= engines
+    assert engines == {"reference", "c"}
+
+
+def test_numpy_engine_request_resolves_through_the_alias():
+    """``--engines numpy`` names a sampler that no longer exists; it warns
+    and races what ``auto`` resolves to, once."""
+    expected = ["reference", "c"] if ckernel.kernel_available() \
+        else ["reference"]
+    assert BenchConfig().resolved_engines() == expected
+    with pytest.warns(DeprecationWarning):
+        engines = BenchConfig(
+            engines=("reference", "numpy", "auto")).resolved_engines()
+    assert engines == expected
 
 
 def test_serving_report_records_throughput(smoke_reports):
@@ -239,17 +256,18 @@ def test_topmine_report_records_figure8(smoke_reports):
         assert set(split) == {"phrase_mining", "topic_modeling"}
 
 
+@requires_c_kernel
 def test_speedups_come_from_largest_size(tmp_path):
     """Headline speedups must reflect the largest corpus even when sizes
     are listed in descending order."""
     from repro.bench.runner import bench_phrase_lda
 
     config = BenchConfig(sizes=(60, 40), sweeps=1, repeats=1, n_topics=3,
-                         engines=("reference", "numpy"), output_dir=tmp_path)
+                         engines=("reference", "c"), output_dir=tmp_path)
     report = bench_phrase_lda(config)
     largest = [r for r in report["records"]
-               if r["n_documents"] == 60 and r["engine"] == "numpy"][0]
-    assert report["summary"]["speedups"]["numpy"] == pytest.approx(
+               if r["n_documents"] == 60 and r["engine"] == "c"][0]
+    assert report["summary"]["speedups"]["c"] == pytest.approx(
         largest["speedup_vs_reference"])
 
 

@@ -37,14 +37,12 @@ def test_c_sweep_matches_reference_and_keeps_factors_exact(monkeypatch):
 
     captured = []
 
-    original = phrase_lda.make_sampler
+    class CapturingSampler(phrase_lda.CKernelSampler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            captured.append(self)
 
-    def capturing_make_sampler(*args, **kwargs):
-        sampler = original(*args, **kwargs)
-        captured.append(sampler)
-        return sampler
-
-    monkeypatch.setattr(phrase_lda, "make_sampler", capturing_make_sampler)
+    monkeypatch.setattr(phrase_lda, "CKernelSampler", CapturingSampler)
 
     # Minka updates after sweeps 10 and 20; sweeps 21-25 then run on
     # factors the kernel itself maintained since the last rebuild.

@@ -18,6 +18,7 @@ from repro.core.topmine import ToPMineConfig
 from repro.io.artifacts import load_segmentation
 from repro.serve import ModelRegistry, ServeConfig
 from repro.stream import StreamConfig
+from repro.topicmodel import ckernel
 
 DATASETS = ("20conf", "acl-abstracts", "ap-news", "dblp-abstracts",
             "dblp-titles", "yelp-reviews")
@@ -266,11 +267,13 @@ def test_fit_bare_flags_build_default_phrase_lda_config(small_segmentation,
         raise _Built
 
     monkeypatch.setattr(cli, "PhraseLDA", fake_phrase_lda)
-    with pytest.raises(_Built):
+    # "numpy" is a deprecated alias of "auto"; fit records what it resolved.
+    with pytest.raises(_Built), pytest.warns(DeprecationWarning):
         main(["fit", "--segmentation", str(small_segmentation),
               "--engine", "numpy", "--output", str(tmp_path / "m.npz")])
     config = captured["config"]
     assert (config.n_topics, config.n_iterations) == (10, 100)
     assert (config.alpha, config.beta) == (None, 0.01)
-    assert (config.seed, config.engine) == (7, "numpy")
+    expected = "c" if ckernel.kernel_available() else "reference"
+    assert (config.seed, config.engine) == (7, expected)
     assert not config.optimize_hyperparameters

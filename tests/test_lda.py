@@ -4,7 +4,7 @@ The expected values below are digests of the count matrices and topic
 assignments (and the exact α, β floats) of fixed fits.  They pin LDA's
 observable behaviour — including the per-token assignments an iteration
 callback sees — so any change to how LDA is sampled must reproduce it bit
-for bit on the ``reference``, ``numpy`` and ``c`` engines alike.
+for bit on the ``reference`` and ``c`` engines alike.
 """
 
 import hashlib
@@ -22,7 +22,7 @@ requires_c_kernel = pytest.mark.skipif(
     not ckernel.kernel_available(),
     reason=f"C kernel unavailable: {ckernel.load_error()}")
 
-ENGINES = ["reference", "numpy", pytest.param("c", marks=requires_c_kernel)]
+ENGINES = ["reference", pytest.param("c", marks=requires_c_kernel)]
 
 N_WORDS = 30
 

@@ -1,8 +1,8 @@
 """Engine equivalence for the phrase-mining front end.
 
-The vectorized (``"numpy"``) mining and segmentation engines and the
-compiled (``"c"``) segmentation engine must reproduce the readable
-reference implementations **bit for bit**: identical frequent phrases and
+The vectorized (``"numpy"``) mining engine and the compiled (``"c"``)
+segmentation engine must reproduce the readable reference implementations
+**bit for bit**: identical frequent phrases and
 counts, identical token totals and iteration counts, identical document
 partitions — across datasets, supports, thresholds, length caps, and
 adversarial random corpora.  These are the Algorithm 1/Algorithm 2
@@ -11,6 +11,7 @@ counterparts of ``tests/test_phrase_lda_equivalence.py``.
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -38,8 +39,10 @@ from repro.text.flat import FlatChunks
 from repro.topicmodel import ckernel
 from repro.utils.counter import HashCounter
 
-#: The batched segmentation engines; ``"c"`` only where the kernel builds.
-BATCHED_ENGINES = ("numpy", "c") if ckernel.kernel_available() else ("numpy",)
+#: The segmentation engine each equivalence case checks: ``"c"`` where the
+#: kernel builds, else the reference itself, so that a machine without a
+#: compiler still runs every case (against the reference or an oracle).
+CHECKED_ENGINES = ("c",) if ckernel.kernel_available() else ("reference",)
 
 
 def prepared_corpus(dataset="dblp-titles", n_documents=250, seed=7):
@@ -87,24 +90,29 @@ def test_resolve_mining_engine():
 
 
 def test_resolve_segmentation_engine(monkeypatch):
-    # auto picks the compiled kernel when it loads, numpy without it (as
-    # under REPRO_DISABLE_C_KERNEL).
-    expected = "c" if ckernel.kernel_available() else "numpy"
-    assert resolve_segmentation_engine("auto", 5.0) == expected
+    # auto picks the compiled kernel when it loads, the reference without
+    # it (as under REPRO_DISABLE_C_KERNEL).  "numpy" names the vectorized
+    # miner, which a config's mining engine passes on to segmentation, so
+    # it resolves like auto, without a warning.
+    expected = "c" if ckernel.kernel_available() else "reference"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for engine in ("auto", "numpy"):
+            assert resolve_segmentation_engine(engine, 5.0) == expected
+            # A -inf threshold lets the reference merge zero-frequency
+            # pairs, which the indexed scorer cannot express: auto degrades,
+            # an explicit c fails.
+            assert resolve_segmentation_engine(
+                engine, float("-inf")) == "reference"
     assert resolve_segmentation_engine("reference", 5.0) == "reference"
-    assert resolve_segmentation_engine("numpy", 5.0) == "numpy"
-    # A -inf threshold lets the reference merge zero-frequency pairs, which
-    # the indexed scorer cannot express: auto degrades, explicit c and
-    # numpy fail.
-    assert resolve_segmentation_engine("auto", float("-inf")) == "reference"
-    for engine in ("c", "numpy"):
-        with pytest.raises(ValueError, match="finite"):
-            resolve_segmentation_engine(engine, float("-inf"))
+    with pytest.raises(ValueError, match="finite"):
+        resolve_segmentation_engine("c", float("-inf"))
     with pytest.raises(ValueError, match="unknown"):
         resolve_segmentation_engine("fortran", 5.0)
 
     monkeypatch.setattr(ckernel, "kernel_available", lambda: False)
-    assert resolve_segmentation_engine("auto", 5.0) == "numpy"
+    assert resolve_segmentation_engine("auto", 5.0) == "reference"
+    assert resolve_segmentation_engine("numpy", 5.0) == "reference"
     with pytest.raises(RuntimeError, match="unavailable"):
         resolve_segmentation_engine("c", 5.0)
 
@@ -195,7 +203,7 @@ def test_segmentation_engines_match_on_datasets(dataset):
         for cap in (None, 1, 2, 3):
             reference = segment_with(corpus, mining, "reference", threshold,
                                      cap)
-            for engine in BATCHED_ENGINES:
+            for engine in CHECKED_ENGINES:
                 assert_partitions_equal(
                     reference,
                     segment_with(corpus, mining, engine, threshold, cap))
@@ -211,7 +219,7 @@ def test_segmentation_engines_match_on_random_corpora():
         threshold = rng.choice([-1.0, 0.0, 1.0, 5.0])
         cap = rng.choice([None, 1, 2, 3])
         reference = segment_with(corpus, mining, "reference", threshold, cap)
-        for engine in BATCHED_ENGINES:
+        for engine in CHECKED_ENGINES:
             assert_partitions_equal(
                 reference, segment_with(corpus, mining, engine, threshold, cap))
 
@@ -219,7 +227,7 @@ def test_segmentation_engines_match_on_random_corpora():
 def test_segment_document_matches_batched_segment():
     corpus = prepared_corpus(n_documents=150)
     mining = mine(corpus, "numpy")
-    for engine in BATCHED_ENGINES:
+    for engine in CHECKED_ENGINES:
         segmenter = CorpusSegmenter(mining,
                                     PhraseConstructionConfig(engine=engine))
         batched = segmenter.segment(corpus)
@@ -240,7 +248,7 @@ def test_serving_sized_batches_match_reference():
         engine: TopicInferencer(None, CorpusSegmenter(
             mining, PhraseConstructionConfig(engine=engine)),
             corpus.vocabulary, pipeline.config.preprocess)
-        for engine in ("reference",) + BATCHED_ENGINES}
+        for engine in {"reference", *CHECKED_ENGINES}}
     held_out = generated.texts[450:]
     rng = random.Random(13)
     start, n_multiword = 0, 0
@@ -249,7 +257,7 @@ def test_serving_sized_batches_match_reference():
         start += len(batch)
         reference = inferencers["reference"].segment_texts(batch)
         n_multiword += sum(len(p) > 1 for doc in reference[0] for p in doc)
-        for engine in BATCHED_ENGINES:
+        for engine in CHECKED_ENGINES:
             assert inferencers[engine].segment_texts(batch) == reference
     assert n_multiword > 10  # the batches actually exercised merging
 
@@ -346,7 +354,7 @@ def test_capped_construction_matches_brute_force_oracle():
         chunk = [rng.randrange(4) for _ in range(rng.randint(2, 7))]
         expected = brute_force_construct(chunk, scorer, threshold, cap)
         assert PhraseConstructor(scorer, config).construct(chunk).phrases == expected
-        for engine in BATCHED_ENGINES:
+        for engine in CHECKED_ENGINES:
             fast = CorpusSegmenter(mining, PhraseConstructionConfig(
                 significance_threshold=threshold, max_phrase_words=cap,
                 engine=engine)).segment_document([chunk])
@@ -400,7 +408,7 @@ def test_non_finite_threshold_falls_back_to_reference_engine():
 
 # -- token-id range guard -------------------------------------------------------------
 def test_out_of_range_token_ids_raise_on_every_engine():
-    """A negative id once wrapped around the numpy engine's ``word_id``
+    """A negative id once wrapped around a batched engine's ``word_id``
     table (merging where the reference did not), and an id >= 2**31
     overflowed the flat ``int32`` buffer; every engine now rejects both."""
     corpus = prepared_corpus(n_documents=200)
@@ -414,7 +422,7 @@ def test_out_of_range_token_ids_raise_on_every_engine():
         key=lambda item: item[1])
     assert significance > 0
     wrapped = a - (scorer.vocab_bound + 1)
-    for engine in ("reference",) + BATCHED_ENGINES:
+    for engine in {"reference", *CHECKED_ENGINES}:
         segmenter = CorpusSegmenter(mining, PhraseConstructionConfig(
             significance_threshold=0.0, engine=engine))
         assert segmenter.segment_document([[a, b]]).phrases == [(a, b)]

@@ -1,6 +1,8 @@
-"""Engine equivalence: the vectorized and compiled samplers must reproduce
-the readable reference sampler assignment-for-assignment under a fixed seed.
+"""Engine equivalence: the compiled sampler must reproduce the readable
+reference sampler assignment-for-assignment under a fixed seed.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,10 @@ requires_c_kernel = pytest.mark.skipif(
     not ckernel.kernel_available(),
     reason=f"C kernel unavailable: {ckernel.load_error()}")
 
-FAST_ENGINES = ["numpy", pytest.param("c", marks=requires_c_kernel)]
+FAST_ENGINES = [pytest.param("c", marks=requires_c_kernel)]
+#: Cases whose behaviour does not depend on the engine run on both, so a
+#: machine without a compiler still covers them.
+ALL_ENGINES = ["reference"] + FAST_ENGINES
 
 
 def make_phrase_docs(n_docs=40, seed=3):
@@ -113,37 +118,65 @@ def test_reference_phrase_lda_class_pins_engine():
     assert state.n_topics == 3
 
 
-def test_flat_engines_reject_degenerate_priors():
-    """The flat samplers have no zero-total fallback, so beta=0 / alpha=0
-    must be refused instead of silently diverging from the reference."""
+@requires_c_kernel
+def test_c_engine_rejects_degenerate_priors():
+    """The C sampler has no zero-total fallback, so beta=0 / alpha=0 must
+    be refused instead of silently diverging from the reference."""
     docs = [[(0,), (1, 2)]]
     for bad in (dict(beta=0.0), dict(alpha=0.0)):
         with pytest.raises(ValueError, match="reference"):
-            fit_phrase_lda("numpy", docs, **bad)
-    # the reference sampler still accepts them (it has the uniform fallback;
-    # degenerate denominators warn, as in the seed implementation)
+            fit_phrase_lda("c", docs, **bad)
+
+
+def test_reference_engine_accepts_zero_priors():
+    """The reference sampler has the uniform fallback; degenerate
+    denominators warn, as in the seed implementation."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        state = fit_phrase_lda("reference", docs, beta=0.0)
+        state = fit_phrase_lda("reference", [[(0,), (1, 2)]], beta=0.0)
     assert state.n_topics == 7
 
 
-def test_flat_engine_callbacks_see_token_assignments():
+@pytest.mark.parametrize("engine", ["auto"] + ALL_ENGINES)
+@pytest.mark.parametrize("bad", [dict(alpha=float("nan")),
+                                 dict(alpha=float("inf")),
+                                 dict(beta=float("nan")),
+                                 dict(beta=float("-inf"))],
+                         ids=["alpha-nan", "alpha-inf", "beta-nan",
+                              "beta-neg-inf"])
+def test_fit_rejects_non_finite_priors(engine, bad):
+    """A NaN or infinite prior would collapse every clique onto topic 0
+    and save a bundle that fold-in refuses; fit refuses it up front."""
+    with pytest.raises(ValueError, match="finite alpha and beta"):
+        fit_phrase_lda(engine, make_phrase_docs(n_docs=5), **bad)
+
+
+def test_numpy_engine_is_a_deprecated_alias_of_auto():
+    docs = make_phrase_docs(n_docs=12, seed=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        aliased = fit_phrase_lda("numpy", docs)
+    assert [w.category for w in caught] == [DeprecationWarning]
+    assert_states_equal(fit_phrase_lda("auto", docs), aliased)
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_engine_callbacks_see_token_assignments(engine):
     """Callbacks must observe populated per-token assignments (the
     init-time expansion, as with the reference engine), not an empty list."""
     docs = make_phrase_docs(n_docs=5, seed=1)
     observed = {}
-    for engine in ("reference", "numpy"):
+    for name in ("reference", engine):
         lengths = []
 
         def callback(iteration, state):
             lengths.append([len(a) for a in state.assignments])
 
         config = PhraseLDAConfig(n_topics=7, n_iterations=10, seed=11,
-                                 engine=engine)
+                                 engine=name)
         PhraseLDA(config).fit(docs, vocabulary_size=120, callback=callback)
-        observed[engine] = lengths
-    assert observed["numpy"] == observed["reference"]
-    assert all(observed["numpy"][0])  # non-empty per-doc arrays
+        observed[name] = lengths
+    assert observed[engine] == observed["reference"]
+    assert all(observed[engine][0])  # non-empty per-doc arrays
 
 
 def test_vocabulary_less_segmented_corpus_keeps_empty_slots():
@@ -157,30 +190,34 @@ def test_vocabulary_less_segmented_corpus_keeps_empty_slots():
     assert state.vocabulary_size == 3
 
 
-def test_flat_engines_reject_out_of_range_token_ids():
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_engines_reject_out_of_range_token_ids(engine):
     """Negative ids would wrap silently (and corrupt memory in the C
     kernel); both OOB directions must fail loudly at init."""
     for docs in ([[(0,), (-1,)]], [[(0,), (5,)]]):
         with pytest.raises((ValueError, IndexError)):
             PhraseLDA(PhraseLDAConfig(n_topics=2, n_iterations=2, seed=0,
-                                      engine="numpy")).fit(docs, vocabulary_size=2)
+                                      engine=engine)).fit(docs, vocabulary_size=2)
 
 
 def test_resolve_engine_validates():
     with pytest.raises(ValueError):
         resolve_engine("fortran")
-    assert resolve_engine("auto") in ("c", "numpy")
+    expected = "c" if ckernel.kernel_available() else "reference"
+    assert resolve_engine("auto") == expected
+    with pytest.warns(DeprecationWarning, match="numpy"):
+        assert resolve_engine("numpy") == expected
     assert resolve_engine("reference") == "reference"
 
 
-def test_empty_and_trivial_corpora():
-    for engine in ["numpy"] + (["c"] if ckernel.kernel_available() else []):
-        state = fit_phrase_lda(engine, [])
-        assert state.clique_assignments == []
-        state = fit_phrase_lda(engine, [[], [(1,)]])
-        assert len(state.clique_assignments) == 2
-        assert len(state.clique_assignments[0]) == 0
-        assert len(state.clique_assignments[1]) == 1
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_empty_and_trivial_corpora(engine):
+    state = fit_phrase_lda(engine, [])
+    assert state.clique_assignments == []
+    state = fit_phrase_lda(engine, [[], [(1,)]])
+    assert len(state.clique_assignments) == 2
+    assert len(state.clique_assignments[0]) == 0
+    assert len(state.clique_assignments[1]) == 1
 
 
 def test_segmented_corpus_empty_phrases_keep_alignment():
@@ -199,7 +236,7 @@ def test_segmented_corpus_empty_phrases_keep_alignment():
     ], vocabulary=vocabulary)
 
     states = {}
-    engines = ["reference", "numpy"] + (["c"] if ckernel.kernel_available() else [])
+    engines = ["reference"] + (["c"] if ckernel.kernel_available() else [])
     for engine in engines:
         model = PhraseLDA(PhraseLDAConfig(n_topics=3, n_iterations=20, seed=1,
                                           engine=engine))

@@ -7,6 +7,7 @@ import os
 import shutil
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -226,6 +227,31 @@ def test_stream_refresh_matches_offline_pipeline(tmp_path, titles, engine,
         _functional_sections(offline_manifest)
     # The published current.npz is byte-identical to the versioned file.
     assert stream.current_model_path.read_bytes() == report.path.read_bytes()
+
+
+def test_stream_with_numpy_engine_names_still_publishes(tmp_path, titles):
+    """``repro ingest --engine numpy --lda-engine numpy`` writes both names
+    into stream.json.  Such a stream still opens, refreshes and publishes,
+    with the same model arrays as an ``auto`` stream."""
+    published = {}
+    for name in ("numpy", "auto"):
+        root = tmp_path / name
+        TopicStream.create(root, _stream_config(
+            engine=name, lda_engine=name)).ingest(titles[0])
+        config = json.loads((root / "stream.json").read_text())["config"]
+        assert (config["engine"], config["lda_engine"]) == (name, name)
+        stream = TopicStream.open(root)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            report = stream.refresh(force=True)
+        assert report.version == 1
+        assert stream.current_model_path.read_bytes() == \
+            report.path.read_bytes()
+        published[name] = _read_npz(report.path)[1]
+    assert set(published["numpy"]) == set(published["auto"])
+    for array in published["numpy"]:
+        assert np.array_equal(published["numpy"][array],
+                              published["auto"][array])
 
 
 def test_refresh_is_reproducible_across_reopen(tmp_path, titles):
