@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "numpy selects the same pair; all engines are "
                            "bit-identical)")
     mine.add_argument("--jobs", type=int, default=ToPMineConfig.n_jobs,
-                      help="segmentation worker processes (default: "
-                           "%(default)s; results are identical for any value)")
+                      help="deprecated and has no effect: segmentation "
+                           "runs in one process")
     mine.add_argument("--seed", type=int, default=7,
                       help="dataset generation seed (default: 7)")
     mine.add_argument("--output", "-o", metavar="PATH", required=True,

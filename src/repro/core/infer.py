@@ -381,7 +381,7 @@ class TopicInferencer:
             encoded.append(chunks)
             unknown_counts.append(unknown)
         # One batched pass: every document shares the segmenter's kernel
-        # call (and sharding, when configured).
+        # call.
         segmented = self.segmenter.segment_documents(encoded)
         return segmented, unknown_counts
 

@@ -49,17 +49,13 @@ class PhraseConstructionConfig:
         (this module's readable constructor), ``"c"`` (the batched compiled
         engine), or ``"auto"`` (``"c"`` when the kernel loads, else
         ``"reference"``; ``"numpy"`` resolves the same way).  Partitions
-        are bit-identical across engines.
-    n_jobs:
-        Worker processes for corpus-scale segmentation; documents are
-        sharded contiguously and merged back in order, so any value
-        produces the same partitions as ``1``.
+        are bit-identical across engines, and every engine runs in the
+        calling process.
     """
 
     significance_threshold: float = 5.0
     max_phrase_words: Optional[int] = None
     engine: str = "auto"
-    n_jobs: int = 1
 
 
 @dataclass

@@ -16,16 +16,14 @@ runs the batched compiled
 :class:`~repro.core.fast_construction.FastSegmentationEngine` — bit-identical
 partitions, an order of magnitude faster at corpus scale and also on
 serving-sized batches of a few documents.  ``"auto"`` picks ``"c"`` when
-the kernel loads and ``"reference"`` otherwise.  Independently of
-the engine, :meth:`CorpusSegmenter.segment` can shard documents across
-``n_jobs`` worker processes; shards are merged back in document order, so
-the result is identical to a sequential run.
+the kernel loads and ``"reference"`` otherwise.  Every segmentation runs
+in the calling process as one batched
+:meth:`CorpusSegmenter.segment_documents` call.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -44,10 +42,6 @@ Phrase = Tuple[int, ...]
 
 #: Engine names accepted by the segmentation layer.
 SEGMENTATION_ENGINES = ("auto", "c", "numpy", "reference")
-
-#: Documents below this count are never sharded — worker startup would
-#: dominate the segmentation itself.
-MIN_DOCUMENTS_PER_SHARD = 16
 
 
 def resolve_segmentation_engine(engine: str,
@@ -189,7 +183,7 @@ class CorpusSegmenter:
         Output of :class:`~repro.core.frequent_phrases.FrequentPhraseMiner`
         providing the aggregate counts for the significance score.
     construction_config:
-        Threshold α, engine, and sharding (``n_jobs``) options.
+        Threshold α, phrase-length cap and engine.
     """
 
     def __init__(self, mining_result: FrequentPhraseMiningResult,
@@ -212,17 +206,14 @@ class CorpusSegmenter:
 
     def segment_documents(self, documents: Sequence[Sequence[Sequence[int]]],
                           doc_ids: Optional[Sequence[int]] = None,
-                          n_jobs: Optional[int] = None,
                           ) -> List[SegmentedDocument]:
         """Partition a batch of documents (each a sequence of chunks).
 
         The batched entry point behind :meth:`segment` and the serving
         layer: with the ``c`` engine all documents share one flat chunk
-        buffer and one kernel call, and with
-        ``n_jobs > 1`` the batch is sharded across worker processes.  The
-        per-document results are identical to calling
-        :meth:`segment_document` in a loop, whatever the engine or job
-        count.
+        buffer and one kernel call.  The per-document results are
+        identical to calling :meth:`segment_document` in a loop, whatever
+        the engine.
 
         Parameters
         ----------
@@ -231,8 +222,6 @@ class CorpusSegmenter:
         doc_ids:
             Optional document ids to stamp on the results (defaults to the
             batch positions).
-        n_jobs:
-            Worker processes; defaults to the construction config's value.
 
         Returns
         -------
@@ -250,10 +239,7 @@ class CorpusSegmenter:
         flat = FlatChunks.from_documents(documents)
         if doc_ids is None:
             doc_ids = range(len(documents))
-        jobs = self.config.n_jobs if n_jobs is None else n_jobs
-        if jobs > 1 and len(documents) >= jobs * MIN_DOCUMENTS_PER_SHARD:
-            phrase_lists = self._segment_sharded(documents, jobs)
-        elif self._fast is not None:
+        if self._fast is not None:
             phrase_lists = self._fast.segment_flat(flat)
         else:
             phrase_lists = self._segment_reference(documents)
@@ -281,45 +267,3 @@ class CorpusSegmenter:
                 phrases.extend(self.constructor.construct(chunk).phrases)
             results.append(phrases)
         return results
-
-    def _segment_sharded(self, documents: Sequence[Sequence[Sequence[int]]],
-                         jobs: int) -> List[List[Phrase]]:
-        """Shard ``documents`` across ``jobs`` worker processes.
-
-        Each worker receives one contiguous slice; results are concatenated
-        back in slice order, so the output is bit-identical to the
-        sequential path (documents are independent — sharding only changes
-        where the work runs).
-        """
-        bounds = [(len(documents) * shard) // jobs for shard in range(jobs + 1)]
-        shards = [list(documents[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
-        with multiprocessing.Pool(processes=len(shards),
-                                  initializer=_shard_initializer,
-                                  initargs=(self.mining_result, self.config),
-                                  ) as pool:
-            shard_results = pool.map(_segment_shard, shards)
-        merged: List[List[Phrase]] = []
-        for result in shard_results:
-            merged.extend(result)
-        return merged
-
-
-# -- multiprocessing glue -------------------------------------------------------------
-_SHARD_SEGMENTER: Optional[CorpusSegmenter] = None
-
-
-def _shard_initializer(mining_result: FrequentPhraseMiningResult,
-                       config: PhraseConstructionConfig) -> None:
-    """Build one single-process segmenter per worker (pickled state once)."""
-    global _SHARD_SEGMENTER
-    worker_config = PhraseConstructionConfig(
-        significance_threshold=config.significance_threshold,
-        max_phrase_words=config.max_phrase_words,
-        engine=config.engine, n_jobs=1)
-    _SHARD_SEGMENTER = CorpusSegmenter(mining_result, worker_config)
-
-
-def _segment_shard(documents: List[List[List[int]]]) -> List[List[Phrase]]:
-    """Segment one shard of documents inside a worker process."""
-    assert _SHARD_SEGMENTER is not None
-    return [doc.phrases for doc in _SHARD_SEGMENTER.segment_documents(documents)]

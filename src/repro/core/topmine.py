@@ -18,6 +18,7 @@ recorded, matching the decomposition reported in Figure 8.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -33,6 +34,14 @@ from repro.core.visualization import TopicVisualization, TopicVisualizer
 from repro.text.corpus import Corpus
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.utils.timing import Stopwatch
+
+
+def warn_deprecated_n_jobs(n_jobs: int, owner: str) -> None:
+    """Warn once per config that ``n_jobs`` no longer changes anything."""
+    if n_jobs != 1:
+        warnings.warn(f"{owner}.n_jobs is deprecated and has no effect: "
+                      "segmentation runs in the calling process",
+                      DeprecationWarning, stacklevel=4)
 
 
 @dataclass
@@ -68,8 +77,9 @@ class ToPMineConfig:
         vectorized miner and the compiled segmenter (the reference one
         without a compiler).
     n_jobs:
-        Worker processes for corpus segmentation (documents are sharded
-        and merged back in order — results are identical to ``1``).
+        Deprecated and ignored: segmentation always runs in the calling
+        process as one batched call.  A value other than ``1`` emits a
+        :class:`DeprecationWarning`.
     """
 
     n_topics: int = 10
@@ -84,6 +94,9 @@ class ToPMineConfig:
     seed: Optional[int] = None
     mining_engine: str = "auto"
     n_jobs: int = 1
+
+    def __post_init__(self) -> None:
+        warn_deprecated_n_jobs(self.n_jobs, "ToPMineConfig")
 
     def mining_config(self, corpus: Corpus) -> PhraseMiningConfig:
         """Resolve the phrase-mining configuration for ``corpus``."""
@@ -100,8 +113,7 @@ class ToPMineConfig:
         return PhraseConstructionConfig(
             significance_threshold=self.significance_threshold,
             max_phrase_words=self.max_phrase_length,
-            engine=self.mining_engine,
-            n_jobs=self.n_jobs)
+            engine=self.mining_engine)
 
     def phrase_lda_config(self) -> PhraseLDAConfig:
         """Resolve the PhraseLDA configuration."""

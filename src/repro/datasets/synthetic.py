@@ -18,7 +18,7 @@ background words and cross-topic noise keep the mining problem non-trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -172,12 +172,6 @@ class SyntheticCorpusGenerator:
             dominant_topics.append(int(np.argmax(theta)))
             texts.append(self._generate_document(theta, rng))
         return GeneratedCorpus(texts=texts, document_topics=dominant_topics, spec=spec)
-
-    def generate_corpus(self, n_documents: Optional[int] = None,
-                        config: Optional[PreprocessConfig] = None,
-                        seed: SeedLike = None) -> Corpus:
-        """Generate and immediately preprocess into a :class:`Corpus`."""
-        return self.generate(n_documents, seed=seed).to_corpus(config)
 
     # -- internals --------------------------------------------------------------------
     def _generate_document(self, theta: np.ndarray, rng: np.random.Generator) -> str:

@@ -60,7 +60,9 @@ import json
 import mmap
 import os
 import tempfile
+import tokenize
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -71,7 +73,12 @@ from repro.core.frequent_phrases import FrequentPhraseMiningResult
 from repro.core.infer import InferenceConfig, TopicInferencer
 from repro.core.phrase_construction import PhraseConstructionConfig
 from repro.core.phrase_lda import PhraseLDAState
-from repro.core.segmentation import CorpusSegmenter, SegmentedCorpus, SegmentedDocument
+from repro.core.segmentation import (
+    SEGMENTATION_ENGINES,
+    CorpusSegmenter,
+    SegmentedCorpus,
+    SegmentedDocument,
+)
 from repro.core.visualization import TopicVisualization, build_visualization
 from repro.text.preprocess import PreprocessConfig
 from repro.text.vocabulary import Vocabulary
@@ -94,6 +101,16 @@ _MODEL_ARRAYS = _COMMON_ARRAYS + (
     "topic_word_counts", "doc_topic_counts", "topic_counts", "alpha",
     "topical_tokens", "topical_offsets", "topical_counts",
 )
+
+#: What the zip and npy readers raise on a corrupt container besides
+#: ``ValueError``/``OSError``: zipfile raises ``NotImplementedError`` for an
+#: unknown compression method or zip version, ``RuntimeError`` for a member
+#: flagged as encrypted and ``zlib.error``/``EOFError`` for a mangled
+#: deflate stream, and numpy's fallback npy-header parser raises
+#: ``tokenize.TokenError`` (or a ``SyntaxError``) on a mangled header dict.
+_UNREADABLE = (zipfile.BadZipFile, ValueError, OSError, KeyError, EOFError,
+               NotImplementedError, RuntimeError, SyntaxError,
+               tokenize.TokenError, zlib.error)
 
 
 class ArtifactError(Exception):
@@ -184,7 +201,7 @@ def _map_member(mapped: mmap.mmap, info: zipfile.ZipInfo,
         if reader is None:
             raise ValueError(f"unsupported npy format version {version}")
         shape, fortran_order, dtype = reader(prefix)
-    except ValueError as exc:
+    except _UNREADABLE as exc:
         raise ArtifactError(
             f"{path}: member {info.filename} is not a valid npy array: "
             f"{exc}") from exc
@@ -234,7 +251,7 @@ def _read_npz(path: Union[str, Path],
         if data is None:
             with np.load(path, allow_pickle=False) as archive:
                 data = {name: archive[name] for name in archive.files}
-    except (zipfile.BadZipFile, ValueError, OSError, KeyError) as exc:
+    except _UNREADABLE as exc:
         raise ArtifactError(f"{path} is not a readable bundle: {exc}") from exc
     if "manifest" not in data:
         raise ArtifactError(f"{path} has no manifest entry — not a {FORMAT_NAME} bundle")
@@ -272,6 +289,23 @@ def _validate_manifest(manifest: Any, path: Path) -> None:
         raise ArtifactError(
             f"{path}: manifest is missing a valid 'mining' section "
             f"(total_tokens/min_support/iterations)")
+    if mining["total_tokens"] < 1:
+        raise ArtifactError(f"{path}: mining.total_tokens must be positive")
+    for section in ("construction", "preprocess", "metadata", "corpus"):
+        if not isinstance(manifest.get(section, {}), dict):
+            raise ArtifactError(
+                f"{path}: manifest section {section!r} is not a JSON object")
+    construction = manifest.get("construction", {})
+    if construction.get("engine", "auto") not in SEGMENTATION_ENGINES:
+        raise ArtifactError(
+            f"{path}: unknown construction engine "
+            f"{construction.get('engine')!r}; expected one of "
+            f"{SEGMENTATION_ENGINES}")
+    threshold = construction.get("significance_threshold", 0.0)
+    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        raise ArtifactError(
+            f"{path}: construction.significance_threshold {threshold!r} "
+            f"is not a number")
     if manifest["kind"] == "model":
         model = manifest.get("model")
         if not isinstance(model, dict) or \
@@ -308,11 +342,19 @@ def _validate_arrays(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray],
                 f"{path}: {name} contains ids outside the vocabulary "
                 f"[0, {n_words})")
 
+    def check_counts(name: str, minimum: int) -> None:
+        counts = arrays[name]
+        check(np.issubdtype(counts.dtype, np.integer),
+              f"{name} must have an integer dtype")
+        check(not counts.size or int(counts.min()) >= minimum,
+              f"{name} must be >= {minimum}")
+
     check_token_ids("phrase_tokens")
     _check_offsets(arrays["phrase_offsets"], len(arrays["phrase_tokens"]),
                    "phrase_offsets", check)
     check(len(arrays["phrase_counts"]) == len(arrays["phrase_offsets"]) - 1,
           "phrase_counts length does not match phrase_offsets")
+    check_counts("phrase_counts", 1)
 
     if manifest["kind"] == "segmentation":
         check_token_ids("seg_tokens")
@@ -329,6 +371,8 @@ def _validate_arrays(manifest: Dict[str, Any], arrays: Dict[str, np.ndarray],
               "topic_word_counts rows do not match the vocabulary")
         check(arrays["topic_counts"].shape == (n_topics,),
               "topic_counts length does not match n_topics")
+        check_counts("topic_word_counts", 0)
+        check_counts("topic_counts", 0)
         check(arrays["alpha"].shape == (n_topics,),
               "alpha length does not match n_topics")
         check(arrays["doc_topic_counts"].ndim == 2
@@ -661,14 +705,13 @@ def save_bundle(path: Union[str, Path], bundle: Bundle,
             "min_support": int(bundle.mining.min_support),
             "iterations": int(bundle.mining.iterations),
         },
-        # engine and n_jobs are execution preferences of the machine that
-        # *mined* the bundle, not part of the model: persisting them would
-        # pin every later consumer (inference, serving) to the miner's
-        # engine choice or silently fork worker pools.  "auto" resolves per
-        # consumer (and still degrades to the reference engine whenever the
-        # configuration requires it).
+        # The engine is an execution preference of the machine that *mined*
+        # the bundle, not part of the model: persisting it would pin every
+        # later consumer (inference, serving) to the miner's engine choice.
+        # "auto" resolves per consumer (and still degrades to the reference
+        # engine whenever the configuration requires it).
         "construction": {**_config_dict(bundle.construction),
-                         "engine": "auto", "n_jobs": 1},
+                         "engine": "auto"},
         "preprocess": _config_dict(bundle.preprocess),
         "metadata": dict(bundle.metadata),
     }
@@ -832,7 +875,7 @@ def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
         raise
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path}: corrupt manifest JSON: {exc}") from exc
-    except (zipfile.BadZipFile, ValueError, OSError, KeyError) as exc:
+    except _UNREADABLE as exc:
         raise ArtifactError(f"{path} is not a readable bundle: {exc}") from exc
     _validate_manifest(manifest, path)
     return manifest

@@ -298,12 +298,6 @@ class ModelRegistry:
                 max(0.0, loaded.loaded_at - float(published_at)))
         return loaded
 
-    def evict(self, name: str) -> bool:
-        """Drop ``name``'s resident copy (it stays registered); returns
-        whether anything was resident."""
-        with self._lock:
-            return self._loaded.pop(name, None) is not None
-
     def describe_all(self) -> List[Dict[str, Any]]:
         """Describe every registered model for ``/v1/models``.
 

@@ -60,7 +60,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.phrase_construction import PhraseConstructionConfig
 from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
 from repro.core.segmentation import CorpusSegmenter
-from repro.core.topmine import ToPMineConfig
+from repro.core.topmine import ToPMineConfig, warn_deprecated_n_jobs
 from repro.io.artifacts import ModelBundle, _config_from_dict, save_bundle
 from repro.obs.shards import ShardWriter
 from repro.stream.counters import (
@@ -121,7 +121,9 @@ class StreamConfig:
         PhraseLDA sampling engine (``"numpy"`` is a deprecated alias of
         ``"auto"``).
     n_jobs:
-        Segmentation worker processes at refresh.
+        Deprecated and ignored (refreshes segment in one process); a
+        value other than ``1`` emits a :class:`DeprecationWarning`.
+        Streams created with another value still open.
     preprocess:
         Preprocessing options; ``min_word_frequency`` must stay ≤ 1 —
         corpus-global rare-word dropping is a two-pass operation that
@@ -148,6 +150,9 @@ class StreamConfig:
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     refresh_min_documents: int = 1
     source: str = "stream"
+
+    def __post_init__(self) -> None:
+        warn_deprecated_n_jobs(self.n_jobs, "StreamConfig")
 
     def validate(self) -> None:
         """Raise :class:`StreamError` on configurations streams cannot honour."""
@@ -188,7 +193,7 @@ class StreamConfig:
             n_iterations=self.n_iterations, alpha=self.alpha, beta=self.beta,
             optimize_hyperparameters=self.optimize_hyperparameters,
             preprocess=self.preprocess, seed=self.seed,
-            mining_engine=self.engine, n_jobs=self.n_jobs)
+            mining_engine=self.engine)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (stored in ``stream.json``)."""

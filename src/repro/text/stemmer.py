@@ -109,19 +109,6 @@ class PorterStemmer:
         return word[-1] not in "wxy"
 
     # -- rule application -------------------------------------------------------
-    def _replace_if_m(self, word: str, suffix: str, replacement: str,
-                      min_measure: int) -> str | None:
-        """If ``word`` ends with ``suffix`` and the stem measure exceeds
-        ``min_measure``, return the replaced form; otherwise ``None`` when the
-        suffix matched but the condition failed, and ``None`` when it did not
-        match (callers distinguish via :meth:`_try_rules`)."""
-        if not word.endswith(suffix):
-            return None
-        stem = word[: len(word) - len(suffix)]
-        if self._measure(stem) > min_measure:
-            return stem + replacement
-        return word
-
     def _try_rules(self, word: str, rules: Dict[str, str], min_measure: int) -> str:
         """Apply the longest matching rule from ``rules`` (suffix → new suffix)
         subject to measure > ``min_measure``.  Only the longest matching suffix

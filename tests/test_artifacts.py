@@ -1,6 +1,7 @@
 """Artifact round-trips, schema validation, and cross-engine reload identity."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
 from repro.core.visualization import TopicVisualizer
 from repro.io.artifacts import (
@@ -20,6 +22,7 @@ from repro.io.artifacts import (
     load_model,
     load_segmentation,
     mmap_backing,
+    read_manifest,
     save_bundle,
 )
 from repro.topicmodel import ckernel
@@ -79,18 +82,22 @@ def test_segmentation_round_trip(fitted_pipeline, tmp_path):
 
 
 def test_bundles_do_not_persist_execution_preferences(fitted_pipeline, tmp_path):
-    """engine/n_jobs describe the mining machine, not the model: a bundle
-    mined with ``--jobs 4 --engine reference`` must not make every later
-    consumer fork worker pools or pin the slow reference segmenter."""
+    """The engine describes the mining machine, not the model: a bundle
+    mined with ``--engine reference`` must not pin every later consumer to
+    the slow reference segmenter.  Manifests carry no ``n_jobs``, and one
+    written with ``"n_jobs": 4`` by an older release still loads."""
     bundle = _segmentation_bundle(fitted_pipeline)
-    bundle.construction.n_jobs = 4
     bundle.construction.engine = "reference"
     path = save_bundle(tmp_path / "seg.npz", bundle)
+    assert "n_jobs" not in read_manifest(path)["construction"]
     loaded = load_segmentation(path)
-    assert loaded.construction.n_jobs == 1
     assert loaded.construction.engine == "auto"
     assert (loaded.construction.significance_threshold
             == bundle.construction.significance_threshold)
+
+    older = _tamper(path, tmp_path / "older.npz",
+                    manifest_edit=lambda m: m["construction"].update(n_jobs=4))
+    assert load_segmentation(older).construction == loaded.construction
 
 
 def test_segmentation_bundle_refits_identically(fitted_pipeline, tmp_path):
@@ -307,3 +314,101 @@ def test_wrong_kind_rejected(fitted_pipeline, model_bundle, tmp_path):
         load_model(seg_path)
     with pytest.raises(ArtifactError, match="expected 'segmentation'"):
         load_segmentation(model_path)
+
+
+# -- corrupt containers and unservable bundles -----------------------------------------
+def _patch_bytes(path: Path, out: Path, locate, value: bytes) -> Path:
+    """Copy ``path`` to ``out`` with ``value`` written at ``locate(data)``."""
+    data = bytearray(path.read_bytes())
+    offset = locate(bytes(data))
+    data[offset:offset + len(value)] = value
+    out.write_bytes(bytes(data))
+    return out
+
+
+def _central_directory(data: bytes) -> int:
+    """Offset of the zip central directory, read from its end record."""
+    end = data.rfind(b"PK\x05\x06")
+    return int.from_bytes(data[end + 16:end + 20], "little")
+
+
+def _first_npy_header_close(data: bytes) -> int:
+    """Offset of the closing brace of the first member's npy header dict."""
+    name_length = int.from_bytes(data[26:28], "little")
+    extra_length = int.from_bytes(data[28:30], "little")
+    return data.index(b"}", 30 + name_length + extra_length)
+
+
+def _edit_array(name, value):
+    def edit(arrays):
+        array = arrays[name].copy()
+        array.flat[0] = value
+        arrays[name] = array
+    return edit
+
+
+# Each entry turns a saved model bundle into one that must fail to load.
+CORRUPTIONS = {
+    # zipfile raises NotImplementedError for these two.
+    "compression-method-99": lambda path, out: _patch_bytes(
+        path, out, lambda data: _central_directory(data) + 10,
+        (99).to_bytes(2, "little")),
+    "zip-version-9.9": lambda path, out: _patch_bytes(
+        path, out, lambda data: _central_directory(data) + 6, bytes([99])),
+    # numpy's fallback header parser raises tokenize.TokenError.
+    "npy-header-unclosed": lambda path, out: _patch_bytes(
+        path, out, _first_npy_header_close, b" "),
+    "construction-not-object": lambda path, out: _tamper(
+        path, out, manifest_edit=lambda m: m.update(construction="fast")),
+    "metadata-not-object": lambda path, out: _tamper(
+        path, out, manifest_edit=lambda m: m.update(metadata="seed 7")),
+    # The rest load and then fail in bundle.inferencer() unless rejected.
+    "negative-topic-word-count": lambda path, out: _tamper(
+        path, out, arrays_edit=_edit_array("topic_word_counts", -1)),
+    "negative-topic-count": lambda path, out: _tamper(
+        path, out, arrays_edit=_edit_array("topic_counts", -3)),
+    "zero-phrase-count": lambda path, out: _tamper(
+        path, out, arrays_edit=_edit_array("phrase_counts", 0)),
+    "unknown-construction-engine": lambda path, out: _tamper(
+        path, out, manifest_edit=lambda m: m["construction"].update(
+            engine="turbo")),
+    "non-numeric-threshold": lambda path, out: _tamper(
+        path, out, manifest_edit=lambda m: m["construction"].update(
+            significance_threshold="5.0")),
+    "zero-total-tokens": lambda path, out: _tamper(
+        path, out, manifest_edit=lambda m: m["mining"].update(
+            total_tokens=0)),
+}
+
+
+@pytest.fixture
+def corrupted(model_bundle, tmp_path, request):
+    path = save_bundle(tmp_path / "model.npz", model_bundle)
+    return CORRUPTIONS[request.param](path, tmp_path / "bad.npz")
+
+
+@pytest.mark.parametrize("corrupted", sorted(CORRUPTIONS), indirect=True)
+def test_corrupt_or_unservable_bundle_rejected_at_load(corrupted):
+    with pytest.raises(ArtifactError, match=re.escape(str(corrupted))):
+        load_bundle(corrupted)
+    with pytest.raises(ArtifactError, match=re.escape(str(corrupted))):
+        load_bundle(corrupted, mapped=False)
+
+
+@pytest.mark.parametrize("corrupted", ["zip-version-9.9",
+                                       "construction-not-object",
+                                       "unknown-construction-engine"],
+                         indirect=True)
+def test_corrupt_manifest_rejected_by_read_manifest(corrupted):
+    with pytest.raises(ArtifactError, match=re.escape(str(corrupted))):
+        read_manifest(corrupted)
+
+
+@pytest.mark.parametrize("corrupted", sorted(CORRUPTIONS), indirect=True)
+def test_cli_reports_corrupt_bundles_without_traceback(corrupted, capsys):
+    for argv in (["topics", "--model", str(corrupted)],
+                 ["infer", "--model", str(corrupted), "--dataset",
+                  "dblp-titles", "--n-docs", "2"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -1,6 +1,7 @@
 """Seed-determinism audit: every stochastic component must be reproducible."""
 
 import numpy as np
+import pytest
 
 from repro.datasets import dblp_titles
 from repro.datasets.registry import available_datasets, load_dataset
@@ -88,14 +89,16 @@ def test_mining_and_segmentation_engine_parity():
         assert ref_doc.doc_id == np_doc.doc_id
 
 
-def test_segmentation_sharding_parity():
-    """n_jobs=4 shards produce exactly the n_jobs=1 partitions, per engine."""
-    for engine in ("reference", "numpy"):
-        _, sequential = _front_end(engine, n_jobs=1)
-        _, sharded = _front_end(engine, n_jobs=4)
-        for seq_doc, shard_doc in zip(sequential, sharded):
-            assert seq_doc.phrases == shard_doc.phrases
-            assert seq_doc.doc_id == shard_doc.doc_id
+def test_deprecated_n_jobs_warns_once_and_changes_nothing():
+    """n_jobs=4 warns once and yields exactly the n_jobs=1 partitions."""
+    for engine in ("reference", "auto"):
+        _, default = _front_end(engine, n_jobs=1)
+        with pytest.warns(DeprecationWarning, match="n_jobs") as caught:
+            _, deprecated = _front_end(engine, n_jobs=4)
+        assert sum("n_jobs" in str(w.message) for w in caught) == 1
+        for default_doc, deprecated_doc in zip(default, deprecated):
+            assert default_doc.phrases == deprecated_doc.phrases
+            assert default_doc.doc_id == deprecated_doc.doc_id
 
 
 def test_front_end_reruns_are_reproducible():

@@ -14,7 +14,7 @@ from repro.core.infer import (
     TopicInferencer,
     resolve_inference_engine,
 )
-from repro.io.artifacts import save_bundle
+from repro.io.artifacts import ArtifactError, load_bundle, save_bundle
 from repro.topicmodel import ckernel
 
 requires_c_kernel = pytest.mark.skipif(
@@ -276,15 +276,22 @@ def test_inferencer_without_vocabulary_rejects_raw_text(model_bundle):
         inferencer.infer_texts(["some text"])
 
 
-# Folds one text into the bundle at argv[1] with each engine in argv[2:],
-# printing one JSON line per engine: the θ rows, or the ValueError message.
+# Loads the bundle at argv[1], swaps in the topic counts saved at argv[2]
+# (load_bundle rejects negative and non-integer counts, so the hostile
+# counts reach the engines in memory) and folds one text in with each
+# engine in argv[3:], printing one JSON line per engine: the θ rows, or
+# the ValueError message.
 _HOSTILE_CHILD = """
 import json, sys
+import numpy as np
 from repro.core.infer import InferenceConfig
 from repro.io.artifacts import load_bundle
 
 bundle = load_bundle(sys.argv[1])
-for engine in sys.argv[2:]:
+with np.load(sys.argv[2]) as hostile:
+    bundle.topic_word_counts = hostile["topic_word_counts"]
+    bundle.topic_counts = hostile["topic_counts"]
+for engine in sys.argv[3:]:
     try:
         result = bundle.infer_texts(
             ["support vector machine training data and feature selection"],
@@ -312,7 +319,8 @@ def _hostile_counts(case, topic_word, topic_totals):
 def test_hostile_bundle_counts_fold_in_safely(model_bundle, tmp_path, case):
     """Bundles with float, Fortran-order, negative or ~2^62 counts either
     fold in to a finite θ or raise ValueError; the process never dies by
-    signal inside the kernel."""
+    signal inside the kernel.  Float and negative counts are also
+    rejected on load."""
     clean = tmp_path / "clean.npz"
     save_bundle(clean, model_bundle)
     with np.load(clean) as archive:
@@ -321,11 +329,17 @@ def test_hostile_bundle_counts_fold_in_safely(model_bundle, tmp_path, case):
         case, arrays["topic_word_counts"], arrays["topic_counts"])
     hostile = tmp_path / f"{case}.npz"
     np.savez(hostile, **arrays)
+    if case in ("float", "negative"):
+        with pytest.raises(ArtifactError, match="topic_word_counts"):
+            load_bundle(hostile)
+    else:
+        load_bundle(hostile)
 
     engines = ["reference"] + (["c"] if ckernel.kernel_available() else [])
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", _HOSTILE_CHILD, str(hostile), *engines],
+        [sys.executable, "-c", _HOSTILE_CHILD, str(clean), str(hostile),
+         *engines],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, (proc.returncode, proc.stderr)

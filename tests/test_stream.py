@@ -254,6 +254,34 @@ def test_stream_with_numpy_engine_names_still_publishes(tmp_path, titles):
                               published["auto"][array])
 
 
+def test_stream_with_deprecated_n_jobs_still_publishes(tmp_path, titles):
+    """A stream.json written with ``"n_jobs": 4`` by an older release
+    opens with one DeprecationWarning, refreshes and publishes the same
+    model arrays as a default stream."""
+    TopicStream.create(tmp_path / "default", _stream_config()).ingest(
+        titles[0])
+    shutil.copytree(tmp_path / "default", tmp_path / "jobs")
+    stream_file = tmp_path / "jobs" / "stream.json"
+    payload = json.loads(stream_file.read_text())
+    payload["config"]["n_jobs"] = 4
+    stream_file.write_text(json.dumps(payload))
+
+    with pytest.warns(DeprecationWarning, match="n_jobs"):
+        streams = {"jobs": TopicStream.open(tmp_path / "jobs")}
+    streams["default"] = TopicStream.open(tmp_path / "default")
+    published = {}
+    for name, stream in streams.items():
+        report = stream.refresh(force=True)
+        assert report.version == 1
+        assert stream.current_model_path.read_bytes() == \
+            report.path.read_bytes()
+        published[name] = _read_npz(report.path)[1]
+    assert set(published["jobs"]) == set(published["default"])
+    for array in published["jobs"]:
+        assert np.array_equal(published["jobs"][array],
+                              published["default"][array])
+
+
 def test_refresh_is_reproducible_across_reopen(tmp_path, titles):
     """Re-opening the stream and refreshing again (same snapshot, same
     seed) publishes a new version with identical model arrays."""
