@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bench.report import make_report, write_report
-from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig, _extract_phrase_documents
+from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig, _extract_partition
 from repro.core.topmine import ToPMine, ToPMineConfig
 from repro.datasets.registry import load_dataset
 from repro.eval.runtime import figure8_decomposition
@@ -319,10 +319,9 @@ def _time_reference_sweeps(config: BenchConfig, phrase_docs, vocabulary_size,
     return _best_of(run, config.repeats), n_cliques
 
 
-def _time_kernel_sweeps(config: BenchConfig, phrase_docs,
+def _time_kernel_sweeps(config: BenchConfig, flat: FlatPhraseCorpus,
                         vocabulary_size) -> float:
     """Best-of time for ``sweeps`` C-kernel Gibbs sweeps."""
-    flat = FlatPhraseCorpus(phrase_docs)
     rng = new_rng(config.seed)
     topic_word, doc_topic, topic_totals, assign = random_initialization(
         flat, config.n_topics, vocabulary_size, rng)
@@ -352,11 +351,11 @@ def bench_phrase_lda(config: BenchConfig) -> Dict[str, Any]:
     for size in config.sizes:
         speedups = speedups_by_size.setdefault(size, {})
         _, corpus, _, segmented = _prepare_corpus(config, size)
-        phrase_docs, vocabulary_size = _extract_phrase_documents(segmented, None)
+        partition, vocabulary_size = _extract_partition(segmented, None)
         reference_seconds = None
         if "reference" in engines:
             reference_seconds, n_cliques = _time_reference_sweeps(
-                config, phrase_docs, vocabulary_size)
+                config, partition.documents(), vocabulary_size)
             records.append({
                 "stage": "phrase_lda_sweep",
                 "engine": "reference",
@@ -368,7 +367,7 @@ def bench_phrase_lda(config: BenchConfig) -> Dict[str, Any]:
                 "seconds_per_sweep": reference_seconds / config.sweeps,
             })
         if "c" in engines:
-            seconds = _time_kernel_sweeps(config, phrase_docs,
+            seconds = _time_kernel_sweeps(config, partition,
                                           vocabulary_size)
             record = {
                 "stage": "phrase_lda_sweep",

@@ -9,7 +9,9 @@ batch of documents into one flat chunk buffer
 (:class:`~repro.text.flat.FlatChunks`), runs the seed scoring and the merge
 cascade of every chunk in one call to the ``phrase_segment`` entry point of
 the compiled kernel library (:func:`repro.topicmodel.ckernel.run_segment`),
-and emits the surviving spans as phrase tuples.  Without a compiler the
+and turns the surviving spans into the flat phrase partition
+(:class:`~repro.topicmodel.gibbs.FlatPhraseCorpus`) with a few array
+operations: no phrase tuple is built.  Without a compiler the
 segmenter runs the reference constructor instead.
 
 Partitions are **bit-identical** to the reference constructor
@@ -22,7 +24,7 @@ scores, same per-chunk pop order, same tie-breaking, same
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,8 +33,7 @@ from repro.core.phrase_construction import PhraseConstructionConfig
 from repro.core.significance import IndexedSignificanceScorer
 from repro.text.flat import FlatChunks
 from repro.topicmodel import ckernel
-
-Phrase = Tuple[int, ...]
+from repro.topicmodel.gibbs import FlatPhraseCorpus
 
 
 class FastSegmentationEngine:
@@ -61,7 +62,7 @@ class FastSegmentationEngine:
             scorer.pair_key_merged, scorer.n_phrases)
 
     # -- public API -------------------------------------------------------------------
-    def segment_flat(self, flat: FlatChunks) -> List[List[Phrase]]:
+    def segment_flat(self, flat: FlatChunks) -> FlatPhraseCorpus:
         """Partition every chunk of an encoded batch of documents at once.
 
         Parameters
@@ -72,45 +73,32 @@ class FastSegmentationEngine:
 
         Returns
         -------
-        list of list of tuple
-            Per-document phrase lists (chunks concatenated in order), one
-            per encoded document.
+        FlatPhraseCorpus
+            The partition of every encoded document (chunks concatenated in
+            order).  It shares ``flat.tokens``: cliques are spans of the
+            chunk buffer, and the kernel's phrase-table ids are their keys.
         """
-        results: List[List[Phrase]] = [[] for _ in range(flat.n_documents)]
-        if not flat.n_chunks:
-            return results
-        merged, length, nxt = self._run_kernel(flat)
-
-        # -- emission ----------------------------------------------------------------
-        token_list = flat.tokens.tolist()
-        offsets = flat.offsets.tolist()
-        chunk_docs = flat.doc_ids.tolist()
-        merged_list = merged.tolist()
-        length_list = length.tolist()
-        nxt_list = nxt.tolist()
-        singletons = [(w,) for w in token_list]
-        for chunk_id in range(flat.n_chunks):
-            start, end = offsets[chunk_id], offsets[chunk_id + 1]
-            doc_phrases = results[chunk_docs[chunk_id]]
-            if not merged_list[chunk_id]:
-                doc_phrases.extend(singletons[start:end])
-                continue
-            head = start
-            while head >= 0:
-                span = length_list[head]
-                doc_phrases.append(singletons[head] if span == 1 else
-                                   tuple(token_list[head:head + span]))
-                head = nxt_list[head]
-        return results
+        if flat.n_chunks:
+            length, key = self._run_kernel(flat)
+        else:
+            length = key = np.zeros(0, dtype=np.int64)
+        heads = np.flatnonzero(length)
+        offsets = np.append(heads, flat.total_tokens)
+        # Every chunk starts with a span head; a document's first clique is
+        # its first chunk's (documents without chunks get none).
+        chunk_first = np.append(np.searchsorted(heads, flat.offsets[:-1]),
+                                len(heads))
+        doc_offsets = chunk_first[np.searchsorted(
+            flat.doc_ids, np.arange(flat.n_documents + 1))]
+        return FlatPhraseCorpus(flat.tokens, offsets, doc_offsets, key[heads])
 
     # -- internals --------------------------------------------------------------------
-    def _run_kernel(self, flat: FlatChunks,
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _run_kernel(self, flat: FlatChunks) -> Tuple[np.ndarray, np.ndarray]:
         """Seed pass and cascade in one compiled-kernel call.
 
-        Returns ``(merged, length, nxt)``: per chunk whether it merged
-        anything, and two arrays over token positions describing the
-        surviving spans (see :func:`repro.topicmodel.ckernel.run_segment`).
+        Returns ``(length, key)``, two arrays over token positions
+        describing the surviving spans (see
+        :func:`repro.topicmodel.ckernel.run_segment`).
         """
         max_words = self.config.max_phrase_words
         if max_words is None:

@@ -40,11 +40,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.segmentation import CorpusSegmenter, SegmentedDocument
+from repro.core.segmentation import CorpusSegmenter
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel import ckernel
-from repro.topicmodel.gibbs import FlatPhraseCorpus, validate_fold_in_input
+from repro.topicmodel.gibbs import FlatPhraseCorpus, _check_token_range, check_priors
 from repro.topicmodel.lda import TopicModelState
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.timing import Stopwatch
@@ -199,7 +199,8 @@ class TopicInferencer:
         read, never written.  They are converted once, here, into the
         C-contiguous ``int64``/``float64`` arrays the kernel reads, so they
         must be non-negative integer counts of shapes ``(V, K)`` and
-        ``(K,)``.  ``None`` builds a segmentation-only inferencer.
+        ``(K,)``, with finite, positive ``alpha`` (shape ``(K,)``) and
+        ``beta``.  ``None`` builds a segmentation-only inferencer.
     segmenter:
         A :class:`~repro.core.segmentation.CorpusSegmenter` built from the
         *training* mining result, so unseen text is segmented with the
@@ -211,6 +212,13 @@ class TopicInferencer:
         The frozen training vocabulary used to encode raw text.
     preprocess:
         Preprocessing options; must match training for stems to line up.
+
+    Raises
+    ------
+    ValueError
+        If the state breaks one of those rules, or the vocabulary has more
+        words than the model.  Everything here is checked once, so fold-in
+        does not re-check it per request.
 
     Examples
     --------
@@ -246,6 +254,15 @@ class TopicInferencer:
                 raise ValueError(f"alpha has shape {self._alpha.shape}; "
                                  f"expected {(n_topics,)}")
             self._beta = float(state.beta)
+            # Checked once here rather than per fold-in: the priors and the
+            # vocabulary are frozen with the counts.
+            check_priors(self._alpha, self._beta, "fold-in", positive=True,
+                         hint=", so every clique posterior has positive mass")
+            if vocabulary is not None and len(vocabulary) > topic_word.shape[0]:
+                # Encoded text could then index outside the V x K counts.
+                raise ValueError(
+                    f"the vocabulary has {len(vocabulary)} words but the "
+                    f"model only {topic_word.shape[0]}")
 
     # -- public API ------------------------------------------------------------------
     def infer_texts(self, texts: Sequence[str],
@@ -275,8 +292,11 @@ class TopicInferencer:
             If the inferencer was built without a vocabulary (raw text then
             cannot be encoded — use :meth:`infer_segmented` instead).
         """
-        segmented, unknown_counts = self._segment_texts(texts)
-        return self._infer_segmented_documents(segmented, config, unknown_counts)
+        config = config or InferenceConfig()
+        partition, unknown_counts = self._segment_texts(texts)
+        return self._fold_in(partition, unknown_counts, config.seed,
+                             config.n_iterations,
+                             resolve_inference_engine(config.engine))
 
     def infer_texts_grouped(self, groups: Sequence[Sequence[str]],
                             seeds: Sequence[SeedLike],
@@ -320,9 +340,9 @@ class TopicInferencer:
             raise ValueError(f"got {len(groups)} groups but {len(seeds)} seeds")
         watch = watch if watch is not None else Stopwatch()
         # All requests share one batched segmentation pass; each group's
-        # slice is then folded in on its own stream.
+        # documents are then folded in on their own stream.
         with watch.measure("segmentation"):
-            segmented, unknown_counts = self._segment_texts(
+            partition, unknown_counts = self._segment_texts(
                 [text for texts in groups for text in texts])
         results: List[InferenceResult] = []
         start = 0
@@ -330,8 +350,8 @@ class TopicInferencer:
             for texts, seed in zip(groups, seeds):
                 end = start + len(texts)
                 results.append(self._fold_in(
-                    segmented[start:end], unknown_counts[start:end], seed,
-                    config.n_iterations, engine))
+                    partition.select(start, end), unknown_counts[start:end],
+                    seed, config.n_iterations, engine))
                 start = end
         return results
 
@@ -349,12 +369,11 @@ class TopicInferencer:
             word ids over the frozen vocabulary) and ``unknown_counts[d]``
             its number of dropped out-of-vocabulary tokens.
         """
-        segmented, unknown_counts = self._segment_texts(texts)
-        return ([[tuple(p) for p in doc.phrases] for doc in segmented],
-                unknown_counts)
+        partition, unknown_counts = self._segment_texts(texts)
+        return partition.documents(), unknown_counts
 
     def _segment_texts(self, texts: Sequence[str],
-                       ) -> Tuple[List[SegmentedDocument], List[int]]:
+                       ) -> Tuple[FlatPhraseCorpus, List[int]]:
         """Encode raw texts against the frozen vocabulary and segment them."""
         if self.vocabulary is None:
             raise RuntimeError(
@@ -382,73 +401,66 @@ class TopicInferencer:
             unknown_counts.append(unknown)
         # One batched pass: every document shares the segmenter's kernel
         # call.
-        segmented = self.segmenter.segment_documents(encoded)
-        return segmented, unknown_counts
+        return self.segmenter.segment_partition(encoded), unknown_counts
 
     def infer_segmented(self, phrase_docs: Sequence[Sequence[Sequence[int]]],
                         config: Optional[InferenceConfig] = None) -> InferenceResult:
-        """Fold in pre-segmented documents (each a sequence of phrases)."""
-        segmented = [
-            SegmentedDocument(phrases=[tuple(int(w) for w in p) for p in doc],
-                              doc_id=d)
-            for d, doc in enumerate(phrase_docs)
-        ]
-        return self._infer_segmented_documents(segmented, config)
+        """Fold in pre-segmented documents (each a sequence of phrases).
 
-    # -- engines ---------------------------------------------------------------------
-    def _infer_segmented_documents(self, segmented: List[SegmentedDocument],
-                                   config: Optional[InferenceConfig],
-                                   unknown_counts: Optional[List[int]] = None,
-                                   ) -> InferenceResult:
-        """Run the configured fold-in engine over segmented documents."""
+        Raises
+        ------
+        ValueError
+            If a token id falls outside the model's vocabulary ``[0, V)``.
+        """
         config = config or InferenceConfig()
-        if unknown_counts is None:
-            unknown_counts = [0] * len(segmented)
-        return self._fold_in(segmented, unknown_counts, config.seed,
+        partition = FlatPhraseCorpus.from_phrases(phrase_docs)
+        if self.state is not None:
+            # Caller-built ids: the C kernel must never index outside the
+            # frozen V x K counts.
+            _check_token_range(partition.tokens, self._topic_word.shape[0])
+        return self._fold_in(partition, [0] * partition.n_docs, config.seed,
                              config.n_iterations,
                              resolve_inference_engine(config.engine))
 
-    def _fold_in(self, segmented: Sequence[SegmentedDocument],
+    # -- engines ---------------------------------------------------------------------
+    def _fold_in(self, partition: FlatPhraseCorpus,
                  unknown_counts: Sequence[int], seed: SeedLike,
                  n_iterations: int, engine: str) -> InferenceResult:
         """Fold in one request's documents on one random stream.
 
         The stream is consumed the same way by both engines: one
-        ``integers`` draw per document to initialise its clique topics, then
-        one uniform per non-empty clique per sweep, in document and clique
-        order.
+        ``integers`` draw for the initial topics of all cliques (the same
+        draws as one per document, in document order), then one uniform per
+        non-empty clique per sweep, in document and clique order.
         """
         if self.state is None:
             raise RuntimeError("this inferencer has no topic model to fold in with")
-        phrase_docs = [[tuple(p) for p in doc.phrases] for doc in segmented]
-        flat = FlatPhraseCorpus(phrase_docs)
-        validate_fold_in_input(flat, self._alpha, self._beta,
-                               self._topic_word.shape[0])
         rng = new_rng(seed)
         n_topics = self._topic_word.shape[1]
-        assign = np.empty(flat.n_cliques, dtype=np.int64)
-        for g0, g1 in flat.doc_ranges:
-            assign[g0:g1] = rng.integers(0, n_topics, size=g1 - g0)
+        n_docs = partition.n_docs
+        assign = rng.integers(0, n_topics, size=partition.n_cliques)
         # One count per token, in the (document, topic) cell of its clique.
-        cells = np.repeat(flat.clique_doc.astype(np.int64) * n_topics + assign,
-                          flat.clique_sizes())
+        cells = np.repeat(partition.clique_doc.astype(np.int64) * n_topics + assign,
+                          partition.clique_sizes())
         doc_topic = np.bincount(
-            cells, minlength=flat.n_docs * n_topics,
-        ).astype(np.int64, copy=False).reshape(flat.n_docs, n_topics)
-        if flat.n_sampled:
+            cells, minlength=n_docs * n_topics,
+        ).astype(np.int64, copy=False).reshape(n_docs, n_topics)
+        phrase_docs = partition.documents()
+        if partition.n_sampled:
             if engine == "c":
-                self._sweeps_c(flat, doc_topic, assign, n_iterations, rng)
+                self._sweeps_c(partition, doc_topic, assign, n_iterations, rng)
             else:
-                self._sweeps_reference(phrase_docs, flat.doc_ranges, doc_topic,
-                                       assign, n_iterations, rng)
+                self._sweeps_reference(phrase_docs, partition.doc_offsets,
+                                       doc_topic, assign, n_iterations, rng)
 
         theta = doc_topic + self._alpha
         theta /= theta.sum(axis=1, keepdims=True)
+        bounds = partition.doc_offsets.tolist()
         documents = [
             DocumentInference(theta=theta[d], phrases=phrase_docs[d],
-                              clique_topics=assign[g0:g1],
+                              clique_topics=assign[bounds[d]:bounds[d + 1]],
                               n_unknown_tokens=unknown_counts[d])
-            for d, (g0, g1) in enumerate(flat.doc_ranges)
+            for d in range(n_docs)
         ]
         return InferenceResult(theta=theta, documents=documents)
 
@@ -469,7 +481,7 @@ class TopicInferencer:
             done += sweeps
 
     def _sweeps_reference(self, phrase_docs: List[List[Phrase]],
-                          doc_ranges: Sequence[Tuple[int, int]],
+                          doc_offsets: np.ndarray,
                           doc_topic: np.ndarray, assign: np.ndarray,
                           n_iterations: int, rng: np.random.Generator) -> None:
         """Readable nested-loop fold-in sweeps, the executable specification.
@@ -487,10 +499,10 @@ class TopicInferencer:
         wfac = self._topic_word + self._beta
         tfac = self._topic_totals + self._beta * self._topic_word.shape[0]
 
+        bounds = doc_offsets.tolist()
         for _ in range(n_iterations):
-            for phrases, local, (g0, g1) in zip(phrase_docs, doc_topic,
-                                                doc_ranges):
-                doc_assign = assign[g0:g1]
+            for phrases, local, g0 in zip(phrase_docs, doc_topic, bounds):
+                doc_assign = assign[g0:g0 + len(phrases)]
                 for g, phrase in enumerate(phrases):
                     size = len(phrase)
                     if size == 0:

@@ -93,7 +93,8 @@ class PhraseLDA:
         self.state: Optional[PhraseLDAState] = None
 
     # -- public API ------------------------------------------------------------------
-    def fit(self, documents: Union[SegmentedCorpus, PhraseDocuments],
+    def fit(self, documents: Union[SegmentedCorpus, FlatPhraseCorpus,
+                                   PhraseDocuments],
             vocabulary_size: Optional[int] = None,
             callback: Optional[IterationCallback] = None) -> PhraseLDAState:
         """Run the Gibbs sampler and return the final :class:`PhraseLDAState`.
@@ -101,11 +102,14 @@ class PhraseLDA:
         Parameters
         ----------
         documents:
-            A :class:`~repro.core.segmentation.SegmentedCorpus` or a sequence
+            A :class:`~repro.core.segmentation.SegmentedCorpus` (its flat
+            partition is read directly), a
+            :class:`~repro.topicmodel.gibbs.FlatPhraseCorpus`, or a sequence
             of documents, each a sequence of phrases (sequences of word ids).
         vocabulary_size:
-            Required when passing raw phrase documents; inferred from a
-            segmented corpus's vocabulary.
+            Required when passing raw phrase documents or a partition
+            (otherwise inferred from the largest word id); a segmented
+            corpus's vocabulary sets it.
         callback:
             Invoked as ``callback(iteration, state)`` after every sweep.
 
@@ -115,19 +119,20 @@ class PhraseLDA:
             Final count matrices, hyper-parameters, per-token and per-clique
             topic assignments (also stored on :attr:`state`).
         """
-        phrase_docs, vocabulary_size = _extract_phrase_documents(documents, vocabulary_size)
+        partition, vocabulary_size = _extract_partition(documents, vocabulary_size)
         check_priors(self.config.resolved_alpha(), self.config.beta,
                      "PhraseLDA", positive=False)
         engine = resolve_engine(self.config.engine)
         if engine == "reference":
-            state = self._fit_reference(phrase_docs, vocabulary_size, callback)
+            state = self._fit_reference(partition.documents(), vocabulary_size,
+                                        callback)
         else:
-            state = self._fit_flat(phrase_docs, vocabulary_size, callback)
+            state = self._fit_flat(partition, vocabulary_size, callback)
         self.state = state
         return state
 
     # -- compiled engine ----------------------------------------------------------
-    def _fit_flat(self, phrase_docs: List[List[Phrase]], vocabulary_size: int,
+    def _fit_flat(self, flat: FlatPhraseCorpus, vocabulary_size: int,
                   callback: Optional[IterationCallback]) -> PhraseLDAState:
         """Fit via the C kernel over the flat buffers: sweeps, Minka
         hyper-parameter updates and per-iteration callbacks.  The kernel
@@ -139,12 +144,11 @@ class PhraseLDA:
         alpha = np.full(n_topics, config.resolved_alpha(), dtype=float)
         beta = float(config.beta)
 
-        flat = FlatPhraseCorpus(phrase_docs)
         topic_word, doc_topic, topic_totals, assign = random_initialization(
             flat, n_topics, vocabulary_size, rng)
         # Per-document assignment arrays are views into the flat buffer, so
         # the state is always current without copying.
-        clique_assignments = [assign[g0:g1] for g0, g1 in flat.doc_ranges]
+        clique_assignments = _per_document(assign, flat.doc_offsets)
         # Initial per-token expansion, so callbacks observe the same (stale,
         # init-time) token assignments the reference fit exposes; refreshed
         # from the final clique topics after the loop.
@@ -288,40 +292,39 @@ def _expand_token_topics(flat: FlatPhraseCorpus,
     """Per-document token assignments: every clique topic repeated over the
     clique's tokens, split at each document's token offsets."""
     token_topics = np.repeat(assign, flat.clique_sizes())
-    offsets = flat.offsets
-    return [token_topics[offsets[g0]:offsets[g1]] for g0, g1 in flat.doc_ranges]
+    return _per_document(token_topics, flat.offsets[flat.doc_offsets])
 
 
-def _extract_phrase_documents(documents: Union[SegmentedCorpus, PhraseDocuments],
-                              vocabulary_size: Optional[int]) -> tuple[List[List[Phrase]], int]:
-    """Normalise input into a list of phrase-tuple documents plus vocab size.
+def _per_document(values: np.ndarray, bounds: np.ndarray) -> List[np.ndarray]:
+    """Views of ``values`` between consecutive ``bounds`` (one per document)."""
+    edges = bounds.tolist()
+    return [values[a:b] for a, b in zip(edges, edges[1:])]
 
-    A :class:`SegmentedCorpus` keeps every phrase — including empty ones —
-    so ``clique_assignments[d]`` stays index-aligned with ``doc.phrases``
-    (the visualizer depends on that); empty phrases get an (unsampled)
+
+def _extract_partition(documents: Union[SegmentedCorpus, FlatPhraseCorpus,
+                                        PhraseDocuments],
+                       vocabulary_size: Optional[int],
+                       ) -> Tuple[FlatPhraseCorpus, int]:
+    """Normalise input into a flat phrase partition plus vocab size.
+
+    A :class:`SegmentedCorpus` hands over its partition, which keeps every
+    phrase — including empty ones — so ``clique_assignments[d]`` stays
+    index-aligned with ``doc.phrases``; empty phrases get an (unsampled)
     assignment slot in every engine.  Raw phrase documents drop empty
     phrases instead.
     """
     if isinstance(documents, SegmentedCorpus):
-        phrase_docs = [[tuple(p) for p in doc.phrases] for doc in documents]
-        if documents.vocabulary is not None:
-            return phrase_docs, len(documents.vocabulary)
-        return phrase_docs, _infer_vocabulary_size(phrase_docs)
-    phrase_docs = [[tuple(int(w) for w in phrase) for phrase in doc if len(phrase) > 0]
-                   for doc in documents]
+        # The corpus's own vocabulary (or its data) sets V.
+        vocabulary = documents.vocabulary
+        vocabulary_size = len(vocabulary) if vocabulary is not None else None
+        documents = documents.partition
+    elif not isinstance(documents, FlatPhraseCorpus):
+        documents = FlatPhraseCorpus.from_phrases(
+            [[phrase for phrase in doc if len(phrase) > 0] for doc in documents])
     if vocabulary_size is None:
-        vocabulary_size = _infer_vocabulary_size(phrase_docs)
-    return phrase_docs, vocabulary_size
-
-
-def _infer_vocabulary_size(phrase_docs: List[List[Phrase]]) -> int:
-    """Largest word id in the documents, plus one."""
-    max_id = -1
-    for doc in phrase_docs:
-        for phrase in doc:
-            if phrase:
-                max_id = max(max_id, max(phrase))
-    return max_id + 1
+        tokens = documents.tokens
+        vocabulary_size = int(tokens.max()) + 1 if tokens.size else 0
+    return documents, vocabulary_size
 
 
 def unigram_segmentation(documents: Sequence[Sequence[int]]) -> List[List[Phrase]]:

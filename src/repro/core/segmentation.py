@@ -7,7 +7,12 @@ phrase-invariant chunk and concatenates the resulting partitions, yielding a
 exactly (the partition property from the problem definition, Section 2).
 
 The :class:`SegmentedCorpus` is the input to PhraseLDA: each phrase becomes a
-clique whose tokens must share a topic.
+clique whose tokens must share a topic.  Its primary form is the flat phrase
+partition (:class:`~repro.topicmodel.gibbs.FlatPhraseCorpus`): token ids,
+clique offsets, per-document clique offsets and one phrase key per clique.
+PhraseLDA, fold-in and the Eq. 8 topical frequencies read those arrays;
+phrase tuples are only decoded when something asks for
+:attr:`SegmentedCorpus.documents`.
 
 Like the miner and the PhraseLDA samplers, the segmenter is engine-based:
 ``"reference"`` runs the readable per-chunk
@@ -18,14 +23,14 @@ partitions, an order of magnitude faster at corpus scale and also on
 serving-sized batches of a few documents.  ``"auto"`` picks ``"c"`` when
 the kernel loads and ``"reference"`` otherwise.  Every segmentation runs
 in the calling process as one batched
-:meth:`CorpusSegmenter.segment_documents` call.
+:meth:`CorpusSegmenter.segment_partition` call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.frequent_phrases import FrequentPhraseMiningResult
 from repro.core.phrase_construction import (
@@ -37,6 +42,7 @@ from repro.text.corpus import Corpus
 from repro.text.flat import FlatChunks
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel import ckernel
+from repro.topicmodel.gibbs import FlatPhraseCorpus
 
 Phrase = Tuple[int, ...]
 
@@ -119,9 +125,15 @@ class SegmentedDocument:
         return flat
 
 
-@dataclass
 class SegmentedCorpus:
     """A corpus in 'bag-of-phrases' representation.
+
+    The phrase partition (:attr:`partition`) is what PhraseLDA, fold-in,
+    the Eq. 8 counts and the segmentation bundle read.  The per-document
+    phrase tuples (:attr:`documents`) are decoded from it on first access,
+    so a fit that never reads them never builds them.  A corpus built from
+    ``documents`` instead derives its partition from them on first access;
+    change neither after that.
 
     Attributes
     ----------
@@ -131,14 +143,48 @@ class SegmentedCorpus:
         The shared word vocabulary (for decoding phrases back to text).
     name:
         Dataset name carried over from the source corpus.
+    partition:
+        The flat phrase partition of every document.
     """
 
-    documents: List[SegmentedDocument] = field(default_factory=list)
-    vocabulary: Optional[Vocabulary] = None
-    name: str = "corpus"
+    def __init__(self, documents: Optional[Sequence[SegmentedDocument]] = None,
+                 vocabulary: Optional[Vocabulary] = None, name: str = "corpus",
+                 *, partition: Optional[FlatPhraseCorpus] = None,
+                 doc_ids: Optional[Sequence[int]] = None) -> None:
+        if documents is not None and partition is not None:
+            raise ValueError("pass documents or a partition, not both")
+        self.vocabulary = vocabulary
+        self.name = name
+        self._partition = partition
+        self._doc_ids = doc_ids
+        self._documents: Optional[List[SegmentedDocument]] = (
+            list(documents or []) if partition is None else None)
+
+    @property
+    def partition(self) -> FlatPhraseCorpus:
+        """The flat phrase partition (built from the documents on first use
+        when the corpus was built from documents)."""
+        if self._partition is None:
+            self._partition = FlatPhraseCorpus.from_phrases(
+                [doc.phrases for doc in self._documents])
+        return self._partition
+
+    @property
+    def documents(self) -> List[SegmentedDocument]:
+        """Per-document phrase lists, decoded from the partition on first
+        use."""
+        if self._documents is None:
+            phrase_docs = self._partition.documents()
+            doc_ids = (range(len(phrase_docs)) if self._doc_ids is None
+                       else self._doc_ids)
+            self._documents = [SegmentedDocument(phrases=phrases, doc_id=doc_id)
+                               for phrases, doc_id in zip(phrase_docs, doc_ids)]
+        return self._documents
 
     def __len__(self) -> int:
-        return len(self.documents)
+        if self._documents is None:
+            return self._partition.n_docs
+        return len(self._documents)
 
     def __iter__(self) -> Iterator[SegmentedDocument]:
         return iter(self.documents)
@@ -149,21 +195,12 @@ class SegmentedCorpus:
     @property
     def num_tokens(self) -> int:
         """Total token count across all documents."""
-        return sum(doc.num_tokens for doc in self.documents)
+        return len(self.partition.tokens)
 
     @property
     def num_phrases(self) -> int:
         """Total number of phrase instances across all documents."""
-        return sum(doc.num_phrases for doc in self.documents)
-
-    def phrase_instance_counts(self, min_length: int = 1) -> Dict[Phrase, int]:
-        """Count how often each distinct phrase appears as a partition element."""
-        counts: Dict[Phrase, int] = {}
-        for doc in self.documents:
-            for phrase in doc.phrases:
-                if len(phrase) >= min_length:
-                    counts[phrase] = counts.get(phrase, 0) + 1
-        return counts
+        return self.partition.n_cliques
 
     def decode_phrase(self, phrase: Phrase, unstem: bool = True) -> str:
         """Return the readable text of ``phrase`` using the vocabulary."""
@@ -204,29 +241,27 @@ class CorpusSegmenter:
         """Partition one document (given as token-id chunks) into phrases."""
         return self.segment_documents([chunks], doc_ids=[doc_id])[0]
 
-    def segment_documents(self, documents: Sequence[Sequence[Sequence[int]]],
-                          doc_ids: Optional[Sequence[int]] = None,
-                          ) -> List[SegmentedDocument]:
+    def segment_partition(self, documents: Sequence[Sequence[Sequence[int]]],
+                          ) -> FlatPhraseCorpus:
         """Partition a batch of documents (each a sequence of chunks).
 
-        The batched entry point behind :meth:`segment` and the serving
-        layer: with the ``c`` engine all documents share one flat chunk
-        buffer and one kernel call.  The per-document results are
-        identical to calling :meth:`segment_document` in a loop, whatever
-        the engine.
+        The batched entry point behind :meth:`segment`,
+        :meth:`segment_documents` and the serving layer: with the ``c``
+        engine all documents share one flat chunk buffer and one kernel
+        call, whose span arrays become the partition without any phrase
+        tuple being built.  The reference engine's phrase tuples go through
+        :meth:`~repro.topicmodel.gibbs.FlatPhraseCorpus.from_phrases`.
+        Partitions are identical whatever the engine.
 
         Parameters
         ----------
         documents:
             One sequence of token-id chunks per document.
-        doc_ids:
-            Optional document ids to stamp on the results (defaults to the
-            batch positions).
 
         Returns
         -------
-        list of SegmentedDocument
-            Aligned with ``documents``.
+        FlatPhraseCorpus
+            One document per input document, in order.
 
         Raises
         ------
@@ -237,22 +272,41 @@ class CorpusSegmenter:
         # Encoding the batch checks every token id's range, for every
         # engine alike; the c engine then segments this buffer.
         flat = FlatChunks.from_documents(documents)
-        if doc_ids is None:
-            doc_ids = range(len(documents))
         if self._fast is not None:
-            phrase_lists = self._fast.segment_flat(flat)
-        else:
-            phrase_lists = self._segment_reference(documents)
-        return [SegmentedDocument(phrases=phrases, doc_id=doc_id)
-                for phrases, doc_id in zip(phrase_lists, doc_ids)]
+            return self._fast.segment_flat(flat)
+        return FlatPhraseCorpus.from_phrases(self._segment_reference(documents))
+
+    def segment_documents(self, documents: Sequence[Sequence[Sequence[int]]],
+                          doc_ids: Optional[Sequence[int]] = None,
+                          ) -> List[SegmentedDocument]:
+        """Partition a batch of documents into :class:`SegmentedDocument` s.
+
+        The per-document results are identical to calling
+        :meth:`segment_document` in a loop, whatever the engine.
+
+        Parameters
+        ----------
+        documents:
+            One sequence of token-id chunks per document.
+        doc_ids:
+            Optional document ids to stamp on the results (defaults to the
+            batch positions).
+
+        Raises
+        ------
+        ValueError
+            If a token id lies outside
+            ``[0, repro.text.flat.MAX_TOKEN_ID]``, whatever the engine.
+        """
+        return SegmentedCorpus(partition=self.segment_partition(documents),
+                               doc_ids=doc_ids).documents
 
     def segment(self, corpus: Corpus) -> SegmentedCorpus:
         """Segment every document of ``corpus`` into a :class:`SegmentedCorpus`."""
-        segmented = SegmentedCorpus(vocabulary=corpus.vocabulary, name=corpus.name)
-        segmented.documents = self.segment_documents(
-            [doc.chunks for doc in corpus],
+        return SegmentedCorpus(
+            vocabulary=corpus.vocabulary, name=corpus.name,
+            partition=self.segment_partition([doc.chunks for doc in corpus]),
             doc_ids=[doc.doc_id for doc in corpus])
-        return segmented
 
     # -- internals --------------------------------------------------------------------
     def _segment_reference(self, documents: Sequence[Sequence[Sequence[int]]],

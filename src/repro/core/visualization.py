@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.phrase_lda import PhraseLDAState
 from repro.core.segmentation import SegmentedCorpus
 from repro.text.vocabulary import Vocabulary
+from repro.topicmodel.gibbs import FlatPhraseCorpus
 from repro.topicmodel.lda import TopicModelState
 from repro.utils.tables import render_table, render_topic_columns
 
@@ -93,15 +94,12 @@ class TopicVisualizer:
         default, matching the paper's n-gram lists; pass 1 to include
         single-word phrases.
         """
-        n_topics = self.state.n_topics
-        frequencies: List[Dict[Phrase, int]] = [{} for _ in range(n_topics)]
-        for doc, cliques in zip(self.segmented_corpus, self.state.clique_assignments):
-            for phrase, topic in zip(doc.phrases, cliques):
-                if len(phrase) < min_phrase_length:
-                    continue
-                bucket = frequencies[int(topic)]
-                bucket[phrase] = bucket.get(phrase, 0) + 1
-        return frequencies
+        cliques = self.state.clique_assignments
+        clique_topics = (np.concatenate(cliques) if len(cliques)
+                         else np.zeros(0, dtype=np.int64))
+        return topical_frequencies(self.segmented_corpus.partition,
+                                   clique_topics, self.state.n_topics,
+                                   min_phrase_length)
 
     def top_phrases(self, n: int = 10, min_phrase_length: int = 2) -> List[List[Phrase]]:
         """Return, per topic, the ``n`` phrases with highest topical frequency."""
@@ -124,6 +122,62 @@ class TopicVisualizer:
             self.segmented_corpus.vocabulary,
             n_unigrams=n_unigrams, n_phrases=n_phrases,
             min_phrase_length=min_phrase_length, unstem=self.unstem)
+
+
+def topical_frequencies(partition: FlatPhraseCorpus, clique_topics: np.ndarray,
+                        n_topics: int, min_phrase_length: int = 2,
+                        ) -> List[Dict[Phrase, int]]:
+    """Eq. 8 over a phrase partition: per topic, phrase → instance count.
+
+    One ``bincount`` over (phrase, topic) cells counts every clique; each
+    distinct phrase is then decoded to its word-id tuple once, from one of
+    its cliques.
+
+    Parameters
+    ----------
+    partition:
+        The segmentation the topics were sampled on.
+    clique_topics:
+        The topic of every clique of ``partition``, in clique order.
+    n_topics:
+        Number of topics ``K``.
+    min_phrase_length:
+        Phrases shorter than this many words are left out.
+
+    Raises
+    ------
+    ValueError
+        If ``clique_topics`` does not hold one topic per clique.
+    """
+    clique_topics = np.asarray(clique_topics, dtype=np.int64)
+    if clique_topics.shape != (partition.n_cliques,):
+        raise ValueError(f"got {clique_topics.shape} clique topics for "
+                         f"{partition.n_cliques} cliques")
+    frequencies: List[Dict[Phrase, int]] = [{} for _ in range(n_topics)]
+    keys = partition.keys
+    if not keys.size:
+        return frequencies
+    # Rank the keys that occur (keys are small non-negative ints, so no
+    # sort is needed): one row per distinct phrase, in key order.
+    row_of_key = np.cumsum(np.bincount(keys) > 0) - 1
+    row_of = row_of_key[keys]
+    n_rows = int(row_of_key[-1]) + 1
+    counts = np.bincount(row_of * n_topics + clique_topics,
+                         minlength=n_rows * n_topics).reshape(n_rows, n_topics)
+    # Any clique of a row holds its phrase; decode that one.
+    example = np.empty(n_rows, dtype=np.int64)
+    example[row_of] = np.arange(partition.n_cliques)
+    starts = partition.offsets[example]
+    ends = partition.offsets[example + 1]
+    keep = np.flatnonzero(ends - starts >= min_phrase_length)
+    token_list = partition.tokens.tolist()
+    phrases = [tuple(token_list[a:b])
+               for a, b in zip(starts[keep].tolist(), ends[keep].tolist())]
+    rows, topics = np.nonzero(counts[keep])
+    for row, topic, count in zip(rows.tolist(), topics.tolist(),
+                                 counts[keep[rows], topics].tolist()):
+        frequencies[topic][phrases[row]] = count
+    return frequencies
 
 
 def top_unigram_ids(state: TopicModelState, n: int) -> List[List[int]]:

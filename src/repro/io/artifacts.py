@@ -77,11 +77,11 @@ from repro.core.segmentation import (
     SEGMENTATION_ENGINES,
     CorpusSegmenter,
     SegmentedCorpus,
-    SegmentedDocument,
 )
 from repro.core.visualization import TopicVisualization, build_visualization
 from repro.text.preprocess import PreprocessConfig
 from repro.text.vocabulary import Vocabulary
+from repro.topicmodel.gibbs import FlatPhraseCorpus
 from repro.utils.counter import HashCounter
 
 Phrase = Tuple[int, ...]
@@ -720,13 +720,10 @@ def save_bundle(path: Union[str, Path], bundle: Bundle,
 
     if isinstance(bundle, SegmentationBundle):
         arrays.update(_pack_vocabulary(bundle.segmented.vocabulary))
-        doc_phrase_counts = [doc.num_phrases for doc in bundle.segmented]
-        all_phrases = [phrase for doc in bundle.segmented for phrase in doc.phrases]
-        seg_tokens, seg_phrase_offsets = _pack_ragged(all_phrases)
-        arrays["seg_tokens"] = seg_tokens
-        arrays["seg_phrase_offsets"] = seg_phrase_offsets
-        arrays["seg_doc_offsets"] = np.concatenate(
-            ([0], np.cumsum(doc_phrase_counts))).astype(np.int64)
+        partition = bundle.segmented.partition
+        arrays["seg_tokens"] = partition.tokens
+        arrays["seg_phrase_offsets"] = partition.offsets
+        arrays["seg_doc_offsets"] = partition.doc_offsets
         manifest["corpus"] = {
             "name": bundle.segmented.name,
             "n_documents": len(bundle.segmented.documents),
@@ -800,14 +797,14 @@ def load_bundle(path: Union[str, Path], mapped: bool = True) -> Bundle:
     metadata = dict(manifest.get("metadata", {}))
 
     if manifest["kind"] == "segmentation":
-        phrases = _unpack_ragged(arrays["seg_tokens"], arrays["seg_phrase_offsets"])
-        doc_offsets = arrays["seg_doc_offsets"].tolist()
+        partition = FlatPhraseCorpus(
+            np.ascontiguousarray(arrays["seg_tokens"], dtype=np.int32),
+            np.ascontiguousarray(arrays["seg_phrase_offsets"], dtype=np.int64),
+            np.ascontiguousarray(arrays["seg_doc_offsets"], dtype=np.int64))
         corpus_info = manifest.get("corpus", {})
         segmented = SegmentedCorpus(vocabulary=vocabulary,
-                                    name=corpus_info.get("name", "corpus"))
-        for doc_id, (a, b) in enumerate(zip(doc_offsets, doc_offsets[1:])):
-            segmented.documents.append(
-                SegmentedDocument(phrases=list(phrases[a:b]), doc_id=doc_id))
+                                    name=corpus_info.get("name", "corpus"),
+                                    partition=partition)
         return SegmentationBundle(mining=mining, segmented=segmented,
                                   construction=construction,
                                   preprocess=preprocess, metadata=metadata)

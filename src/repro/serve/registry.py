@@ -276,7 +276,12 @@ class ModelRegistry:
         with self.metrics.timer("registry_load_seconds"):
             bundle = load_bundle(path)
         if isinstance(bundle, ModelBundle):
-            inferencer = bundle.inferencer()
+            try:
+                inferencer = bundle.inferencer()
+            except ValueError as exc:
+                # load_bundle stays permissive (``repro topics`` reads such
+                # a bundle), but one that cannot fold in is not servable.
+                raise ArtifactError(f"{path}: cannot serve this model: {exc}") from exc
         else:
             # Segmentation bundles segment but never fold in: build the
             # stateless inferencer once here so /v1/segment does not pay

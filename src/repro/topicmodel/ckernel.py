@@ -269,7 +269,7 @@ class SegmentTables:
 
 def run_segment(tables: SegmentTables, tokens: np.ndarray,
                 offsets: np.ndarray, longest: int, threshold: float,
-                max_words: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                max_words: int) -> Tuple[np.ndarray, np.ndarray]:
     """Run Algorithm 2 over every chunk of a flat chunk buffer in C.
 
     ``longest`` is the token count of the longest chunk: it sizes the
@@ -280,26 +280,25 @@ def run_segment(tables: SegmentTables, tokens: np.ndarray,
 
     Returns
     -------
-    (merged, length, nxt)
-        ``int64`` arrays: one flag per chunk, and two over token positions.
-        In a chunk whose ``merged`` flag is set, the span headed at
-        position ``p`` covers ``tokens[p:p + length[p]]`` and is followed
-        by the span headed at ``nxt[p]`` (``-1`` ends the chunk); the
-        chunk's first position is always a head.  Chunks without a merge
-        are all singletons.
+    (length, key)
+        ``int64`` arrays over token positions.  The span headed at
+        position ``p`` covers ``tokens[p:p + length[p]]``; ``length`` is 0
+        at every position that is not a span head, and every chunk's first
+        position is one.  ``key[p]`` is that span's phrase key: its id in
+        the phrase table, or ``n_phrases + token id`` for a unigram the
+        table lacks (``key`` is meaningless at other positions).
     """
     n_chunks = len(offsets) - 1
     _require("offsets", offsets, np.int64, n_chunks + 1)
     n_pos = int(offsets[-1])
     _require("tokens", tokens, np.int32, n_pos)
-    # Results, then five eight-byte scratch slots per token of the longest
+    # Results, then six eight-byte scratch slots per token of the longest
     # chunk, in one buffer (see the kernel's comment).
-    out = np.empty(2 * n_pos + n_chunks + 5 * longest, dtype=np.int64)
+    out = np.empty(2 * n_pos + 6 * longest, dtype=np.int64)
     needed = _kernel().phrase_segment(
         tokens.ctypes.data, offsets.ctypes.data, n_chunks, *tables._args,
         threshold, max_words, out.ctypes.data, out.size)
     if needed:
         raise ValueError(f"longest={longest} is below the longest chunk: "
                          f"the kernel needs {needed} slots, got {out.size}")
-    return (out[2 * n_pos:2 * n_pos + n_chunks], out[:n_pos],
-            out[n_pos:2 * n_pos])
+    return out[:n_pos], out[n_pos:2 * n_pos]

@@ -3,22 +3,27 @@
 The readable reference sampler in :mod:`repro.core.phrase_lda` walks nested
 Python lists and pays NumPy's per-call overhead for every token.  LDA
 (:mod:`repro.topicmodel.lda`) runs as PhraseLDA on all-singleton cliques,
-so it uses the same engines.  The fast engine here restructures the
-problem once at ``fit()`` time:
+so it uses the same engines.  The fast engine here works on one flat
+representation:
 
-* :class:`FlatPhraseCorpus` flattens the corpus into contiguous buffers —
-  token ids (int32), clique boundary offsets, and per-document clique
-  ranges — so the sampler never touches Python object graphs in the hot
-  loop;
+* :class:`FlatPhraseCorpus` is the phrase partition of a corpus in four
+  contiguous arrays — token ids (int32), clique boundary offsets,
+  per-document clique offsets and one phrase key per clique.  The C
+  segmenter produces it directly, and PhraseLDA, fold-in and the Eq. 8
+  topical-frequency count read it, so the sampler never touches Python
+  object graphs;
 * :class:`CKernelSampler` drives the C sweep kernel
   (:mod:`repro.topicmodel.ckernel`) over those buffers, and is bit-exact
   with the reference sampler.
 
 The kernel consumes the random stream in exactly the same order as the
-reference sampler — one ``rng.integers`` call per document at
-initialisation, one uniform per clique per sweep — so a fixed seed produces
-identical topic assignments on both engines (a property the test suite
-asserts).
+reference sampler — the initial topics of all cliques, in document and
+clique order, then one uniform per clique per sweep — so a fixed seed
+produces identical topic assignments on both engines (a property the test
+suite asserts).  :func:`random_initialization` draws every initial topic in
+one ``rng.integers`` call where the reference makes one call per document;
+numpy's bounded 32-bit draws keep no state between calls, so the two are
+the same draws (``tests/test_partition.py`` checks that property of numpy).
 
 Engine selection: ``"auto"`` picks the C kernel when it loads and the
 reference sampler otherwise; ``"c"`` and ``"reference"`` force one.
@@ -29,13 +34,15 @@ deprecated alias of ``"auto"``.
 from __future__ import annotations
 
 import warnings
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.topicmodel import ckernel
 
 ENGINES = ("auto", "c", "numpy", "reference")
+
+Phrase = Tuple[int, ...]
 
 
 def resolve_engine(engine: str) -> str:
@@ -82,7 +89,13 @@ def check_priors(alpha, beta: float, context: str, *, positive: bool,
 
 
 class FlatPhraseCorpus:
-    """A segmented corpus flattened into contiguous sampling buffers.
+    """The phrase partition of a corpus, as four flat arrays.
+
+    The single representation the segmenter produces and its consumers read:
+    PhraseLDA training and fold-in sweep over it, the Eq. 8 topical
+    frequencies count over its keys, and a segmentation bundle stores its
+    arrays as they are.  Phrase tuples are only built on request
+    (:meth:`phrases`, :meth:`documents`).
 
     Attributes
     ----------
@@ -90,45 +103,95 @@ class FlatPhraseCorpus:
         ``int32`` array of all token ids, document- then clique-major.
     offsets:
         ``int64`` array of length ``n_cliques + 1``; clique ``g`` covers
-        ``tokens[offsets[g]:offsets[g + 1]]``.
+        ``tokens[offsets[g]:offsets[g + 1]]``.  An empty clique (an empty
+        phrase) keeps its slot but is never sampled.
+    doc_offsets:
+        ``int64`` array of length ``n_docs + 1``; document ``d`` owns
+        cliques ``doc_offsets[d]:doc_offsets[d + 1]``.
+    keys:
+        ``int64`` phrase key per clique: two cliques share a key exactly
+        when they hold the same token sequence.  The C segmenter supplies
+        phrase-table ids; otherwise keys are numbered on first access.
     clique_doc:
-        ``int32`` document index of every clique.
-    doc_ranges:
-        Per-document ``(first_clique, last_clique_exclusive)`` pairs.
+        ``int32`` document index of every clique (derived).
     """
 
-    __slots__ = ("tokens", "offsets", "clique_doc", "doc_ranges",
-                 "n_cliques", "n_sampled", "n_docs")
+    __slots__ = ("tokens", "offsets", "doc_offsets", "clique_doc",
+                 "n_cliques", "n_sampled", "n_docs", "_keys")
 
-    def __init__(self, phrase_docs: Sequence[Sequence[Sequence[int]]]) -> None:
+    def __init__(self, tokens: np.ndarray, offsets: np.ndarray,
+                 doc_offsets: np.ndarray,
+                 keys: Optional[np.ndarray] = None) -> None:
+        self.tokens = tokens
+        self.offsets = offsets
+        self.doc_offsets = doc_offsets
+        self._keys = keys
+        self.n_cliques = len(offsets) - 1
+        self.n_docs = len(doc_offsets) - 1
+        self.n_sampled = int(np.count_nonzero(offsets[1:] != offsets[:-1]))
+        self.clique_doc = np.repeat(np.arange(self.n_docs, dtype=np.int32),
+                                    np.diff(doc_offsets))
+
+    @classmethod
+    def from_phrases(cls, phrase_docs: Sequence[Sequence[Sequence[int]]],
+                     ) -> "FlatPhraseCorpus":
+        """Flatten per-document phrase lists (the reference segmenter's and
+        the caller-facing tuple form).  Empty phrases keep their clique."""
         token_list: List[int] = []
         offset_list: List[int] = [0]
-        clique_doc: List[int] = []
-        doc_ranges: List[Tuple[int, int]] = []
-        n_sampled = 0
-        for d, phrases in enumerate(phrase_docs):
-            start = len(offset_list) - 1
+        doc_list: List[int] = [0]
+        for phrases in phrase_docs:
             for phrase in phrases:
-                # Empty phrases keep their clique slot (so per-document
-                # assignment arrays stay aligned with ``doc.phrases``) but
-                # are never sampled, exactly like the reference sampler.
                 token_list.extend(phrase)
                 offset_list.append(len(token_list))
-                clique_doc.append(d)
-                if phrase:
-                    n_sampled += 1
-            doc_ranges.append((start, len(offset_list) - 1))
-        self.tokens = np.asarray(token_list, dtype=np.int32)
-        self.offsets = np.asarray(offset_list, dtype=np.int64)
-        self.clique_doc = np.asarray(clique_doc, dtype=np.int32)
-        self.doc_ranges = doc_ranges
-        self.n_cliques = len(offset_list) - 1
-        self.n_sampled = n_sampled
-        self.n_docs = len(phrase_docs)
+            doc_list.append(len(offset_list) - 1)
+        try:
+            tokens = np.asarray(token_list, dtype=np.int32)
+        except OverflowError as exc:
+            raise ValueError(f"token ids must fit int32: {exc}") from None
+        return cls(tokens, np.asarray(offset_list, dtype=np.int64),
+                   np.asarray(doc_list, dtype=np.int64))
+
+    @property
+    def keys(self) -> np.ndarray:
+        """Phrase key per clique (numbered by first occurrence when the
+        producer supplied none)."""
+        if self._keys is None:
+            ids: Dict[Phrase, int] = {}
+            self._keys = np.fromiter(
+                (ids.setdefault(phrase, len(ids)) for phrase in self.phrases()),
+                dtype=np.int64, count=self.n_cliques)
+        return self._keys
 
     def clique_sizes(self) -> np.ndarray:
         """Length of every clique, as an ``int64`` array."""
         return np.diff(self.offsets)
+
+    def phrases(self) -> List[Phrase]:
+        """Every clique as a tuple of word ids, in clique order."""
+        return _split(self.tokens.tolist(), self.offsets.tolist())
+
+    def documents(self) -> List[List[Phrase]]:
+        """Per-document phrase lists (the inverse of :meth:`from_phrases`)."""
+        phrases = self.phrases()
+        bounds = self.doc_offsets.tolist()
+        return [phrases[g0:g1] for g0, g1 in zip(bounds, bounds[1:])]
+
+    def select(self, first: int, last: int) -> "FlatPhraseCorpus":
+        """The partition of documents ``first:last`` (views where possible)."""
+        if first == 0 and last == self.n_docs:
+            return self
+        g0, g1 = int(self.doc_offsets[first]), int(self.doc_offsets[last])
+        t0, t1 = int(self.offsets[g0]), int(self.offsets[g1])
+        return FlatPhraseCorpus(
+            self.tokens[t0:t1], self.offsets[g0:g1 + 1] - t0,
+            self.doc_offsets[first:last + 1] - g0,
+            None if self._keys is None else self._keys[g0:g1])
+
+
+def _split(tokens: List[int], bounds: List[int]) -> List[Phrase]:
+    """``tokens`` cut into tuples at consecutive ``bounds``."""
+    return [tuple(tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def random_initialization(flat: FlatPhraseCorpus, n_topics: int,
@@ -136,31 +199,37 @@ def random_initialization(flat: FlatPhraseCorpus, n_topics: int,
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw one topic per clique and build the count matrices.
 
-    Consumes the random stream exactly like the reference sampler: one
-    ``rng.integers(0, K, size=n_cliques_of_doc)`` call per document, in
-    document order.  Counting is vectorized with ``np.add.at``/``bincount``
-    over the flat buffers.
+    One ``rng.integers(0, K, size=n_cliques)`` call draws every clique's
+    topic; it yields the same topics, and leaves the generator in the same
+    state, as the reference sampler's one call per document in document
+    order.  Counting is vectorized with ``bincount`` over the flat buffers.
 
     Returns ``(topic_word, doc_topic, topic_totals, assign)`` with the same
     dtypes and layouts the reference sampler uses.
     """
-    # np.add.at rejects ids >= V below, but negative ids would silently
-    # wrap here and corrupt memory inside the C kernel — refuse both.
+    # Out-of-range ids would index outside the counts here and inside the C
+    # kernel — refuse them.
     _check_token_range(flat.tokens, vocabulary_size)
-    assign = np.empty(flat.n_cliques, dtype=np.int64)
-    for g0, g1 in flat.doc_ranges:
-        assign[g0:g1] = rng.integers(0, n_topics, size=g1 - g0)
+    assign = rng.integers(0, n_topics, size=flat.n_cliques)
 
     sizes = flat.clique_sizes()
     token_topics = np.repeat(assign, sizes)
     token_docs = np.repeat(flat.clique_doc.astype(np.int64), sizes)
 
-    topic_word = np.zeros((vocabulary_size, n_topics), dtype=np.int64)
-    doc_topic = np.zeros((flat.n_docs, n_topics), dtype=np.int64)
-    np.add.at(topic_word, (flat.tokens.astype(np.int64), token_topics), 1)
-    np.add.at(doc_topic, (token_docs, token_topics), 1)
+    topic_word = _count_cells(flat.tokens.astype(np.int64), token_topics,
+                              vocabulary_size, n_topics)
+    doc_topic = _count_cells(token_docs, token_topics, flat.n_docs, n_topics)
     topic_totals = np.bincount(token_topics, minlength=n_topics).astype(np.int64)
     return topic_word, doc_topic, topic_totals, assign
+
+
+def _count_cells(rows: np.ndarray, columns: np.ndarray, n_rows: int,
+                 n_columns: int) -> np.ndarray:
+    """An ``n_rows × n_columns`` ``int64`` matrix counting each
+    ``(rows[i], columns[i])`` pair."""
+    counts = np.bincount(rows * n_columns + columns,
+                         minlength=n_rows * n_columns)
+    return counts.astype(np.int64, copy=False).reshape(n_rows, n_columns)
 
 
 class CKernelSampler:
@@ -221,23 +290,3 @@ def _check_token_range(tokens: np.ndarray, vocabulary_size: int) -> None:
             raise ValueError(
                 f"token ids must be in [0, {vocabulary_size}); "
                 f"got range [{lowest}, {highest}]")
-
-
-def validate_fold_in_input(flat: FlatPhraseCorpus, alpha: np.ndarray,
-                           beta: float, vocabulary_size: int) -> None:
-    """Reject degenerate priors and out-of-range token ids for fold-in.
-
-    Run by :mod:`repro.core.infer` before either fold-in engine, so both
-    are equally strict, and the C kernel never indexes outside the frozen
-    ``V × K`` counts.
-
-    Raises
-    ------
-    ValueError
-        If ``beta`` or any ``alpha`` entry is non-positive or not finite (a
-        clique posterior could then have zero or undefined mass), or if any
-        token id falls outside ``[0, vocabulary_size)``.
-    """
-    check_priors(alpha, beta, "fold-in", positive=True,
-                 hint=", so every clique posterior has positive mass")
-    _check_token_range(flat.tokens, vocabulary_size)

@@ -285,9 +285,9 @@ static double pair_score(int64_t left, int64_t right,
  *
  * Preconditions (enforced by repro.core.segmentation): every token id is
  * >= 0; ids >= vocab_bound read word_id[vocab_bound] (-1, a rare word).
- * out needs 2 * n_pos + n_chunks int64 results plus 5 eight-byte scratch
- * slots (4 int64, 1 double) per token of the longest chunk; the kernel
- * checks that against out_size before it writes anything.
+ * out needs 2 * n_pos int64 results plus 6 eight-byte scratch slots (5
+ * int64, 1 double) per token of the longest chunk; the kernel checks that
+ * against out_size before it writes anything.
  */
 int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0      */
                        const int64_t *offsets,      /* n_chunks+1 token offsets  */
@@ -304,35 +304,40 @@ int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0     
                        int64_t *out,                /* results, then scratch     */
                        int64_t out_size)            /* int64 slots in out        */
 {
-    /* out holds, in order: length and nxt per token position (the span
-     * length at each head, and the next head or -1 at the chunk's end),
-     * one merged flag per chunk, then the per-chunk scratch.  Returns 0,
-     * or the slot count out needs when out_size is smaller (nothing is
-     * written then). */
+    /* out holds, in order: length and key per token position, then the
+     * per-chunk scratch.  length is the span length at each span head and
+     * 0 at every other position, so the heads are exactly the nonzero
+     * entries.  key is the span's phrase key at each head: its id in the
+     * phrase table, or n_phrases + token id for a unigram the table lacks
+     * (a rare word).  Every multi-word span is a table phrase, so equal
+     * keys mean equal spans.  Returns 0, or the slot count out needs when
+     * out_size is smaller (nothing is written then). */
     const int64_t n_pos = offsets[n_chunks];
     int64_t longest = 0;
     for (int64_t c = 0; c < n_chunks; c++)
         if (offsets[c + 1] - offsets[c] > longest)
             longest = offsets[c + 1] - offsets[c];
-    const int64_t needed = 2 * n_pos + n_chunks + 5 * longest;
+    const int64_t needed = 2 * n_pos + 6 * longest;
     if (needed > out_size)
         return needed;
-    int64_t *length = out, *nxt = out + n_pos, *merged_chunk = nxt + n_pos;
-    int64_t *scratch = merged_chunk + n_chunks;
+    int64_t *length = out, *key = out + n_pos;
+    int64_t *scratch = key + n_pos;
 
     for (int64_t c = 0; c < n_chunks; c++) {
         const int64_t s = offsets[c];
         const int64_t n = offsets[c + 1] - s;
-        /* Local (0-based) linked list over the chunk; length and nxt are
-         * written at global positions for the caller's emission loop. */
-        int64_t *pid = scratch, *prv = pid + n, *seq = prv + n,
-                *pmerged = seq + n;
+        /* Local (0-based) linked list over the chunk's span heads. */
+        int64_t *pid = scratch, *prv = pid + n, *nxt = prv + n,
+                *seq = nxt + n, *pmerged = seq + n;
         double *sig = (double *)(pmerged + n);
         for (int64_t i = 0; i < n; i++) {
+            const int64_t w = tokens[s + i];
+            pid[i] = word_id[w < vocab_bound ? w : vocab_bound];
+            key[s + i] = pid[i] >= 0 ? pid[i] : n_phrases + w;
             length[s + i] = 1;
-            nxt[s + i] = i + 1 < n ? s + i + 1 : -1;
+            prv[i] = i - 1;
+            nxt[i] = i + 1 < n ? i + 1 : -1;
         }
-        merged_chunk[c] = 0;
         /* A cap below two words blocks every merge outright. */
         if (n < 2 || max_words < 2)
             continue;
@@ -340,11 +345,6 @@ int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0     
         /* Seed pass: one pair per adjacent token, seq = position.  A pair
          * below the threshold never pops (the chunk terminates first), so
          * it is stored as dead: seq = -1. */
-        for (int64_t i = 0; i < n; i++) {
-            const int64_t w = tokens[s + i];
-            pid[i] = word_id[w < vocab_bound ? w : vocab_bound];
-            prv[i] = i - 1;
-        }
         for (int64_t i = 0; i + 1 < n; i++) {
             sig[i] = pair_score(pid[i], pid[i + 1], pair_keys, pair_sigs,
                                  pair_merged, n_pairs, n_phrases, &pmerged[i]);
@@ -356,7 +356,7 @@ int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0     
         for (;;) {
             /* Pop the live pair of highest significance, lowest seq. */
             int64_t best = -1;
-            for (int64_t i = 0; i >= 0; i = nxt[s + i] >= 0 ? nxt[s + i] - s : -1) {
+            for (int64_t i = 0; i >= 0; i = nxt[i]) {
                 if (seq[i] < 0)
                     continue;
                 if (best < 0 || sig[i] > sig[best]
@@ -365,7 +365,7 @@ int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0     
             }
             if (best < 0)
                 break;
-            const int64_t right = nxt[s + best] - s;
+            const int64_t right = nxt[best];
             const int64_t merged_length = length[s + best] + length[s + right];
             if (merged_length > max_words) {
                 /* Cap-blocked: dropped for good, no seq consumed. */
@@ -374,14 +374,15 @@ int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0     
             }
 
             pid[best] = pmerged[best];
+            key[s + best] = pid[best];
             length[s + best] = merged_length;
-            const int64_t follower = nxt[s + right] >= 0 ? nxt[s + right] - s : -1;
-            nxt[s + best] = nxt[s + right];
+            length[s + right] = 0;
+            const int64_t follower = nxt[right];
+            nxt[best] = follower;
             if (follower >= 0)
                 prv[follower] = best;
             seq[right] = -1;
             seq[best] = -1;
-            merged_chunk[c] = 1;
 
             /* Re-score the neighbour pairs in the reference's push order:
              * left neighbour first, own pair second. */

@@ -86,10 +86,11 @@ def test_segment_kernel_refuses_an_undersized_buffer():
         pair_sigs=np.array([7.0]), pair_merged=np.array([2], dtype=np.int64),
         n_phrases=3)
     flat = FlatChunks.from_documents([[[0, 1, 0, 1, 5]], [[1]]])
-    merged, length, nxt = ckernel.run_segment(
+    length, key = ckernel.run_segment(
         tables, flat.tokens, flat.offsets, flat.longest_chunk, 5.0, 9)
-    assert merged.tolist() == [1, 0]
-    assert length[[0, 2, 4]].tolist() == [2, 2, 1]  # (0 1) (0 1) (5)
-    assert nxt[[0, 2, 4]].tolist() == [2, 4, -1]
+    # (0 1) (0 1) (5) | (1): heads carry the span length, the rest 0.
+    assert length.tolist() == [2, 0, 2, 0, 1, 1]
+    # Table ids at the heads; the rare word 5 gets n_phrases + 5.
+    assert key[[0, 2, 4, 5]].tolist() == [2, 2, 3 + 5, 1]
     with pytest.raises(ValueError, match="longest"):
         ckernel.run_segment(tables, flat.tokens, flat.offsets, 2, 5.0, 9)

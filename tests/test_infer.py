@@ -252,13 +252,25 @@ def test_underflowed_posterior_falls_back_uniformly_and_identically(engine):
     assert len(assigned) > 1, "fallback must not be biased to one topic"
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_fold_in_sampler_rejects_degenerate_priors(model_bundle, engine):
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.01), (np.nan, 0.01),
+                                         (0.5, -0.01), (0.5, np.inf)])
+def test_fold_in_sampler_rejects_degenerate_priors(model_bundle, alpha, beta):
+    """The priors are frozen with the counts, so they are checked once, when
+    the inferencer is built, for every engine alike."""
     state = model_bundle.state()
-    state.alpha = np.zeros(model_bundle.n_topics)
-    inferencer = TopicInferencer(state, segmenter=None)
+    state.alpha = np.full(model_bundle.n_topics, alpha)
+    state.beta = beta
     with pytest.raises(ValueError, match="alpha > 0 and beta > 0"):
-        inferencer.infer_segmented([[(0, 1)]], InferenceConfig(engine=engine))
+        TopicInferencer(state, segmenter=None)
+
+
+def test_inferencer_rejects_a_vocabulary_larger_than_the_model(model_bundle):
+    """Encoded text must never index outside the frozen V x K counts."""
+    state = model_bundle.state()
+    state.topic_word_counts = state.topic_word_counts[:-1]
+    with pytest.raises(ValueError, match="vocabulary has"):
+        TopicInferencer(state, model_bundle.segmenter(),
+                        vocabulary=model_bundle.vocabulary)
 
 
 @requires_c_kernel

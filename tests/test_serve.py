@@ -673,3 +673,35 @@ def test_serve_model_spec_parsing(model_bundle, tmp_path, monkeypatch):
     with pytest.raises(ServeError) as unreachable:
         ServeClient(server.url, timeout=2).health()
     assert unreachable.value.status in (0, 404)  # connection refused
+
+
+def test_bundle_with_a_negative_alpha_is_unservable_but_loads(model_bundle,
+                                                              tmp_path):
+    """A negative prior fails every fold-in, so the registry refuses the
+    bundle once, naming it, and ``/v1/infer`` answers the artifact-error
+    reply.  ``load_bundle`` still reads it, so ``repro topics`` works."""
+    from dataclasses import replace
+
+    from repro.io.artifacts import load_bundle
+
+    alpha = np.array(model_bundle.alpha, dtype=np.float64)
+    alpha[1] = -8.9e-101
+    path = tmp_path / "negative-alpha.npz"
+    save_bundle(path, replace(model_bundle, alpha=alpha))
+
+    assert load_bundle(path).render_topics(n_rows=3).strip()
+    registry = ModelRegistry()
+    registry.register("m", path)
+    with pytest.raises(ArtifactError, match="negative-alpha.npz.*alpha > 0"):
+        registry.get("m")
+
+    server = ReproServer(registry, ServeConfig(port=0))
+    server.start_background()
+    try:
+        with pytest.raises(ServeError) as error:
+            ServeClient(server.url, timeout=5).infer(UNSEEN[:1], seed=3)
+    finally:
+        server.stop()
+    assert error.value.status == 500
+    assert "artifact error" in str(error.value)
+    assert "alpha > 0" in str(error.value)
