@@ -64,7 +64,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.core.frequent_phrases import MINING_ENGINES
-from repro.core.infer import INFERENCE_ENGINES, InferenceConfig
+from repro.core.infer import InferenceConfig
 from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
 from repro.core.topmine import ToPMine, ToPMineConfig
 from repro.datasets.registry import available_datasets, load_dataset
@@ -272,9 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "the reference segmenter without a compiler; "
                            "numpy selects the same pair; all engines are "
                            "bit-identical)")
-    mine.add_argument("--jobs", type=int, default=ToPMineConfig.n_jobs,
-                      help="deprecated and has no effect: segmentation "
-                           "runs in one process")
     mine.add_argument("--seed", type=int, default=7,
                       help="dataset generation seed (default: 7)")
     mine.add_argument("--output", "-o", metavar="PATH", required=True,
@@ -296,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_options(fit, PhraseLDAConfig)
     fit.add_argument("--engine", default="auto", choices=ENGINES,
                      help="sampling engine (default: auto — c, the compiled "
-                          "kernel, or reference without a compiler; numpy is "
-                          "a deprecated alias of auto)")
+                          "kernel, or reference without a compiler)")
     fit.add_argument("--optimize-hyperparameters", action="store_true",
                      help="enable Minka fixed-point hyper-parameter updates")
     fit.add_argument("--seed", type=int, default=7,
@@ -337,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"fold-in Gibbs sweeps (default: "
                             f"{InferenceConfig.n_iterations}; "
                             f"{_SMOKE_INFER_ITERATIONS} with --smoke)")
-    infer.add_argument("--engine", default="auto", choices=INFERENCE_ENGINES,
+    infer.add_argument("--engine", default="auto", choices=ENGINES,
                        help="fold-in engine: c (the compiled kernel; what "
                             "auto picks when it builds) or reference (the "
                             "readable loop)")
@@ -381,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--lda-engine", choices=ENGINES,
                 help=f"PhraseLDA engine for refreshes (default: "
                      f"{StreamConfig.lda_engine} — c, or reference without "
-                     f"a compiler; numpy is a deprecated alias of auto)"),
+                     f"a compiler)"),
             creation.add_argument(
                 "--model-seed", type=int,
                 help=f"seed every refresh runs with (default: "
@@ -640,8 +636,7 @@ def _mine_segmentation(args: argparse.Namespace) -> SegmentationBundle:
     read the text source, run Algorithm 1 + segmentation, bundle the result."""
     texts, source = _read_texts(args, default_docs=_SMOKE_DOCS)
     config = ToPMineConfig(seed=args.seed, **_mining_settings(args), **_explicit(
-        mining_engine=getattr(args, "mining_engine", None),
-        n_jobs=getattr(args, "jobs", None)))
+        mining_engine=getattr(args, "mining_engine", None)))
     pipeline = ToPMine(config)
     corpus = pipeline.preprocess(texts, name=source)
     mining = pipeline.mine_phrases(corpus)

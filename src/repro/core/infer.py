@@ -44,51 +44,22 @@ from repro.core.segmentation import CorpusSegmenter
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel import ckernel
-from repro.topicmodel.gibbs import FlatPhraseCorpus, _check_token_range, check_priors
+from repro.topicmodel.gibbs import (
+    FlatPhraseCorpus,
+    _check_token_range,
+    check_priors,
+    resolve_engine,
+)
 from repro.topicmodel.lda import TopicModelState
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.timing import Stopwatch
 
 Phrase = Tuple[int, ...]
 
-INFERENCE_ENGINES = ("auto", "c", "reference")
-
 # The C engine draws its uniforms in chunks of whole sweeps holding at most
 # this many doubles (but always at least one sweep), so a request's buffer
 # stays bounded however many iterations it asks for.
 _UNIFORM_CHUNK = 1 << 16
-
-
-def resolve_inference_engine(engine: str) -> str:
-    """Map an inference engine request onto a concrete engine name.
-
-    ``"auto"`` resolves to ``"c"`` when the compiled kernel is available and
-    to ``"reference"`` otherwise.  An explicit ``"c"`` without a working
-    kernel raises rather than silently running something slower, as
-    :func:`repro.topicmodel.gibbs.resolve_engine` does for training.
-
-    Returns
-    -------
-    str
-        ``"c"`` or ``"reference"``.
-
-    Raises
-    ------
-    ValueError
-        If ``engine`` is not one of :data:`INFERENCE_ENGINES`.
-    RuntimeError
-        If ``"c"`` is requested but the kernel cannot be built or loaded.
-    """
-    if engine not in INFERENCE_ENGINES:
-        raise ValueError(
-            f"unknown inference engine {engine!r}; expected one of {INFERENCE_ENGINES}")
-    if engine == "auto":
-        return "c" if ckernel.kernel_available() else "reference"
-    if engine == "c" and not ckernel.kernel_available():
-        raise RuntimeError(
-            f"engine='c' requested but the kernel is unavailable "
-            f"({ckernel.load_error()}); use engine='auto' to fall back")
-    return engine
 
 
 def _frozen_counts(name: str, counts: np.ndarray,
@@ -296,7 +267,7 @@ class TopicInferencer:
         partition, unknown_counts = self._segment_texts(texts)
         return self._fold_in(partition, unknown_counts, config.seed,
                              config.n_iterations,
-                             resolve_inference_engine(config.engine))
+                             resolve_engine(config.engine))
 
     def infer_texts_grouped(self, groups: Sequence[Sequence[str]],
                             seeds: Sequence[SeedLike],
@@ -335,7 +306,7 @@ class TopicInferencer:
             One result per request, aligned with ``groups``.
         """
         config = config or InferenceConfig()
-        engine = resolve_inference_engine(config.engine)
+        engine = resolve_engine(config.engine)
         if len(seeds) != len(groups):
             raise ValueError(f"got {len(groups)} groups but {len(seeds)} seeds")
         watch = watch if watch is not None else Stopwatch()
@@ -420,7 +391,7 @@ class TopicInferencer:
             _check_token_range(partition.tokens, self._topic_word.shape[0])
         return self._fold_in(partition, [0] * partition.n_docs, config.seed,
                              config.n_iterations,
-                             resolve_inference_engine(config.engine))
+                             resolve_engine(config.engine))
 
     # -- engines ---------------------------------------------------------------------
     def _fold_in(self, partition: FlatPhraseCorpus,

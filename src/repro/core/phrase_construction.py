@@ -48,9 +48,8 @@ class PhraseConstructionConfig:
         :class:`~repro.core.segmentation.CorpusSegmenter`: ``"reference"``
         (this module's readable constructor), ``"c"`` (the batched compiled
         engine), or ``"auto"`` (``"c"`` when the kernel loads, else
-        ``"reference"``; ``"numpy"`` resolves the same way).  Partitions
-        are bit-identical across engines, and every engine runs in the
-        calling process.
+        ``"reference"``).  Partitions are bit-identical across engines, and
+        every engine runs in the calling process.
     """
 
     significance_threshold: float = 5.0

@@ -41,49 +41,35 @@ from repro.core.significance import SignificanceScorer
 from repro.text.corpus import Corpus
 from repro.text.flat import FlatChunks
 from repro.text.vocabulary import Vocabulary
-from repro.topicmodel import ckernel
-from repro.topicmodel.gibbs import FlatPhraseCorpus
+from repro.topicmodel.gibbs import ENGINES, FlatPhraseCorpus, resolve_engine
 
 Phrase = Tuple[int, ...]
-
-#: Engine names accepted by the segmentation layer.
-SEGMENTATION_ENGINES = ("auto", "c", "numpy", "reference")
 
 
 def resolve_segmentation_engine(engine: str,
                                 significance_threshold: float = 0.0) -> str:
-    """Map a segmentation engine request onto a concrete engine name.
+    """Map a segmentation engine request (one of :data:`ENGINES`) onto a
+    concrete engine name.
 
-    ``"auto"`` resolves to ``"c"`` when the compiled kernel loads and the
-    significance threshold is finite, and to ``"reference"`` otherwise (a
-    ``-inf`` threshold makes the reference loop merge zero-frequency pairs,
-    which the indexed scorer deliberately cannot express).  ``"numpy"`` resolves like ``"auto"``: it names the
-    vectorized *miner*, and a config's mining engine doubles as its
-    segmentation engine.
+    A non-finite significance threshold means ``"reference"`` (a ``-inf``
+    threshold makes the reference loop merge zero-frequency pairs, which
+    the indexed scorer deliberately cannot express); everything else is
+    :func:`~repro.topicmodel.gibbs.resolve_engine`'s rule.
 
     Raises
     ------
     ValueError
-        If ``engine`` is not one of :data:`SEGMENTATION_ENGINES`, or
-        ``"c"`` is requested explicitly with a non-finite threshold.
+        If ``engine`` is not one of :data:`ENGINES`, or ``"c"`` is
+        requested explicitly with a non-finite threshold.
     RuntimeError
         If ``"c"`` is requested but the kernel cannot be built or loaded.
     """
-    if engine not in SEGMENTATION_ENGINES:
-        raise ValueError(f"unknown segmentation engine {engine!r}; "
-                         f"expected one of {SEGMENTATION_ENGINES}")
-    finite = math.isfinite(significance_threshold)
-    if engine in ("auto", "numpy"):
-        return "c" if finite and ckernel.kernel_available() else "reference"
-    if engine == "c":
-        if not finite:
+    if engine in ENGINES and not math.isfinite(significance_threshold):
+        if engine == "c":
             raise ValueError("the c segmentation engine requires a finite "
                              "significance threshold; use 'reference'")
-        if not ckernel.kernel_available():
-            raise RuntimeError(
-                f"engine='c' requested but the kernel is unavailable "
-                f"({ckernel.load_error()}); use engine='auto' to fall back")
-    return engine
+        return "reference"
+    return resolve_engine(engine)
 
 
 @dataclass

@@ -18,7 +18,6 @@ recorded, matching the decomposition reported in Figure 8.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -34,14 +33,6 @@ from repro.core.visualization import TopicVisualization, TopicVisualizer
 from repro.text.corpus import Corpus
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.utils.timing import Stopwatch
-
-
-def warn_deprecated_n_jobs(n_jobs: int, owner: str) -> None:
-    """Warn once per config that ``n_jobs`` no longer changes anything."""
-    if n_jobs != 1:
-        warnings.warn(f"{owner}.n_jobs is deprecated and has no effect: "
-                      "segmentation runs in the calling process",
-                      DeprecationWarning, stacklevel=4)
 
 
 @dataclass
@@ -74,12 +65,9 @@ class ToPMineConfig:
         Engine for the phrase-mining front end (Algorithm 1 **and**
         Algorithm 2): ``"auto"``, ``"numpy"``, or ``"reference"``.  All
         engines are bit-identical; ``"auto"`` and ``"numpy"`` pick the
-        vectorized miner and the compiled segmenter (the reference one
-        without a compiler).
-    n_jobs:
-        Deprecated and ignored: segmentation always runs in the calling
-        process as one batched call.  A value other than ``1`` emits a
-        :class:`DeprecationWarning`.
+        vectorized miner and the ``"auto"`` segmenter (compiled, or the
+        reference one without a compiler); ``"reference"`` picks both
+        reference loops.
     """
 
     n_topics: int = 10
@@ -93,10 +81,6 @@ class ToPMineConfig:
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     seed: Optional[int] = None
     mining_engine: str = "auto"
-    n_jobs: int = 1
-
-    def __post_init__(self) -> None:
-        warn_deprecated_n_jobs(self.n_jobs, "ToPMineConfig")
 
     def mining_config(self, corpus: Corpus) -> PhraseMiningConfig:
         """Resolve the phrase-mining configuration for ``corpus``."""
@@ -113,7 +97,7 @@ class ToPMineConfig:
         return PhraseConstructionConfig(
             significance_threshold=self.significance_threshold,
             max_phrase_words=self.max_phrase_length,
-            engine=self.mining_engine)
+            engine="reference" if self.mining_engine == "reference" else "auto")
 
     def phrase_lda_config(self) -> PhraseLDAConfig:
         """Resolve the PhraseLDA configuration."""

@@ -73,15 +73,11 @@ from repro.core.frequent_phrases import FrequentPhraseMiningResult
 from repro.core.infer import InferenceConfig, TopicInferencer
 from repro.core.phrase_construction import PhraseConstructionConfig
 from repro.core.phrase_lda import PhraseLDAState
-from repro.core.segmentation import (
-    SEGMENTATION_ENGINES,
-    CorpusSegmenter,
-    SegmentedCorpus,
-)
+from repro.core.segmentation import CorpusSegmenter, SegmentedCorpus
 from repro.core.visualization import TopicVisualization, build_visualization
 from repro.text.preprocess import PreprocessConfig
 from repro.text.vocabulary import Vocabulary
-from repro.topicmodel.gibbs import FlatPhraseCorpus
+from repro.topicmodel.gibbs import ENGINES, FlatPhraseCorpus
 from repro.utils.counter import HashCounter
 
 Phrase = Tuple[int, ...]
@@ -186,13 +182,21 @@ def mmap_backing(array: np.ndarray) -> Optional[mmap.mmap]:
 
 def _map_member(mapped: mmap.mmap, info: zipfile.ZipInfo,
                 path: Path) -> np.ndarray:
-    """Build a read-only array over one stored ``.npy`` member in place."""
+    """Build a read-only array over one stored ``.npy`` member in place.
+
+    The member's CRC-32 is checked over a view of the map (no copy), as
+    :mod:`zipfile` does on a materializing read.
+    """
     header = info.header_offset
     name_length = int.from_bytes(
         mapped[header + 26:header + 28], "little")
     extra_length = int.from_bytes(
         mapped[header + 28:header + 30], "little")
     data_offset = header + _ZIP_LOCAL_HEADER_SIZE + name_length + extra_length
+    with memoryview(mapped) as view:
+        crc = zlib.crc32(view[data_offset:data_offset + info.file_size])
+    if crc != info.CRC:
+        raise ArtifactError(f"{path}: bad CRC-32 for member {info.filename}")
     prefix = io.BytesIO(mapped[data_offset:data_offset
                                + min(info.file_size, 4096)])
     try:
@@ -296,11 +300,10 @@ def _validate_manifest(manifest: Any, path: Path) -> None:
             raise ArtifactError(
                 f"{path}: manifest section {section!r} is not a JSON object")
     construction = manifest.get("construction", {})
-    if construction.get("engine", "auto") not in SEGMENTATION_ENGINES:
+    if construction.get("engine", "auto") not in ENGINES:
         raise ArtifactError(
             f"{path}: unknown construction engine "
-            f"{construction.get('engine')!r}; expected one of "
-            f"{SEGMENTATION_ENGINES}")
+            f"{construction.get('engine')!r}; expected one of {ENGINES}")
     threshold = construction.get("significance_threshold", 0.0)
     if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
         raise ArtifactError(

@@ -208,15 +208,15 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
 def build_info() -> Dict[str, str]:
     """Labels for the ``repro_build_info`` gauge: version, engine defaults.
 
-    The fold-in resolver loads the C kernel, building it when no cached
+    The engine resolver loads the C kernel, building it when no cached
     build exists, as the first inference request would anyway.
     """
     from repro import __version__
     from repro.core.frequent_phrases import resolve_mining_engine
-    from repro.core.infer import resolve_inference_engine
+    from repro.topicmodel.gibbs import resolve_engine
 
     return {
         "version": __version__,
-        "inference_engine": resolve_inference_engine("auto"),
+        "inference_engine": resolve_engine("auto"),
         "mining_engine": resolve_mining_engine("auto"),
     }

@@ -57,10 +57,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.frequent_phrases import resolve_mining_engine
 from repro.core.phrase_construction import PhraseConstructionConfig
 from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
 from repro.core.segmentation import CorpusSegmenter
-from repro.core.topmine import ToPMineConfig, warn_deprecated_n_jobs
+from repro.core.topmine import ToPMineConfig
 from repro.io.artifacts import ModelBundle, _config_from_dict, save_bundle
 from repro.obs.shards import ShardWriter
 from repro.stream.counters import (
@@ -74,6 +75,7 @@ from repro.text.corpus import Corpus
 from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
+from repro.topicmodel.gibbs import resolve_engine
 from repro.utils.timing import Stopwatch
 
 STREAM_FORMAT = "repro.stream"
@@ -118,12 +120,9 @@ class StreamConfig:
         Mining/segmentation engine (``"auto"``, ``"numpy"``,
         ``"reference"``; see :class:`~repro.core.topmine.ToPMineConfig`).
     lda_engine:
-        PhraseLDA sampling engine (``"numpy"`` is a deprecated alias of
-        ``"auto"``).
-    n_jobs:
-        Deprecated and ignored (refreshes segment in one process); a
-        value other than ``1`` emits a :class:`DeprecationWarning`.
-        Streams created with another value still open.
+        PhraseLDA sampling engine (one of
+        :data:`~repro.topicmodel.gibbs.ENGINES`).  A ``stream.json`` that
+        an older release wrote with ``"numpy"`` opens as ``"auto"``.
     preprocess:
         Preprocessing options; ``min_word_frequency`` must stay ≤ 1 —
         corpus-global rare-word dropping is a two-pass operation that
@@ -146,13 +145,9 @@ class StreamConfig:
     max_phrase_length: Optional[int] = None
     engine: str = "auto"
     lda_engine: str = "auto"
-    n_jobs: int = 1
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     refresh_min_documents: int = 1
     source: str = "stream"
-
-    def __post_init__(self) -> None:
-        warn_deprecated_n_jobs(self.n_jobs, "StreamConfig")
 
     def validate(self) -> None:
         """Raise :class:`StreamError` on configurations streams cannot honour."""
@@ -165,6 +160,13 @@ class StreamConfig:
                 "streams cannot use preprocess.min_word_frequency > 1: "
                 "corpus-global rare-word dropping needs a second pass over "
                 "all documents, which incremental ingestion never performs")
+        # Every ingest and refresh resolves both names; fail before the
+        # stream exists rather than after a batch is logged.
+        try:
+            resolve_mining_engine(self.engine)
+            resolve_engine(self.lda_engine)
+        except (ValueError, RuntimeError) as exc:
+            raise StreamError(str(exc)) from exc
 
     def construction_config(self) -> PhraseConstructionConfig:
         """Segmenter parameters for refreshes (matches ``repro mine``)."""
@@ -201,8 +203,15 @@ class StreamConfig:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "StreamConfig":
-        """Rebuild a config, tolerating unknown forward-compat keys."""
+        """Rebuild a config, tolerating unknown forward-compat keys.
+
+        Older releases accepted ``"lda_engine": "numpy"`` (a name for
+        ``"auto"``) and stored a segmentation worker count; both still
+        open.
+        """
         payload = dict(payload)
+        if payload.get("lda_engine") == "numpy":
+            payload["lda_engine"] = "auto"
         preprocess = _config_from_dict(PreprocessConfig,
                                           payload.pop("preprocess", {}) or {})
         config = _config_from_dict(cls, payload)

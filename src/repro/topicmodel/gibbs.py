@@ -25,22 +25,23 @@ one ``rng.integers`` call where the reference makes one call per document;
 numpy's bounded 32-bit draws keep no state between calls, so the two are
 the same draws (``tests/test_partition.py`` checks that property of numpy).
 
-Engine selection: ``"auto"`` picks the C kernel when it loads and the
-reference sampler otherwise; ``"c"`` and ``"reference"`` force one.
-``"numpy"``, the name of a NumPy sampler that no longer exists, is a
-deprecated alias of ``"auto"``.
+Engine selection: :data:`ENGINES` is the one vocabulary of the three
+C-backed hot paths — PhraseLDA training, segmentation and fold-in — and
+:func:`resolve_engine` resolves it for all of them.  ``"auto"`` picks the
+C kernel when it loads and the reference implementation otherwise;
+``"c"`` and ``"reference"`` force one.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.topicmodel import ckernel
 
-ENGINES = ("auto", "c", "numpy", "reference")
+#: Engine names accepted by training, segmentation and fold-in.
+ENGINES = ("auto", "c", "reference")
 
 Phrase = Tuple[int, ...]
 
@@ -49,17 +50,19 @@ def resolve_engine(engine: str) -> str:
     """Map an engine request onto a concrete engine name.
 
     ``"auto"`` resolves to ``"c"`` when the compiled kernel is available and
-    to ``"reference"`` otherwise; ``"numpy"`` warns (``DeprecationWarning``)
-    and resolves like ``"auto"``.  Asking for ``"c"`` without a working
+    to ``"reference"`` otherwise.  Asking for ``"c"`` without a working
     compiler raises immediately rather than silently running something
     slower.
+
+    Raises
+    ------
+    ValueError
+        If ``engine`` is not one of :data:`ENGINES`.
+    RuntimeError
+        If ``"c"`` is requested but the kernel cannot be built or loaded.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine == "numpy":
-        warnings.warn("PhraseLDA engine 'numpy' is deprecated and resolves "
-                      "like 'auto'", DeprecationWarning, stacklevel=2)
-        engine = "auto"
     if engine == "auto":
         return "c" if ckernel.kernel_available() else "reference"
     if engine == "c" and not ckernel.kernel_available():

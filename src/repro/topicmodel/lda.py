@@ -62,8 +62,8 @@ class LDAConfig:
     engine:
         Sweep implementation: ``"auto"`` (compiled kernel when available,
         the reference otherwise), ``"c"``, or ``"reference"`` (the readable
-        nested loop); ``"numpy"`` is a deprecated alias of ``"auto"``.  Both
-        engines produce identical assignments under a fixed seed.
+        nested loop).  Both engines produce identical assignments under a
+        fixed seed.
     """
 
     n_topics: int = 10

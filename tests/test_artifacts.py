@@ -339,6 +339,23 @@ def _first_npy_header_close(data: bytes) -> int:
     return data.index(b"}", 30 + name_length + extra_length)
 
 
+def _flip_bit(path: Path, out: Path, locate, bit: int) -> Path:
+    """Copy ``path`` to ``out`` with one bit of byte ``locate(data)`` flipped."""
+    data = bytearray(path.read_bytes())
+    data[locate(bytes(data))] ^= 1 << bit
+    out.write_bytes(bytes(data))
+    return out
+
+
+def _payload_offset(data: bytes, member: str) -> int:
+    """Offset of the first array byte of a stored npy (v1.0) member."""
+    header = data.index(member.encode()) - 30  # its local file header
+    name_length = int.from_bytes(data[header + 26:header + 28], "little")
+    extra_length = int.from_bytes(data[header + 28:header + 30], "little")
+    npy = header + 30 + name_length + extra_length
+    return npy + 10 + int.from_bytes(data[npy + 8:npy + 10], "little")
+
+
 def _edit_array(name, value):
     def edit(arrays):
         array = arrays[name].copy()
@@ -358,6 +375,10 @@ CORRUPTIONS = {
     # numpy's fallback header parser raises tokenize.TokenError.
     "npy-header-unclosed": lambda path, out: _patch_bytes(
         path, out, _first_npy_header_close, b" "),
+    # Adds 2**38 to one count: a valid array that only the CRC-32 catches.
+    "payload-bit-flip": lambda path, out: _flip_bit(
+        path, out,
+        lambda data: _payload_offset(data, "topic_word_counts.npy") + 4, 6),
     "construction-not-object": lambda path, out: _tamper(
         path, out, manifest_edit=lambda m: m.update(construction="fast")),
     "metadata-not-object": lambda path, out: _tamper(

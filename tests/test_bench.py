@@ -163,16 +163,16 @@ def test_phrase_lda_report_has_speedups(smoke_reports):
     assert engines == {"reference", "c"}
 
 
-def test_numpy_engine_request_resolves_through_the_alias():
-    """``--engines numpy`` names a sampler that no longer exists; it warns
-    and races what ``auto`` resolves to, once."""
+def test_engine_requests_resolve_upfront():
+    """``--engines`` resolves each name once, de-duplicating what ``auto``
+    resolves to; ``numpy`` names a sampler that no longer exists."""
     expected = ["reference", "c"] if ckernel.kernel_available() \
         else ["reference"]
     assert BenchConfig().resolved_engines() == expected
-    with pytest.warns(DeprecationWarning):
-        engines = BenchConfig(
-            engines=("reference", "numpy", "auto")).resolved_engines()
-    assert engines == expected
+    assert BenchConfig(engines=("reference", "auto", "auto")
+                       ).resolved_engines() == expected
+    with pytest.raises(ValueError, match="unknown engine"):
+        BenchConfig(engines=("reference", "numpy")).resolved_engines()
 
 
 def test_serving_report_records_throughput(smoke_reports):

@@ -23,7 +23,7 @@ from repro.topicmodel import ckernel
 DATASETS = ("20conf", "acl-abstracts", "ap-news", "dblp-abstracts",
             "dblp-titles", "yelp-reviews")
 MINING_ENGINES = ("auto", "numpy", "reference")
-LDA_ENGINES = ("auto", "c", "numpy", "reference")
+LDA_ENGINES = ("auto", "c", "reference")
 
 # option strings -> (dest, type, choices, required, action)
 SOURCE = {
@@ -55,7 +55,6 @@ CONTRACT = {
     "mine": {
         **SOURCE, **MINING, **SEED, **SMOKE,
         ("--engine",): ("mining_engine", None, MINING_ENGINES, False, "store"),
-        ("--jobs",): ("jobs", "int", None, False, "store"),
         ("--output", "-o"): ("output", None, None, True, "store"),
     },
     "fit": {
@@ -76,8 +75,7 @@ CONTRACT = {
         ("--model",): ("model", None, None, False, "store"),
         ("--url",): ("url", None, None, False, "store"),
         ("--iterations",): ("iterations", "int", None, False, "store"),
-        ("--engine",): ("engine", None, ("auto", "c", "reference"), False,
-                        "store"),
+        ("--engine",): ("engine", None, LDA_ENGINES, False, "store"),
         ("--top",): ("top", "int", None, False, "store"),
         ("--show",): ("show", "int", None, False, "store"),
         ("--output", "-o"): ("output", None, None, False, "store"),
@@ -196,6 +194,20 @@ def test_subcommand_help_formats(command):
     assert "usage:" in _subparsers()[command].format_help()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mine", "--smoke", "--jobs", "2", "--output", "seg.npz"],
+    ["fit", "--smoke", "--engine", "numpy", "--output", "m.npz"],
+    ["ingest", "--stream", "s", "--smoke", "--lda-engine", "numpy"],
+], ids=["mine-jobs", "fit-engine-numpy", "ingest-lda-engine-numpy"])
+def test_removed_deprecated_names_are_usage_errors(argv, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 # -- effective configuration ---------------------------------------------------------
 def _stream_config(root):
     payload = json.loads((root / "stream.json").read_text(encoding="utf-8"))
@@ -267,10 +279,10 @@ def test_fit_bare_flags_build_default_phrase_lda_config(small_segmentation,
         raise _Built
 
     monkeypatch.setattr(cli, "PhraseLDA", fake_phrase_lda)
-    # "numpy" is a deprecated alias of "auto"; fit records what it resolved.
-    with pytest.raises(_Built), pytest.warns(DeprecationWarning):
+    # fit records the engine "auto" resolved to.
+    with pytest.raises(_Built):
         main(["fit", "--segmentation", str(small_segmentation),
-              "--engine", "numpy", "--output", str(tmp_path / "m.npz")])
+              "--output", str(tmp_path / "m.npz")])
     config = captured["config"]
     assert (config.n_topics, config.n_iterations) == (10, 100)
     assert (config.alpha, config.beta) == (None, 0.01)

@@ -1,7 +1,6 @@
 """Seed-determinism audit: every stochastic component must be reproducible."""
 
 import numpy as np
-import pytest
 
 from repro.datasets import dblp_titles
 from repro.datasets.registry import available_datasets, load_dataset
@@ -63,14 +62,12 @@ def test_choice_without_never_returns_excluded():
 
 
 # -- mining/segmentation engine parity ------------------------------------------------
-def _front_end(engine, n_jobs=1, dataset="dblp-titles", n_documents=180,
-               seed=13):
+def _front_end(engine, dataset="dblp-titles", n_documents=180, seed=13):
     """Mine + segment one fixed-seed synthetic corpus with one engine."""
     from repro.core.topmine import ToPMine, ToPMineConfig
 
     generated = load_dataset(dataset, n_documents=n_documents, seed=seed)
-    pipeline = ToPMine(ToPMineConfig(min_support=3, mining_engine=engine,
-                                     n_jobs=n_jobs))
+    pipeline = ToPMine(ToPMineConfig(min_support=3, mining_engine=engine))
     corpus = pipeline.preprocess(generated.texts, name=dataset)
     mining = pipeline.mine_phrases(corpus)
     segmented = pipeline.segment(corpus, mining)
@@ -87,18 +84,6 @@ def test_mining_and_segmentation_engine_parity():
     for ref_doc, np_doc in zip(reference_segmented, numpy_segmented):
         assert ref_doc.phrases == np_doc.phrases
         assert ref_doc.doc_id == np_doc.doc_id
-
-
-def test_deprecated_n_jobs_warns_once_and_changes_nothing():
-    """n_jobs=4 warns once and yields exactly the n_jobs=1 partitions."""
-    for engine in ("reference", "auto"):
-        _, default = _front_end(engine, n_jobs=1)
-        with pytest.warns(DeprecationWarning, match="n_jobs") as caught:
-            _, deprecated = _front_end(engine, n_jobs=4)
-        assert sum("n_jobs" in str(w.message) for w in caught) == 1
-        for default_doc, deprecated_doc in zip(default, deprecated):
-            assert default_doc.phrases == deprecated_doc.phrases
-            assert default_doc.doc_id == deprecated_doc.doc_id
 
 
 def test_front_end_reruns_are_reproducible():

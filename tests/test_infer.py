@@ -9,13 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.infer import (
-    InferenceConfig,
-    TopicInferencer,
-    resolve_inference_engine,
-)
+from repro.core.infer import InferenceConfig, TopicInferencer
 from repro.io.artifacts import ArtifactError, load_bundle, save_bundle
-from repro.topicmodel import ckernel
+from repro.topicmodel import ckernel, gibbs
+from repro.topicmodel.gibbs import resolve_engine
 
 requires_c_kernel = pytest.mark.skipif(
     not ckernel.kernel_available(),
@@ -40,18 +37,20 @@ def unseen_texts():
     ]
 
 
-def test_resolve_inference_engine():
+def test_fold_in_engines_resolve_through_resolve_engine():
+    assert gibbs.ENGINES == ("auto", "c", "reference")
+    assert InferenceConfig().engine == "auto"
     expected = "c" if ckernel.kernel_available() else "reference"
-    assert resolve_inference_engine("auto") == expected
-    assert resolve_inference_engine("reference") == "reference"
+    assert resolve_engine("auto") == expected
+    assert resolve_engine("reference") == "reference"
     if ckernel.kernel_available():
-        assert resolve_inference_engine("c") == "c"
+        assert resolve_engine("c") == "c"
     else:
         with pytest.raises(RuntimeError, match="kernel is unavailable"):
-            resolve_inference_engine("c")
+            resolve_engine("c")
     for engine in ("batch", "numpy", "cuda"):
-        with pytest.raises(ValueError, match="unknown inference engine"):
-            resolve_inference_engine(engine)
+        with pytest.raises(ValueError, match="unknown engine"):
+            resolve_engine(engine)
 
 
 @requires_c_kernel
@@ -107,7 +106,7 @@ def test_grouped_inference_matches_solo_runs(inferencer, unseen_texts):
 def test_grouped_inference_validates_arguments(inferencer, unseen_texts):
     with pytest.raises(ValueError, match="groups but"):
         inferencer.infer_texts_grouped([unseen_texts], [1, 2])
-    with pytest.raises(ValueError, match="unknown inference engine"):
+    with pytest.raises(ValueError, match="unknown engine"):
         inferencer.infer_texts_grouped([unseen_texts], [1],
                                        InferenceConfig(engine="batch"))
 

@@ -11,7 +11,6 @@ counterparts of ``tests/test_phrase_lda_equivalence.py``.
 
 import math
 import random
-import warnings
 
 import pytest
 
@@ -92,27 +91,23 @@ def test_resolve_mining_engine():
 def test_resolve_segmentation_engine(monkeypatch):
     # auto picks the compiled kernel when it loads, the reference without
     # it (as under REPRO_DISABLE_C_KERNEL).  "numpy" names the vectorized
-    # miner, which a config's mining engine passes on to segmentation, so
-    # it resolves like auto, without a warning.
+    # miner only: segmentation takes the training vocabulary.
     expected = "c" if ckernel.kernel_available() else "reference"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for engine in ("auto", "numpy"):
-            assert resolve_segmentation_engine(engine, 5.0) == expected
-            # A -inf threshold lets the reference merge zero-frequency
-            # pairs, which the indexed scorer cannot express: auto degrades,
-            # an explicit c fails.
-            assert resolve_segmentation_engine(
-                engine, float("-inf")) == "reference"
+    assert resolve_segmentation_engine("auto", 5.0) == expected
+    # A -inf threshold lets the reference merge zero-frequency pairs,
+    # which the indexed scorer cannot express: auto degrades, an explicit
+    # c fails.
+    assert resolve_segmentation_engine("auto", float("-inf")) == "reference"
     assert resolve_segmentation_engine("reference", 5.0) == "reference"
     with pytest.raises(ValueError, match="finite"):
         resolve_segmentation_engine("c", float("-inf"))
-    with pytest.raises(ValueError, match="unknown"):
-        resolve_segmentation_engine("fortran", 5.0)
+    for engine in ("fortran", "numpy"):
+        for threshold in (5.0, float("-inf")):
+            with pytest.raises(ValueError, match="unknown"):
+                resolve_segmentation_engine(engine, threshold)
 
     monkeypatch.setattr(ckernel, "kernel_available", lambda: False)
     assert resolve_segmentation_engine("auto", 5.0) == "reference"
-    assert resolve_segmentation_engine("numpy", 5.0) == "reference"
     with pytest.raises(RuntimeError, match="unavailable"):
         resolve_segmentation_engine("c", 5.0)
 

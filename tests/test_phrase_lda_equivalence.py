@@ -2,8 +2,6 @@
 reference sampler assignment-for-assignment under a fixed seed.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -150,15 +148,6 @@ def test_fit_rejects_non_finite_priors(engine, bad):
         fit_phrase_lda(engine, make_phrase_docs(n_docs=5), **bad)
 
 
-def test_numpy_engine_is_a_deprecated_alias_of_auto():
-    docs = make_phrase_docs(n_docs=12, seed=4)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        aliased = fit_phrase_lda("numpy", docs)
-    assert [w.category for w in caught] == [DeprecationWarning]
-    assert_states_equal(fit_phrase_lda("auto", docs), aliased)
-
-
 @pytest.mark.parametrize("engine", ALL_ENGINES)
 def test_engine_callbacks_see_token_assignments(engine):
     """Callbacks must observe populated per-token assignments (the
@@ -201,12 +190,11 @@ def test_engines_reject_out_of_range_token_ids(engine):
 
 
 def test_resolve_engine_validates():
-    with pytest.raises(ValueError):
-        resolve_engine("fortran")
+    for engine in ("fortran", "numpy"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            resolve_engine(engine)
     expected = "c" if ckernel.kernel_available() else "reference"
     assert resolve_engine("auto") == expected
-    with pytest.warns(DeprecationWarning, match="numpy"):
-        assert resolve_engine("numpy") == expected
     assert resolve_engine("reference") == "reference"
 
 

@@ -229,56 +229,37 @@ def test_stream_refresh_matches_offline_pipeline(tmp_path, titles, engine,
     assert stream.current_model_path.read_bytes() == report.path.read_bytes()
 
 
-def test_stream_with_numpy_engine_names_still_publishes(tmp_path, titles):
-    """``repro ingest --engine numpy --lda-engine numpy`` writes both names
-    into stream.json.  Such a stream still opens, refreshes and publishes,
-    with the same model arrays as an ``auto`` stream."""
-    published = {}
-    for name in ("numpy", "auto"):
-        root = tmp_path / name
-        TopicStream.create(root, _stream_config(
-            engine=name, lda_engine=name)).ingest(titles[0])
-        config = json.loads((root / "stream.json").read_text())["config"]
-        assert (config["engine"], config["lda_engine"]) == (name, name)
-        stream = TopicStream.open(root)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            report = stream.refresh(force=True)
-        assert report.version == 1
-        assert stream.current_model_path.read_bytes() == \
-            report.path.read_bytes()
-        published[name] = _read_npz(report.path)[1]
-    assert set(published["numpy"]) == set(published["auto"])
-    for array in published["numpy"]:
-        assert np.array_equal(published["numpy"][array],
-                              published["auto"][array])
-
-
-def test_stream_with_deprecated_n_jobs_still_publishes(tmp_path, titles):
-    """A stream.json written with ``"n_jobs": 4`` by an older release
-    opens with one DeprecationWarning, refreshes and publishes the same
-    model arrays as a default stream."""
+@pytest.mark.parametrize("old_keys", [
+    {"engine": "numpy", "lda_engine": "numpy"},
+    {"n_jobs": 4},
+], ids=["lda-engine-numpy", "n-jobs"])
+def test_old_stream_json_still_publishes(tmp_path, titles, old_keys):
+    """A stream.json written by an older release, with ``"lda_engine":
+    "numpy"`` (then a name for ``"auto"``) or an ``"n_jobs"`` key, opens
+    without a warning, refreshes and publishes the same model arrays as a
+    default (``auto``) stream."""
     TopicStream.create(tmp_path / "default", _stream_config()).ingest(
         titles[0])
-    shutil.copytree(tmp_path / "default", tmp_path / "jobs")
-    stream_file = tmp_path / "jobs" / "stream.json"
+    shutil.copytree(tmp_path / "default", tmp_path / "old")
+    stream_file = tmp_path / "old" / "stream.json"
     payload = json.loads(stream_file.read_text())
-    payload["config"]["n_jobs"] = 4
+    payload["config"].update(old_keys)
     stream_file.write_text(json.dumps(payload))
 
-    with pytest.warns(DeprecationWarning, match="n_jobs"):
-        streams = {"jobs": TopicStream.open(tmp_path / "jobs")}
-    streams["default"] = TopicStream.open(tmp_path / "default")
     published = {}
-    for name, stream in streams.items():
-        report = stream.refresh(force=True)
+    for name in ("old", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream = TopicStream.open(tmp_path / name)
+            report = stream.refresh(force=True)
+        assert stream.config.lda_engine == "auto"
         assert report.version == 1
         assert stream.current_model_path.read_bytes() == \
             report.path.read_bytes()
         published[name] = _read_npz(report.path)[1]
-    assert set(published["jobs"]) == set(published["default"])
-    for array in published["jobs"]:
-        assert np.array_equal(published["jobs"][array],
+    assert set(published["old"]) == set(published["default"])
+    for array in published["old"]:
+        assert np.array_equal(published["old"][array],
                               published["default"][array])
 
 
@@ -357,6 +338,20 @@ def test_refresh_requires_documents(tmp_path):
     stream = TopicStream.create(tmp_path / "stream", _stream_config())
     with pytest.raises(StreamError, match="no documents"):
         stream.refresh(force=True)
+
+
+@pytest.mark.parametrize("engines", [
+    {"lda_engine": "bogus"}, {"lda_engine": "numpy"}, {"engine": "c"},
+], ids=["lda-engine-bogus", "lda-engine-numpy", "mining-engine-c"])
+def test_create_rejects_engines_no_refresh_can_run(tmp_path, titles,
+                                                   engines):
+    """Both engine names are resolved when the stream is created, so an
+    unknown one fails before any document is logged."""
+    root = tmp_path / "stream"
+    with pytest.raises(StreamError, match="unknown"):
+        TopicStream.create(root, _stream_config(**engines)).ingest(titles[0])
+    assert not (root / "log").exists()
+    assert not TopicStream.exists(root)
 
 
 def test_stream_create_open_and_validation(tmp_path):
