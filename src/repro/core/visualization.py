@@ -26,7 +26,7 @@ from repro.core.segmentation import SegmentedCorpus
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel.gibbs import FlatPhraseCorpus
 from repro.topicmodel.lda import TopicModelState
-from repro.utils.tables import render_table, render_topic_columns
+from repro.utils.tables import render_topic_columns
 
 Phrase = Tuple[int, ...]
 
@@ -54,13 +54,6 @@ class TopicVisualization:
     def n_topics(self) -> int:
         """Number of topics."""
         return len(self.top_unigrams)
-
-    def topic_summary(self, topic: int, n: int = 10) -> Dict[str, List[str]]:
-        """Return the top-``n`` unigrams and phrases of one topic."""
-        return {
-            "unigrams": self.top_unigrams[topic][:n],
-            "phrases": self.top_phrases[topic][:n],
-        }
 
     def render(self, n_rows: int = 10, title: Optional[str] = None) -> str:
         """Render the visualisation as a paper-style table (Tables 1, 4-6)."""
@@ -253,25 +246,3 @@ def build_visualization(state: TopicModelState,
         visualization.phrase_frequencies.append(
             {decode_phrase(phrase): count for phrase, count in order})
     return visualization
-
-
-def render_runtime_table(rows: Sequence[Tuple[str, Dict[str, float]]],
-                         dataset_names: Sequence[str],
-                         title: str = "Runtime (seconds)") -> str:
-    """Render a method × dataset runtime table in the layout of paper Table 3.
-
-    Parameters
-    ----------
-    rows:
-        Sequence of ``(method_name, {dataset_name: seconds})``.
-    dataset_names:
-        Column order.
-    """
-    headers = ["Method"] + list(dataset_names)
-    table_rows = []
-    for method, timings in rows:
-        table_rows.append([method] + [
-            f"{timings[name]:.2f}" if name in timings else "NA"
-            for name in dataset_names
-        ])
-    return render_table(headers, table_rows, title=title)

@@ -1,6 +1,6 @@
 """Versioned model-artifact bundles (``.npz`` + embedded JSON manifest).
 
-A bundle is a single compressed NumPy archive whose arrays carry the bulk
+A bundle is a single uncompressed NumPy archive whose arrays carry the bulk
 numeric state and whose ``manifest`` entry is a JSON document describing
 format, version, kind, configurations, and array shapes.  Two kinds exist:
 
@@ -54,12 +54,9 @@ falls back to materializing them) — they just aren't shareable.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import mmap
-import os
-import tempfile
 import tokenize
 import zipfile
 import zlib
@@ -79,6 +76,7 @@ from repro.text.preprocess import PreprocessConfig
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel.gibbs import ENGINES, FlatPhraseCorpus
 from repro.utils.counter import HashCounter
+from repro.utils.files import atomic_write
 
 Phrase = Tuple[int, ...]
 
@@ -118,38 +116,31 @@ class ArtifactVersionError(ArtifactError):
 
 
 # -- low-level container --------------------------------------------------------------
-def _write_npz(path: Union[str, Path], manifest: Dict[str, Any],
-               arrays: Dict[str, np.ndarray], compress: bool = False) -> Path:
-    """Write manifest + arrays as one ``.npz`` file at ``path``.
+def _write_npz(path: Union[str, Path], header: Dict[str, Any],
+               arrays: Dict[str, np.ndarray], compress: bool = False,
+               header_name: str = "manifest") -> Path:
+    """Atomically write a JSON header plus arrays as one ``.npz`` container.
 
+    The container shared by model bundles (header member ``manifest``) and
+    stream statistics files (``meta``): every array is one ``.npy`` member
+    and the header is a 0-d string array holding sorted-key JSON.
     Uncompressed by default: only stored (``ZIP_STORED``) members can be
     memory-mapped by the zero-copy loader; ``compress=True`` trades that
     away for a smaller file.
 
-    The write is **atomic**: the bundle is assembled in a temporary file
-    next to ``path`` and moved into place with ``os.replace``.  Replacing
-    gives the new bundle a fresh inode, so processes still holding the old
-    file memory-mapped keep reading a consistent old version instead of
+    The commit goes through :func:`repro.utils.files.atomic_write`, so the
+    new file gets a fresh inode: processes still holding the old file
+    memory-mapped keep reading a consistent old version instead of
     crashing on truncated pages — the invariant the hot-swapping serve
     fleet relies on when a model is republished under traffic.
     """
-    path = Path(path)
     payload = dict(arrays)
-    payload["manifest"] = np.array(json.dumps(manifest, sort_keys=True))
-    path.parent.mkdir(parents=True, exist_ok=True)
+    payload[header_name] = np.array(json.dumps(header, sort_keys=True))
     writer = np.savez_compressed if compress else np.savez
     # A file handle keeps numpy from appending ".npz" to the requested path.
-    descriptor, temporary = tempfile.mkstemp(dir=path.parent,
-                                             prefix=path.name + ".tmp-")
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            writer(handle, **payload)
-        os.replace(temporary, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temporary)
-        raise
-    return path
+    with atomic_write(path) as handle:
+        writer(handle, **payload)
+    return Path(path)
 
 
 #: Fixed part of a zip local file header; the variable filename/extra
@@ -239,32 +230,55 @@ def _map_npz_arrays(path: Path) -> Optional[Dict[str, np.ndarray]]:
             for info in members}
 
 
-def _read_npz(path: Union[str, Path],
-              mapped: bool = True) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
-    """Load and structurally validate a bundle; return (manifest, arrays).
+def _read_container(path: Union[str, Path], header_name: str = "manifest",
+                    noun: str = "bundle", mapped: bool = True,
+                    header_only: bool = False,
+                    ) -> Tuple[Any, Dict[str, np.ndarray]]:
+    """Read a container written by :func:`_write_npz`; return (header, arrays).
 
-    With ``mapped=True`` (the default) the arrays of an uncompressed
-    bundle are zero-copy views over a shared read-only memory map;
-    compressed bundles (and ``mapped=False``) materialize private copies.
+    Every way a damaged container fails to open or decode (see
+    :data:`_UNREADABLE`) and a missing or non-JSON header raise
+    :class:`ArtifactError` whose message names the file as a ``noun``.
+    With ``mapped=True`` the arrays of an uncompressed container are
+    zero-copy views over a shared read-only memory map; compressed
+    containers (and ``mapped=False``) materialize private copies.  With
+    ``header_only=True`` only the header member is read (no array payload
+    byte is touched) and the returned arrays are empty.
     """
     path = Path(path)
     if not path.exists():
-        raise ArtifactError(f"bundle not found: {path}")
+        raise ArtifactError(f"{noun} not found: {path}")
     try:
-        data = _map_npz_arrays(path) if mapped else None
+        data = _map_npz_arrays(path) if mapped and not header_only else None
         if data is None:
-            with np.load(path, allow_pickle=False) as archive:
-                data = {name: archive[name] for name in archive.files}
+            with zipfile.ZipFile(path) as archive:
+                names = archive.namelist()
+                if header_only:
+                    names = [name for name in names
+                             if name == f"{header_name}.npy"]
+                data = {}
+                for name in names:
+                    with archive.open(name) as handle:
+                        data[name.removesuffix(".npy")] = \
+                            np.lib.format.read_array(handle, allow_pickle=False)
     except _UNREADABLE as exc:
-        raise ArtifactError(f"{path} is not a readable bundle: {exc}") from exc
-    if "manifest" not in data:
-        raise ArtifactError(f"{path} has no manifest entry — not a {FORMAT_NAME} bundle")
+        raise ArtifactError(f"{path} is not a readable {noun}: {exc}") from exc
+    if header_name not in data:
+        raise ArtifactError(f"{path} has no {header_name} entry — not a {noun}")
     try:
-        manifest = json.loads(str(data.pop("manifest")[()]))
+        header = json.loads(str(data.pop(header_name)[()]))
     except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path}: corrupt manifest JSON: {exc}") from exc
-    _validate_manifest(manifest, path)
-    _validate_arrays(manifest, data, path)
+        raise ArtifactError(
+            f"{path}: corrupt {header_name} JSON: {exc}") from exc
+    return header, data
+
+
+def _read_npz(path: Union[str, Path],
+              mapped: bool = True) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """Load and structurally validate a bundle; return (manifest, arrays)."""
+    manifest, data = _read_container(path, mapped=mapped)
+    _validate_manifest(manifest, Path(path))
+    _validate_arrays(manifest, data, Path(path))
     return manifest, data
 
 
@@ -437,21 +451,26 @@ def _unpack_vocabulary(arrays: Dict[str, np.ndarray]) -> Vocabulary:
                                        arrays["vocab_surface"].tolist()))
 
 
-def _pack_phrase_table(counter: HashCounter) -> Dict[str, np.ndarray]:
-    """Serialise the significant-phrase table (sorted for determinism)."""
+def _pack_phrase_table(counter: HashCounter,
+                       prefix: str = "phrase") -> Dict[str, np.ndarray]:
+    """Serialise a phrase counter as ``<prefix>_tokens``/``_offsets``/
+    ``_counts`` arrays (phrase-sorted for byte-determinism)."""
     items = sorted(counter.items())
     tokens, offsets = _pack_ragged([phrase for phrase, _ in items])
     return {
-        "phrase_tokens": tokens,
-        "phrase_offsets": offsets,
-        "phrase_counts": np.asarray([count for _, count in items], dtype=np.int64),
+        f"{prefix}_tokens": tokens,
+        f"{prefix}_offsets": offsets,
+        f"{prefix}_counts": np.asarray([count for _, count in items],
+                                       dtype=np.int64),
     }
 
 
-def _unpack_phrase_table(arrays: Dict[str, np.ndarray]) -> HashCounter:
-    """Rebuild the phrase table from its flat arrays."""
-    phrases = _unpack_ragged(arrays["phrase_tokens"], arrays["phrase_offsets"])
-    counts = arrays["phrase_counts"].tolist()
+def _unpack_phrase_table(arrays: Dict[str, np.ndarray],
+                         prefix: str = "phrase") -> HashCounter:
+    """Invert :func:`_pack_phrase_table`."""
+    phrases = _unpack_ragged(arrays[f"{prefix}_tokens"],
+                             arrays[f"{prefix}_offsets"])
+    counts = arrays[f"{prefix}_counts"].tolist()
     return HashCounter(dict(zip(phrases, counts)))
 
 
@@ -674,8 +693,7 @@ Bundle = Union[SegmentationBundle, ModelBundle]
 
 
 # -- save / load ----------------------------------------------------------------------
-def save_bundle(path: Union[str, Path], bundle: Bundle,
-                compress: bool = False) -> Path:
+def save_bundle(path: Union[str, Path], bundle: Bundle) -> Path:
     """Serialise a bundle to a single ``.npz`` file.
 
     Parameters
@@ -684,12 +702,9 @@ def save_bundle(path: Union[str, Path], bundle: Bundle,
         Destination file (written exactly as given; parent directories are
         created).
     bundle:
-        A :class:`SegmentationBundle` or :class:`ModelBundle`.
-    compress:
-        Deflate the array members.  The default (``False``) stores them
-        uncompressed so :func:`load_bundle` can map them zero-copy and
-        serving worker processes share one physical copy; pass ``True``
-        for archival copies where file size matters more than load cost.
+        A :class:`SegmentationBundle` or :class:`ModelBundle`.  Its arrays
+        are stored uncompressed, so :func:`load_bundle` can map them
+        zero-copy and serving worker processes share one physical copy.
 
     Returns
     -------
@@ -757,7 +772,7 @@ def save_bundle(path: Union[str, Path], bundle: Bundle,
         }
     else:
         raise TypeError(f"cannot save object of type {type(bundle).__name__}")
-    return _write_npz(path, manifest, arrays, compress=compress)
+    return _write_npz(path, manifest, arrays)
 
 
 def load_bundle(path: Union[str, Path], mapped: bool = True) -> Bundle:
@@ -835,9 +850,8 @@ def load_bundle(path: Union[str, Path], mapped: bool = True) -> Bundle:
 def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
     """Read and validate only a bundle's embedded JSON manifest.
 
-    Reads just the ``manifest.npy`` zip member through :mod:`zipfile` —
-    no ``NpzFile`` is ever constructed and **no array payload bytes are
-    read or decompressed** — so callers that only need *metadata* (the
+    Reads just the ``manifest.npy`` zip member — **no array payload bytes
+    are read or decompressed** — so callers that only need *metadata* (the
     serving model registry's ``/v1/models`` listing, directory scans) can
     describe a bundle in microseconds rather than loading megabytes of
     counts.  A bundle whose array members are truncated or corrupt still
@@ -857,27 +871,8 @@ def read_manifest(path: Union[str, Path]) -> Dict[str, Any]:
     ArtifactVersionError
         If the bundle was written by a newer format version.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ArtifactError(f"bundle not found: {path}")
-    try:
-        with zipfile.ZipFile(path) as archive:
-            try:
-                member = archive.getinfo("manifest.npy")
-            except KeyError:
-                raise ArtifactError(
-                    f"{path} has no manifest entry — not a {FORMAT_NAME} "
-                    f"bundle") from None
-            with archive.open(member) as handle:
-                entry = np.lib.format.read_array(handle, allow_pickle=False)
-        manifest = json.loads(str(entry[()]))
-    except ArtifactError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path}: corrupt manifest JSON: {exc}") from exc
-    except _UNREADABLE as exc:
-        raise ArtifactError(f"{path} is not a readable bundle: {exc}") from exc
-    _validate_manifest(manifest, path)
+    manifest, _ = _read_container(path, header_only=True)
+    _validate_manifest(manifest, Path(path))
     return manifest
 
 

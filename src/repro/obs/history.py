@@ -18,9 +18,11 @@ metric shards themselves:
   stop at the first frame that is short or fails its checksum — a SIGKILL
   mid-frame-write loses at most the frame being written, never tears an
   earlier one;
-* segments are created atomically (header written to a ``.tmp`` file,
-  then ``os.replace``), so a SIGKILL mid-rotation leaves at worst an
-  orphaned temp file that the next rotation removes;
+* segments are created atomically
+  (:func:`~repro.utils.files.write_bytes_atomic`: header written to a
+  ``.seg.tmp-<random>`` temp, then ``os.replace``), so a SIGKILL
+  mid-rotation leaves at worst an orphaned temp file that the next
+  rotation removes;
 * the ring is bounded: segments rotate at ``max_frames_per_segment``
   frames and only the newest ``max_segments`` survive, so history can
   never grow without bound.
@@ -35,7 +37,7 @@ deleting the reaped shard) can never fabricate a negative rate.
 
 from __future__ import annotations
 
-import os
+import os  # noqa: F401 -- crash tests patch os.replace as history.os.replace
 import struct
 import threading
 import time
@@ -46,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.obs.shards import (KIND_COUNTER, KIND_GAUGE, ShardEntry,
                               ShardWriter, bucket_bounds, bucket_quantile,
                               collect_shards, histogram_kind)
+from repro.utils.files import TEMP_SUFFIX, write_bytes_atomic
 
 #: Magic bytes opening every history segment file.
 HISTORY_MAGIC = b"RPROHIS1"
@@ -102,9 +105,7 @@ class _Segment:
         blob = HISTORY_MAGIC + _HEADER_PREFIX.pack(len(header), 0) + header
         # Atomic creation: a reader (or a post-crash reopen) either sees a
         # complete header or no segment at all — never a torn one.
-        temporary = path.with_name(path.name + ".tmp")
-        temporary.write_bytes(blob)
-        os.replace(temporary, path)
+        write_bytes_atomic(path, blob)
         self._file = open(path, "ab")
 
     def append(self, timestamp: float, values: Sequence[float]) -> None:
@@ -382,7 +383,7 @@ class HistoryRecorder:
                 stale.unlink()
             except OSError:
                 pass
-        for orphan in self.directory.glob(_SEGMENT_GLOB + ".tmp"):
+        for orphan in self.directory.glob(_SEGMENT_GLOB + TEMP_SUFFIX + "*"):
             try:
                 orphan.unlink()
             except OSError:

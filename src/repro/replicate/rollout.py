@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import re
-import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +33,7 @@ from repro.obs.logging import log_event
 from repro.obs.shards import ShardWriter
 from repro.obs.tracing import new_request_id
 from repro.serve.client import ServeClient, ServeError
+from repro.utils.files import copy_file_atomic
 
 #: Numeric encoding of the coordinator state machine, exported as the
 #: ``rollout_state`` gauge (idle → canary → fanout → done | rolled_back).
@@ -200,15 +200,12 @@ class RolloutCoordinator:
         them.
         """
         publish = Path(target.publish_path)
-        publish.parent.mkdir(parents=True, exist_ok=True)
         backup = publish.with_name(publish.name + _BACKUP_SUFFIX)
         if publish.exists():
-            shutil.copyfile(publish, backup)
+            copy_file_atomic(publish, backup)
         elif backup.exists():
             backup.unlink()
-        temporary = publish.with_name(publish.name + ".tmp")
-        shutil.copyfile(version_path, temporary)
-        os.replace(temporary, publish)
+        copy_file_atomic(version_path, publish)
 
     def _restore(self, target: RolloutTarget) -> None:
         """Put the previous bytes back on the target's publish path."""

@@ -37,9 +37,6 @@ preprocessing pass over the equivalent snapshot assigns.
 
 from __future__ import annotations
 
-import json
-import os
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -51,6 +48,13 @@ from repro.core.frequent_phrases import (
     FrequentPhraseMiningResult,
     PhraseMiningConfig,
     resolve_mining_engine,
+)
+from repro.io.artifacts import (
+    ArtifactError,
+    _pack_phrase_table,
+    _read_container,
+    _unpack_phrase_table,
+    _write_npz,
 )
 from repro.text.flat import FlatChunks
 from repro.text.preprocess import Preprocessor
@@ -215,69 +219,32 @@ def replay_iterations(flat: FlatChunks, counter: HashCounter,
     return iterations
 
 
-# -- packing helpers ------------------------------------------------------------------
-def _pack_counter(counter: HashCounter) -> Dict[str, np.ndarray]:
-    """Flatten a phrase counter into (tokens, offsets, counts) arrays,
-    phrase-sorted for byte-determinism."""
-    items = sorted(counter.items())
-    tokens: List[int] = []
-    offsets: List[int] = [0]
-    for phrase, _count in items:
-        tokens.extend(int(w) for w in phrase)
-        offsets.append(len(tokens))
-    return {
-        "gram_tokens": np.asarray(tokens, dtype=np.int32),
-        "gram_offsets": np.asarray(offsets, dtype=np.int64),
-        "gram_counts": np.asarray([count for _, count in items], dtype=np.int64),
-    }
+# -- persistence ------------------------------------------------------------------------
+def _write_stats(path: Union[str, Path], meta: Dict,
+                 arrays: Dict[str, np.ndarray]) -> Path:
+    """Commit a stats file: the bundle container, deflated, ``meta`` header."""
+    return _write_npz(path, {"format": STATS_FORMAT, "version": STATS_VERSION,
+                             **meta}, arrays, compress=True, header_name="meta")
 
 
-def _unpack_counter(arrays: Dict[str, np.ndarray]) -> HashCounter:
-    """Invert :func:`_pack_counter`."""
-    tokens = arrays["gram_tokens"].tolist()
-    offsets = arrays["gram_offsets"].tolist()
-    counts = arrays["gram_counts"].tolist()
-    return HashCounter({tuple(tokens[a:b]): int(c)
-                        for a, b, c in zip(offsets, offsets[1:], counts)})
-
-
-def _write_stats_npz(path: Path, meta: Dict, arrays: Dict[str, np.ndarray]) -> None:
-    """Write a stats archive via temp file + atomic ``os.replace``.
-
-    Readers (a concurrent refresh, a recovery pass) therefore never see a
-    half-written archive — the same guarantee every JSON state file gets
-    from :func:`repro.stream.log.write_json_atomic`.
-    """
-    payload = dict(arrays)
-    payload["meta"] = np.array(json.dumps(meta, sort_keys=True))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temporary = path.with_name(path.name + ".tmp")
-    with open(temporary, "wb") as handle:
-        np.savez_compressed(handle, **payload)
-    os.replace(temporary, path)
-
-
-def _read_stats_npz(path: Path) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    if not path.exists():
-        raise StreamStatsError(f"statistics file not found: {path}")
+def _read_stats(path: Union[str, Path],
+                kind: str) -> Tuple[Dict, Dict[str, np.ndarray]]:
+    """Read a stats file of ``kind``; any damage raises StreamStatsError."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            data = {name: archive[name] for name in archive.files}
-    except (zipfile.BadZipFile, ValueError, OSError, KeyError) as exc:
-        raise StreamStatsError(f"{path} is not readable: {exc}") from exc
-    if "meta" not in data:
-        raise StreamStatsError(f"{path}: missing meta entry")
-    try:
-        meta = json.loads(str(data.pop("meta")))
-    except json.JSONDecodeError as exc:
-        raise StreamStatsError(f"{path}: corrupt meta JSON: {exc}") from exc
-    if meta.get("format") != STATS_FORMAT:
+        meta, arrays = _read_container(path, header_name="meta",
+                                       noun="statistics file", mapped=False)
+    except ArtifactError as exc:
+        raise StreamStatsError(str(exc)) from exc
+    if not isinstance(meta, dict) or meta.get("format") != STATS_FORMAT:
         raise StreamStatsError(f"{path}: not a {STATS_FORMAT} file")
     if int(meta.get("version", 0)) > STATS_VERSION:
         raise StreamStatsError(
             f"{path}: stats version {meta.get('version')} is newer than "
             f"this reader (supports up to {STATS_VERSION})")
-    return meta, data
+    if meta.get("kind") != kind:
+        raise StreamStatsError(f"{path}: expected {kind} stats, "
+                               f"got kind {meta.get('kind')!r}")
+    return meta, arrays
 
 
 # -- per-shard statistics -------------------------------------------------------------
@@ -324,7 +291,6 @@ class ShardStats:
 
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the stats as one compressed ``.npz`` file."""
-        path = Path(path)
         chunk_tokens: List[int] = []
         chunk_offsets: List[int] = [0]
         doc_chunk_offsets: List[int] = [0]
@@ -338,22 +304,17 @@ class ShardStats:
             "chunk_offsets": np.asarray(chunk_offsets, dtype=np.int64),
             "doc_chunk_offsets": np.asarray(doc_chunk_offsets, dtype=np.int64),
         }
-        arrays.update(_pack_counter(self.counter))
-        _write_stats_npz(path, {
-            "format": STATS_FORMAT, "version": STATS_VERSION,
+        arrays.update(_pack_phrase_table(self.counter, "gram"))
+        return _write_stats(path, {
             "kind": "shard", "shard": self.name,
             "n_documents": self.n_documents,
             "total_tokens": int(self.total_tokens),
         }, arrays)
-        return path
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ShardStats":
         """Load stats written by :meth:`save`."""
-        meta, arrays = _read_stats_npz(Path(path))
-        if meta.get("kind") != "shard":
-            raise StreamStatsError(f"{path}: expected shard stats, "
-                                   f"got kind {meta.get('kind')!r}")
+        meta, arrays = _read_stats(path, "shard")
         tokens = arrays["tokens"].tolist()
         chunk_offsets = arrays["chunk_offsets"].tolist()
         doc_chunk_offsets = arrays["doc_chunk_offsets"].tolist()
@@ -361,7 +322,7 @@ class ShardStats:
         documents = [chunks[a:b]
                      for a, b in zip(doc_chunk_offsets, doc_chunk_offsets[1:])]
         stats = cls(name=str(meta["shard"]), documents=documents,
-                    counter=_unpack_counter(arrays),
+                    counter=_unpack_phrase_table(arrays, "gram"),
                     total_tokens=int(meta["total_tokens"]))
         if stats.n_documents != int(meta["n_documents"]):
             raise StreamStatsError(
@@ -415,24 +376,18 @@ class AccumulatedCounts:
 
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the accumulated counts as one ``.npz`` file."""
-        path = Path(path)
-        _write_stats_npz(path, {
-            "format": STATS_FORMAT, "version": STATS_VERSION,
+        return _write_stats(path, {
             "kind": "accumulated",
             "total_tokens": int(self.total_tokens),
             "n_documents": int(self.n_documents),
             "shards": list(self.shard_names),
-        }, _pack_counter(self.counter))
-        return path
+        }, _pack_phrase_table(self.counter, "gram"))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "AccumulatedCounts":
         """Load accumulated counts written by :meth:`save`."""
-        meta, arrays = _read_stats_npz(Path(path))
-        if meta.get("kind") != "accumulated":
-            raise StreamStatsError(f"{path}: expected accumulated stats, "
-                                   f"got kind {meta.get('kind')!r}")
-        return cls(counter=_unpack_counter(arrays),
+        meta, arrays = _read_stats(path, "accumulated")
+        return cls(counter=_unpack_phrase_table(arrays, "gram"),
                    total_tokens=int(meta["total_tokens"]),
                    n_documents=int(meta["n_documents"]),
                    shard_names=[str(s) for s in meta.get("shards", [])])

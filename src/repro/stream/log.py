@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import os  # noqa: F401 -- crash tests patch os.replace as log.os.replace
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+from repro.utils.files import write_bytes_atomic
 
 FORMAT_NAME = "repro.stream.log"
 FORMAT_VERSION = 1
@@ -54,19 +56,14 @@ def _hash_text(text: str) -> str:
 
 
 def write_json_atomic(path: Union[str, Path], payload: Any) -> Path:
-    """Write ``payload`` as JSON via a temp file + atomic ``os.replace``.
+    """Commit ``payload`` as JSON through :func:`~repro.utils.files.atomic_write`.
 
     Readers concurrently opening ``path`` observe either the previous
     complete document or the new one, never a torn write — the property
     every manifest and state file in :mod:`repro.stream` relies on.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temporary = path.with_name(path.name + ".tmp")
-    temporary.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                         encoding="utf-8")
-    os.replace(temporary, path)
-    return path
+    return write_bytes_atomic(path, (json.dumps(
+        payload, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
 
 @dataclass

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -76,6 +75,7 @@ from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel.gibbs import resolve_engine
+from repro.utils.files import copy_file_atomic
 from repro.utils.timing import Stopwatch
 
 STREAM_FORMAT = "repro.stream"
@@ -718,15 +718,14 @@ class TopicStream:
     def _publish(self, versioned_path: Path) -> None:
         """Atomically point ``current.npz`` at the new version.
 
-        A copy of the immutable version file is moved into place with
-        ``os.replace``, so concurrent readers (a serving registry
-        mid-``np.load``) see either the old or the new bundle in full —
-        never a torn file.  The registry's stat-based hot-reload picks the
-        change up on its next request.
+        A copy of the immutable version file is committed with
+        :func:`~repro.utils.files.copy_file_atomic`, so concurrent readers
+        (a serving registry mid-``np.load``) see either the old or the new
+        bundle in full — never a torn file — and concurrent publishers
+        leave one complete file, the last one committed.  The registry's
+        stat-based hot-reload picks the change up on its next request.
         """
-        temporary = self.current_model_path.with_name(CURRENT_MODEL + ".tmp")
-        shutil.copyfile(versioned_path, temporary)
-        os.replace(temporary, self.current_model_path)
+        copy_file_atomic(versioned_path, self.current_model_path)
 
     # -- introspection -----------------------------------------------------------------
     def describe(self) -> Dict[str, Any]:

@@ -83,11 +83,6 @@ class Corpus:
         return self.documents[index]
 
     @property
-    def num_documents(self) -> int:
-        """Number of documents ``D``."""
-        return len(self.documents)
-
-    @property
     def num_tokens(self) -> int:
         """Total token count ``N`` across all documents."""
         return sum(doc.num_tokens for doc in self.documents)

@@ -1,5 +1,6 @@
 """Artifact round-trips, schema validation, and cross-engine reload identity."""
 
+import io
 import json
 import re
 import subprocess
@@ -356,6 +357,14 @@ def _payload_offset(data: bytes, member: str) -> int:
     return npy + 10 + int.from_bytes(data[npy + 8:npy + 10], "little")
 
 
+def _npy_file(path: Path, out: Path) -> Path:
+    """Write a bare ``.npy`` array (no zip container) to ``out``."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.arange(3))
+    out.write_bytes(buffer.getvalue())
+    return out
+
+
 def _edit_array(name, value):
     def edit(arrays):
         array = arrays[name].copy()
@@ -379,6 +388,8 @@ CORRUPTIONS = {
     "payload-bit-flip": lambda path, out: _flip_bit(
         path, out,
         lambda data: _payload_offset(data, "topic_word_counts.npy") + 4, 6),
+    # A bare .npy file: np.load returns an ndarray, not an archive.
+    "npy-not-zip": _npy_file,
     "construction-not-object": lambda path, out: _tamper(
         path, out, manifest_edit=lambda m: m.update(construction="fast")),
     "metadata-not-object": lambda path, out: _tamper(

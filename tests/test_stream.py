@@ -8,6 +8,7 @@ import shutil
 import threading
 import time
 import warnings
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,7 +29,8 @@ from repro.stream import (
     StreamSupervisor,
     TopicStream,
 )
-from repro.stream.counters import encode_texts
+from repro.stream.counters import StreamStatsError, encode_texts
+from repro.stream.log import write_json_atomic
 from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
@@ -394,7 +396,45 @@ def test_recovery_finishes_half_done_ingest(tmp_path, titles):
         assert np.array_equal(clean_arrays[name], recovered_arrays[name])
 
 
-@pytest.mark.parametrize("damage", ["delete", "truncate"])
+def _deflate_offset(path, member):
+    """Offset of the first deflate byte of one zip member of ``path``."""
+    data = path.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        header = archive.getinfo(member).header_offset
+    name_length = int.from_bytes(data[header + 26:header + 28], "little")
+    extra_length = int.from_bytes(data[header + 28:header + 30], "little")
+    return header + 30 + name_length + extra_length
+
+
+def _set_reserved_block_type(path):
+    """Flip the first deflate block of tokens.npy to the reserved type 3
+    (zlib.error "invalid block type" while inflating)."""
+    data = bytearray(path.read_bytes())
+    data[_deflate_offset(path, "tokens.npy")] |= 0b110
+    path.write_bytes(bytes(data))
+
+
+def _unclose_npy_header(path):
+    """Rewrite the archive with tokens.npy's header dict left unclosed (a
+    valid zip whose npy header numpy cannot parse: tokenize.TokenError)."""
+    with zipfile.ZipFile(path) as archive:
+        members = {info.filename: archive.read(info)
+                   for info in archive.infolist()}
+    members["tokens.npy"] = members["tokens.npy"].replace(b"}", b" ", 1)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, member in members.items():
+            archive.writestr(name, member)
+
+
+STATS_DAMAGE = {
+    "delete": os.remove,
+    "truncate": lambda path: path.write_bytes(path.read_bytes()[:40]),
+    "deflate-block-type": _set_reserved_block_type,
+    "npy-header-unclosed": _unclose_npy_header,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(STATS_DAMAGE))
 def test_recovery_rebuilds_missing_or_corrupt_shard_stats(tmp_path, titles,
                                                           damage):
     """Losing or corrupting an absorbed shard's stats file re-derives them
@@ -405,10 +445,9 @@ def test_recovery_rebuilds_missing_or_corrupt_shard_stats(tmp_path, titles,
     stream.ingest(titles[1])
     baseline = stream.refresh(force=True)
     stats_path = tmp_path / "stream" / "stats" / "shard-00001.npz"
-    if damage == "delete":
-        os.remove(stats_path)
-    else:
-        stats_path.write_bytes(stats_path.read_bytes()[:40])
+    STATS_DAMAGE[damage](stats_path)
+    with pytest.raises(StreamStatsError):
+        ShardStats.load(stats_path)
     damaged_bytes = stats_path.read_bytes() if stats_path.exists() else None
     vocabulary_before = (tmp_path / "stream" / "vocabulary.json").read_bytes()
     report = TopicStream.open(tmp_path / "stream").refresh(force=True)
@@ -756,3 +795,55 @@ def test_publish_is_atomic_for_concurrent_readers(tmp_path, titles):
     assert copy.read_bytes() == before
     _, arrays = _read_npz(stream.current_model_path)
     assert arrays  # the new file is a complete, loadable bundle
+
+
+# -- concurrent writers -------------------------------------------------------------------
+def _race(write, inputs, target, monkeypatch, rounds=40):
+    """Call ``write(input)`` for every input from its own thread, ``rounds``
+    times.  Each commit to ``target`` waits until every writer has written
+    its bytes (the interleaving in which writers sharing a temp file
+    collide).  No call may raise, after each round ``target`` must equal
+    one input's bytes exactly, and no temp file may be left behind."""
+    barrier = threading.Barrier(len(inputs), timeout=30)
+    real_replace = os.replace
+
+    def gated_replace(source, destination):
+        if os.fspath(destination) == os.fspath(target):
+            barrier.wait()
+        real_replace(source, destination)
+
+    monkeypatch.setattr(os, "replace", gated_replace)
+    expected = set(inputs.values())
+    with ThreadPoolExecutor(len(inputs)) as pool:
+        for _ in range(rounds):
+            for future in [pool.submit(write, item) for item in inputs]:
+                future.result()
+            assert target.read_bytes() in expected
+    assert sorted(path.name for path in target.parent.iterdir()
+                  if path.name.startswith(target.name)) == [target.name]
+
+
+def test_concurrent_publishes_leave_one_complete_bundle(tmp_path, monkeypatch):
+    """Two publishers to one current.npz (a supervisor refresh and
+    ``repro refresh``, say) leave one complete file, the last committed."""
+    stream = TopicStream.create(tmp_path / "stream", _stream_config())
+    stream.models_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(SEED)
+    inputs = {}
+    for name, size in (("a.npz", 4 << 20), ("b.npz", 3 << 20)):
+        source = tmp_path / name
+        source.write_bytes(rng.bytes(size))
+        inputs[source] = source.read_bytes()
+    _race(stream._publish, inputs, stream.current_model_path, monkeypatch)
+
+
+def test_concurrent_json_writes_never_tear_the_file(tmp_path, monkeypatch):
+    target = tmp_path / "stream.json"
+    payloads = [{"writer": name, "rows": [[name, index] for index in
+                                          range(rows)]}
+                for name, rows in (("a", 2_000), ("b", 3_000))]
+    inputs = {index: (json.dumps(payload, sort_keys=True, indent=1)
+                      + "\n").encode("utf-8")
+              for index, payload in enumerate(payloads)}
+    _race(lambda index: write_json_atomic(target, payloads[index]),
+          inputs, target, monkeypatch)
