@@ -12,7 +12,8 @@ suite, human diffing — can rely on its shape:
       "created_at": <unix seconds>,
       "config": { ... BenchConfig fields ... },
       "environment": {"python": ..., "numpy": ..., "platform": ...,
-                       "c_kernel": ...},
+                       "cpu_count": ..., "c_kernel": ...,
+                       "kernel_target": ...},
       "records": [ {"stage": ..., "dataset": ..., "n_documents": ...,
                     "seconds": ..., ...}, ... ],
       "summary": { ... stage-specific aggregates, e.g. "speedups" ... }
@@ -22,6 +23,7 @@ suite, human diffing — can rely on its shape:
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 import time
@@ -38,14 +40,19 @@ _REQUIRED_RECORD = ("stage", "dataset", "n_documents", "seconds")
 
 
 def environment_info() -> Dict[str, Any]:
-    """Describe the machine/software the benchmark ran on."""
+    """Describe the machine/software the benchmark ran on: the CPU count
+    says how small a host the timings come from, and ``kernel_target``
+    which build of the C kernel (``native``, ``portable`` or ``none``)
+    they timed."""
     from repro.topicmodel import ckernel
 
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
         "c_kernel": ckernel.kernel_available(),
+        "kernel_target": ckernel.kernel_target(),
     }
 
 

@@ -167,11 +167,12 @@ class TopicInferencer:
         Trained topic-model counts (a
         :class:`~repro.topicmodel.lda.TopicModelState` or subclass); only
         ``topic_word_counts``, ``topic_counts``, ``alpha`` and ``beta`` are
-        read, never written.  They are converted once, here, into the
-        C-contiguous ``int64``/``float64`` arrays the kernel reads, so they
-        must be non-negative integer counts of shapes ``(V, K)`` and
-        ``(K,)``, with finite, positive ``alpha`` (shape ``(K,)``) and
-        ``beta``.  ``None`` builds a segmentation-only inferencer.
+        read, never written.  They are turned once, here, into the
+        ``float64`` Eq. 7 factors both fold-in engines read (``beta + N_wk``
+        and ``beta·V + N_k``), so they must be non-negative integer counts
+        of shapes ``(V, K)`` and ``(K,)``, with finite, positive ``alpha``
+        (shape ``(K,)``) and ``beta``.  ``None`` builds a
+        segmentation-only inferencer.
     segmenter:
         A :class:`~repro.core.segmentation.CorpusSegmenter` built from the
         *training* mining result, so unseen text is segmented with the
@@ -215,20 +216,24 @@ class TopicInferencer:
             if topic_word.ndim != 2 or topic_word.shape[1] < 1:
                 raise ValueError(f"topic_word_counts must be V x K with K >= 1; "
                                  f"got shape {topic_word.shape}")
-            n_topics = topic_word.shape[1]
-            self._topic_word = _frozen_counts("topic_word_counts", topic_word,
-                                              topic_word.shape)
-            self._topic_totals = _frozen_counts("topic_counts",
-                                                state.topic_counts, (n_topics,))
+            n_words, n_topics = topic_word.shape
+            topic_word = _frozen_counts("topic_word_counts", topic_word,
+                                        topic_word.shape)
+            topic_totals = _frozen_counts("topic_counts", state.topic_counts,
+                                          (n_topics,))
             self._alpha = np.ascontiguousarray(state.alpha, dtype=np.float64)
             if self._alpha.shape != (n_topics,):
                 raise ValueError(f"alpha has shape {self._alpha.shape}; "
                                  f"expected {(n_topics,)}")
-            self._beta = float(state.beta)
+            beta = float(state.beta)
             # Checked once here rather than per fold-in: the priors and the
             # vocabulary are frozen with the counts.
-            check_priors(self._alpha, self._beta, "fold-in", positive=True,
+            check_priors(self._alpha, beta, "fold-in", positive=True,
                          hint=", so every clique posterior has positive mass")
+            # Eq. 7's frozen word and topic-total factors, which both
+            # engines read (the kernel header's prior-baked factors).
+            self._wfac = topic_word + beta
+            self._tfac = topic_totals + beta * n_words
             if vocabulary is not None and len(vocabulary) > topic_word.shape[0]:
                 # Encoded text could then index outside the V x K counts.
                 raise ValueError(
@@ -388,7 +393,7 @@ class TopicInferencer:
         if self.state is not None:
             # Caller-built ids: the C kernel must never index outside the
             # frozen V x K counts.
-            _check_token_range(partition.tokens, self._topic_word.shape[0])
+            _check_token_range(partition.tokens, self._wfac.shape[0])
         return self._fold_in(partition, [0] * partition.n_docs, config.seed,
                              config.n_iterations,
                              resolve_engine(config.engine))
@@ -407,7 +412,7 @@ class TopicInferencer:
         if self.state is None:
             raise RuntimeError("this inferencer has no topic model to fold in with")
         rng = new_rng(seed)
-        n_topics = self._topic_word.shape[1]
+        n_topics = self._wfac.shape[1]
         n_docs = partition.n_docs
         assign = rng.integers(0, n_topics, size=partition.n_cliques)
         # One count per token, in the (document, topic) cell of its clique.
@@ -441,14 +446,13 @@ class TopicInferencer:
         """Fold-in sweeps in the C kernel, a bounded chunk of whole sweeps
         per call (the GIL is released for each call)."""
         per_chunk = max(1, _UNIFORM_CHUNK // flat.n_sampled)
-        beta_sum = self._beta * self._topic_word.shape[0]
         done = 0
         while done < n_iterations:
             sweeps = min(per_chunk, n_iterations - done)
             ckernel.run_fold_in(
                 flat.tokens, flat.offsets, flat.clique_doc, self._alpha,
-                self._beta, beta_sum, self._topic_word, self._topic_totals,
-                doc_topic, assign, sweeps, rng.random(sweeps * flat.n_sampled))
+                self._wfac, self._tfac, doc_topic, assign, sweeps,
+                rng.random(sweeps * flat.n_sampled))
             done += sweeps
 
     def _sweeps_reference(self, phrase_docs: List[List[Phrase]],
@@ -466,9 +470,7 @@ class TopicInferencer:
                 (β + N_{w_j,k}) / (Σ_x β_x + N_k + j − 1)
         """
         n_topics = doc_topic.shape[1]
-        alpha = self._alpha
-        wfac = self._topic_word + self._beta
-        tfac = self._topic_totals + self._beta * self._topic_word.shape[0]
+        alpha, wfac, tfac = self._alpha, self._wfac, self._tfac
 
         bounds = doc_offsets.tolist()
         for _ in range(n_iterations):

@@ -90,7 +90,7 @@ __all__ = [
 #: ``docs/observability.md`` and live scrapes are both pinned to this dict
 #: by the test suite, so it cannot drift from the implementation.
 METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
-    "build_info": ("gauge", "Version and engine defaults of the serving build"),
+    "build_info": ("gauge", "Version, engine defaults and kernel build target of the serving build"),
     # HTTP front door ----------------------------------------------------
     "http_requests_total": ("counter", "HTTP requests accepted, any route"),
     "http_errors_total": ("counter", "HTTP requests answered with an error"),
@@ -206,17 +206,20 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
 
 
 def build_info() -> Dict[str, str]:
-    """Labels for the ``repro_build_info`` gauge: version, engine defaults.
+    """Labels for the ``repro_build_info`` gauge: version, engine defaults
+    and the C kernel's build target (``native``, ``portable`` or ``none``).
 
     The engine resolver loads the C kernel, building it when no cached
     build exists, as the first inference request would anyway.
     """
     from repro import __version__
     from repro.core.frequent_phrases import resolve_mining_engine
+    from repro.topicmodel.ckernel import kernel_target
     from repro.topicmodel.gibbs import resolve_engine
 
     return {
         "version": __version__,
         "inference_engine": resolve_engine("auto"),
         "mining_engine": resolve_mining_engine("auto"),
+        "kernel_target": kernel_target(),
     }

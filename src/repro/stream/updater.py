@@ -75,7 +75,7 @@ from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel.gibbs import resolve_engine
-from repro.utils.files import copy_file_atomic
+from repro.utils.files import TEMP_SUFFIX, copy_file_atomic
 from repro.utils.timing import Stopwatch
 
 STREAM_FORMAT = "repro.stream"
@@ -683,7 +683,7 @@ class TopicStream:
                       # manifest sections, never metadata.
                       "published_at": time.time()})
         with watch.measure("publish"):
-            path = save_bundle(self.version_path(version), bundle)
+            version, path = self._save_version(version, bundle)
             self._publish(path)
             self.published_version = version
             self.published_documents = n_documents
@@ -703,10 +703,10 @@ class TopicStream:
     def _next_version(self) -> int:
         """The next unused version number.
 
-        Derived from both ``stream.json`` *and* the version files on disk:
-        a crash between writing ``model-v000NN.npz`` and recording version
-        ``NN`` (or a competing refresher) must never lead to an existing —
-        immutable — version file being overwritten.
+        Derived from both ``stream.json`` *and* the version files on disk,
+        so a crash between writing ``model-v000NN.npz`` and recording
+        version ``NN`` does not reuse ``NN``.  A competing refresher can
+        still take the same number; :meth:`_save_version` settles that.
         """
         highest = self.published_version
         for path in self.models_dir.glob("model-v*.npz"):
@@ -714,6 +714,32 @@ class TopicStream:
             if suffix.isdigit():
                 highest = max(highest, int(suffix))
         return highest + 1
+
+    def _save_version(self, version: int,
+                      bundle: ModelBundle) -> Tuple[int, Path]:
+        """Save ``bundle`` as the first version from ``version`` on whose
+        file does not exist yet; return that version and its path.
+
+        The bundle is committed to a temp and hard-linked to its version
+        name, which fails when the name exists.  So of two refreshers that
+        took the same number, the second moves on to the next one (its
+        ``stream_version`` re-stamped) instead of overwriting an immutable
+        version file.
+        """
+        path = self.version_path(version)
+        staged = path.with_name(f"{path.name}{TEMP_SUFFIX}-{os.urandom(4).hex()}")
+        try:
+            while True:
+                bundle.metadata["stream_version"] = version
+                save_bundle(staged, bundle)
+                try:
+                    os.link(staged, path)
+                    return version, path
+                except FileExistsError:
+                    version += 1
+                    path = self.version_path(version)
+        finally:
+            staged.unlink(missing_ok=True)
 
     def _publish(self, versioned_path: Path) -> None:
         """Atomically point ``current.npz`` at the new version.

@@ -3,17 +3,30 @@
 ``phrase_lda_kernel.c`` (same directory) is a dependency-free C99 file with
 three entry points: ``phrase_lda_sweep``, one PhraseLDA training sweep over
 the flattened corpus (:func:`run_sweep`); ``phrase_lda_fold_in``, a chunk of
-fold-in sweeps against frozen counts (:func:`run_fold_in`); and
+fold-in sweeps against a frozen model (:func:`run_fold_in`); and
 ``phrase_segment``, Algorithm 2's seed scoring and merge cascade over every
 chunk of a flat chunk buffer (:func:`run_segment`).  This module compiles
 the file with the system C compiler into one small shared library, caches
-the build keyed by a hash of the source and the compile flags, and exposes
-it through :mod:`ctypes`, which releases the GIL for the duration of each
-call.  Nothing here is required: when no compiler is available, training,
+the build keyed by a hash of the source, the compile flags and (for a
+native build) the host CPU's signature, and exposes it through
+:mod:`ctypes`, which releases the GIL for the duration of each call.
+Nothing here is required: when no compiler is available, training,
 fold-in and segmentation fall back to their readable reference loops
 (:mod:`repro.core.phrase_lda`, :mod:`repro.core.infer` and
 :mod:`repro.core.phrase_construction`), so the kernel is a strictly
 optional accelerator.
+
+Build targets
+-------------
+The kernel is built for the host CPU (``-march=native``) whenever the
+host's signature can be read (:func:`_cpu_signature`: on Linux the
+``model name`` and ``flags`` lines of ``/proc/cpuinfo``).  The signature is
+part of the cache key, so a checkout or build directory moved to another
+CPU builds afresh instead of running instructions that CPU lacks.  Without
+a signature, or when the native build fails to compile or load, the
+portable build (the compiler's baseline ISA) is used instead;
+:func:`kernel_target` says which one loaded.  Both builds give the same
+results bit for bit: see ``_PORTABLE_FLAGS``.
 
 Environment variables
 ---------------------
@@ -34,7 +47,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,9 +59,14 @@ _SOURCE_PATH = Path(__file__).with_name("phrase_lda_kernel.c")
 # -ffp-contract=off keeps the compiler from fusing a multiply and an add into
 # one FMA, which would round once instead of twice and break bit-equality
 # with the reference sampler.
-_COMPILE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_PORTABLE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# Wider vectors for the same loops; the two rules above hold per lane, so
+# the native build is bit-identical to the portable one.
+_NATIVE_FLAGS = ("-march=native", *_PORTABLE_FLAGS)
+_CPU_INFO = Path("/proc/cpuinfo")
 
 _lib: Optional[ctypes.CDLL] = None
+_target = "none"
 _load_attempted = False
 _load_error: Optional[str] = None
 
@@ -68,8 +86,30 @@ def _compiler() -> Optional[str]:
     return None
 
 
-def _compile(source: Path, destination: Path) -> None:
-    """Compile ``source`` into the shared library ``destination``.
+def _cpu_signature() -> Optional[str]:
+    """The host CPU's model name and feature flags, or ``None`` when they
+    cannot be read (no ``/proc/cpuinfo``, or neither line in it)."""
+    try:
+        text = _CPU_INFO.read_text(errors="replace")
+    except OSError:
+        return None
+    found = {}
+    for line in text.splitlines():
+        key, _, value = line.partition(":")
+        key = key.strip()
+        if key in ("model name", "flags") and key not in found:
+            found[key] = value.strip()
+            if len(found) == 2:  # the first processor's lines are enough
+                break
+    if not found:
+        return None
+    return "\n".join(f"{key}: {value}" for key, value in sorted(found.items()))
+
+
+def _compile(source: Path, destination: Path,
+             flags: Sequence[str]) -> None:
+    """Compile ``source`` with ``flags`` into the shared library
+    ``destination``.
 
     Builds into a temporary file in the destination directory and renames it
     into place so concurrent builders never observe a half-written library.
@@ -82,7 +122,7 @@ def _compile(source: Path, destination: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [compiler, *_COMPILE_FLAGS, str(source), "-o", tmp_name],
+            [compiler, *flags, str(source), "-o", tmp_name],
             check=True, capture_output=True, text=True, timeout=120,
         )
         os.replace(tmp_name, destination)
@@ -94,64 +134,81 @@ def _compile(source: Path, destination: Path) -> None:
         raise
 
 
-def _library_path() -> Path:
-    # The flags are part of the key: a flag change must never reuse a stale
-    # build.
+def _library_path(flags: Sequence[str], signature: str = "") -> Path:
+    # The flags and the CPU signature are part of the key: a flag change
+    # must never reuse a stale build, nor a native build run on another CPU.
     hasher = hashlib.sha256(_SOURCE_PATH.read_bytes())
-    hasher.update(" ".join(_COMPILE_FLAGS).encode("ascii"))
+    hasher.update(" ".join(flags).encode("ascii"))
+    hasher.update(signature.encode("utf-8"))
     digest = hasher.hexdigest()[:16]
     return _build_dir() / f"phrase_lda_kernel_{digest}.so"
+
+
+def _open_library(flags: Sequence[str], signature: str) -> ctypes.CDLL:
+    """Load the build for ``flags`` (and ``signature``), compiling it first
+    when the cache lacks it, and declare every entry point's signature."""
+    path = _library_path(flags, signature)
+    if not path.exists():
+        _compile(_SOURCE_PATH, path, flags)
+    lib = ctypes.CDLL(str(path))
+    # Every pointer is declared c_void_p and passed as ``arr.ctypes.data``
+    # (a plain int): no per-call ctypes pointer objects.  The Python
+    # wrappers below check dtypes, contiguity and sizes instead.
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    for name, argtypes in (
+        # tokens, offsets, clique_doc, n_cliques, n_topics, alpha,
+        # beta, beta_sum, topic_word, doc_topic, topic_totals, wfac,
+        # tfac, assign, uniforms, scratch
+        ("phrase_lda_sweep", [ptr, ptr, ptr, i64, i64, ptr, f64, f64,
+                              ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
+        # tokens, offsets, clique_doc, n_cliques, n_topics, alpha, wfac,
+        # tfac, doc_topic, assign, n_sweeps, uniforms, scratch
+        ("phrase_lda_fold_in", [ptr, ptr, ptr, i64, i64, ptr, ptr, ptr,
+                                ptr, ptr, i64, ptr, ptr]),
+        # tokens, offsets, n_chunks, word_id, vocab_bound, pair_keys,
+        # pair_sigs, pair_merged, n_pairs, n_phrases, threshold,
+        # max_words, out, out_size
+        ("phrase_segment", [ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, i64,
+                            i64, f64, i64, ptr, i64]),
+    ):
+        fn = getattr(lib, name)
+        fn.restype = None
+        fn.argtypes = argtypes
+    lib.phrase_segment.restype = i64
+    return lib
 
 
 def load_kernel() -> Optional[ctypes.CDLL]:
     """Return the compiled kernel library, building it if necessary.
 
-    Returns ``None`` (and remembers why in :func:`load_error`) when the
-    kernel cannot be built or loaded; callers should then use the NumPy
-    sampler.
+    Tries the native build when the host CPU's signature can be read and
+    the portable build after it (see the module docstring).  Returns
+    ``None`` (and remembers why in :func:`load_error`) when neither can be
+    built or loaded; training, fold-in and segmentation then run their
+    reference loops.
     """
-    global _lib, _load_attempted, _load_error
+    global _lib, _target, _load_attempted, _load_error
     if _load_attempted:
         return _lib
     _load_attempted = True
     if os.environ.get("REPRO_DISABLE_C_KERNEL"):
         _load_error = "disabled via REPRO_DISABLE_C_KERNEL"
         return None
-    try:
-        path = _library_path()
-        if not path.exists():
-            _compile(_SOURCE_PATH, path)
-        lib = ctypes.CDLL(str(path))
-        # Every pointer is declared c_void_p and passed as ``arr.ctypes.data``
-        # (a plain int): no per-call ctypes pointer objects.  The Python
-        # wrappers below check dtypes, contiguity and sizes instead.
-        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        for name, argtypes in (
-            # tokens, offsets, clique_doc, n_cliques, n_topics, alpha,
-            # beta, beta_sum, topic_word, doc_topic, topic_totals, wfac,
-            # tfac, assign, uniforms, scratch
-            ("phrase_lda_sweep", [ptr, ptr, ptr, i64, i64, ptr, f64, f64,
-                                  ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
-            # tokens, offsets, clique_doc, n_cliques, n_topics, alpha,
-            # beta, beta_sum, topic_word, topic_totals, doc_topic, assign,
-            # n_sweeps, uniforms, scratch
-            ("phrase_lda_fold_in", [ptr, ptr, ptr, i64, i64, ptr, f64, f64,
-                                    ptr, ptr, ptr, ptr, i64, ptr, ptr]),
-            # tokens, offsets, n_chunks, word_id, vocab_bound, pair_keys,
-            # pair_sigs, pair_merged, n_pairs, n_phrases, threshold,
-            # max_words, out, out_size
-            ("phrase_segment", [ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, i64,
-                                i64, f64, i64, ptr, i64]),
-        ):
-            fn = getattr(lib, name)
-            fn.restype = None
-            fn.argtypes = argtypes
-        lib.phrase_segment.restype = i64
-        _lib = lib
-    except Exception as exc:  # missing compiler, failed build, bad .so, ...
-        _load_error = f"{type(exc).__name__}: {exc}"
-        _lib = None
-    return _lib
+    signature = _cpu_signature()
+    builds = [("portable", _PORTABLE_FLAGS, "")]
+    if signature is not None:
+        builds.insert(0, ("native", _NATIVE_FLAGS, signature))
+    errors = []
+    for target, flags, build_signature in builds:
+        try:
+            _lib = _open_library(flags, build_signature)
+        except Exception as exc:  # missing compiler, failed build, bad .so, ...
+            errors.append(f"{target} build: {type(exc).__name__}: {exc}")
+            continue
+        _target = target
+        return _lib
+    _load_error = "; ".join(errors)
+    return None
 
 
 def kernel_available() -> bool:
@@ -163,6 +220,12 @@ def load_error() -> Optional[str]:
     """Why the kernel is unavailable (``None`` when it loaded fine)."""
     load_kernel()
     return _load_error
+
+
+def kernel_target() -> str:
+    """Which build serves: ``"native"``, ``"portable"`` or ``"none"``."""
+    load_kernel()
+    return _target
 
 
 def _kernel() -> ctypes.CDLL:
@@ -204,38 +267,37 @@ def _require(name: str, array: np.ndarray, dtype, size: int) -> None:
 
 
 def run_fold_in(tokens: np.ndarray, offsets: np.ndarray,
-                clique_doc: np.ndarray, alpha: np.ndarray, beta: float,
-                beta_sum: float, topic_word: np.ndarray,
-                topic_totals: np.ndarray, doc_topic: np.ndarray,
-                assign: np.ndarray, n_sweeps: int,
-                uniforms: np.ndarray) -> None:
+                clique_doc: np.ndarray, alpha: np.ndarray, wfac: np.ndarray,
+                tfac: np.ndarray, doc_topic: np.ndarray, assign: np.ndarray,
+                n_sweeps: int, uniforms: np.ndarray) -> None:
     """Run ``n_sweeps`` fold-in sweeps in C, mutating only ``doc_topic``
     and ``assign``.
 
-    Buffer dtypes, contiguity and sizes are checked here; the caller
-    guarantees the index ranges the kernel trusts (token ids in ``[0, V)``,
-    assignments in ``[0, K)``, ``clique_doc`` rows of ``doc_topic``) and
-    one uniform per non-empty clique per sweep.
+    ``wfac`` (V x K) must hold ``beta + topic_word`` and ``tfac`` (K)
+    ``beta * V + topic_totals`` of the frozen model, as for
+    :func:`run_sweep`.  Buffer dtypes, contiguity and sizes are checked
+    here; the caller guarantees the index ranges the kernel trusts (token
+    ids in ``[0, V)``, assignments in ``[0, K)``, ``clique_doc`` rows of
+    ``doc_topic``) and one uniform per non-empty clique per sweep.
     """
-    n_words, n_topics = topic_word.shape
+    n_words, n_topics = wfac.shape
     n_cliques = len(offsets) - 1
     _require("tokens", tokens, np.int32, tokens.size)
     _require("offsets", offsets, np.int64, n_cliques + 1)
     _require("clique_doc", clique_doc, np.int32, n_cliques)
     _require("alpha", alpha, np.float64, n_topics)
-    _require("topic_word", topic_word, np.int64, n_words * n_topics)
-    _require("topic_totals", topic_totals, np.int64, n_topics)
+    _require("wfac", wfac, np.float64, n_words * n_topics)
+    _require("tfac", tfac, np.float64, n_topics)
     _require("doc_topic", doc_topic, np.int64, doc_topic.shape[0] * n_topics)
     _require("assign", assign, np.int64, n_cliques)
     n_sampled = int(np.count_nonzero(np.diff(offsets)))
     _require("uniforms", uniforms, np.float64, n_sweeps * n_sampled)
-    scratch = np.empty(n_topics, dtype=np.float64)
+    scratch = np.empty(2 * n_topics, dtype=np.float64)
     _kernel().phrase_lda_fold_in(
         tokens.ctypes.data, offsets.ctypes.data, clique_doc.ctypes.data,
-        n_cliques, n_topics, alpha.ctypes.data, beta, beta_sum,
-        topic_word.ctypes.data, topic_totals.ctypes.data,
-        doc_topic.ctypes.data, assign.ctypes.data, n_sweeps,
-        uniforms.ctypes.data, scratch.ctypes.data)
+        n_cliques, n_topics, alpha.ctypes.data, wfac.ctypes.data,
+        tfac.ctypes.data, doc_topic.ctypes.data, assign.ctypes.data,
+        n_sweeps, uniforms.ctypes.data, scratch.ctypes.data)
 
 
 class SegmentTables:

@@ -6,8 +6,8 @@
  *                       (phrase instance) of the flattened corpus, updating
  *                       the global topic-word, doc-topic and topic counts;
  *   phrase_lda_fold_in  inference: a chunk of whole sweeps over unseen
- *                       documents against *frozen* topic-word and topic
- *                       counts (const here), mutating only the new
+ *                       documents against the *frozen* topic-word and
+ *                       topic factors (const here), mutating only the new
  *                       documents' counts and assignments;
  *   phrase_segment      segmentation: Algorithm 2 (bottom-up merging) over
  *                       every chunk of a flat chunk buffer, reading the
@@ -41,25 +41,25 @@
  *   - uniforms holds one draw in [0, 1) per *non-empty* clique per sweep,
  *     consumed in clique order (the reference consumes exactly one
  *     rng.random() per non-empty clique and skips empty ones);
- *   - scratch has room for 2 * n_topics doubles (sweep) or n_topics
- *     doubles (fold-in).
+ *   - scratch has room for 2 * n_topics doubles.
  *
- * Prior-baked factors (training sweep only)
- * -----------------------------------------
- * Beside the int64 counts the sweep keeps the reference's factor
- * expressions as doubles, so the Eq. 7 loop does no int->double conversion
+ * Prior-baked factors
+ * -------------------
+ * Both Gibbs kernels read the reference's factor expressions as doubles,
+ * so the shared Eq. 7 loop (clique_weights) does no int->double conversion
  * and no prior add:
  *
  *   wfac[w*K + k] == beta + (double)topic_word[w*K + k]       (V x K, caller)
  *   tfac[k]       == beta_sum + (double)topic_totals[k]       (K, caller)
  *   df[k]         == alpha[k] + (double)doc_topic[d*K + k]    (K, scratch)
  *
- * The caller establishes the first two on entry (and after every
- * hyper-parameter update); df is rebuilt from the counts whenever
- * clique_doc changes (and at the first clique of a sweep), so there is no
- * D x K factor array.  Each factor is recomputed with exactly
- * that expression the moment its count changes, so it always equals what
- * the reference computes from the counts, bit for bit.
+ * The caller establishes the first two on entry (training: after every
+ * hyper-parameter update too; fold-in: once per model, as they are
+ * frozen); df is rebuilt from the counts whenever clique_doc changes (and
+ * at the first clique of a call), so there is no D x K factor array.  Each
+ * factor is recomputed with exactly that expression the moment its count
+ * changes, so it always equals what the reference computes from the
+ * counts, bit for bit.
  *
  * With the factors, the reference's j = 0 step
  *   w = 1.0;  w *= df + 0.0;  w *= wf;  w /= tfac + 0.0
@@ -77,6 +77,34 @@
 
 #include <math.h>
 #include <stdint.h>
+
+/* Eq. 7 weights of the clique tokens[0 .. size) (size >= 1) into
+ * weights[0 .. K), in the reference's per-element operation order:
+ *   w *= df_k + j
+ *   w *= wfac_wk
+ *   w /= tfac_k + j
+ * j = 0 reduces exactly to (df_k * wfac_wk) / tfac_k (see the header);
+ * every later token is one fused K-loop. */
+static inline void clique_weights(const int32_t *tokens, int64_t size,
+                                  int64_t K, const double *df,
+                                  const double *wfac, const double *tfac,
+                                  double *weights)
+{
+    const double *wf = wfac + (int64_t)tokens[0] * K;
+    for (int64_t k = 0; k < K; k++)
+        weights[k] = (df[k] * wf[k]) / tfac[k];
+    for (int64_t j = 1; j < size; j++) {
+        const double jd = (double)j;
+        wf = wfac + (int64_t)tokens[j] * K;
+        for (int64_t k = 0; k < K; k++) {
+            double w = weights[k];
+            w *= df[k] + jd;
+            w *= wf[k];
+            w /= tfac[k] + jd;
+            weights[k] = w;
+        }
+    }
+}
 
 void phrase_lda_sweep(const int32_t *tokens,      /* flat token ids            */
                       const int64_t *offsets,     /* n_cliques+1 token offsets */
@@ -127,27 +155,7 @@ void phrase_lda_sweep(const int32_t *tokens,      /* flat token ids            *
         topic_totals[k_old] -= size;
         tfac[k_old] = beta_sum + (double)topic_totals[k_old];
 
-        /* Eq. 7: product over the clique's tokens, in the reference's
-         * per-element operation order:
-         *   w *= df_k + j
-         *   w *= wfac_wk
-         *   w /= tfac_k + j
-         * j = 0 reduces exactly to (df_k * wfac_wk) / tfac_k (see the
-         * header); every later token is one fused K-loop. */
-        const double *wf = wfac + (int64_t)tokens[t0] * K;
-        for (int64_t k = 0; k < K; k++)
-            weights[k] = (df[k] * wf[k]) / tfac[k];
-        for (int64_t j = 1; j < size; j++) {
-            const double jd = (double)j;
-            wf = wfac + (int64_t)tokens[t0 + j] * K;
-            for (int64_t k = 0; k < K; k++) {
-                double w = weights[k];
-                w *= df[k] + jd;
-                w *= wf[k];
-                w /= tfac[k] + jd;
-                weights[k] = w;
-            }
-        }
+        clique_weights(tokens + t0, size, K, df, wfac, tfac, weights);
 
         /* Inverse-CDF draw: in-place cumulative sum, then the branchless
          * count of cum[k] < u * total over k < K-1 (== the leftmost index
@@ -178,18 +186,18 @@ void phrase_lda_fold_in(const int32_t *tokens,      /* flat token ids           
                         int64_t n_cliques,
                         int64_t n_topics,
                         const double *alpha,        /* K-vector document prior   */
-                        double beta,
-                        double beta_sum,            /* beta * vocabulary size    */
-                        const int64_t *topic_word,  /* V x K frozen counts       */
-                        const int64_t *topic_totals,/* K frozen counts           */
+                        const double *wfac,         /* V x K: beta + topic_word  */
+                        const double *tfac,         /* K: beta_sum + topic_totals*/
                         int64_t *doc_topic,         /* D x K new-document counts */
                         int64_t *assign,            /* clique topic per clique   */
                         int64_t n_sweeps,
                         const double *uniforms,     /* n_sweeps x non-empty      */
-                        double *scratch)            /* K doubles                 */
+                        double *scratch)            /* 2K doubles                */
 {
     const int64_t K = n_topics;
     double *weights = scratch;
+    double *df = scratch + K;
+    int64_t current_doc = -1;
     int64_t next_uniform = 0;
 
     for (int64_t sweep = 0; sweep < n_sweeps; sweep++) {
@@ -198,24 +206,19 @@ void phrase_lda_fold_in(const int32_t *tokens,      /* flat token ids           
             const int64_t size = offsets[g + 1] - t0;
             if (size == 0)
                 continue;
-            int64_t *dc = doc_topic + (int64_t)clique_doc[g] * K;
-            dc[assign[g]] -= size;
-
-            /* Eq. 7 with the word and topic-total factors frozen, in the
-             * reference fold-in's per-element order (see phrase_lda_sweep). */
-            for (int64_t k = 0; k < K; k++)
-                weights[k] = 1.0;
-            for (int64_t j = 0; j < size; j++) {
-                const double jd = (double)j;
-                const int64_t *tw = topic_word + (int64_t)tokens[t0 + j] * K;
-                for (int64_t k = 0; k < K; k++) {
-                    double w = weights[k];
-                    w *= (alpha[k] + (double)dc[k]) + jd;
-                    w *= beta + (double)tw[k];
-                    w /= (beta_sum + (double)topic_totals[k]) + jd;
-                    weights[k] = w;
-                }
+            const int64_t d = clique_doc[g];
+            int64_t *dc = doc_topic + d * K;
+            if (d != current_doc) {
+                for (int64_t k = 0; k < K; k++)
+                    df[k] = alpha[k] + (double)dc[k];
+                current_doc = d;
             }
+            const int64_t k_old = assign[g];
+            dc[k_old] -= size;
+            df[k_old] = alpha[k_old] + (double)dc[k_old];
+
+            /* Eq. 7 with the word and topic-total factors frozen. */
+            clique_weights(tokens + t0, size, K, df, wfac, tfac, weights);
 
             for (int64_t k = 1; k < K; k++)
                 weights[k] += weights[k - 1];
@@ -236,6 +239,7 @@ void phrase_lda_fold_in(const int32_t *tokens,      /* flat token ids           
             }
             assign[g] = k_new;
             dc[k_new] += size;
+            df[k_new] = alpha[k_new] + (double)dc[k_new];
         }
     }
 }

@@ -52,6 +52,7 @@ from repro.obs.shards import (KIND_LATENCY, KIND_SIZE, bucket_bounds,
 from repro.obs.tracing import RequestTrace, new_request_id
 from repro.serve import ModelRegistry, ReproServer, ServeConfig, ServeFleet
 from repro.serve.client import ServeClient
+from repro.topicmodel import ckernel
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +307,8 @@ def test_render_fleet_per_worker_and_totals(tmp_path):
     assert values == [2.0]  # cumulative +Inf bucket == fleet count
     build = next(labels for labels, _ in families["repro_build_info"])
     assert build["version"] == build_info()["version"]
+    assert build["kernel_target"] == ckernel.kernel_target()
+    assert build["kernel_target"] in ("native", "portable", "none")
     assert "# TYPE repro_http_requests_total counter" in text
     assert "# TYPE repro_span_fold_in_seconds histogram" in text
 
@@ -440,6 +443,7 @@ def test_single_server_scrape_is_catalog_clean(bundle_path):
     assert sample_value(families, "repro_http_requests_total") >= 1.0
     build = next(labels for labels, _ in families["repro_build_info"])
     assert build["version"] == build_info()["version"]
+    assert build["kernel_target"] == build_info()["kernel_target"]
     for family in families:
         assert family.startswith("repro_")
         assert _catalog_base(family) in METRIC_CATALOG, \

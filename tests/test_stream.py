@@ -17,7 +17,7 @@ import pytest
 from repro.core.frequent_phrases import FrequentPhraseMiner, PhraseMiningConfig
 from repro.core.phrase_lda import PhraseLDA
 from repro.core.topmine import ToPMine
-from repro.io.artifacts import ModelBundle, _read_npz, save_bundle
+from repro.io.artifacts import ModelBundle, _read_npz, read_manifest, save_bundle
 from repro.stream import (
     AccumulatedCounts,
     DocumentLog,
@@ -603,6 +603,37 @@ def test_refresh_never_reuses_a_version_number(tmp_path, titles):
     report = reopened.refresh(force=True)
     assert report.version == 2
     assert stream.version_path(1).read_bytes() == v1_bytes  # untouched
+
+
+def test_concurrent_refreshes_take_distinct_versions(tmp_path, monkeypatch):
+    """Two refreshers that both pick the next version number before either
+    commits (``repro serve --stream``'s supervisor and a manual ``repro
+    refresh``, say) publish two versions: the second moves to the next
+    number instead of overwriting the first's immutable file."""
+    root = tmp_path / "stream"
+    stream = TopicStream.create(root, _stream_config())
+    stream.ingest(load_dataset("dblp-titles", n_documents=300, seed=SEED).texts)
+    barrier = threading.Barrier(2, timeout=60)
+    real_next_version = TopicStream._next_version
+
+    def gated_next_version(self):
+        version = real_next_version(self)
+        barrier.wait()
+        return version
+
+    monkeypatch.setattr(TopicStream, "_next_version", gated_next_version)
+    with ThreadPoolExecutor(2) as pool:
+        futures = [pool.submit(lambda: TopicStream.open(root).refresh(force=True))
+                   for _ in range(2)]
+        reports = [future.result(timeout=120) for future in futures]
+
+    assert sorted(report.version for report in reports) == [1, 2]
+    assert sorted(path.name for path in stream.models_dir.iterdir()) == [
+        "current.npz", "model-v00001.npz", "model-v00002.npz"]
+    for report in reports:
+        assert report.path == stream.version_path(report.version)
+        assert read_manifest(report.path)["metadata"]["stream_version"] \
+            == report.version
 
 
 # -- supervisor -----------------------------------------------------------------------------
