@@ -9,9 +9,9 @@ batch of documents into one flat chunk buffer
 (:class:`~repro.text.flat.FlatChunks`), runs the seed scoring and the merge
 cascade of every chunk in one call to the ``phrase_segment`` entry point of
 the compiled kernel library (:func:`repro.topicmodel.ckernel.run_segment`),
-and turns the surviving spans into the flat phrase partition
-(:class:`~repro.topicmodel.gibbs.FlatPhraseCorpus`) with a few array
-operations: no phrase tuple is built.  Without a compiler the
+which also compacts the surviving spans into the flat phrase partition's
+arrays (:class:`~repro.topicmodel.gibbs.FlatPhraseCorpus`): no phrase tuple
+is built.  Without a compiler the
 segmenter runs the reference constructor instead.
 
 Partitions are **bit-identical** to the reference constructor
@@ -78,26 +78,19 @@ class FastSegmentationEngine:
             order).  It shares ``flat.tokens``: cliques are spans of the
             chunk buffer, and the kernel's phrase-table ids are their keys.
         """
-        if flat.n_chunks:
-            length, key = self._run_kernel(flat)
-        else:
-            length = key = np.zeros(0, dtype=np.int64)
-        heads = np.flatnonzero(length)
-        offsets = np.append(heads, flat.total_tokens)
+        offsets, keys, chunk_first = self._run_kernel(flat)
         # Every chunk starts with a span head; a document's first clique is
         # its first chunk's (documents without chunks get none).
-        chunk_first = np.append(np.searchsorted(heads, flat.offsets[:-1]),
-                                len(heads))
         doc_offsets = chunk_first[np.searchsorted(
             flat.doc_ids, np.arange(flat.n_documents + 1))]
-        return FlatPhraseCorpus(flat.tokens, offsets, doc_offsets, key[heads])
+        return FlatPhraseCorpus(flat.tokens, offsets, doc_offsets, keys)
 
     # -- internals --------------------------------------------------------------------
-    def _run_kernel(self, flat: FlatChunks) -> Tuple[np.ndarray, np.ndarray]:
-        """Seed pass and cascade in one compiled-kernel call.
+    def _run_kernel(self, flat: FlatChunks,
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Seed pass, cascade and compaction in one compiled-kernel call.
 
-        Returns ``(length, key)``, two arrays over token positions
-        describing the surviving spans (see
+        Returns ``(clique_offsets, keys, chunk_first)`` (see
         :func:`repro.topicmodel.ckernel.run_segment`).
         """
         max_words = self.config.max_phrase_words

@@ -130,7 +130,6 @@ class DocumentInference:
         return [(int(k), float(self.theta[k])) for k in order]
 
 
-@dataclass
 class InferenceResult:
     """Fold-in output for a batch of unseen documents.
 
@@ -139,18 +138,48 @@ class InferenceResult:
     theta:
         ``D × K`` matrix of document-topic mixtures (row ``d`` is document
         ``d``'s ``θ̂``).
+    n_phrases:
+        Each document's number of phrases (cliques), in input order.
+    n_unknown_tokens:
+        Each document's number of dropped out-of-vocabulary tokens.
     documents:
         Per-document details (segmentation, clique topics, unknown-token
-        counts), aligned with the input order.
+        counts), aligned with the input order.  Built on first access, so
+        a caller that reads only the arrays above never decodes a phrase.
     """
 
-    theta: np.ndarray
-    documents: List[DocumentInference] = field(default_factory=list)
+    def __init__(self, theta: np.ndarray, partition: FlatPhraseCorpus,
+                 bounds: List[int], assign: np.ndarray,
+                 n_unknown_tokens: List[int]) -> None:
+        # ``bounds`` delimits each document's cliques in ``partition`` and
+        # ``assign`` (which may hold other requests' documents too).
+        self.theta = theta
+        self.n_phrases = [b - a for a, b in zip(bounds, bounds[1:])]
+        self.n_unknown_tokens = n_unknown_tokens
+        self._partition = partition
+        self._bounds = bounds
+        self._assign = assign
+        self._documents: Optional[List[DocumentInference]] = None
+
+    @property
+    def documents(self) -> List[DocumentInference]:
+        """Per-document :class:`DocumentInference` s, in input order."""
+        if self._documents is None:
+            bounds = self._bounds
+            phrases = self._partition.phrases(bounds[0], bounds[-1])
+            g0 = bounds[0]
+            self._documents = [
+                DocumentInference(theta=self.theta[d],
+                                  phrases=phrases[b0 - g0:b1 - g0],
+                                  clique_topics=self._assign[b0:b1],
+                                  n_unknown_tokens=self.n_unknown_tokens[d])
+                for d, (b0, b1) in enumerate(zip(bounds, bounds[1:]))]
+        return self._documents
 
     @property
     def n_documents(self) -> int:
         """Number of folded-in documents."""
-        return len(self.documents)
+        return len(self.n_phrases)
 
     @property
     def n_topics(self) -> int:
@@ -234,6 +263,8 @@ class TopicInferencer:
             # engines read (the kernel header's prior-baked factors).
             self._wfac = topic_word + beta
             self._tfac = topic_totals + beta * n_words
+            self._tables = ckernel.FoldInTables(self._alpha, self._wfac,
+                                                self._tfac)
             if vocabulary is not None and len(vocabulary) > topic_word.shape[0]:
                 # Encoded text could then index outside the V x K counts.
                 raise ValueError(
@@ -270,9 +301,9 @@ class TopicInferencer:
         """
         config = config or InferenceConfig()
         partition, unknown_counts = self._segment_texts(texts)
-        return self._fold_in(partition, unknown_counts, config.seed,
-                             config.n_iterations,
-                             resolve_engine(config.engine))
+        return self._fold_in(partition, unknown_counts, [len(texts)],
+                             [config.seed], config.n_iterations,
+                             resolve_engine(config.engine))[0]
 
     def infer_texts_grouped(self, groups: Sequence[Sequence[str]],
                             seeds: Sequence[SeedLike],
@@ -320,16 +351,10 @@ class TopicInferencer:
         with watch.measure("segmentation"):
             partition, unknown_counts = self._segment_texts(
                 [text for texts in groups for text in texts])
-        results: List[InferenceResult] = []
-        start = 0
         with watch.measure("fold_in"):
-            for texts, seed in zip(groups, seeds):
-                end = start + len(texts)
-                results.append(self._fold_in(
-                    partition.select(start, end), unknown_counts[start:end],
-                    seed, config.n_iterations, engine))
-                start = end
-        return results
+            return self._fold_in(partition, unknown_counts,
+                                 [len(texts) for texts in groups], seeds,
+                                 config.n_iterations, engine)
 
     def segment_texts(self, texts: Sequence[str],
                       ) -> Tuple[List[List[Phrase]], List[int]]:
@@ -394,72 +419,96 @@ class TopicInferencer:
             # Caller-built ids: the C kernel must never index outside the
             # frozen V x K counts.
             _check_token_range(partition.tokens, self._wfac.shape[0])
-        return self._fold_in(partition, [0] * partition.n_docs, config.seed,
+        return self._fold_in(partition, [0] * partition.n_docs,
+                             [partition.n_docs], [config.seed],
                              config.n_iterations,
-                             resolve_engine(config.engine))
+                             resolve_engine(config.engine))[0]
 
     # -- engines ---------------------------------------------------------------------
     def _fold_in(self, partition: FlatPhraseCorpus,
-                 unknown_counts: Sequence[int], seed: SeedLike,
-                 n_iterations: int, engine: str) -> InferenceResult:
-        """Fold in one request's documents on one random stream.
+                 unknown_counts: List[int], sizes: Sequence[int],
+                 seeds: Sequence[SeedLike], n_iterations: int,
+                 engine: str) -> List[InferenceResult]:
+        """Fold in each request's documents on the request's own stream.
 
-        The stream is consumed the same way by both engines: one
-        ``integers`` draw for the initial topics of all cliques (the same
-        draws as one per document, in document order), then one uniform per
-        non-empty clique per sweep, in document and clique order.
+        ``partition`` holds the requests' documents back to back: request
+        ``r`` owns the next ``sizes[r]`` documents and draws from
+        ``new_rng(seeds[r])``.  The requests share the count matrix and
+        the θ normalisation (both row-wise, so a request's rows do not
+        depend on its neighbours), never a random stream.  Each stream is
+        consumed the same way by both engines: one ``integers`` draw for
+        the initial topics of the request's cliques (the same draws as one
+        per document, in document order), then one uniform per non-empty
+        clique per sweep, in document and clique order.
         """
         if self.state is None:
             raise RuntimeError("this inferencer has no topic model to fold in with")
-        rng = new_rng(seed)
         n_topics = self._wfac.shape[1]
-        n_docs = partition.n_docs
-        assign = rng.integers(0, n_topics, size=partition.n_cliques)
+        bounds = partition.doc_offsets.tolist()
+        requests = []
+        draws = []
+        first = 0
+        for size, seed in zip(sizes, seeds):
+            rng = new_rng(seed)
+            draws.append(rng.integers(0, n_topics, size=bounds[first + size]
+                                      - bounds[first]))
+            requests.append((first, first + size, rng))
+            first += size
+        assign = np.concatenate(draws) if draws else np.zeros(0, np.int64)
         # One count per token, in the (document, topic) cell of its clique.
+        clique_sizes = partition.clique_sizes()
         cells = np.repeat(partition.clique_doc.astype(np.int64) * n_topics + assign,
-                          partition.clique_sizes())
+                          clique_sizes)
         doc_topic = np.bincount(
-            cells, minlength=n_docs * n_topics,
-        ).astype(np.int64, copy=False).reshape(n_docs, n_topics)
-        phrase_docs = partition.documents()
-        if partition.n_sampled:
+            cells, minlength=partition.n_docs * n_topics,
+        ).astype(np.int64, copy=False).reshape(partition.n_docs, n_topics)
+        phrase_docs = partition.documents() if engine != "c" else None
+        for first, last, rng in requests:
+            g0, g1 = bounds[first], bounds[last]
+            n_sampled = int(np.count_nonzero(clique_sizes[g0:g1]))
+            if not n_sampled:
+                continue
             if engine == "c":
-                self._sweeps_c(partition, doc_topic, assign, n_iterations, rng)
+                self._sweeps_c(partition, g0, g1, n_sampled, doc_topic,
+                               assign, n_iterations, rng)
             else:
-                self._sweeps_reference(phrase_docs, partition.doc_offsets,
-                                       doc_topic, assign, n_iterations, rng)
+                self._sweeps_reference(phrase_docs[first:last],
+                                       bounds[first:last + 1],
+                                       doc_topic[first:last], assign,
+                                       n_iterations, rng)
 
         theta = doc_topic + self._alpha
         theta /= theta.sum(axis=1, keepdims=True)
-        bounds = partition.doc_offsets.tolist()
-        documents = [
-            DocumentInference(theta=theta[d], phrases=phrase_docs[d],
-                              clique_topics=assign[bounds[d]:bounds[d + 1]],
-                              n_unknown_tokens=unknown_counts[d])
-            for d in range(n_docs)
-        ]
-        return InferenceResult(theta=theta, documents=documents)
+        return [InferenceResult(theta[first:last], partition,
+                                bounds[first:last + 1], assign,
+                                unknown_counts[first:last])
+                for first, last, _ in requests]
 
-    def _sweeps_c(self, flat: FlatPhraseCorpus, doc_topic: np.ndarray,
-                  assign: np.ndarray, n_iterations: int,
-                  rng: np.random.Generator) -> None:
-        """Fold-in sweeps in the C kernel, a bounded chunk of whole sweeps
-        per call (the GIL is released for each call)."""
-        per_chunk = max(1, _UNIFORM_CHUNK // flat.n_sampled)
+    def _sweeps_c(self, flat: FlatPhraseCorpus, g0: int, g1: int,
+                  n_sampled: int, doc_topic: np.ndarray, assign: np.ndarray,
+                  n_iterations: int, rng: np.random.Generator) -> None:
+        """Fold-in sweeps over cliques ``g0:g1`` (``n_sampled`` of them
+        non-empty) in the C kernel, a bounded chunk of whole sweeps per
+        call (the GIL is released for each call)."""
+        offsets, clique_doc = flat.offsets[g0:g1 + 1], flat.clique_doc[g0:g1]
+        topics = assign[g0:g1]
+        per_chunk = max(1, _UNIFORM_CHUNK // n_sampled)
         done = 0
         while done < n_iterations:
             sweeps = min(per_chunk, n_iterations - done)
             ckernel.run_fold_in(
-                flat.tokens, flat.offsets, flat.clique_doc, self._alpha,
-                self._wfac, self._tfac, doc_topic, assign, sweeps,
-                rng.random(sweeps * flat.n_sampled))
+                self._tables, flat.tokens, offsets, clique_doc, doc_topic,
+                topics, sweeps, rng.random(sweeps * n_sampled))
             done += sweeps
 
     def _sweeps_reference(self, phrase_docs: List[List[Phrase]],
-                          doc_offsets: np.ndarray,
+                          bounds: List[int],
                           doc_topic: np.ndarray, assign: np.ndarray,
                           n_iterations: int, rng: np.random.Generator) -> None:
         """Readable nested-loop fold-in sweeps, the executable specification.
+
+        Document ``d`` of ``phrase_docs`` owns row ``d`` of ``doc_topic``
+        and the topics ``assign[bounds[d]:bounds[d + 1]]``.
 
         Eq. 7 with the word and topic-total factors frozen at their trained
         values; only the new documents' counts ``doc_topic`` (and their
@@ -472,7 +521,6 @@ class TopicInferencer:
         n_topics = doc_topic.shape[1]
         alpha, wfac, tfac = self._alpha, self._wfac, self._tfac
 
-        bounds = doc_offsets.tolist()
         for _ in range(n_iterations):
             for phrases, local, g0 in zip(phrase_docs, doc_topic, bounds):
                 doc_assign = assign[g0:g0 + len(phrases)]

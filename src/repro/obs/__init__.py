@@ -116,6 +116,8 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     "infer_batch_seconds": ("histogram", "Wall-clock per executed batch"),
     "infer_batch_size": ("histogram", "Requests coalesced per batch"),
     # Request spans ------------------------------------------------------
+    "span_request_read_seconds": (
+        "histogram", "Request line to a validated /v1/infer request"),
     "span_queue_wait_seconds": (
         "histogram", "Submit to batch-execution start, per request"),
     "span_batch_assembly_seconds": (
@@ -126,6 +128,8 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "histogram", "Batched phrase segmentation half of a batch"),
     "span_fold_in_seconds": (
         "histogram", "Gibbs fold-in sampling half of a batch"),
+    "span_reply_seconds": (
+        "histogram", "Encoding a /v1/infer reply and writing it out"),
     # Model registry -----------------------------------------------------
     "registry_loads_total": ("counter", "Cold bundle loads"),
     "registry_reloads_total": ("counter", "Hot reloads of changed bundles"),

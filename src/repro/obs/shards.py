@@ -220,6 +220,8 @@ class ShardWriter:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._index: Dict[str, Tuple[int, int, int]] = {}  # name -> (off, kind, n)
+        # name -> (first slot, bucket bounds): observe()'s lookup.
+        self._histograms: Dict[str, Tuple[int, Tuple[float, ...]]] = {}
         if self.path is None:
             self._file = None
             self._mmap = mmap.mmap(-1, capacity)
@@ -235,7 +237,8 @@ class ShardWriter:
         if self._mmap[:len(MAGIC)] != MAGIC:
             self._mmap[:len(MAGIC)] = MAGIC
             self._set_used(0)
-        self._array = np.frombuffer(self._mmap, dtype=np.float64)
+        # Slot reads and writes go through a float64 view of the map.
+        self._slots = memoryview(self._mmap).cast("d")
 
     def _used(self) -> int:
         return struct.unpack_from("<Q", self._mmap, 8)[0]
@@ -288,8 +291,7 @@ class ShardWriter:
     def inc_counter(self, name: str, by: float = 1.0) -> None:
         """Add ``by`` to counter ``name`` (created at 0 on first use)."""
         offset, _ = self._entry(name, KIND_COUNTER, 1)
-        slot = offset // 8
-        self._array[slot] += by
+        self._slots[offset // 8] += by
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins).
@@ -298,7 +300,7 @@ class ShardWriter:
         8-byte store keeps racing readers tear-free just like counter adds.
         """
         offset, _ = self._entry(name, KIND_GAUGE, 1)
-        self._array[offset // 8] = float(value)
+        self._slots[offset // 8] = float(value)
 
     def observe(self, name: str, value: float) -> None:
         """Record one histogram observation under ``name``.
@@ -306,14 +308,18 @@ class ShardWriter:
         The bucket set is chosen from the name (``*_seconds`` → latency
         bounds, anything else → size bounds).
         """
-        kind = histogram_kind(name)
-        bounds = bucket_bounds(kind)
-        n_slots = len(bounds) + 3  # buckets + overflow + sum + count
-        offset, _ = self._entry(name, kind, n_slots)
-        base = offset // 8
-        self._array[base + bucket_index(bounds, value)] += 1.0
-        self._array[base + n_slots - 2] += value
-        self._array[base + n_slots - 1] += 1.0
+        found = self._histograms.get(name)
+        if found is None:
+            kind = histogram_kind(name)
+            bounds = bucket_bounds(kind)
+            # buckets + overflow + sum + count
+            offset, _ = self._entry(name, kind, len(bounds) + 3)
+            found = self._histograms[name] = (offset // 8, bounds)
+        base, bounds = found
+        slots = self._slots
+        slots[base + bucket_index(bounds, value)] += 1.0
+        slots[base + len(bounds) + 1] += value
+        slots[base + len(bounds) + 2] += 1.0
 
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:
@@ -340,7 +346,7 @@ class ShardWriter:
         offset, kind, _ = found
         if kind not in (KIND_COUNTER, KIND_GAUGE):
             raise TypeError(f"{name!r} is a histogram, not a counter or gauge")
-        return float(self._array[offset // 8])
+        return self._slots[offset // 8]
 
     def merge_entries(self, entries: Dict[str, ShardEntry]) -> None:
         """Add ``entries``' slots into this shard (used by the reaper).
@@ -357,7 +363,8 @@ class ShardWriter:
             if n_slots != entry.slots.shape[0]:
                 raise ValueError(f"slot count mismatch merging {name!r}")
             base = offset // 8
-            self._array[base:base + n_slots] += entry.slots
+            for index, value in enumerate(entry.slots.tolist(), base):
+                self._slots[index] += value
 
     def read(self) -> Dict[str, ShardEntry]:
         """Parse this shard's current contents (copies the slots)."""
@@ -370,10 +377,10 @@ class ShardWriter:
 
     def close(self, unlink: bool = False) -> None:
         """Release the mapping; optionally delete the backing file."""
-        self._array = None
+        self._slots.release()
         try:
             self._mmap.close()
-        except BufferError:  # pragma: no cover - stray numpy view alive
+        except BufferError:  # pragma: no cover - stray view alive
             pass
         if self._file is not None:
             self._file.close()

@@ -7,10 +7,12 @@ micro-batcher, the model registry, and batched fold-in, and is returned in
 the ``X-Request-Id`` response header (plus the ``/v1/infer`` JSON body).
 
 Along the way each hop records its span into a :class:`RequestTrace`:
+``request_read`` (request line → validated ``/v1/infer`` request),
 ``queue_wait`` (submit → batch execution start), ``batch_assembly``
 (partition + seed derivation), ``model_load`` (registry fetch, usually a
 cache hit), ``segmentation`` and ``fold_in`` (the two halves of
-``infer_texts_grouped``).  Span durations feed per-span histograms in the
+``infer_texts_grouped``) and ``reply`` (encoding the ``/v1/infer`` reply
+and writing it to the socket).  Span durations feed per-span histograms in the
 metrics shards — keyed by span name only, never by request id, so metric
 cardinality stays fixed — while the per-request breakdown goes to a
 structured JSON log line when the request exceeds the configured
@@ -19,16 +21,16 @@ slow-request threshold.
 
 from __future__ import annotations
 
+import os
 import re
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 #: Canonical span names, in pipeline order (the docs' span glossary table
 #: and the bench serving stage iterate this).
-SPAN_NAMES = ("queue_wait", "batch_assembly", "model_load",
-              "segmentation", "fold_in")
+SPAN_NAMES = ("request_read", "queue_wait", "batch_assembly", "model_load",
+              "segmentation", "fold_in", "reply")
 
 #: Metric name for one span's histogram family.
 SPAN_METRIC_TEMPLATE = "span_{name}_seconds"
@@ -43,7 +45,7 @@ def span_metric(name: str) -> str:
 
 def new_request_id() -> str:
     """Generate a fresh request id (32 hex chars, collision-safe)."""
-    return uuid.uuid4().hex
+    return os.urandom(16).hex()
 
 
 def sanitize_request_id(raw: Optional[str]) -> Optional[str]:

@@ -8,7 +8,9 @@ processes answering one port, every worker **must** serialize identically
 
 * the HTTP handlers parse bodies with ``*.from_payload`` (validation
   errors surface as :class:`SchemaError`, rendered as HTTP 400) and
-  serialize replies with ``*.to_payload``;
+  serialize replies with ``*.to_payload`` — except ``/v1/infer``, the hot
+  path, whose :meth:`InferResponse.encode` writes the same bytes
+  ``json.dumps`` would without building the payload;
 * :class:`~repro.serve.client.ServeClient` builds its POST bodies from
   the same request dataclasses, so a client request can never drift from
   what the handlers validate.
@@ -24,7 +26,10 @@ that worker currently has swapped in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.serve.config import DEFAULT_ITERATIONS, DEFAULT_SEED
 
@@ -135,47 +140,66 @@ class SegmentRequest:
 
 
 # -- responses -------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DocumentMixture:
-    """One document's entry in an :class:`InferResponse`."""
-
-    theta: Tuple[float, ...]
-    top_topics: Tuple[Tuple[int, float], ...]
-    n_phrases: int
-    n_unknown_tokens: int
-
-    @classmethod
-    def from_inference(cls, document: Any, top: int) -> "DocumentMixture":
-        """Build from one :class:`~repro.core.infer.DocumentInference`."""
-        return cls(
-            theta=tuple(document.theta.tolist()),
-            top_topics=tuple((int(k), float(p))
-                             for k, p in document.top_topics(top)),
-            n_phrases=len(document.phrases),
-            n_unknown_tokens=document.n_unknown_tokens)
-
-    def to_payload(self) -> Dict[str, Any]:
-        """The JSON object serialized into the response."""
-        return {"theta": list(self.theta),
-                "top_topics": [[k, p] for k, p in self.top_topics],
-                "n_phrases": self.n_phrases,
-                "n_unknown_tokens": self.n_unknown_tokens}
+_INFINITY = float("inf")
 
 
-@dataclass(frozen=True)
+class FloatTexts:
+    """A bounded memo from a float to the text ``json.dumps`` writes for it.
+
+    θ̂ entries are ratios of small integer counts plus the prior, so few
+    distinct values recur across replies, and ``float.__repr__`` (most of
+    the cost of encoding a reply) runs once per distinct value.  The memo
+    resets after :attr:`MEMO_LIMIT` distinct values, so unusual replies
+    cannot grow it without bound.  Zeros are never memoised: ``0.0 ==
+    -0.0`` would share an entry, but they print differently.
+    """
+
+    #: Distinct floats memoised before the memo resets.
+    MEMO_LIMIT = 1024
+
+    def __init__(self) -> None:
+        self._memo: Dict[float, str] = {}
+
+    def texts(self, values: Sequence[float]) -> List[str]:
+        """Each of ``values`` as ``json.dumps`` writes it."""
+        memo = self._memo
+        return [memo.get(value) or self._miss(value) for value in values]
+
+    def _miss(self, value: float) -> str:
+        if value != value:
+            text = "NaN"
+        elif value in (_INFINITY, -_INFINITY):
+            text = "Infinity" if value > 0 else "-Infinity"
+        else:
+            text = float.__repr__(value)
+        if value:
+            if len(self._memo) >= self.MEMO_LIMIT:
+                self._memo.clear()
+            self._memo[value] = text
+        return text
+
+
+@dataclass(frozen=True, eq=False)
 class InferResponse:
     """``POST /v1/infer`` reply: per-document topic mixtures.
 
-    ``request_id`` mirrors the ``X-Request-Id`` response header into the
-    body, so a client that logs replies (rather than headers) still has
-    the handle to correlate with server-side span metrics and logs.
+    Row ``d`` of ``theta`` and entry ``d`` of ``n_phrases`` and
+    ``n_unknown_tokens`` describe document ``d``; each document's
+    ``top_topics`` are its ``top`` most probable ``[topic, probability]``
+    pairs.  ``request_id`` mirrors the ``X-Request-Id`` response header
+    into the body, so a client that logs replies (rather than headers)
+    still has the handle to correlate with server-side span metrics and
+    logs.
     """
 
     model: str
     n_topics: int
     iterations: int
     seed: int
-    documents: Tuple[DocumentMixture, ...]
+    theta: np.ndarray
+    n_phrases: Sequence[int]
+    n_unknown_tokens: Sequence[int]
+    top: int = 3
     request_id: Optional[str] = None
 
     @classmethod
@@ -184,21 +208,39 @@ class InferResponse:
         """Build from a batcher :class:`~repro.core.infer.InferenceResult`."""
         iterations = request.iterations if request.iterations is not None \
             else DEFAULT_ITERATIONS
-        return cls(
-            model=model, n_topics=result.n_topics, iterations=iterations,
-            seed=request.seed,
-            documents=tuple(DocumentMixture.from_inference(doc, request.top)
-                            for doc in result.documents),
-            request_id=request_id)
+        return cls(model=model, n_topics=result.n_topics,
+                   iterations=iterations, seed=request.seed,
+                   theta=result.theta, n_phrases=result.n_phrases,
+                   n_unknown_tokens=result.n_unknown_tokens,
+                   top=request.top, request_id=request_id)
 
-    def to_payload(self) -> Dict[str, Any]:
-        """The JSON object serialized onto the wire."""
-        payload = {"model": self.model, "n_topics": self.n_topics,
-                   "iterations": self.iterations, "seed": self.seed,
-                   "documents": [doc.to_payload() for doc in self.documents]}
-        if self.request_id is not None:
-            payload["request_id"] = self.request_id
-        return payload
+    def encode(self, floats: FloatTexts) -> bytes:
+        """The reply body: the bytes ``json.dumps(payload) + "\\n"`` gives
+        for the JSON object below, written directly, its floats through
+        the memo ``floats``.
+
+        ``{"model", "n_topics", "iterations", "seed", "documents": [{"theta",
+        "top_topics", "n_phrases", "n_unknown_tokens"}, ...]}``, plus
+        ``"request_id"`` when set.  ``top_topics`` lists topics by
+        descending probability, ties in ``numpy.argsort`` order.
+        """
+        texts = [floats.texts(row) for row in self.theta.tolist()]
+        best = np.argsort(-self.theta, axis=1)[:, :self.top].tolist()
+        documents = ", ".join([
+            '{"theta": [%s], "top_topics": [%s], "n_phrases": %d, '
+            '"n_unknown_tokens": %d}' % (
+                ", ".join(row), ", ".join(["[%d, %s]" % (k, row[k])
+                                           for k in topics]),
+                n_phrases, n_unknown)
+            for row, topics, n_phrases, n_unknown in zip(
+                texts, best, self.n_phrases, self.n_unknown_tokens)])
+        request_id = "" if self.request_id is None else \
+            ', "request_id": ' + encode_basestring_ascii(self.request_id)
+        return ('{"model": %s, "n_topics": %d, "iterations": %d, "seed": %d, '
+                '"documents": [%s]%s}\n' % (
+                    encode_basestring_ascii(self.model), self.n_topics,
+                    self.iterations, self.seed, documents,
+                    request_id)).encode("ascii")
 
 
 @dataclass(frozen=True)
@@ -319,7 +361,7 @@ class ModelsResponse:
 
 
 __all__ = [
-    "DocumentMixture",
+    "FloatTexts",
     "HealthResponse",
     "InferRequest",
     "InferResponse",

@@ -271,10 +271,8 @@ class MicroBatcher:
         """
         execution_start = time.perf_counter()
         for request in batch:
-            wait = execution_start - request.enqueued_at
-            self.metrics.observe(span_metric("queue_wait"), wait)
-            if request.trace is not None:
-                request.trace.record("queue_wait", wait)
+            self._record_span([request], "queue_wait",
+                              execution_start - request.enqueued_at)
         partitions: Dict[Tuple[str, int], List[_Pending]] = {}
         for request in batch:
             partitions.setdefault((request.model, request.n_iterations),
@@ -284,31 +282,32 @@ class MicroBatcher:
         for (model_name, n_iterations), requests in partitions.items():
             self.metrics.inc_counter("infer_batches_total")
             self.metrics.observe("infer_batch_size", len(requests))
+            batch_start = time.perf_counter()
             try:
-                with self.metrics.timer("infer_batch_seconds"):
-                    load_start = time.perf_counter()
-                    loaded = self.registry.get(model_name)
-                    self._record_span(requests, "model_load",
-                                      time.perf_counter() - load_start)
-                    if loaded.kind != "model":
-                        raise ValueError(
-                            f"model {model_name!r} is a {loaded.kind!r} "
-                            f"bundle and cannot serve inference")
-                    watch = Stopwatch()
-                    results = loaded.inferencer.infer_texts_grouped(
-                        [request.texts for request in requests],
-                        [request.seed for request in requests],
-                        InferenceConfig(n_iterations=n_iterations,
-                                        engine="auto"),
-                        watch=watch)
-                    for span in ("segmentation", "fold_in"):
-                        self._record_span(requests, span,
-                                          watch.timings.get(span, 0.0))
+                loaded = self.registry.get(model_name)
+                self._record_span(requests, "model_load",
+                                  time.perf_counter() - batch_start)
+                if loaded.kind != "model":
+                    raise ValueError(
+                        f"model {model_name!r} is a {loaded.kind!r} "
+                        f"bundle and cannot serve inference")
+                watch = Stopwatch()
+                results = loaded.inferencer.infer_texts_grouped(
+                    [request.texts for request in requests],
+                    [request.seed for request in requests],
+                    InferenceConfig(n_iterations=n_iterations, engine="auto"),
+                    watch=watch)
+                for span in ("segmentation", "fold_in"):
+                    self._record_span(requests, span,
+                                      watch.timings.get(span, 0.0))
             except Exception as exc:  # delivered per request
                 for request in requests:
                     request.error = exc
                     request.done = True
                 continue
+            finally:
+                self.metrics.observe("infer_batch_seconds",
+                                     time.perf_counter() - batch_start)
             self.metrics.inc_counter(
                 "infer_documents_total",
                 sum(len(request.texts) for request in requests))

@@ -63,7 +63,8 @@ from repro.obs.profile import capture_profile
 from repro.obs.render import render_fleet
 from repro.obs.shards import ShardWriter, collect_shards, shard_path
 from repro.obs.slo import SLOVerdict, evaluate_slos, render_slo_gauges
-from repro.obs.tracing import RequestTrace, new_request_id, sanitize_request_id
+from repro.obs.tracing import (RequestTrace, new_request_id,
+                               sanitize_request_id, span_metric)
 from repro.serve import api
 from repro.serve.batching import MicroBatcher
 from repro.serve.config import DEFAULT_ITERATIONS, DEFAULT_SEED, ServeConfig
@@ -196,6 +197,8 @@ class ReproServer(ThreadingHTTPServer):
         self.default_iterations = config.default_iterations
         self.batcher = MicroBatcher.from_config(registry, config,
                                                 metrics=self.metrics)
+        # The /v1/infer reply writer's float memo, shared by all handlers.
+        self.reply_floats = api.FloatTexts()
         self.started_at = time.time()
         super().__init__((config.host, config.port), _Handler,
                          bind_and_activate=False)
@@ -476,7 +479,7 @@ class _Handler(BaseHTTPRequestHandler):
             route = _LOG_SHARD_PREFIX.rstrip("/")
         # Unknown paths share one latency bucket: per-route metrics must not
         # let arbitrary client URLs grow /metrics without bound.
-        known_route = any(route == known for _, known in _ROUTES)
+        known_route = route in _ROUTE_PATHS
         bucket = route if known_route else "/unmatched"
         metrics = self.server.metrics
         metrics.inc_counter("http_requests_total")
@@ -667,10 +670,16 @@ class _Handler(BaseHTTPRequestHandler):
                 "X-Content-Offset": str(offset),
                 "X-Shard-Size": str(size)})
 
+    def _record_span(self, span: str, seconds: float) -> None:
+        self.server.metrics.observe(span_metric(span), seconds)
+        self.trace.record(span, seconds)
+
     def _handle_infer(self, query: Dict[str, List[str]]) -> None:
         request = api.InferRequest.from_payload(
             self._read_json_body(),
             default_iterations=self.server.config.default_iterations)
+        self._record_span("request_read",
+                          time.perf_counter() - self.request_started)
         name = self._resolve_model_name(request.model)
         try:
             result = self.server.batcher.submit(name, list(request.documents),
@@ -679,10 +688,11 @@ class _Handler(BaseHTTPRequestHandler):
                                                 trace=self.trace)
         except ValueError as exc:  # e.g. segmentation bundle
             raise RequestError(400, str(exc)) from exc
-        reply = api.InferResponse.from_result(
-            name, result, request,
-            request_id=self.trace.request_id if self.trace else None)
-        self._send_json(200, reply.to_payload())
+        reply_start = time.perf_counter()
+        self._send_payload(200, api.InferResponse.from_result(
+            name, result, request, request_id=self.trace.request_id,
+        ).encode(self.server.reply_floats), "application/json")
+        self._record_span("reply", time.perf_counter() - reply_start)
 
     def _handle_segment(self, query: Dict[str, List[str]]) -> None:
         request = api.SegmentRequest.from_payload(self._read_json_body())
@@ -735,3 +745,6 @@ _ROUTES: Dict[Tuple[str, str], Any] = {
     ("GET", "/v1/log/shard"): _Handler._handle_log_shard,
     ("GET", "/debug/profile"): _Handler._handle_debug_profile,
 }
+
+#: Every routed path (a path outside it is metered as ``/unmatched``).
+_ROUTE_PATHS = frozenset(route for _, route in _ROUTES)

@@ -48,6 +48,7 @@ concurrent *readers* — refreshes, model servers — are always safe.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
@@ -684,10 +685,7 @@ class TopicStream:
                       "published_at": time.time()})
         with watch.measure("publish"):
             version, path = self._save_version(version, bundle)
-            self._publish(path)
-            self.published_version = version
-            self.published_documents = n_documents
-            self._write_stream_file()
+            self._publish_version(version, path, n_documents)
 
         seconds = time.perf_counter() - start
         self.metrics.inc_counter("stream_refreshes_total")
@@ -740,6 +738,34 @@ class TopicStream:
                     path = self.version_path(version)
         finally:
             staged.unlink(missing_ok=True)
+
+    def _publish_version(self, version: int, versioned_path: Path,
+                         n_documents: int) -> None:
+        """Publish ``version`` unless a newer one is already published.
+
+        Runs under an exclusive ``flock`` on the ``models/`` directory, so
+        refreshers in any threads or processes publish one at a time, and
+        the lock holder compares against the version ``stream.json`` names
+        on disk.  A refresher that finishes after a newer version was
+        published keeps its immutable version file but leaves
+        ``current.npz`` and ``stream.json`` alone (and adopts what they
+        say), so both always name the newest version.
+        """
+        directory = os.open(self.models_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(directory, fcntl.LOCK_EX)
+            published = json.loads((self.root / _STREAM_FILE).read_text(
+                encoding="utf-8")).get("published", {})
+            if int(published.get("version", 0)) > version:
+                self.published_version = int(published["version"])
+                self.published_documents = int(published.get("n_documents", 0))
+                return
+            self._publish(versioned_path)
+            self.published_version = version
+            self.published_documents = n_documents
+            self._write_stream_file()
+        finally:
+            os.close(directory)  # releases the lock
 
     def _publish(self, versioned_path: Path) -> None:
         """Atomically point ``current.npz`` at the new version.

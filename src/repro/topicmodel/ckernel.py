@@ -266,38 +266,58 @@ def _require(name: str, array: np.ndarray, dtype, size: int) -> None:
                          f"array of {size} elements")
 
 
-def run_fold_in(tokens: np.ndarray, offsets: np.ndarray,
-                clique_doc: np.ndarray, alpha: np.ndarray, wfac: np.ndarray,
-                tfac: np.ndarray, doc_topic: np.ndarray, assign: np.ndarray,
-                n_sweeps: int, uniforms: np.ndarray) -> None:
-    """Run ``n_sweeps`` fold-in sweeps in C, mutating only ``doc_topic``
-    and ``assign``.
+class FoldInTables:
+    """The frozen model arrays ``phrase_lda_fold_in`` reads, checked once.
 
-    ``wfac`` (V x K) must hold ``beta + topic_word`` and ``tfac`` (K)
-    ``beta * V + topic_totals`` of the frozen model, as for
-    :func:`run_sweep`.  Buffer dtypes, contiguity and sizes are checked
-    here; the caller guarantees the index ranges the kernel trusts (token
-    ids in ``[0, V)``, assignments in ``[0, K)``, ``clique_doc`` rows of
-    ``doc_topic``) and one uniform per non-empty clique per sweep.
+    ``alpha`` (K), ``wfac`` (V x K, ``beta + topic_word``) and ``tfac`` (K,
+    ``beta * V + topic_totals``) of a trained model, as for
+    :func:`run_sweep`.  Their addresses are taken here, once per model,
+    rather than on every :func:`run_fold_in` call.
     """
-    n_words, n_topics = wfac.shape
+
+    def __init__(self, alpha: np.ndarray, wfac: np.ndarray,
+                 tfac: np.ndarray) -> None:
+        n_words, n_topics = wfac.shape
+        _require("alpha", alpha, np.float64, n_topics)
+        _require("wfac", wfac, np.float64, n_words * n_topics)
+        _require("tfac", tfac, np.float64, n_topics)
+        self.n_topics = n_topics
+        self._arrays = (alpha, wfac, tfac)
+        self._args = (alpha.ctypes.data, wfac.ctypes.data, tfac.ctypes.data)
+
+    def __reduce__(self):
+        # A copy (pickle, deepcopy) re-takes the addresses of its own arrays.
+        return (FoldInTables, self._arrays)
+
+
+def run_fold_in(tables: FoldInTables, tokens: np.ndarray,
+                offsets: np.ndarray, clique_doc: np.ndarray,
+                doc_topic: np.ndarray, assign: np.ndarray, n_sweeps: int,
+                uniforms: np.ndarray) -> None:
+    """Run ``n_sweeps`` fold-in sweeps in C against the frozen model
+    ``tables``, mutating only ``doc_topic`` and ``assign``.
+
+    Buffer dtypes, contiguity and sizes are checked here; the caller
+    guarantees the index ranges the kernel trusts (token ids in ``[0, V)``,
+    assignments in ``[0, K)``, ``clique_doc`` rows of ``doc_topic``) and
+    one uniform per non-empty clique per sweep.
+    """
+    n_topics = tables.n_topics
     n_cliques = len(offsets) - 1
     _require("tokens", tokens, np.int32, tokens.size)
     _require("offsets", offsets, np.int64, n_cliques + 1)
     _require("clique_doc", clique_doc, np.int32, n_cliques)
-    _require("alpha", alpha, np.float64, n_topics)
-    _require("wfac", wfac, np.float64, n_words * n_topics)
-    _require("tfac", tfac, np.float64, n_topics)
     _require("doc_topic", doc_topic, np.int64, doc_topic.shape[0] * n_topics)
     _require("assign", assign, np.int64, n_cliques)
-    n_sampled = int(np.count_nonzero(np.diff(offsets)))
+    n_sampled = int(np.count_nonzero(offsets[1:] - offsets[:-1]))
     _require("uniforms", uniforms, np.float64, n_sweeps * n_sampled)
     scratch = np.empty(2 * n_topics, dtype=np.float64)
+    alpha, wfac, tfac = tables._args
     _kernel().phrase_lda_fold_in(
         tokens.ctypes.data, offsets.ctypes.data, clique_doc.ctypes.data,
-        n_cliques, n_topics, alpha.ctypes.data, wfac.ctypes.data,
-        tfac.ctypes.data, doc_topic.ctypes.data, assign.ctypes.data,
-        n_sweeps, uniforms.ctypes.data, scratch.ctypes.data)
+        n_cliques, n_topics, alpha, wfac, tfac, doc_topic.ctypes.data,
+        assign.ctypes.data, n_sweeps, uniforms.ctypes.data,
+        scratch.ctypes.data)
 
 
 class SegmentTables:
@@ -331,7 +351,7 @@ class SegmentTables:
 
 def run_segment(tables: SegmentTables, tokens: np.ndarray,
                 offsets: np.ndarray, longest: int, threshold: float,
-                max_words: int) -> Tuple[np.ndarray, np.ndarray]:
+                max_words: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run Algorithm 2 over every chunk of a flat chunk buffer in C.
 
     ``longest`` is the token count of the longest chunk: it sizes the
@@ -342,13 +362,12 @@ def run_segment(tables: SegmentTables, tokens: np.ndarray,
 
     Returns
     -------
-    (length, key)
-        ``int64`` arrays over token positions.  The span headed at
-        position ``p`` covers ``tokens[p:p + length[p]]``; ``length`` is 0
-        at every position that is not a span head, and every chunk's first
-        position is one.  ``key[p]`` is that span's phrase key: its id in
-        the phrase table, or ``n_phrases + token id`` for a unigram the
-        table lacks (``key`` is meaningless at other positions).
+    (clique_offsets, keys, chunk_first)
+        ``int64`` arrays: clique ``g`` (a surviving span) covers
+        ``tokens[clique_offsets[g]:clique_offsets[g + 1]]`` and has phrase
+        key ``keys[g]`` -- its id in the phrase table, or ``n_phrases +
+        token id`` for a unigram the table lacks; chunk ``c``'s cliques
+        are ``chunk_first[c]:chunk_first[c + 1]``.
     """
     n_chunks = len(offsets) - 1
     _require("offsets", offsets, np.int64, n_chunks + 1)
@@ -356,11 +375,14 @@ def run_segment(tables: SegmentTables, tokens: np.ndarray,
     _require("tokens", tokens, np.int32, n_pos)
     # Results, then six eight-byte scratch slots per token of the longest
     # chunk, in one buffer (see the kernel's comment).
-    out = np.empty(2 * n_pos + 6 * longest, dtype=np.int64)
-    needed = _kernel().phrase_segment(
+    out = np.empty(2 * n_pos + n_chunks + 2 + 6 * longest, dtype=np.int64)
+    n_cliques = _kernel().phrase_segment(
         tokens.ctypes.data, offsets.ctypes.data, n_chunks, *tables._args,
         threshold, max_words, out.ctypes.data, out.size)
-    if needed:
+    if n_cliques < 0:
         raise ValueError(f"longest={longest} is below the longest chunk: "
-                         f"the kernel needs {needed} slots, got {out.size}")
-    return out[:n_pos], out[n_pos:2 * n_pos]
+                         f"the kernel needs {-n_cliques} slots, got {out.size}")
+    key_start, chunk_start = n_pos + 1, 2 * n_pos + 1
+    return (out[:n_cliques + 1].copy(),
+            out[key_start:key_start + n_cliques].copy(),
+            out[chunk_start:chunk_start + n_chunks + 1])

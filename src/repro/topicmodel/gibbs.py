@@ -120,7 +120,7 @@ class FlatPhraseCorpus:
     """
 
     __slots__ = ("tokens", "offsets", "doc_offsets", "clique_doc",
-                 "n_cliques", "n_sampled", "n_docs", "_keys")
+                 "n_cliques", "n_docs", "_keys", "_n_sampled")
 
     def __init__(self, tokens: np.ndarray, offsets: np.ndarray,
                  doc_offsets: np.ndarray,
@@ -131,9 +131,9 @@ class FlatPhraseCorpus:
         self._keys = keys
         self.n_cliques = len(offsets) - 1
         self.n_docs = len(doc_offsets) - 1
-        self.n_sampled = int(np.count_nonzero(offsets[1:] != offsets[:-1]))
+        self._n_sampled: Optional[int] = None
         self.clique_doc = np.repeat(np.arange(self.n_docs, dtype=np.int32),
-                                    np.diff(doc_offsets))
+                                    doc_offsets[1:] - doc_offsets[:-1])
 
     @classmethod
     def from_phrases(cls, phrase_docs: Sequence[Sequence[Sequence[int]]],
@@ -156,6 +156,13 @@ class FlatPhraseCorpus:
                    np.asarray(doc_list, dtype=np.int64))
 
     @property
+    def n_sampled(self) -> int:
+        """Number of non-empty cliques (the ones a sweep samples)."""
+        if self._n_sampled is None:
+            self._n_sampled = int(np.count_nonzero(self.clique_sizes()))
+        return self._n_sampled
+
+    @property
     def keys(self) -> np.ndarray:
         """Phrase key per clique (numbered by first occurrence when the
         producer supplied none)."""
@@ -168,33 +175,24 @@ class FlatPhraseCorpus:
 
     def clique_sizes(self) -> np.ndarray:
         """Length of every clique, as an ``int64`` array."""
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
-    def phrases(self) -> List[Phrase]:
-        """Every clique as a tuple of word ids, in clique order."""
-        return _split(self.tokens.tolist(), self.offsets.tolist())
+    def phrases(self, first: int = 0, last: Optional[int] = None,
+                ) -> List[Phrase]:
+        """Cliques ``first:last`` (all by default) as tuples of word ids,
+        in clique order."""
+        offsets = self.offsets[first:(self.n_cliques if last is None
+                                      else last) + 1]
+        start = int(offsets[0])
+        tokens = self.tokens[start:offsets[-1]].tolist()
+        bounds = (offsets - start).tolist()
+        return [tuple(tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def documents(self) -> List[List[Phrase]]:
         """Per-document phrase lists (the inverse of :meth:`from_phrases`)."""
         phrases = self.phrases()
         bounds = self.doc_offsets.tolist()
         return [phrases[g0:g1] for g0, g1 in zip(bounds, bounds[1:])]
-
-    def select(self, first: int, last: int) -> "FlatPhraseCorpus":
-        """The partition of documents ``first:last`` (views where possible)."""
-        if first == 0 and last == self.n_docs:
-            return self
-        g0, g1 = int(self.doc_offsets[first]), int(self.doc_offsets[last])
-        t0, t1 = int(self.offsets[g0]), int(self.offsets[g1])
-        return FlatPhraseCorpus(
-            self.tokens[t0:t1], self.offsets[g0:g1 + 1] - t0,
-            self.doc_offsets[first:last + 1] - g0,
-            None if self._keys is None else self._keys[g0:g1])
-
-
-def _split(tokens: List[int], bounds: List[int]) -> List[Phrase]:
-    """``tokens`` cut into tuples at consecutive ``bounds``."""
-    return [tuple(tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def random_initialization(flat: FlatPhraseCorpus, n_topics: int,

@@ -289,9 +289,9 @@ static double pair_score(int64_t left, int64_t right,
  *
  * Preconditions (enforced by repro.core.segmentation): every token id is
  * >= 0; ids >= vocab_bound read word_id[vocab_bound] (-1, a rare word).
- * out needs 2 * n_pos int64 results plus 6 eight-byte scratch slots (5
- * int64, 1 double) per token of the longest chunk; the kernel checks that
- * against out_size before it writes anything.
+ * out needs 2 * n_pos + n_chunks + 2 int64 results plus 6 eight-byte
+ * scratch slots (5 int64, 1 double) per token of the longest chunk; the
+ * kernel checks that against out_size before it writes anything.
  */
 int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0      */
                        const int64_t *offsets,      /* n_chunks+1 token offsets  */
@@ -308,24 +308,28 @@ int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0     
                        int64_t *out,                /* results, then scratch     */
                        int64_t out_size)            /* int64 slots in out        */
 {
-    /* out holds, in order: length and key per token position, then the
-     * per-chunk scratch.  length is the span length at each span head and
-     * 0 at every other position, so the heads are exactly the nonzero
-     * entries.  key is the span's phrase key at each head: its id in the
-     * phrase table, or n_phrases + token id for a unigram the table lacks
-     * (a rare word).  Every multi-word span is a table phrase, so equal
-     * keys mean equal spans.  Returns 0, or the slot count out needs when
-     * out_size is smaller (nothing is written then). */
+    /* out holds, in order: the clique offsets (n_pos + 1 slots), the
+     * clique keys (n_pos), each chunk's first clique (n_chunks + 1), then
+     * the per-chunk scratch.  The cascade works on length and key per
+     * token position in the first two regions: length is the span length
+     * at each span head and 0 at every other position, key the span's
+     * phrase key at each head -- its id in the phrase table, or n_phrases
+     * + token id for a unigram the table lacks (a rare word).  Every
+     * multi-word span is a table phrase, so equal keys mean equal spans.
+     * A last pass compacts the heads into the partition.  Returns the
+     * clique count, or minus the slot count out needs when out_size is
+     * smaller (nothing is written then). */
     const int64_t n_pos = offsets[n_chunks];
     int64_t longest = 0;
     for (int64_t c = 0; c < n_chunks; c++)
         if (offsets[c + 1] - offsets[c] > longest)
             longest = offsets[c + 1] - offsets[c];
-    const int64_t needed = 2 * n_pos + 6 * longest;
+    const int64_t needed = 2 * n_pos + n_chunks + 2 + 6 * longest;
     if (needed > out_size)
-        return needed;
-    int64_t *length = out, *key = out + n_pos;
-    int64_t *scratch = key + n_pos;
+        return -needed;
+    int64_t *length = out, *key = out + n_pos + 1;
+    int64_t *chunk_first = key + n_pos;
+    int64_t *scratch = chunk_first + n_chunks + 1;
 
     for (int64_t c = 0; c < n_chunks; c++) {
         const int64_t s = offsets[c];
@@ -407,5 +411,23 @@ int64_t phrase_segment(const int32_t *tokens,       /* flat token ids, >= 0     
             }
         }
     }
-    return 0;
+
+    /* Compact the span heads: clique g starts at position length[g] and
+     * has key key[g]; length[n_cliques] closes the last one.  Every write
+     * lands at or before the position just read, so the pass runs in
+     * place. */
+    int64_t n_cliques = 0;
+    for (int64_t c = 0; c < n_chunks; c++) {
+        chunk_first[c] = n_cliques;
+        for (int64_t p = offsets[c]; p < offsets[c + 1]; p++) {
+            if (length[p] == 0)
+                continue;
+            key[n_cliques] = key[p];
+            length[n_cliques] = p;
+            n_cliques++;
+        }
+    }
+    chunk_first[n_chunks] = n_cliques;
+    length[n_cliques] = n_pos;
+    return n_cliques;
 }

@@ -81,7 +81,7 @@ def test_c_sweep_matches_reference_and_keeps_factors_exact(monkeypatch):
 def test_segment_kernel_refuses_an_undersized_buffer():
     """``run_segment`` sizes the kernel's scratch from the caller's
     ``longest``; the kernel measures the chunks itself and writes nothing
-    into a buffer it would overrun."""
+    into a buffer it would overrun.  It returns the compacted partition."""
     from repro.text.flat import FlatChunks
 
     tables = ckernel.SegmentTables(
@@ -90,12 +90,13 @@ def test_segment_kernel_refuses_an_undersized_buffer():
         pair_sigs=np.array([7.0]), pair_merged=np.array([2], dtype=np.int64),
         n_phrases=3)
     flat = FlatChunks.from_documents([[[0, 1, 0, 1, 5]], [[1]]])
-    length, key = ckernel.run_segment(
+    offsets, keys, chunk_first = ckernel.run_segment(
         tables, flat.tokens, flat.offsets, flat.longest_chunk, 5.0, 9)
-    # (0 1) (0 1) (5) | (1): heads carry the span length, the rest 0.
-    assert length.tolist() == [2, 0, 2, 0, 1, 1]
-    # Table ids at the heads; the rare word 5 gets n_phrases + 5.
-    assert key[[0, 2, 4, 5]].tolist() == [2, 2, 3 + 5, 1]
+    # (0 1) (0 1) (5) | (1): four cliques, the second chunk's from 3 on.
+    assert offsets.tolist() == [0, 2, 4, 5, 6]
+    assert chunk_first.tolist() == [0, 3, 4]
+    # Table ids; the rare word 5 gets n_phrases + 5.
+    assert keys.tolist() == [2, 2, 3 + 5, 1]
     with pytest.raises(ValueError, match="longest"):
         ckernel.run_segment(tables, flat.tokens, flat.offsets, 2, 5.0, 9)
 
@@ -156,8 +157,9 @@ def boundary_fold_in(n_docs=60, n_topics=7, n_words=50, seed=3):
 def run_boundary_fold_in(inputs):
     flat, alpha, wfac, tfac, doc_topic, assign, uniforms = inputs
     doc_topic, assign = doc_topic.copy(), assign.copy()
-    ckernel.run_fold_in(flat.tokens, flat.offsets, flat.clique_doc, alpha,
-                        wfac, tfac, doc_topic, assign, 1, uniforms)
+    ckernel.run_fold_in(ckernel.FoldInTables(alpha, wfac, tfac), flat.tokens,
+                        flat.offsets, flat.clique_doc, doc_topic, assign, 1,
+                        uniforms)
     return assign, doc_topic
 
 

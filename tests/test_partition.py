@@ -132,18 +132,15 @@ def test_partition_round_trips_through_phrase_tuples(corpus_and_mining, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_select_slices_documents(corpus_and_mining, engine):
+def test_phrases_decode_a_clique_range(corpus_and_mining, engine):
     corpus, mining = corpus_and_mining
     partition = _segmenter(mining, engine).segment(corpus).partition
-    documents = partition.documents()
-    keys = partition.keys  # numbered before slicing: the slices carry them
-    for first, last in ((0, 3), (150, 155), (10, 10), (0, partition.n_docs)):
-        part = partition.select(first, last)
-        assert part.documents() == documents[first:last]
-        assert part.n_sampled == sum(map(len, documents[first:last]))
-        np.testing.assert_array_equal(
-            part.keys, keys[partition.doc_offsets[first]:
-                            partition.doc_offsets[last]])
+    phrases = partition.phrases()
+    for first, last in ((0, 3), (150, 155), (10, 10),
+                        (0, partition.n_cliques),
+                        (partition.n_cliques, partition.n_cliques)):
+        assert partition.phrases(first, last) == phrases[first:last]
+    assert partition.phrases(5) == phrases[5:]
 
 
 def _dict_walk(segmented, clique_assignments, n_topics, min_phrase_length):

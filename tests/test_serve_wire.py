@@ -12,11 +12,12 @@ import json
 import socket
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.infer import InferenceConfig
 from repro.io.artifacts import save_bundle
-from repro.serve import ModelRegistry, ReproServer, ServeConfig
+from repro.serve import ModelRegistry, ReproServer, ServeConfig, api
 
 TITLES = ["support vector machine training data and feature selection",
           "query processing over relational database systems"]
@@ -341,3 +342,180 @@ def test_request_clock_starts_at_the_request_line(wire, server):
     # An idle keep-alive connection waiting for its next request is not.
     time.sleep(0.3)
     assert _healthz_timed(server, wire, request("GET", "/healthz")) < 0.3
+
+
+def test_infer_spans_cover_the_request_once_each(wire, server):
+    """One /v1/infer records every span once, request_read and reply
+    included, and together they stay within the request's server time."""
+    from repro.obs import SPAN_NAMES, span_metric
+
+    def counts():
+        entries = server.metrics.read()
+        return {name: (entries[name].count, entries[name].sum)
+                if name in entries else (0.0, 0.0)
+                for name in [span_metric(span) for span in SPAN_NAMES]
+                + ["http_v1_infer_seconds"]}
+
+    before = counts()
+    wire.send(request("POST", "/v1/infer", infer_body(TITLES, 5)))
+    assert wire.reply()[0] == 200
+    deadline = time.monotonic() + 10
+    while counts()["http_v1_infer_seconds"][0] == \
+            before["http_v1_infer_seconds"][0]:
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    after = counts()
+    delta = {name: (after[name][0] - before[name][0],
+                    after[name][1] - before[name][1]) for name in after}
+    assert {name: count for name, (count, _) in delta.items()} == \
+        dict.fromkeys(delta, 1.0)
+    total = delta.pop("http_v1_infer_seconds")[1]
+    assert sum(seconds for _, seconds in delta.values()) <= total
+
+
+# -- pinned reply bytes -------------------------------------------------------------
+#: ``/v1/infer`` requests whose reply bodies are pinned byte for byte:
+#: ``(case, documents, extra body fields, X-Request-Id or None)``.  The
+#: all-unknown title folds in no clique, so its θ is the symmetric prior
+#: and every topic ties in ``top_topics``; ``top`` 10 exceeds K = 5.
+PIN_TITLES = [
+    "support vector machine training data and feature selection",
+    "query processing over relational database systems",
+    "frequent pattern mining in large transaction databases",
+    "speech recognition with hidden markov models",
+]
+UNKNOWN_TITLE = "zzyzx qwopp blorfing"
+PIN_CASES = [
+    ("one", PIN_TITLES[:1], {}, "pin-one"),
+    ("two", PIN_TITLES[:2], {"seed": 3}, "pin-two"),
+    ("three", PIN_TITLES[1:], {"seed": 4, "top": 1}, "pin-three"),
+    ("four", PIN_TITLES, {"seed": 5, "top": 10}, None),
+    ("unknown", [UNKNOWN_TITLE], {"seed": 6, "top": 10}, "pin-unknown"),
+    ("mixed", [UNKNOWN_TITLE, PIN_TITLES[2]], {"seed": 8, "iterations": 7},
+     None),
+    ("iterations", PIN_TITLES[:3], {"seed": 9, "iterations": 12, "top": 3},
+     "pin-iterations"),
+]
+#: SHA-256 of each case's reply body; the request id the server mints when
+#: a request carries none is fixed to ``PIN_MINTED_ID`` for the run.
+PIN_MINTED_ID = "0123456789abcdef0123456789abcdef"
+PINNED_BODY_SHA256 = {
+    "one":
+        "c1d230ee7a6c75e89348823f6a7f3e4b8b19be59982b75ca41c96640c6362e69",
+    "two":
+        "dd68180b809645f5aa6378f8ca4aec6124d5d0b6bf89d04efca5ab809c7c1154",
+    "three":
+        "d69f46f859512f1500856f40f5683e9a0fccb74742d42789d812889730d4b61b",
+    "four":
+        "300d77a43f52a9d635ad0776b5e5cb3fad2ec63c1b42070dee7400036daab9d2",
+    "unknown":
+        "4bc063ded93747e0535b9cc17940554e6ca31386380fbd06a40d3ce7cd2ff8b8",
+    "mixed":
+        "303efd39144e0ca81478a82d234ce0f0c3c7142a7cc94c426fff0a4d4cdbaaf1",
+    "iterations":
+        "484470dc8fb0869ef5b9430b53e4dcc45c2e5e19c2068998b0a2e4aacab984bc",
+}
+
+
+def _pinned_bodies(server):
+    connection = Wire(server)
+    try:
+        bodies = {}
+        for case, documents, fields, request_id in PIN_CASES:
+            body = json.dumps(dict({"documents": documents}, **fields)) \
+                .encode("utf-8")
+            headers = {} if request_id is None else {"X_Request_Id": request_id}
+            connection.send(request("POST", "/v1/infer", body, **headers))
+            status, _, reply = connection.reply()
+            assert status == 200, reply
+            bodies[case] = reply
+        return bodies
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("engine", ["c", "reference"])
+def test_infer_reply_bytes_are_pinned(engine, model_bundle, tmp_path,
+                                      monkeypatch):
+    import hashlib
+
+    from repro.topicmodel import ckernel
+
+    if engine == "c" and not ckernel.kernel_available():
+        pytest.skip("the C kernel is unavailable")
+    if engine == "reference":
+        # Segmentation and fold-in both resolve "auto" through this probe.
+        monkeypatch.setattr(ckernel, "kernel_available", lambda: False)
+    monkeypatch.setattr("repro.serve.http.new_request_id",
+                        lambda: PIN_MINTED_ID)
+    path = tmp_path / "model.npz"
+    save_bundle(path, model_bundle)
+    registry = ModelRegistry()
+    registry.register("model", path)
+    server = ReproServer(registry, ServeConfig(port=0))
+    server.start_background()
+    try:
+        bodies = _pinned_bodies(server)
+    finally:
+        server.stop()
+    assert {case: hashlib.sha256(body).hexdigest()
+            for case, body in bodies.items()} == PINNED_BODY_SHA256
+    for body in bodies.values():
+        assert body == (json.dumps(json.loads(body)) + "\n").encode("ascii")
+
+
+# -- the reply writer ---------------------------------------------------------------
+def _reply_payload(response):
+    """The reply as a JSON object: what ``json.dumps`` must agree with."""
+    documents = []
+    for row, n_phrases, n_unknown in zip(response.theta, response.n_phrases,
+                                         response.n_unknown_tokens):
+        order = np.argsort(-row)[:response.top]
+        documents.append({
+            "theta": row.tolist(),
+            "top_topics": [[int(k), float(row[k])] for k in order],
+            "n_phrases": n_phrases, "n_unknown_tokens": n_unknown})
+    payload = {"model": response.model, "n_topics": response.n_topics,
+               "iterations": response.iterations, "seed": response.seed,
+               "documents": documents}
+    if response.request_id is not None:
+        payload["request_id"] = response.request_id
+    return payload
+
+
+def test_reply_writer_writes_what_json_dumps_writes(monkeypatch):
+    # A small memo bound, so the memo resets many times over the run.
+    monkeypatch.setattr(api.FloatTexts, "MEMO_LIMIT", 64)
+    floats = api.FloatTexts()
+    rng = np.random.default_rng(29)
+    names = ["model", "modèle-ü", "模型", 'say "hi"\\now', "tab\there\n"]
+    request_ids = [None, "abc-1.2_3", 'needs "escaping"\\', "é☃",
+                   "\x00\x1f ctl"]
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324,
+                         1.7976931348623157e308, 0.1, 1e-7, 123456789.0])
+    resets = 0
+    for trial in range(400):
+        n_topics, n_docs = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+        if trial % 3 == 0:
+            # θ̂ from small counts: many repeated values and ties.
+            counts = rng.integers(0, 4, size=(n_docs, n_topics)) + 0.1
+            theta = counts / counts.sum(axis=1, keepdims=True)
+        elif trial % 3 == 1:
+            theta = rng.random((n_docs, n_topics)) * 10.0 ** rng.integers(
+                -300, 300)
+        else:
+            theta = rng.choice(specials, size=(n_docs, n_topics))
+        response = api.InferResponse(
+            model=names[trial % len(names)], n_topics=n_topics,
+            iterations=int(rng.integers(1, 10_001)),
+            seed=int(rng.integers(0, 2**63 - 1)), theta=theta,
+            n_phrases=rng.integers(0, 50, size=n_docs).tolist(),
+            n_unknown_tokens=rng.integers(0, 50, size=n_docs).tolist(),
+            top=int(rng.integers(1, n_topics + 6)),
+            request_id=request_ids[trial % len(request_ids)])
+        size = len(floats._memo)
+        assert response.encode(floats) == \
+            (json.dumps(_reply_payload(response)) + "\n").encode("ascii")
+        resets += len(floats._memo) < size
+        assert len(floats._memo) <= 64
+    assert resets > 10

@@ -636,6 +636,41 @@ def test_concurrent_refreshes_take_distinct_versions(tmp_path, monkeypatch):
             == report.version
 
 
+def test_a_refresh_that_finishes_late_does_not_unpublish_a_newer_version(
+        tmp_path, monkeypatch):
+    """Version 1's refresher is held after saving its version file while
+    version 2 is refreshed and published; when it resumes, current.npz and
+    stream.json must still name version 2."""
+    root = tmp_path / "stream"
+    stream = TopicStream.create(root, _stream_config())
+    stream.ingest(load_dataset("dblp-titles", n_documents=300, seed=SEED).texts)
+    saved, release = threading.Event(), threading.Event()
+    real_save_version = TopicStream._save_version
+
+    def held_save_version(self, version, bundle):
+        saved_version = real_save_version(self, version, bundle)
+        if saved_version[0] == 1:
+            saved.set()
+            assert release.wait(120)
+        return saved_version
+
+    monkeypatch.setattr(TopicStream, "_save_version", held_save_version)
+    with ThreadPoolExecutor(1) as pool:
+        late = pool.submit(lambda: TopicStream.open(root).refresh(force=True))
+        assert saved.wait(120)
+        newer = TopicStream.open(root).refresh(force=True)
+        release.set()
+        late_report = late.result(timeout=120)
+
+    assert (late_report.version, newer.version) == (1, 2)
+    assert read_manifest(stream.current_model_path)["metadata"][
+        "stream_version"] == 2
+    payload = json.loads((root / "stream.json").read_text(encoding="utf-8"))
+    assert payload["published"]["version"] == 2
+    assert TopicStream.open(root).published_version == 2
+    assert stream.version_path(1).exists()
+
+
 # -- supervisor -----------------------------------------------------------------------------
 def test_supervisor_publishes_in_background(tmp_path, titles):
     stream = TopicStream.create(tmp_path / "stream", _stream_config())
