@@ -68,8 +68,7 @@ class FastSegmentationEngine:
         Parameters
         ----------
         flat:
-            The batch, one flat chunk buffer
-            (:meth:`~repro.text.flat.FlatChunks.from_documents`).
+            The batch, one flat chunk buffer.
 
         Returns
         -------
@@ -81,9 +80,8 @@ class FastSegmentationEngine:
         offsets, keys, chunk_first = self._run_kernel(flat)
         # Every chunk starts with a span head; a document's first clique is
         # its first chunk's (documents without chunks get none).
-        doc_offsets = chunk_first[np.searchsorted(
-            flat.doc_ids, np.arange(flat.n_documents + 1))]
-        return FlatPhraseCorpus(flat.tokens, offsets, doc_offsets, keys)
+        return FlatPhraseCorpus(flat.tokens, offsets,
+                                chunk_first[flat.doc_offsets], keys)
 
     # -- internals --------------------------------------------------------------------
     def _run_kernel(self, flat: FlatChunks,

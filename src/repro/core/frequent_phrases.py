@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.text.corpus import Corpus
-from repro.text.flat import FlatChunks
 from repro.utils.counter import HashCounter, Phrase
 
 #: Engine names accepted by :class:`PhraseMiningConfig` (and by the
@@ -50,22 +49,6 @@ def resolve_mining_engine(engine: str) -> str:
         raise ValueError(f"unknown mining engine {engine!r}; "
                          f"expected one of {MINING_ENGINES}")
     return "numpy" if engine == "auto" else engine
-
-
-def mining_token_count(corpus: Corpus) -> int:
-    """Token count of ``corpus`` as seen by the phrase miners.
-
-    Both mining engines work over the non-empty phrase-invariant chunks;
-    this helper counts exactly those tokens, and is what
-    :attr:`FrequentPhraseMiningResult.total_tokens` reports.  Documents that
-    are punctuation-heavy (or stop-word-heavy) before preprocessing
-    contribute far fewer chunked tokens than raw tokens, which is why
-    support scaling must use this count rather than a raw size.
-    """
-    return sum(len(chunk)
-               for document in corpus
-               for chunk in document.iter_chunks()
-               if chunk)
 
 
 @dataclass
@@ -104,7 +87,8 @@ class PhraseMiningConfig:
         The single place the support-scaling formula lives:
         ``min_support = max(minimum, round(support_per_million_tokens *
         n_tokens / 1e6))``.  ``n_tokens`` must be the *chunked* token count
-        mining actually sees (:func:`mining_token_count`); incremental
+        mining actually sees (:attr:`~repro.text.corpus.Corpus.num_tokens`,
+        the token count of the corpus's non-empty chunks); incremental
         pipelines that track that count as a running sum
         (:mod:`repro.stream.counters`) call this directly so a streamed
         corpus resolves the exact same threshold as an offline run over the
@@ -123,14 +107,14 @@ class PhraseMiningConfig:
 
         ``min_support = max(minimum, support_per_million_tokens * N / 1e6)``
         following the paper's guidance that support should scale with the
-        number of tokens ``N``.  ``N`` here is :func:`mining_token_count` —
+        number of tokens ``N``.  ``N`` here is ``corpus.num_tokens`` —
         the chunked token count mining actually sees (and reports as
         :attr:`FrequentPhraseMiningResult.total_tokens`) — not a raw token
         count, which over-counts on punctuation- and stop-word-heavy text
         and would inflate the support threshold.
         """
         return cls.scaled_to_tokens(
-            mining_token_count(corpus),
+            corpus.num_tokens,
             support_per_million_tokens=support_per_million_tokens,
             minimum=minimum, max_phrase_length=max_phrase_length, engine=engine)
 
@@ -199,7 +183,7 @@ class FrequentPhraseMiner:
         """Vectorized Algorithm 1 over the flat chunk buffer (the fast path)."""
         from repro.core.fast_mining import mine_flat_chunks
 
-        flat = FlatChunks.from_corpus(corpus)
+        flat = corpus.flat
         counter, iterations = mine_flat_chunks(
             flat, self.config.min_support, self.config.max_phrase_length)
         return FrequentPhraseMiningResult(counter=counter,
@@ -213,17 +197,12 @@ class FrequentPhraseMiner:
         max_length = self.config.max_phrase_length
 
         counter = HashCounter()
-        total_tokens = 0
 
         # Work at chunk granularity: each entry is the token-id list of one
-        # chunk.  Chunk identity is all the counting needs; segmentation later
-        # re-associates counts with documents.
-        chunks: List[List[int]] = []
-        for document in corpus:
-            for chunk in document.iter_chunks():
-                if chunk:
-                    chunks.append(list(chunk))
-                    total_tokens += len(chunk)
+        # (non-empty) chunk.  Chunk identity is all the counting needs;
+        # segmentation later re-associates counts with documents.
+        chunks: List[List[int]] = corpus.flat.chunks()
+        total_tokens = corpus.flat.total_tokens
 
         # -- length-1 pass (Algorithm 1, lines 1-3) --------------------------------
         for chunk in chunks:

@@ -41,6 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.segmentation import CorpusSegmenter
+from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel import ckernel
@@ -402,7 +403,8 @@ class TopicInferencer:
             unknown_counts.append(unknown)
         # One batched pass: every document shares the segmenter's kernel
         # call.
-        return self.segmenter.segment_partition(encoded), unknown_counts
+        return (self.segmenter.segment_flat(FlatChunks.from_documents(encoded)),
+                unknown_counts)
 
     def infer_segmented(self, phrase_docs: Sequence[Sequence[Sequence[int]]],
                         config: Optional[InferenceConfig] = None) -> InferenceResult:

@@ -22,14 +22,16 @@ runs the batched compiled
 partitions, an order of magnitude faster at corpus scale and also on
 serving-sized batches of a few documents.  ``"auto"`` picks ``"c"`` when
 the kernel loads and ``"reference"`` otherwise.  Every segmentation runs
-in the calling process as one batched
-:meth:`CorpusSegmenter.segment_partition` call.
+in the calling process as one batched :meth:`CorpusSegmenter.segment_flat`
+call over a chunk buffer (:class:`~repro.text.flat.FlatChunks`): a
+corpus's own buffer, a stream snapshot's, or one encoded per serving batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.frequent_phrases import FrequentPhraseMiningResult
@@ -111,66 +113,40 @@ class SegmentedDocument:
         return flat
 
 
+@dataclass(eq=False)
 class SegmentedCorpus:
     """A corpus in 'bag-of-phrases' representation.
 
     The phrase partition (:attr:`partition`) is what PhraseLDA, fold-in,
     the Eq. 8 counts and the segmentation bundle read.  The per-document
     phrase tuples (:attr:`documents`) are decoded from it on first access,
-    so a fit that never reads them never builds them.  A corpus built from
-    ``documents`` instead derives its partition from them on first access;
-    change neither after that.
+    so a fit that never reads them never builds them.
 
     Attributes
     ----------
-    documents:
-        One :class:`SegmentedDocument` per original document (same order).
+    partition:
+        The flat phrase partition of every document.
     vocabulary:
         The shared word vocabulary (for decoding phrases back to text).
     name:
         Dataset name carried over from the source corpus.
-    partition:
-        The flat phrase partition of every document.
+    documents:
+        One :class:`SegmentedDocument` per original document (same order).
     """
 
-    def __init__(self, documents: Optional[Sequence[SegmentedDocument]] = None,
-                 vocabulary: Optional[Vocabulary] = None, name: str = "corpus",
-                 *, partition: Optional[FlatPhraseCorpus] = None,
-                 doc_ids: Optional[Sequence[int]] = None) -> None:
-        if documents is not None and partition is not None:
-            raise ValueError("pass documents or a partition, not both")
-        self.vocabulary = vocabulary
-        self.name = name
-        self._partition = partition
-        self._doc_ids = doc_ids
-        self._documents: Optional[List[SegmentedDocument]] = (
-            list(documents or []) if partition is None else None)
+    partition: FlatPhraseCorpus
+    vocabulary: Optional[Vocabulary] = None
+    name: str = "corpus"
 
-    @property
-    def partition(self) -> FlatPhraseCorpus:
-        """The flat phrase partition (built from the documents on first use
-        when the corpus was built from documents)."""
-        if self._partition is None:
-            self._partition = FlatPhraseCorpus.from_phrases(
-                [doc.phrases for doc in self._documents])
-        return self._partition
-
-    @property
+    @cached_property
     def documents(self) -> List[SegmentedDocument]:
         """Per-document phrase lists, decoded from the partition on first
         use."""
-        if self._documents is None:
-            phrase_docs = self._partition.documents()
-            doc_ids = (range(len(phrase_docs)) if self._doc_ids is None
-                       else self._doc_ids)
-            self._documents = [SegmentedDocument(phrases=phrases, doc_id=doc_id)
-                               for phrases, doc_id in zip(phrase_docs, doc_ids)]
-        return self._documents
+        return [SegmentedDocument(phrases=phrases, doc_id=doc_id)
+                for doc_id, phrases in enumerate(self.partition.documents())]
 
     def __len__(self) -> int:
-        if self._documents is None:
-            return self._partition.n_docs
-        return len(self._documents)
+        return self.partition.n_docs
 
     def __iter__(self) -> Iterator[SegmentedDocument]:
         return iter(self.documents)
@@ -225,85 +201,52 @@ class CorpusSegmenter:
 
     def segment_document(self, chunks: Sequence[Sequence[int]], doc_id: int = 0) -> SegmentedDocument:
         """Partition one document (given as token-id chunks) into phrases."""
-        return self.segment_documents([chunks], doc_ids=[doc_id])[0]
+        return SegmentedDocument(self.segment_documents([chunks])[0].phrases,
+                                 doc_id)
 
-    def segment_partition(self, documents: Sequence[Sequence[Sequence[int]]],
-                          ) -> FlatPhraseCorpus:
-        """Partition a batch of documents (each a sequence of chunks).
+    def segment_flat(self, flat: FlatChunks) -> FlatPhraseCorpus:
+        """Partition every document of a chunk buffer.
 
         The batched entry point behind :meth:`segment`,
-        :meth:`segment_documents` and the serving layer: with the ``c``
-        engine all documents share one flat chunk buffer and one kernel
-        call, whose span arrays become the partition without any phrase
-        tuple being built.  The reference engine's phrase tuples go through
+        :meth:`segment_documents`, stream refreshes and the serving layer:
+        with the ``c`` engine all documents go through one kernel call,
+        whose span arrays become the partition without any phrase tuple
+        being built.  The reference engine decodes the buffer's chunks and
+        its phrase tuples go through
         :meth:`~repro.topicmodel.gibbs.FlatPhraseCorpus.from_phrases`.
         Partitions are identical whatever the engine.
-
-        Parameters
-        ----------
-        documents:
-            One sequence of token-id chunks per document.
 
         Returns
         -------
         FlatPhraseCorpus
-            One document per input document, in order.
-
-        Raises
-        ------
-        ValueError
-            If a token id lies outside
-            ``[0, repro.text.flat.MAX_TOKEN_ID]``, whatever the engine.
+            One document per buffer document, in order.
         """
-        # Encoding the batch checks every token id's range, for every
-        # engine alike; the c engine then segments this buffer.
-        flat = FlatChunks.from_documents(documents)
         if self._fast is not None:
             return self._fast.segment_flat(flat)
-        return FlatPhraseCorpus.from_phrases(self._segment_reference(documents))
+        construct = self.constructor.construct
+        return FlatPhraseCorpus.from_phrases(
+            [[phrase for chunk in chunks for phrase in construct(chunk).phrases]
+             for chunks in flat.documents()])
 
     def segment_documents(self, documents: Sequence[Sequence[Sequence[int]]],
-                          doc_ids: Optional[Sequence[int]] = None,
                           ) -> List[SegmentedDocument]:
-        """Partition a batch of documents into :class:`SegmentedDocument` s.
+        """Partition a batch of documents (each a sequence of token-id
+        chunks) into :class:`SegmentedDocument` s, ``doc_id`` their batch
+        positions.
 
         The per-document results are identical to calling
         :meth:`segment_document` in a loop, whatever the engine.
 
-        Parameters
-        ----------
-        documents:
-            One sequence of token-id chunks per document.
-        doc_ids:
-            Optional document ids to stamp on the results (defaults to the
-            batch positions).
-
         Raises
         ------
         ValueError
             If a token id lies outside
             ``[0, repro.text.flat.MAX_TOKEN_ID]``, whatever the engine.
         """
-        return SegmentedCorpus(partition=self.segment_partition(documents),
-                               doc_ids=doc_ids).documents
+        return SegmentedCorpus(
+            self.segment_flat(FlatChunks.from_documents(documents))).documents
 
     def segment(self, corpus: Corpus) -> SegmentedCorpus:
         """Segment every document of ``corpus`` into a :class:`SegmentedCorpus`."""
-        return SegmentedCorpus(
-            vocabulary=corpus.vocabulary, name=corpus.name,
-            partition=self.segment_partition([doc.chunks for doc in corpus]),
-            doc_ids=[doc.doc_id for doc in corpus])
-
-    # -- internals --------------------------------------------------------------------
-    def _segment_reference(self, documents: Sequence[Sequence[Sequence[int]]],
-                           ) -> List[List[Phrase]]:
-        """The reference constructor, one chunk at a time."""
-        results: List[List[Phrase]] = []
-        for chunks in documents:
-            phrases: List[Phrase] = []
-            for chunk in chunks:
-                if not len(chunk):
-                    continue
-                phrases.extend(self.constructor.construct(chunk).phrases)
-            results.append(phrases)
-        return results
+        return SegmentedCorpus(self.segment_flat(corpus.flat),
+                               vocabulary=corpus.vocabulary, name=corpus.name)

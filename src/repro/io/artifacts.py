@@ -677,7 +677,7 @@ class ModelBundle:
         """
         merged = {
             "corpus_name": result.corpus.name,
-            "n_documents": len(result.corpus.documents),
+            "n_documents": len(result.corpus),
             "seed": config.seed,
             "n_iterations": config.n_iterations,
         }

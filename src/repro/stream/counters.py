@@ -73,19 +73,19 @@ class StreamStatsError(Exception):
 
 # -- tokenization ---------------------------------------------------------------------
 def encode_texts(texts: Sequence[str], preprocessor: Preprocessor,
-                 vocabulary: Vocabulary,
-                 grow: bool = True) -> List[List[List[int]]]:
-    """Tokenize raw ``texts`` into id chunks, growing ``vocabulary`` in place.
+                 vocabulary: Vocabulary, grow: bool = True) -> FlatChunks:
+    """Tokenize ``texts`` into a chunk buffer, growing ``vocabulary`` in place.
 
     The same encoder :meth:`~repro.text.preprocess.Preprocessor.build_corpus`
-    uses (:meth:`~repro.text.preprocess.Preprocessor.encode`), so encoding
-    a corpus shard by shard against one shared vocabulary assigns exactly
-    the ids — and accumulates exactly the frequencies and surface-form
-    counters — that a single offline pass over the concatenated texts
-    would.  With ``grow=False`` the vocabulary is only looked up; a word it
-    does not hold raises ``KeyError``.
+    uses (:meth:`~repro.text.preprocess.Preprocessor.encode`), flattened
+    once, so encoding a corpus shard by shard against one shared
+    vocabulary assigns exactly the ids — and accumulates exactly the
+    frequencies and surface-form counters — that a single offline pass
+    over the concatenated texts would.  With ``grow=False`` the vocabulary
+    is only looked up; a word it does not hold raises ``KeyError``.
     """
-    return preprocessor.encode(texts, vocabulary, grow=grow)
+    return FlatChunks.from_documents(
+        preprocessor.encode(texts, vocabulary, grow=grow))
 
 
 # -- raw counting ---------------------------------------------------------------------
@@ -115,8 +115,7 @@ def count_all_phrases(flat: FlatChunks, max_length: Optional[int] = None,
         counter, _iterations = mine_flat_chunks(flat, 1, max_length)
         return counter
     counter = HashCounter()
-    for index in range(flat.n_chunks):
-        chunk = flat.chunk(index)
+    for chunk in flat.chunks():
         length = len(chunk)
         longest = length if max_length is None else min(length, max_length)
         for n in range(1, longest + 1):
@@ -253,81 +252,76 @@ class ShardStats:
     """One shard's tokenized documents and raw phrase counts.
 
     Everything a refresh needs from the shard — the original text is never
-    consulted again after ingest.
+    consulted again after ingest.  On disk the buffer's arrays are the
+    members ``tokens``, ``chunk_offsets`` and ``doc_chunk_offsets``.
 
     Attributes
     ----------
     name:
         The shard's log name.
-    documents:
-        Token-id chunks per document, in shard order (empty documents keep
-        an empty slot).
+    flat:
+        The shard's documents, in shard order, as one chunk buffer (empty
+        documents keep their slot).
     counter:
         Raw (support-1) n-gram counts of the shard's chunks.
-    total_tokens:
-        Chunked token count — the shard's contribution to the snapshot's
-        ``L``.
     """
 
     name: str
-    documents: List[List[List[int]]]
+    flat: FlatChunks
     counter: HashCounter
-    total_tokens: int
 
     @property
     def n_documents(self) -> int:
         """Number of documents in the shard."""
-        return len(self.documents)
+        return self.flat.n_documents
+
+    @property
+    def total_tokens(self) -> int:
+        """Chunked token count — the shard's contribution to the
+        snapshot's ``L``."""
+        return self.flat.total_tokens
 
     @classmethod
-    def compute(cls, name: str, documents: List[List[List[int]]],
+    def compute(cls, name: str, flat: FlatChunks,
                 max_length: Optional[int] = None,
                 engine: str = "auto") -> "ShardStats":
         """Count one shard's phrases (the ingest-time, O(delta) step)."""
-        flat = FlatChunks.from_documents(documents)
-        return cls(name=name, documents=documents,
-                   counter=count_all_phrases(flat, max_length, engine),
-                   total_tokens=flat.total_tokens)
+        return cls(name=name, flat=flat,
+                   counter=count_all_phrases(flat, max_length, engine))
 
     def save(self, path: Union[str, Path]) -> Path:
         """Persist the stats as one compressed ``.npz`` file."""
-        chunk_tokens: List[int] = []
-        chunk_offsets: List[int] = [0]
-        doc_chunk_offsets: List[int] = [0]
-        for chunks in self.documents:
-            for chunk in chunks:
-                chunk_tokens.extend(int(w) for w in chunk)
-                chunk_offsets.append(len(chunk_tokens))
-            doc_chunk_offsets.append(len(chunk_offsets) - 1)
-        arrays = {
-            "tokens": np.asarray(chunk_tokens, dtype=np.int32),
-            "chunk_offsets": np.asarray(chunk_offsets, dtype=np.int64),
-            "doc_chunk_offsets": np.asarray(doc_chunk_offsets, dtype=np.int64),
-        }
+        arrays = {"tokens": self.flat.tokens,
+                  "chunk_offsets": self.flat.offsets,
+                  "doc_chunk_offsets": self.flat.doc_offsets}
         arrays.update(_pack_phrase_table(self.counter, "gram"))
         return _write_stats(path, {
             "kind": "shard", "shard": self.name,
             "n_documents": self.n_documents,
-            "total_tokens": int(self.total_tokens),
+            "total_tokens": self.total_tokens,
         }, arrays)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ShardStats":
-        """Load stats written by :meth:`save`."""
+        """Load stats written by :meth:`save`; raise
+        :class:`StreamStatsError` if the file is unreadable or its buffer is
+        malformed (:meth:`~repro.text.flat.FlatChunks.from_arrays`) or
+        disagrees with ``meta``."""
         meta, arrays = _read_stats(path, "shard")
-        tokens = arrays["tokens"].tolist()
-        chunk_offsets = arrays["chunk_offsets"].tolist()
-        doc_chunk_offsets = arrays["doc_chunk_offsets"].tolist()
-        chunks = [tokens[a:b] for a, b in zip(chunk_offsets, chunk_offsets[1:])]
-        documents = [chunks[a:b]
-                     for a, b in zip(doc_chunk_offsets, doc_chunk_offsets[1:])]
-        stats = cls(name=str(meta["shard"]), documents=documents,
-                    counter=_unpack_phrase_table(arrays, "gram"),
-                    total_tokens=int(meta["total_tokens"]))
-        if stats.n_documents != int(meta["n_documents"]):
-            raise StreamStatsError(
-                f"{path}: holds {stats.n_documents} documents but meta "
-                f"says {meta['n_documents']}")
+        try:
+            stats = cls(name=str(meta["shard"]),
+                        flat=FlatChunks.from_arrays(arrays["tokens"],
+                                                    arrays["chunk_offsets"],
+                                                    arrays["doc_chunk_offsets"]),
+                        counter=_unpack_phrase_table(arrays, "gram"))
+            expected = (int(meta["n_documents"]), int(meta["total_tokens"]))
+        except (KeyError, ValueError) as exc:
+            raise StreamStatsError(f"{path}: malformed shard stats: "
+                                   f"{exc}") from exc
+        found = (stats.n_documents, stats.total_tokens)
+        if found != expected:
+            raise StreamStatsError(f"{path}: holds (documents, tokens) "
+                                   f"{found} but meta says {expected}")
         return stats
 
 

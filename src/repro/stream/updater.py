@@ -6,7 +6,7 @@ on-disk state machine under a single directory::
     stream/
       stream.json            # config (frozen at create) + published version
       log/                   # the append-only document log (repro.stream.log)
-      stats/shard-*.npz      # per-shard tokenized docs + raw phrase counts
+      stats/shard-*.npz      # per-shard chunk buffer + raw phrase counts
       vocabulary.json        # shared vocabulary, full surface-form fidelity
       models/
         model-v00001.npz     # every published version, immutable
@@ -19,8 +19,8 @@ never re-read, re-tokenized, re-counted, or rewritten.
 
 **Refresh** rebuilds the model over the accumulated snapshot: the shard
 counters are merged in log order — a :class:`StatsCache` keeps the merge
-and the shards' documents, so a refresh loads only the stats files it has
-not seen — and the merged counts are filtered into a miner-equivalent result
+and the shards' chunk buffers, so a refresh loads only the stats files it
+has not seen — and the merged counts are filtered into a miner-equivalent result
 (:meth:`~repro.stream.counters.AccumulatedCounts.mining_result`),
 segmentation and PhraseLDA re-run deterministically (fixed config seed),
 and the fitted bundle is written to a new immutable version file, then
@@ -60,7 +60,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.frequent_phrases import resolve_mining_engine
 from repro.core.phrase_construction import PhraseConstructionConfig
 from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
-from repro.core.segmentation import CorpusSegmenter
+from repro.core.segmentation import CorpusSegmenter, SegmentedCorpus
 from repro.core.topmine import ToPMineConfig
 from repro.io.artifacts import ModelBundle, _config_from_dict, save_bundle
 from repro.obs.shards import ShardWriter
@@ -71,7 +71,6 @@ from repro.stream.counters import (
     encode_texts,
 )
 from repro.stream.log import AppendResult, DocumentLog, write_json_atomic
-from repro.text.corpus import Corpus
 from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
@@ -299,15 +298,15 @@ class StatsCache:
     Stats files are write-once, so the merge over a log prefix stays valid
     for as long as every file in the prefix keeps its identity.  ``keys``
     holds ``(shard name, stats-file identity)`` for that prefix, in log
-    order; ``documents`` each shard's encoded documents; ``counts`` the
-    merged counter (per-shard counters are dropped once merged).  Every
+    order; ``flats`` each shard's chunk buffer; ``counts`` the merged
+    counter (per-shard counters are dropped once merged).  Every
     :class:`TopicStream` has one; a long-lived refresher that re-opens
     the stream (:class:`~repro.stream.supervisor.StreamSupervisor`) passes
     the same one to each :meth:`TopicStream.open`.
     """
 
     keys: List[Tuple[str, FileIdentity]] = field(default_factory=list)
-    documents: List[List[List[List[int]]]] = field(default_factory=list)
+    flats: List[FlatChunks] = field(default_factory=list)
     counts: AccumulatedCounts = field(default_factory=AccumulatedCounts)
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -504,21 +503,29 @@ class TopicStream:
     def _compute_stats(self, name: str, preprocessor: Preprocessor,
                        vocabulary: Vocabulary, grow: bool = True) -> ShardStats:
         """Encode and count one logged shard (see :func:`encode_texts`)."""
-        documents = encode_texts(self.log.read_shard(name), preprocessor,
-                                 vocabulary, grow=grow)
-        return ShardStats.compute(name, documents,
+        flat = encode_texts(self.log.read_shard(name), preprocessor,
+                            vocabulary, grow=grow)
+        return ShardStats.compute(name, flat,
                                   self.config.max_phrase_length,
                                   self.config.engine)
 
     def _load_stats(self, name: str, vocabulary: Vocabulary) -> ShardStats:
         """Load an absorbed shard's stats, re-deriving them if damaged.
 
-        Stats files are derived state: a missing or unreadable one is
-        re-encoded from the logged text against the vocabulary that
-        already absorbed it (lookups only), which reproduces it exactly.
+        Stats files are derived state: a missing or unreadable one, or one
+        holding an id outside the vocabulary (the segmentation kernel
+        indexes its tables with those), is re-encoded from the logged text
+        against the vocabulary that already absorbed it (lookups only),
+        which reproduces it exactly.
         """
+        path = self._stats_path(name)
         try:
-            return ShardStats.load(self._stats_path(name))
+            stats = ShardStats.load(path)
+            if stats.flat.tokens.size and \
+                    stats.flat.tokens.max() >= len(vocabulary):
+                raise StreamStatsError(f"{path}: a token id is outside the "
+                                       f"{len(vocabulary)}-word vocabulary")
+            return stats
         except StreamStatsError:
             try:
                 return self._compute_stats(
@@ -530,8 +537,9 @@ class TopicStream:
                     f"{name} are unreadable and the vocabulary lacks "
                     f"{exc} from its text") from None
 
-    def _snapshot(self) -> Tuple[Corpus, AccumulatedCounts]:
-        """Recover in memory; return the snapshot corpus and merged counts.
+    def _snapshot(self) -> Tuple[FlatChunks, Vocabulary, AccumulatedCounts]:
+        """Recover in memory; return the snapshot's chunk buffer (every
+        shard's, concatenated in log order), vocabulary and merged counts.
 
         Absorbed shards come from :attr:`stats_cache`: it is rebuilt from
         scratch when any cached stats file changed identity, else extended
@@ -544,12 +552,12 @@ class TopicStream:
         keys = [(name, _file_identity(self._stats_path(name)))
                 for name in absorbed]
         if cache.keys != keys[:len(cache.keys)]:
-            cache.keys, cache.documents = [], []
+            cache.keys, cache.flats = [], []
             cache.counts = AccumulatedCounts()
         for name, identity in keys[len(cache.keys):]:
             stats = self._load_stats(name, vocabulary)
             cache.counts.merge_shard(stats)
-            cache.documents.append(stats.documents)
+            cache.flats.append(stats.flat)
             cache.keys.append((name, identity))
 
         counts = cache.counts
@@ -557,12 +565,9 @@ class TopicStream:
             counts = counts.copy()
             for stats in recovered:
                 counts.merge_shard(stats)
-        corpus = Corpus(vocabulary=vocabulary, name=self.config.source)
-        for shard_documents in cache.documents + [
-                stats.documents for stats in recovered]:
-            for chunks in shard_documents:
-                corpus.add_document(chunks)
-        return corpus, counts
+        snapshot = FlatChunks.concatenate(
+            cache.flats + [stats.flat for stats in recovered])
+        return snapshot, vocabulary, counts
 
     # -- ingest ------------------------------------------------------------------------
     @property
@@ -651,19 +656,20 @@ class TopicStream:
         # The cached counter must not grow while this refresh filters it.
         with self.stats_cache.lock:
             with watch.measure("load"):
-                corpus, counts = self._snapshot()
+                snapshot, vocabulary, counts = self._snapshot()
             n_documents = counts.n_documents
             if n_documents == 0:
                 raise StreamError(f"stream at {self.root} has no documents; "
                                   f"ingest before refreshing")
             with watch.measure("mining_merge"):
                 mining = counts.mining_result(
-                    FlatChunks.from_corpus(corpus),
-                    min_support=self.config.min_support,
+                    snapshot, min_support=self.config.min_support,
                     max_length=self.config.max_phrase_length)
         with watch.measure("segmentation"):
             segmenter = CorpusSegmenter(mining, self.config.construction_config())
-            segmented = segmenter.segment(corpus)
+            segmented = SegmentedCorpus(segmenter.segment_flat(snapshot),
+                                        vocabulary=vocabulary,
+                                        name=self.config.source)
         with watch.measure("topic_modeling"):
             state = PhraseLDA(self.config.phrase_lda_config()).fit(segmented)
 

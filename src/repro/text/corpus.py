@@ -2,15 +2,23 @@
 
 A corpus (paper Section 2) is ``D`` documents, each a sequence of token ids
 over a shared vocabulary.  Because phrase mining never crosses
-phrase-invariant punctuation, documents store their tokens as a list of
-*chunks*; the flat token sequence is the concatenation of the chunks.
+phrase-invariant punctuation, documents are sequences of *chunks*; the flat
+token sequence is the concatenation of the chunks.  A :class:`Corpus` keeps
+all of them in one :class:`~repro.text.flat.FlatChunks` buffer, the layout
+the miners and the segmenter read; its :class:`Document` views are decoded
+from that buffer on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from functools import cached_property
+from itertools import repeat
+from typing import Iterator, List, Optional
 
+import numpy as np
+
+from repro.text.flat import FlatChunks
 from repro.text.vocabulary import Vocabulary
 from repro.utils.rng import SeedLike, new_rng
 
@@ -50,31 +58,41 @@ class Document:
     def __len__(self) -> int:
         return self.num_tokens
 
-    def iter_chunks(self) -> Iterator[List[int]]:
-        """Iterate over the document's chunks."""
-        return iter(self.chunks)
 
-
-@dataclass
+@dataclass(eq=False)
 class Corpus:
     """A collection of documents sharing one vocabulary.
 
+    The documents live in :attr:`flat`; :attr:`documents` decodes them into
+    :class:`Document` views on first access (the views are copies: editing
+    one changes nothing in the corpus).
+
     Attributes
     ----------
-    documents:
-        The documents, indexed by ``doc_id``.
+    flat:
+        Every document's chunks in one buffer.
     vocabulary:
         Shared :class:`~repro.text.vocabulary.Vocabulary`.
     name:
         Human-readable dataset name (used in benchmark output).
+    raw_texts:
+        The original text of each document (empty when not kept).
     """
 
-    documents: List[Document] = field(default_factory=list)
+    flat: FlatChunks = field(default_factory=lambda: FlatChunks.from_documents([]))
     vocabulary: Vocabulary = field(default_factory=Vocabulary)
     name: str = "corpus"
+    raw_texts: List[str] = field(default_factory=list)
+
+    @cached_property
+    def documents(self) -> List[Document]:
+        """The documents, indexed by ``doc_id`` (decoded on first use)."""
+        return [Document(chunks=chunks, doc_id=doc_id, raw_text=raw)
+                for doc_id, (chunks, raw) in enumerate(zip(
+                    self.flat.documents(), self.raw_texts or repeat(None)))]
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return self.flat.n_documents
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self.documents)
@@ -85,20 +103,16 @@ class Corpus:
     @property
     def num_tokens(self) -> int:
         """Total token count ``N`` across all documents."""
-        return sum(doc.num_tokens for doc in self.documents)
+        return self.flat.total_tokens
 
     @property
     def vocabulary_size(self) -> int:
         """Vocabulary size ``V``."""
         return len(self.vocabulary)
 
-    def add_document(self, chunks: Sequence[Sequence[int]],
-                     raw_text: Optional[str] = None) -> Document:
-        """Append a document built from ``chunks`` and return it."""
-        doc = Document(chunks=[list(c) for c in chunks],
-                       doc_id=len(self.documents), raw_text=raw_text)
-        self.documents.append(doc)
-        return doc
+    def _subset(self, keep: np.ndarray, name: str) -> "Corpus":
+        return Corpus(self.flat.subset(keep), self.vocabulary, name,
+                      [raw for raw, kept in zip(self.raw_texts, keep) if kept])
 
     def split(self, holdout_fraction: float, seed: SeedLike = None) -> tuple["Corpus", "Corpus"]:
         """Split into (training, held-out) corpora sharing the vocabulary.
@@ -111,16 +125,12 @@ class Corpus:
         if not 0.0 < holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in (0, 1)")
         rng = new_rng(seed)
-        order = rng.permutation(len(self.documents))
-        n_holdout = max(1, int(round(holdout_fraction * len(self.documents))))
-        holdout_ids = set(int(i) for i in order[:n_holdout])
-
-        train = Corpus(vocabulary=self.vocabulary, name=f"{self.name}-train")
-        held = Corpus(vocabulary=self.vocabulary, name=f"{self.name}-heldout")
-        for doc in self.documents:
-            target = held if doc.doc_id in holdout_ids else train
-            target.add_document(doc.chunks, raw_text=doc.raw_text)
-        return train, held
+        order = rng.permutation(len(self))
+        n_holdout = max(1, int(round(holdout_fraction * len(self))))
+        held = np.zeros(len(self), dtype=bool)
+        held[order[:n_holdout]] = True
+        return (self._subset(~held, f"{self.name}-train"),
+                self._subset(held, f"{self.name}-heldout"))
 
     def subsample(self, n_documents: int, seed: SeedLike = None) -> "Corpus":
         """Return a corpus containing a random sample of ``n_documents``.
@@ -128,13 +138,9 @@ class Corpus:
         Mirrors the paper's "sampled dblp titles/abstracts" datasets used to
         make the expensive baselines tractable (Table 3).
         """
-        if n_documents >= len(self.documents):
+        if n_documents >= len(self):
             return self
         rng = new_rng(seed)
-        chosen = rng.choice(len(self.documents), size=n_documents, replace=False)
-        sample = Corpus(vocabulary=self.vocabulary,
-                        name=f"{self.name}-sample{n_documents}")
-        for doc_id in sorted(int(i) for i in chosen):
-            doc = self.documents[doc_id]
-            sample.add_document(doc.chunks, raw_text=doc.raw_text)
-        return sample
+        chosen = np.zeros(len(self), dtype=bool)
+        chosen[rng.choice(len(self), size=n_documents, replace=False)] = True
+        return self._subset(chosen, f"{self.name}-sample{n_documents}")

@@ -1,13 +1,13 @@
 """Flat-buffer corpus encoding: chunked documents as contiguous arrays.
 
-The vectorized phrase-mining engine and the C segmentation engine operate
-on a *flat* view of the corpus: every chunk's token ids concatenated into one
-contiguous ``int32`` array, plus an offsets array delimiting chunks and a
-per-chunk document index.  This is the same buffers-first layout the C
-PhraseLDA engine uses for cliques (:class:`repro.topicmodel.gibbs.FlatPhraseCorpus`), applied
-one stage earlier in the pipeline: a single pass of NumPy indexing can then
-answer questions that the pure-Python reference engines answer with
-per-position tuple slicing.
+The one layout of a chunked corpus, in memory and on disk: every chunk's
+token ids in one contiguous ``int32`` array, chunk offsets into it and
+document offsets into the chunks — the phrase partition's layout
+(:class:`repro.topicmodel.gibbs.FlatPhraseCorpus`) one stage earlier.
+:class:`~repro.text.corpus.Corpus` and the stream's shard statistics hold
+one, and the miners and the segmenter read one: NumPy indexing answers what
+the pure-Python reference engines, which decode the chunks they walk,
+answer with per-position tuple slicing.
 
 Empty chunks are dropped during encoding — mirroring the reference miner,
 which skips them — so :attr:`FlatChunks.total_tokens` is by construction the
@@ -19,15 +19,26 @@ token count the mining algorithms actually see.  Token ids must lie in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.text.corpus import Corpus
-
 #: The largest token id a flat buffer can hold (``int32``).
 MAX_TOKEN_ID = 2**31 - 1
+
+
+def _offsets(lengths: Sequence[int]) -> np.ndarray:
+    """``int64`` boundaries ``[0, l0, l0 + l1, ...]`` of consecutive runs."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(lengths, dtype=np.int64), out=offsets[1:])
+    return offsets
+
+
+def _rises(bounds: np.ndarray, end: int, strictly: bool) -> bool:
+    """Whether ``bounds`` runs from 0 to ``end`` without decreasing (or,
+    ``strictly``, without repeating a value)."""
+    return (bounds[:1].tolist() == [0] and bounds[-1] == end
+            and bool(np.all(np.diff(bounds) >= int(strictly))))
 
 
 @dataclass
@@ -42,30 +53,32 @@ class FlatChunks:
     offsets:
         ``int64`` array of length ``n_chunks + 1``; chunk ``i`` occupies
         ``tokens[offsets[i]:offsets[i + 1]]``.
-    doc_ids:
-        ``int32`` array of length ``n_chunks`` mapping each chunk back to
-        the index of the document it came from (within the encoded
-        collection, in input order).
-    n_documents:
-        Number of documents encoded (including documents whose chunks were
-        all empty).
+    doc_offsets:
+        ``int64`` array of length ``n_documents + 1``; document ``d`` holds
+        chunks ``doc_offsets[d]:doc_offsets[d + 1]`` (none for a document
+        whose chunks were all empty).
     longest_chunk:
-        Token count of the longest chunk (0 when there are none).
+        Token count of the longest chunk (0 when there are none); worked
+        out from ``offsets`` when not given.
     """
 
     tokens: np.ndarray
     offsets: np.ndarray
-    doc_ids: np.ndarray
-    n_documents: int
-    longest_chunk: int = 0
+    doc_offsets: np.ndarray
+    longest_chunk: int = -1
+
+    def __post_init__(self) -> None:
+        if self.longest_chunk < 0:
+            self.longest_chunk = (int(self.chunk_lengths.max())
+                                  if self.n_chunks else 0)
 
     @classmethod
     def from_documents(cls, documents: Sequence[Sequence[Sequence[int]]]) -> "FlatChunks":
         """Encode ``documents`` (each a sequence of token-id chunks).
 
         Empty chunks are dropped (they carry no tokens and the miners skip
-        them); empty documents keep their slot in ``n_documents`` so callers
-        can reassemble per-document results positionally.
+        them); empty documents keep their slot so callers can reassemble
+        per-document results positionally.
 
         Raises
         ------
@@ -74,14 +87,14 @@ class FlatChunks:
         """
         flat_tokens: List[int] = []
         lengths: List[int] = []
-        doc_ids: List[int] = []
-        for doc_index, chunks in enumerate(documents):
+        doc_offsets: List[int] = [0]
+        for chunks in documents:
             for chunk in chunks:
                 if not len(chunk):
                     continue
                 flat_tokens.extend(chunk)
                 lengths.append(len(chunk))
-                doc_ids.append(doc_index)
+            doc_offsets.append(len(lengths))
         try:
             tokens = np.asarray(flat_tokens, dtype=np.int64)
             # One reduction: viewed as unsigned, a negative id is huge.
@@ -91,18 +104,70 @@ class FlatChunks:
             in_range = False
         if not in_range:
             raise ValueError(f"token ids must lie in [0, {MAX_TOKEN_ID}]")
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.asarray(lengths, dtype=np.int64).cumsum(out=offsets[1:])
         return cls(tokens=tokens.astype(np.int32),
-                   offsets=offsets,
-                   doc_ids=np.asarray(doc_ids, dtype=np.int32),
-                   n_documents=len(documents),
+                   offsets=_offsets(lengths),
+                   doc_offsets=np.asarray(doc_offsets, dtype=np.int64),
                    longest_chunk=max(lengths, default=0))
 
     @classmethod
-    def from_corpus(cls, corpus: "Corpus") -> "FlatChunks":
-        """Encode every document of a :class:`~repro.text.corpus.Corpus`."""
-        return cls.from_documents([doc.chunks for doc in corpus])
+    def from_arrays(cls, tokens: np.ndarray, offsets: np.ndarray,
+                    doc_offsets: np.ndarray) -> "FlatChunks":
+        """Adopt buffers read from outside the program, checking them first.
+
+        Raises ``ValueError`` unless all three are 1-d integer arrays, every
+        token id lies in ``[0, MAX_TOKEN_ID]``, the chunk offsets rise
+        strictly from 0 to ``len(tokens)`` (encoding never emits an empty
+        chunk) and the document offsets rise from 0 to the chunk count.
+        """
+        arrays = (tokens, offsets, doc_offsets)
+        if not all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays):
+            raise ValueError("chunk buffers must be 1-d integer arrays")
+        tokens, offsets, doc_offsets = (a.astype(np.int64) for a in arrays)
+        if tokens.size and (tokens.min() < 0 or tokens.max() > MAX_TOKEN_ID):
+            raise ValueError(f"token ids must lie in [0, {MAX_TOKEN_ID}]")
+        if not (_rises(offsets, len(tokens), strictly=True)
+                and _rises(doc_offsets, len(offsets) - 1, strictly=False)):
+            raise ValueError("chunk offsets must rise strictly from 0 to the "
+                             "token count, document offsets from 0 to the "
+                             "chunk count")
+        return cls(tokens.astype(np.int32), offsets, doc_offsets)
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["FlatChunks"]) -> "FlatChunks":
+        """The documents of every part, in order, in one buffer."""
+        token_base = _offsets([p.total_tokens for p in parts])
+        chunk_base = _offsets([p.n_chunks for p in parts])
+        return cls(
+            tokens=np.concatenate([np.zeros(0, np.int32)]
+                                  + [p.tokens for p in parts]),
+            offsets=np.concatenate([[0]] + [p.offsets[1:] + base for p, base
+                                            in zip(parts, token_base)]),
+            doc_offsets=np.concatenate([[0]] + [
+                p.doc_offsets[1:] + base for p, base in zip(parts, chunk_base)]))
+
+    def subset(self, keep: np.ndarray) -> "FlatChunks":
+        """The buffer of the documents where the boolean ``keep`` is true."""
+        doc_chunks = np.diff(self.doc_offsets)
+        kept_chunks = np.repeat(keep, doc_chunks)
+        return FlatChunks(
+            tokens=self.tokens[np.repeat(kept_chunks, self.chunk_lengths)],
+            offsets=_offsets(self.chunk_lengths[kept_chunks]),
+            doc_offsets=_offsets(doc_chunks[keep]))
+
+    def keep_tokens(self, keep: np.ndarray) -> "FlatChunks":
+        """The buffer without the tokens where the boolean ``keep`` is
+        false; chunks left empty are dropped, documents keep their slot."""
+        kept = np.diff(_offsets(keep)[self.offsets])
+        nonempty = np.flatnonzero(kept)
+        return FlatChunks(tokens=self.tokens[keep],
+                          offsets=_offsets(kept[nonempty]),
+                          doc_offsets=np.searchsorted(nonempty,
+                                                      self.doc_offsets))
+
+    @property
+    def n_documents(self) -> int:
+        """Number of documents encoded (including those without chunks)."""
+        return len(self.doc_offsets) - 1
 
     @property
     def n_chunks(self) -> int:
@@ -124,10 +189,17 @@ class FlatChunks:
         """``int64`` array of per-chunk token counts."""
         return np.diff(self.offsets)
 
-    def chunk(self, index: int) -> List[int]:
-        """Return chunk ``index`` as a plain list of ints (for debugging)."""
-        start, end = self.offsets[index], self.offsets[index + 1]
-        return [int(w) for w in self.tokens[start:end]]
+    def chunks(self) -> List[List[int]]:
+        """Every chunk as a plain list of ints (for the reference engines)."""
+        tokens = self.tokens.tolist()
+        offsets = self.offsets.tolist()
+        return [tokens[a:b] for a, b in zip(offsets, offsets[1:])]
+
+    def documents(self) -> List[List[List[int]]]:
+        """Every document as its list of chunks."""
+        chunks = self.chunks()
+        bounds = self.doc_offsets.tolist()
+        return [chunks[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def chunk_end_per_position(self) -> np.ndarray:
         """For every token position, the (exclusive) end offset of its chunk."""

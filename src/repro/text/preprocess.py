@@ -17,7 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.text.corpus import Corpus
+from repro.text.flat import FlatChunks
 from repro.text.stemmer import PorterStemmer
 from repro.text.stopwords import ENGLISH_STOP_WORDS
 from repro.text.tokenizer import _TOKEN_RE, Tokenizer
@@ -172,35 +175,26 @@ class Preprocessor:
     def build_corpus(self, texts: Iterable[str], name: str = "corpus") -> Corpus:
         """Preprocess ``texts`` into a :class:`Corpus`.
 
-        The vocabulary is grown over the whole collection; when
-        ``min_word_frequency > 1`` a second pass removes rare words from the
-        documents (their ids stay in the vocabulary so that indexing remains
-        stable, but they no longer appear in any chunk).
+        The vocabulary is grown over the whole collection and the encoded
+        documents are flattened once into the corpus buffer; when
+        ``min_word_frequency > 1`` a second pass removes rare words from
+        that buffer (their ids stay in the vocabulary so that indexing
+        remains stable, but they no longer appear in any chunk).
         """
-        corpus = Corpus(name=name)
+        vocabulary = Vocabulary()
         raw_texts = list(texts)
-        for id_chunks, raw in zip(self.encode(raw_texts, corpus.vocabulary),
-                                  raw_texts):
-            corpus.add_document(id_chunks, raw_text=raw)
-
+        flat = FlatChunks.from_documents(self.encode(raw_texts, vocabulary))
         if self.config.min_word_frequency > 1:
-            self._drop_rare_words(corpus)
-        return corpus
+            flat = self._drop_rare_words(flat, vocabulary)
+        return Corpus(flat, vocabulary, name, raw_texts)
 
-    def _drop_rare_words(self, corpus: Corpus) -> None:
-        threshold = self.config.min_word_frequency
-        vocab = corpus.vocabulary
-        keep = {
-            word_id
-            for word_id in range(len(vocab))
-            if vocab.frequency_of(word_id) >= threshold
-        }
-        for doc in corpus.documents:
-            doc.chunks = [
-                [w for w in chunk if w in keep]
-                for chunk in doc.chunks
-            ]
-            doc.chunks = [chunk for chunk in doc.chunks if chunk]
+    def _drop_rare_words(self, flat: FlatChunks,
+                         vocabulary: Vocabulary) -> FlatChunks:
+        frequencies = np.fromiter(
+            map(vocabulary.frequency_of, range(len(vocabulary))),
+            dtype=np.int64, count=len(vocabulary))
+        return flat.keep_tokens(
+            frequencies[flat.tokens] >= self.config.min_word_frequency)
 
 
 def preprocess_corpus(texts: Sequence[str], name: str = "corpus",

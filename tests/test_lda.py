@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
 from repro.text.corpus import Corpus
+from repro.text.flat import FlatChunks
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel import ckernel
 from repro.topicmodel.lda import LatentDirichletAllocation, LDAConfig
@@ -43,10 +44,9 @@ def corpus_input():
     vocabulary = Vocabulary()
     for i in range(N_WORDS + 5):
         vocabulary.add(f"w{i}")
-    corpus = Corpus(vocabulary=vocabulary)
-    for doc in token_docs():
-        corpus.add_document([doc[:4], doc[4:]] if len(doc) > 4 else [doc])
-    return corpus
+    return Corpus(FlatChunks.from_documents(
+        [[doc[:4], doc[4:]] if len(doc) > 4 else [doc] for doc in token_docs()]),
+        vocabulary=vocabulary)
 
 
 def digest(arrays, dtype=np.int64):

@@ -12,13 +12,13 @@ counterparts of ``tests/test_phrase_lda_equivalence.py``.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.frequent_phrases import (
     FrequentPhraseMiner,
     MINING_ENGINES,
     PhraseMiningConfig,
-    mining_token_count,
     resolve_mining_engine,
 )
 from repro.core.infer import TopicInferencer
@@ -67,15 +67,11 @@ def assert_mining_equal(reference, fast):
 
 def random_corpus(rng, max_vocab=6):
     """A small adversarial corpus: empty docs/chunks, tiny vocabularies."""
-    corpus = Corpus()
     vocabulary_size = rng.randint(2, max_vocab)
-    for _ in range(rng.randint(0, 14)):
-        corpus.add_document([
-            [rng.randrange(vocabulary_size)
-             for _ in range(rng.randint(0, 8))]
-            for _ in range(rng.randint(0, 4))
-        ])
-    return corpus
+    return Corpus(FlatChunks.from_documents([
+        [[rng.randrange(vocabulary_size) for _ in range(rng.randint(0, 8))]
+         for _ in range(rng.randint(0, 4))]
+        for _ in range(rng.randint(0, 14))]))
 
 
 # -- engine plumbing ------------------------------------------------------------------
@@ -117,11 +113,14 @@ def test_flat_chunks_layout():
     flat = FlatChunks.from_documents([[[1, 2], [], [3]], [], [[4]]])
     assert flat.tokens.tolist() == [1, 2, 3, 4]
     assert flat.offsets.tolist() == [0, 2, 3, 4]
-    assert flat.doc_ids.tolist() == [0, 0, 2]  # empty chunk/doc dropped
+    # The empty chunk is dropped; the empty document keeps its slot.
+    assert flat.doc_offsets.tolist() == [0, 2, 2, 3]
     assert flat.n_documents == 3
     assert flat.n_chunks == 3
     assert flat.total_tokens == 4
-    assert flat.chunk(0) == [1, 2]
+    assert flat.longest_chunk == 2
+    assert flat.chunks() == [[1, 2], [3], [4]]
+    assert flat.documents() == [[[1, 2], [3]], [], [[4]]]
     assert flat.chunk_lengths.tolist() == [2, 1, 1]
     assert flat.chunk_end_per_position().tolist() == [2, 2, 3, 4]
     assert flat.chunk_index_per_position().tolist() == [0, 0, 1, 2]
@@ -132,6 +131,54 @@ def test_flat_chunks_empty():
     assert flat.total_tokens == 0
     assert flat.n_chunks == 0
     assert flat.n_documents == 0
+    assert flat.doc_offsets.tolist() == [0]
+    assert flat.longest_chunk == 0
+
+
+def test_flat_chunks_concatenate_subset_and_keep_tokens_match_encoding():
+    rng = random.Random(3)
+    for _ in range(50):
+        documents = [[[rng.randrange(9) for _ in range(rng.randint(0, 5))]
+                      for _ in range(rng.randint(0, 4))]
+                     for _ in range(rng.randint(0, 10))]
+        whole = FlatChunks.from_documents(documents)
+        cut = rng.randint(0, len(documents))
+        parts = [FlatChunks.from_documents(documents[:cut]),
+                 FlatChunks.from_documents([]),
+                 FlatChunks.from_documents(documents[cut:])]
+        keep = np.asarray([rng.random() < 0.5 for _ in documents], dtype=bool)
+        kept_tokens = np.asarray([rng.random() < 0.7 for _ in whole.tokens],
+                                 dtype=bool)
+        tokens = iter(kept_tokens.tolist())
+        for built, expected in (
+                (FlatChunks.concatenate(parts), whole),
+                (whole.subset(keep), FlatChunks.from_documents(
+                    [doc for doc, kept in zip(documents, keep) if kept])),
+                (whole.keep_tokens(kept_tokens), FlatChunks.from_documents(
+                    [[[w for w in chunk if next(tokens)] for chunk in doc
+                      if chunk] for doc in documents]))):
+            assert built.tokens.dtype == np.int32
+            for name in ("tokens", "offsets", "doc_offsets"):
+                assert getattr(built, name).tolist() == \
+                    getattr(expected, name).tolist()
+
+
+@pytest.mark.parametrize("tokens, offsets, doc_offsets", [
+    ([1, 2, 3], [0, 2, 1, 3], [0, 3]),      # offsets decrease
+    ([1, 2, 3], [0, 2, 2, 3], [0, 3]),      # an empty chunk
+    ([1, 2, 3], [1, 3], [0, 1]),            # does not start at 0
+    ([1, 2, 3], [0, 2], [0, 1]),            # does not end at len(tokens)
+    ([1, 2, 3], [0, 2, 3], [0, 3, 2]),      # document offsets decrease
+    ([1, 2, 3], [0, 2, 3], [0, 3]),         # beyond the chunk count
+    ([1, 2, 3], [0, 2, 3], [1, 2]),         # does not start at 0
+    ([1, -2, 3], [0, 2, 3], [0, 2]),        # a negative token id
+    ([1.0, 2.0], [0, 2], [0, 1]),           # not integers
+])
+def test_flat_chunks_from_arrays_rejects_malformed_buffers(tokens, offsets,
+                                                          doc_offsets):
+    with pytest.raises(ValueError):
+        FlatChunks.from_arrays(np.asarray(tokens), np.asarray(offsets),
+                               np.asarray(doc_offsets))
 
 
 # -- Algorithm 1 equivalence ----------------------------------------------------------
@@ -160,8 +207,7 @@ def test_mining_engines_match_on_random_corpora():
 def test_mining_engines_match_on_empty_and_degenerate_corpora():
     for corpus in (Corpus(), ):
         assert_mining_equal(mine(corpus, "reference"), mine(corpus, "numpy"))
-    singleton = Corpus()
-    singleton.add_document([[0]])
+    singleton = Corpus(FlatChunks.from_documents([[[0]]]))
     assert_mining_equal(mine(singleton, "reference", 1),
                         mine(singleton, "numpy", 1))
 
@@ -369,7 +415,7 @@ def test_scaled_support_uses_chunked_token_count():
 
     texts = ["data, mining; systems! query? (processing)." * 4] * 50
     corpus = ToPMine(ToPMineConfig()).preprocess(texts)
-    visible = mining_token_count(corpus)
+    visible = corpus.num_tokens
     raw = sum(len(tokenize(text)) for text in texts)
     assert visible < raw / 2  # punctuation-heavy: the two diverge widely
 
@@ -381,10 +427,8 @@ def test_scaled_support_uses_chunked_token_count():
 
 
 def test_mining_token_count_skips_empty_chunks():
-    corpus = Corpus()
-    corpus.add_document([[1, 2], [], [3]])
-    corpus.add_document([])
-    assert mining_token_count(corpus) == 3
+    corpus = Corpus(FlatChunks.from_documents([[[1, 2], [], [3]], []]))
+    assert corpus.num_tokens == 3
     assert mine(corpus, "numpy", 1).total_tokens == 3
     assert mine(corpus, "reference", 1).total_tokens == 3
 
@@ -398,7 +442,7 @@ def test_non_finite_threshold_falls_back_to_reference_engine():
     segmenter = CorpusSegmenter(mining, config)
     assert segmenter.engine == "reference"
     segmented = segmenter.segment(corpus)
-    assert segmented.num_tokens == mining_token_count(corpus)
+    assert segmented.num_tokens == corpus.num_tokens
 
 
 # -- token-id range guard -------------------------------------------------------------

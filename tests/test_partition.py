@@ -23,6 +23,7 @@ from repro.io.artifacts import (
     load_bundle,
     save_bundle,
 )
+from repro.text.flat import FlatChunks
 from repro.topicmodel import ckernel
 from repro.topicmodel.gibbs import FlatPhraseCorpus
 
@@ -173,12 +174,12 @@ def test_topical_frequencies_from_keys_equal_the_dict_walk(
 def test_topical_frequencies_keep_empty_phrases_aligned():
     """A hand-built corpus may hold empty phrases: they keep their clique
     (and its topic) and only count when ``min_phrase_length`` is 0."""
-    from repro.core.segmentation import SegmentedCorpus, SegmentedDocument
+    from repro.core.segmentation import SegmentedCorpus
 
-    segmented = SegmentedCorpus(documents=[
-        SegmentedDocument(phrases=[(0, 1), (), (2,), (0, 1)], doc_id=0),
-        SegmentedDocument(phrases=[], doc_id=1),
-        SegmentedDocument(phrases=[(2,), (0, 1)], doc_id=2)])
+    segmented = SegmentedCorpus(FlatPhraseCorpus.from_phrases([
+        [(0, 1), (), (2,), (0, 1)], [], [(2,), (0, 1)]]))
+    assert [doc.phrases for doc in segmented] == [
+        [(0, 1), (), (2,), (0, 1)], [], [(2,), (0, 1)]]
     state = PhraseLDA(PhraseLDAConfig(n_topics=3, n_iterations=4, seed=1,
                                       engine="reference")).fit(segmented, 3)
     for min_phrase_length in (0, 1, 2):
@@ -223,3 +224,23 @@ def test_c_fit_never_builds_phrase_tuples(corpus_and_mining, tmp_path,
     result = ToPMine(config).fit(corpus)
     assert result.visualization.top_phrases
     save_bundle(tmp_path / "model.npz", ModelBundle.from_result(result, config))
+
+
+@requires_c_kernel
+def test_c_fit_flattens_the_encoded_corpus_once(monkeypatch):
+    """Preprocessing flattens the encoded documents into the corpus buffer
+    once; mining and segmentation read that buffer, and nothing rebuilds
+    nested chunk lists after encoding."""
+    texts = load_dataset("dblp-titles", n_documents=300, seed=5).texts
+    calls = []
+    original = FlatChunks.from_documents
+
+    def spy(cls, documents):
+        calls.append(len(documents))
+        return original(documents)
+
+    monkeypatch.setattr(FlatChunks, "from_documents", classmethod(spy))
+    result = ToPMine(ToPMineConfig(n_topics=3, min_support=None,
+                                   n_iterations=3, seed=5)).fit(texts)
+    assert calls == [len(texts)]
+    assert result.corpus.flat.n_documents == len(texts)

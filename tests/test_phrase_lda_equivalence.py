@@ -12,7 +12,7 @@ from repro.core.phrase_lda import (
     unigram_segmentation,
 )
 from repro.topicmodel import ckernel
-from repro.topicmodel.gibbs import resolve_engine
+from repro.topicmodel.gibbs import FlatPhraseCorpus, resolve_engine
 from repro.topicmodel.lda import LatentDirichletAllocation, LDAConfig
 
 requires_c_kernel = pytest.mark.skipif(
@@ -169,11 +169,10 @@ def test_engine_callbacks_see_token_assignments(engine):
 
 
 def test_vocabulary_less_segmented_corpus_keeps_empty_slots():
-    from repro.core.segmentation import SegmentedCorpus, SegmentedDocument
+    from repro.core.segmentation import SegmentedCorpus
 
-    corpus = SegmentedCorpus(documents=[
-        SegmentedDocument(phrases=[(0, 1), (), (2,)], doc_id=0),
-    ], vocabulary=None)
+    corpus = SegmentedCorpus(FlatPhraseCorpus.from_phrases([[(0, 1), (), (2,)]]),
+                             vocabulary=None)
     state = PhraseLDA(PhraseLDAConfig(n_topics=2, n_iterations=5, seed=0)).fit(corpus)
     assert len(state.clique_assignments[0]) == 3
     assert state.vocabulary_size == 3
@@ -212,16 +211,15 @@ def test_segmented_corpus_empty_phrases_keep_alignment():
     """An empty phrase in a SegmentedCorpus keeps its assignment slot so
     ``clique_assignments[d]`` stays aligned with ``doc.phrases`` (the
     visualizer's topical-frequency counting zips the two)."""
-    from repro.core.segmentation import SegmentedCorpus, SegmentedDocument
+    from repro.core.segmentation import SegmentedCorpus
     from repro.text.vocabulary import Vocabulary
 
     vocabulary = Vocabulary()
     for word in ("alpha", "beta", "gamma"):
         vocabulary.add(word)
-    corpus = SegmentedCorpus(documents=[
-        SegmentedDocument(phrases=[(0, 1), (), (2,), (1, 2)], doc_id=0),
-        SegmentedDocument(phrases=[(2,), (0,)], doc_id=1),
-    ], vocabulary=vocabulary)
+    corpus = SegmentedCorpus(FlatPhraseCorpus.from_phrases([
+        [(0, 1), (), (2,), (1, 2)], [(2,), (0,)]]), vocabulary=vocabulary)
+    assert corpus.documents[0].phrases == [(0, 1), (), (2,), (1, 2)]
 
     states = {}
     engines = ["reference"] + (["c"] if ckernel.kernel_available() else [])

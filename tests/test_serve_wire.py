@@ -337,8 +337,12 @@ def _healthz_timed(server, wire, *chunks, pause: float = 0.0) -> float:
 
 def test_request_clock_starts_at_the_request_line(wire, server):
     # Header bytes that trickle in after the request line are server time.
+    # The server starts its clock when it reads the request line, some
+    # time after the client sent it, so it can see a little less than the
+    # client's pause: allow 0.1 s for that read lag.  A clock started at
+    # the header block would read about 0 and still fail by over 0.3 s.
     assert _healthz_timed(server, wire, b"GET /healthz HTTP/1.1\r\n",
-                          b"Host: test\r\n\r\n", pause=0.3) >= 0.3
+                          b"Host: test\r\n\r\n", pause=0.5) >= 0.4
     # An idle keep-alive connection waiting for its next request is not.
     time.sleep(0.3)
     assert _healthz_timed(server, wire, request("GET", "/healthz")) < 0.3

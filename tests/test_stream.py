@@ -29,7 +29,7 @@ from repro.stream import (
     StreamSupervisor,
     TopicStream,
 )
-from repro.stream.counters import StreamStatsError, encode_texts
+from repro.stream.counters import StreamStatsError, _write_stats, encode_texts
 from repro.stream.log import write_json_atomic
 from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
@@ -106,18 +106,65 @@ def test_log_validation_errors(tmp_path):
 
 
 # -- mergeable mining statistics ----------------------------------------------------------
+def _assert_same_buffer(left, right):
+    for name in ("tokens", "offsets", "doc_offsets"):
+        assert getattr(left, name).dtype == getattr(right, name).dtype
+        assert np.array_equal(getattr(left, name), getattr(right, name))
+
+
 def test_shard_stats_round_trip(tmp_path, titles):
     vocabulary = Vocabulary()
-    documents = encode_texts(list(titles[0]) + [""],  # plus an empty doc
-                             Preprocessor(), vocabulary)
-    stats = ShardStats.compute("shard-00001", documents)
+    flat = encode_texts(list(titles[0]) + [""],  # plus an empty doc
+                        Preprocessor(), vocabulary)
+    stats = ShardStats.compute("shard-00001", flat)
     path = stats.save(tmp_path / "stats.npz")
     loaded = ShardStats.load(path)
     assert loaded.name == stats.name
-    assert loaded.documents == stats.documents
-    assert loaded.documents[-1] == []     # the empty doc kept its slot
+    _assert_same_buffer(loaded.flat, stats.flat)
+    assert loaded.flat.documents()[-1] == []     # the empty doc kept its slot
     assert loaded.counter.as_dict() == stats.counter.as_dict()
     assert loaded.total_tokens == stats.total_tokens
+
+
+def test_stats_files_in_the_original_layout_load_into_the_same_buffer(
+        tmp_path, titles):
+    """A stats file laid out member by member as streams have always
+    written it (``tokens``/``chunk_offsets``/``doc_chunk_offsets`` built by
+    walking nested chunk lists, via a plain ``np.savez``) loads into the
+    buffer ShardStats.compute builds: existing streams open unchanged."""
+    from repro.io.artifacts import _pack_phrase_table
+
+    texts = list(titles[0]) + [""]
+    documents = Preprocessor().encode(texts, Vocabulary())
+    stats = ShardStats.compute("shard-00001", encode_texts(
+        texts, Preprocessor(), Vocabulary()))
+    tokens, chunk_offsets, doc_chunk_offsets = [], [0], [0]
+    for chunks in documents:
+        for chunk in chunks:
+            tokens.extend(chunk)
+            chunk_offsets.append(len(tokens))
+        doc_chunk_offsets.append(len(chunk_offsets) - 1)
+    meta = {"format": "repro.stream.stats", "version": 1, "kind": "shard",
+            "shard": "shard-00001", "n_documents": len(documents),
+            "total_tokens": len(tokens)}
+    path = tmp_path / "stats.npz"
+    with open(path, "wb") as handle:
+        np.savez_compressed(
+            handle, tokens=np.asarray(tokens, dtype=np.int32),
+            chunk_offsets=np.asarray(chunk_offsets, dtype=np.int64),
+            doc_chunk_offsets=np.asarray(doc_chunk_offsets, dtype=np.int64),
+            meta=np.array(json.dumps(meta, sort_keys=True)),
+            **_pack_phrase_table(stats.counter, "gram"))
+    loaded = ShardStats.load(path)
+    _assert_same_buffer(loaded.flat, stats.flat)
+    assert loaded.counter.as_dict() == stats.counter.as_dict()
+    # And the buffer writes back as the very same members.
+    stats.save(tmp_path / "again.npz")
+    with np.load(path) as old, np.load(tmp_path / "again.npz") as new:
+        assert sorted(old.files) == sorted(new.files)
+        for name in old.files:
+            assert old[name].dtype == new[name].dtype
+            assert np.array_equal(old[name], new[name])
 
 
 @pytest.mark.parametrize("engine", ["numpy", "reference"])
@@ -132,13 +179,13 @@ def test_merged_shard_counts_equal_offline_miner(titles, engine):
     vocabulary = Vocabulary()
     preprocessor = Preprocessor()
     accumulated = AccumulatedCounts()
-    documents = []
+    flats = []
     for index, batch in enumerate(titles):
         encoded = encode_texts(batch, preprocessor, vocabulary)
-        documents.extend(encoded)
+        flats.append(encoded)
         accumulated.merge_shard(
             ShardStats.compute(f"s{index}", encoded, engine=engine))
-    merged = accumulated.mining_result(FlatChunks.from_documents(documents))
+    merged = accumulated.mining_result(FlatChunks.concatenate(flats))
 
     assert merged.min_support == offline.min_support
     assert merged.total_tokens == offline.total_tokens
@@ -156,13 +203,13 @@ def test_merged_counts_with_cap_and_fixed_support(titles):
         min_support=4, max_phrase_length=2)).mine(corpus)
     vocabulary, preprocessor = Vocabulary(), Preprocessor()
     accumulated = AccumulatedCounts()
-    documents = []
+    flats = []
     for index, batch in enumerate(titles):
         encoded = encode_texts(batch, preprocessor, vocabulary)
-        documents.extend(encoded)
+        flats.append(encoded)
         accumulated.merge_shard(
             ShardStats.compute(f"s{index}", encoded, max_length=2))
-    merged = accumulated.mining_result(FlatChunks.from_documents(documents),
+    merged = accumulated.mining_result(FlatChunks.concatenate(flats),
                                        min_support=4, max_length=2)
     assert merged.counter.as_dict() == offline.counter.as_dict()
     assert merged.iterations == offline.iterations == 2
@@ -426,11 +473,39 @@ def _unclose_npy_header(path):
             archive.writestr(name, member)
 
 
+def _rewrite_stats(path, edit):
+    """Rewrite a stats file through the real writer (valid container and
+    CRCs) after ``edit`` changed its arrays in place."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name].copy() for name in archive.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    edit(arrays)
+    _write_stats(path, meta, arrays)
+
+
+def _swap_chunk_offsets(arrays):
+    arrays["chunk_offsets"][[1, 2]] = arrays["chunk_offsets"][[2, 1]]
+
+
+def _negative_token(arrays):
+    arrays["tokens"][0] = -1
+
+
+def _doc_offset_past_the_chunks(arrays):
+    arrays["doc_chunk_offsets"][1] = len(arrays["chunk_offsets"]) + 3
+
+
 STATS_DAMAGE = {
     "delete": os.remove,
     "truncate": lambda path: path.write_bytes(path.read_bytes()[:40]),
     "deflate-block-type": _set_reserved_block_type,
     "npy-header-unclosed": _unclose_npy_header,
+    # Files that pass every CRC but hold a malformed chunk buffer.
+    "chunk-offsets-swapped": lambda path: _rewrite_stats(
+        path, _swap_chunk_offsets),
+    "negative-token-id": lambda path: _rewrite_stats(path, _negative_token),
+    "doc-offset-past-the-chunks": lambda path: _rewrite_stats(
+        path, _doc_offset_past_the_chunks),
 }
 
 
@@ -459,6 +534,36 @@ def test_recovery_rebuilds_missing_or_corrupt_shard_stats(tmp_path, titles,
         damaged_bytes
     assert (tmp_path / "stream" / "vocabulary.json").read_bytes() == \
         vocabulary_before
+
+
+def test_refresh_rederives_stats_holding_an_unknown_token_id(tmp_path,
+                                                             titles):
+    """A stats file that loads cleanly but holds a token id outside the
+    vocabulary would index past the segmenter's tables (it used to fail
+    every refresh with ``ValueError``); the refresh re-derives it from the
+    log instead and publishes what a clean refresh publishes."""
+    clean = TopicStream.create(tmp_path / "clean", _stream_config())
+    for batch in titles:
+        clean.ingest(batch)
+    clean_report = clean.refresh(force=True)
+
+    root = tmp_path / "stream"
+    stream = TopicStream.create(root, _stream_config())
+    for batch in titles:
+        stream.ingest(batch)
+    n_words = len(stream._load_vocabulary()[0])
+
+    def unknown_id(arrays):
+        arrays["tokens"][0] = n_words
+    _rewrite_stats(root / "stats" / "shard-00002.npz", unknown_id)
+    assert ShardStats.load(root / "stats" / "shard-00002.npz").flat.tokens[0] \
+        == n_words
+    report = TopicStream.open(root).refresh(force=True)
+    _, clean_arrays = _read_npz(clean_report.path)
+    _, arrays = _read_npz(report.path)
+    assert sorted(arrays) == sorted(clean_arrays)
+    for name in clean_arrays:
+        assert np.array_equal(clean_arrays[name], arrays[name])
 
 
 def test_refresh_never_writes_ingest_owned_state(tmp_path, titles):
@@ -563,6 +668,31 @@ def test_warm_refresh_loads_only_new_shard_stats(tmp_path, titles,
     os.utime(stats_path, ns=(1, 1))
     TopicStream.open(root, stats_cache=cache).refresh(force=True)
     assert loaded == ["shard-00001.npz", "shard-00002.npz", "shard-00003.npz"]
+
+
+def test_refresh_never_rebuilds_nested_chunk_lists(tmp_path, titles,
+                                                   monkeypatch):
+    """Chunk buffers go from the stats files through the snapshot to the
+    miner and the segmenter as they are: a refresh over committed stats
+    never flattens nested chunk lists, and an ingest flattens once."""
+    calls = []
+    original = FlatChunks.from_documents
+
+    def spy(cls, documents):
+        calls.append(len(documents))
+        return original(documents)
+
+    root = tmp_path / "stream"
+    stream = TopicStream.create(root, _stream_config())
+    stream.ingest(titles[0])
+    monkeypatch.setattr(FlatChunks, "from_documents", classmethod(spy))
+    cache = StatsCache()
+    TopicStream.open(root, stats_cache=cache).refresh(force=True)
+    stream.ingest(titles[1])
+    assert calls == [len(titles[1])]
+    TopicStream.open(root, stats_cache=cache).refresh(force=True)
+    TopicStream.open(root, stats_cache=cache).refresh(force=True)
+    assert calls == [len(titles[1])]
 
 
 def test_cached_refresh_matches_cold_refresh(tmp_path, titles):
