@@ -692,7 +692,7 @@ def bench_ingestion(config: BenchConfig) -> Dict[str, Any]:
         batches = [texts[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
         stream_config = StreamConfig(
             n_topics=config.n_topics, n_iterations=config.sweeps,
-            seed=config.seed, engine=engine, source=config.dataset)
+            seed=config.seed, mining_engine=engine, source=config.dataset)
 
         best_ingest = best_refresh = float("inf")
         n_documents = n_tokens = version_documents = 0

@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
             creation.add_argument(
                 "--engine", choices=MINING_ENGINES,
                 help=f"mining/segmentation engine (default: "
-                     f"{StreamConfig.engine})"),
+                     f"{StreamConfig.mining_engine})"),
             creation.add_argument(
                 "--lda-engine", choices=ENGINES,
                 help=f"PhraseLDA engine for refreshes (default: "
@@ -663,6 +663,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     """``repro fit``: PhraseLDA over a (saved or inline) segmentation → model."""
+    if args.topics is not None and args.topics < 1:
+        return _error("--topics must be >= 1")
     if args.segmentation:
         conflicting = _given(args, args.inline_mining_flags)
         if conflicting:
@@ -803,12 +805,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         config = StreamConfig(
             source=args.source or source, **_model_settings(args),
             **_mining_settings(args), **_explicit(
-                seed=args.model_seed, engine=args.engine,
+                seed=args.model_seed, mining_engine=args.engine,
                 lda_engine=args.lda_engine,
                 refresh_min_documents=args.refresh_every))
         try:
             stream = TopicStream.create(args.stream, config)
-        except StreamError as exc:  # e.g. --refresh-every 0
+        except StreamError as exc:  # e.g. --refresh-every 0 or --topics 0
             return _error(exc)
         print(f"created stream at {args.stream} "
               f"(K={config.n_topics}, {config.n_iterations} sweeps, "

@@ -304,9 +304,10 @@ class ShardStats:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ShardStats":
         """Load stats written by :meth:`save`; raise
-        :class:`StreamStatsError` if the file is unreadable or its buffer is
+        :class:`StreamStatsError` if the file is unreadable, its buffer is
         malformed (:meth:`~repro.text.flat.FlatChunks.from_arrays`) or
-        disagrees with ``meta``."""
+        disagrees with ``meta``, or its unigram counts are not the
+        buffer's token counts."""
         meta, arrays = _read_stats(path, "shard")
         try:
             stats = cls(name=str(meta["shard"]),
@@ -315,14 +316,36 @@ class ShardStats:
                                                     arrays["doc_chunk_offsets"]),
                         counter=_unpack_phrase_table(arrays, "gram"))
             expected = (int(meta["n_documents"]), int(meta["total_tokens"]))
-        except (KeyError, ValueError) as exc:
+            unigrams_match = _unigrams_match(arrays, stats.flat.tokens)
+        except (KeyError, ValueError, IndexError) as exc:
             raise StreamStatsError(f"{path}: malformed shard stats: "
                                    f"{exc}") from exc
         found = (stats.n_documents, stats.total_tokens)
         if found != expected:
             raise StreamStatsError(f"{path}: holds (documents, tokens) "
                                    f"{found} but meta says {expected}")
+        if not unigrams_match:
+            raise StreamStatsError(f"{path}: unigram counts disagree with "
+                                   f"the shard's tokens")
         return stats
+
+
+def _unigrams_match(arrays: Dict[str, np.ndarray], tokens: np.ndarray) -> bool:
+    """Whether the ``gram_*`` table's length-1 rows hold exactly the ids of
+    ``tokens``, each with its number of occurrences.
+
+    Every token is counted as a unigram at ingest, so this catches a count
+    altered after the file's checksums were computed.
+    """
+    offsets = arrays["gram_offsets"]
+    rows = np.flatnonzero(np.diff(offsets) == 1)
+    ids = arrays["gram_tokens"][offsets[rows]]
+    order = np.argsort(ids, kind="stable")
+    expected = np.bincount(tokens)
+    present = np.flatnonzero(expected)
+    return (np.array_equal(ids[order], present)
+            and np.array_equal(arrays["gram_counts"][rows][order],
+                               expected[present]))
 
 
 # -- accumulated statistics -----------------------------------------------------------

@@ -22,7 +22,8 @@ counters are merged in log order — a :class:`StatsCache` keeps the merge
 and the shards' chunk buffers, so a refresh loads only the stats files it
 has not seen — and the merged counts are filtered into a miner-equivalent result
 (:meth:`~repro.stream.counters.AccumulatedCounts.mining_result`),
-segmentation and PhraseLDA re-run deterministically (fixed config seed),
+segmentation and PhraseLDA re-run deterministically through
+:class:`~repro.core.topmine.ToPMine`'s own stages (fixed config seed),
 and the fitted bundle is written to a new immutable version file, then
 *published* by atomically replacing ``models/current.npz`` — the stable
 path a live :class:`~repro.serve.registry.ModelRegistry` hot-reloads from
@@ -53,15 +54,13 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.frequent_phrases import resolve_mining_engine
-from repro.core.phrase_construction import PhraseConstructionConfig
-from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
-from repro.core.segmentation import CorpusSegmenter, SegmentedCorpus
-from repro.core.topmine import ToPMineConfig
+from repro.core.phrase_lda import PhraseLDAConfig
+from repro.core.topmine import ToPMine, ToPMineConfig
 from repro.io.artifacts import ModelBundle, _config_from_dict, save_bundle
 from repro.obs.shards import ShardWriter
 from repro.stream.counters import (
@@ -71,10 +70,11 @@ from repro.stream.counters import (
     encode_texts,
 )
 from repro.stream.log import AppendResult, DocumentLog, write_json_atomic
+from repro.text.corpus import Corpus
 from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
-from repro.topicmodel.gibbs import resolve_engine
+from repro.topicmodel.gibbs import check_priors, resolve_engine
 from repro.utils.files import TEMP_SUFFIX, copy_file_atomic
 from repro.utils.timing import Stopwatch
 
@@ -94,39 +94,27 @@ class StreamError(Exception):
 
 
 @dataclass
-class StreamConfig:
+class StreamConfig(ToPMineConfig):
     """Frozen-at-create configuration of a topic stream.
 
-    The model half mirrors ``repro fit`` and the mining half mirrors
-    ``repro mine``; fixing both (plus the seed) at stream creation is what
-    makes every refresh deterministic and offline-reproducible.
+    The offline pipeline's :class:`~repro.core.topmine.ToPMineConfig` plus
+    three stream fields; fixing it (seed included) at stream creation is
+    what makes every refresh deterministic and offline-reproducible —
+    :class:`~repro.core.topmine.ToPMine` under this very config reproduces
+    a refresh bit for bit.  Two defaults differ from the offline ones:
+    ``min_support=None`` rescales the support with the snapshot's token
+    count on every refresh, and ``seed=7`` fixes the seed every refresh
+    runs with.  ``max_phrase_length`` also caps the raw per-shard
+    counting, and ``preprocess.min_word_frequency`` must stay ≤ 1 —
+    corpus-global rare-word dropping is a two-pass operation that cannot
+    be computed incrementally.
 
     Parameters
     ----------
-    n_topics, n_iterations, alpha, beta, optimize_hyperparameters:
-        PhraseLDA parameters (as in
-        :class:`~repro.core.phrase_lda.PhraseLDAConfig`).
-    seed:
-        The seed every refresh runs with.
-    min_support:
-        Fixed mining support ε; ``None`` rescales with the snapshot's
-        token count on every refresh (the offline default).
-    significance_threshold:
-        Segmentation merge threshold α.
-    max_phrase_length:
-        Cap on mined/constructed phrase length (also caps the raw
-        per-shard counting).
-    engine:
-        Mining/segmentation engine (``"auto"``, ``"numpy"``,
-        ``"reference"``; see :class:`~repro.core.topmine.ToPMineConfig`).
     lda_engine:
         PhraseLDA sampling engine (one of
         :data:`~repro.topicmodel.gibbs.ENGINES`).  A ``stream.json`` that
         an older release wrote with ``"numpy"`` opens as ``"auto"``.
-    preprocess:
-        Preprocessing options; ``min_word_frequency`` must stay ≤ 1 —
-        corpus-global rare-word dropping is a two-pass operation that
-        cannot be computed incrementally.
     refresh_min_documents:
         Refresh policy: a (non-forced) refresh runs only once at least
         this many documents are pending since the last published version.
@@ -134,68 +122,40 @@ class StreamConfig:
         Label recorded in published bundle metadata.
     """
 
-    n_topics: int = 10
-    n_iterations: int = 100
-    alpha: Optional[float] = None
-    beta: float = 0.01
-    optimize_hyperparameters: bool = False
-    seed: int = 7
     min_support: Optional[int] = None
-    significance_threshold: float = 5.0
-    max_phrase_length: Optional[int] = None
-    engine: str = "auto"
+    seed: Optional[int] = 7
     lda_engine: str = "auto"
-    preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     refresh_min_documents: int = 1
     source: str = "stream"
 
     def validate(self) -> None:
-        """Raise :class:`StreamError` on configurations streams cannot honour."""
+        """Raise :class:`StreamError` on configurations streams cannot
+        honour, or whose published versions could not be served."""
         if self.refresh_min_documents < 1:
             raise StreamError("refresh_min_documents must be >= 1")
         if self.min_support is not None and self.min_support < 1:
             raise StreamError("min_support must be >= 1 when fixed")
+        if self.n_topics < 1:
+            raise StreamError("n_topics must be >= 1")
         if self.preprocess.min_word_frequency > 1:
             raise StreamError(
                 "streams cannot use preprocess.min_word_frequency > 1: "
                 "corpus-global rare-word dropping needs a second pass over "
                 "all documents, which incremental ingestion never performs")
-        # Every ingest and refresh resolves both names; fail before the
-        # stream exists rather than after a batch is logged.
+        # Every ingest and refresh resolves both engine names, and every
+        # published version must fold in; fail before the stream exists
+        # rather than after a batch is logged.
         try:
-            resolve_mining_engine(self.engine)
+            resolve_mining_engine(self.mining_engine)
             resolve_engine(self.lda_engine)
+            check_priors(self.phrase_lda_config().resolved_alpha(), self.beta,
+                         "a stream", positive=True)
         except (ValueError, RuntimeError) as exc:
             raise StreamError(str(exc)) from exc
 
-    def construction_config(self) -> PhraseConstructionConfig:
-        """Segmenter parameters for refreshes (matches ``repro mine``)."""
-        return self.topmine_config().construction_config()
-
     def phrase_lda_config(self) -> PhraseLDAConfig:
-        """PhraseLDA parameters for refreshes (matches ``repro fit``)."""
-        return PhraseLDAConfig(
-            n_topics=self.n_topics, alpha=self.alpha, beta=self.beta,
-            n_iterations=self.n_iterations,
-            optimize_hyperparameters=self.optimize_hyperparameters,
-            seed=self.seed, engine=self.lda_engine)
-
-    def topmine_config(self) -> ToPMineConfig:
-        """The equivalent offline pipeline configuration.
-
-        Feeding the stream's logged documents through
-        :class:`~repro.core.topmine.ToPMine` under this configuration (and
-        PhraseLDA under :meth:`phrase_lda_config`) reproduces a refresh
-        bit for bit — the determinism contract's offline side.
-        """
-        return ToPMineConfig(
-            n_topics=self.n_topics, min_support=self.min_support,
-            significance_threshold=self.significance_threshold,
-            max_phrase_length=self.max_phrase_length,
-            n_iterations=self.n_iterations, alpha=self.alpha, beta=self.beta,
-            optimize_hyperparameters=self.optimize_hyperparameters,
-            preprocess=self.preprocess, seed=self.seed,
-            mining_engine=self.engine)
+        """PhraseLDA parameters for refreshes, on the stream's engine."""
+        return replace(super().phrase_lda_config(), engine=self.lda_engine)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (stored in ``stream.json``)."""
@@ -205,11 +165,13 @@ class StreamConfig:
     def from_dict(cls, payload: Dict[str, Any]) -> "StreamConfig":
         """Rebuild a config, tolerating unknown forward-compat keys.
 
-        Older releases accepted ``"lda_engine": "numpy"`` (a name for
-        ``"auto"``) and stored a segmentation worker count; both still
-        open.
+        Older releases stored the mining engine as ``"engine"``, accepted
+        ``"lda_engine": "numpy"`` (a name for ``"auto"``) and stored a
+        segmentation worker count; all still open.
         """
         payload = dict(payload)
+        if "engine" in payload:
+            payload.setdefault("mining_engine", payload.pop("engine"))
         if payload.get("lda_engine") == "numpy":
             payload["lda_engine"] = "auto"
         preprocess = _config_from_dict(PreprocessConfig,
@@ -507,7 +469,7 @@ class TopicStream:
                             vocabulary, grow=grow)
         return ShardStats.compute(name, flat,
                                   self.config.max_phrase_length,
-                                  self.config.engine)
+                                  self.config.mining_engine)
 
     def _load_stats(self, name: str, vocabulary: Vocabulary) -> ShardStats:
         """Load an absorbed shard's stats, re-deriving them if damaged.
@@ -665,13 +627,14 @@ class TopicStream:
                 mining = counts.mining_result(
                     snapshot, min_support=self.config.min_support,
                     max_length=self.config.max_phrase_length)
+        # The offline pipeline's own stages; the Corpus wraps the snapshot
+        # buffer without copying it.
+        pipeline = ToPMine(self.config)
         with watch.measure("segmentation"):
-            segmenter = CorpusSegmenter(mining, self.config.construction_config())
-            segmented = SegmentedCorpus(segmenter.segment_flat(snapshot),
-                                        vocabulary=vocabulary,
-                                        name=self.config.source)
+            segmented = pipeline.segment(
+                Corpus(snapshot, vocabulary, self.config.source), mining)
         with watch.measure("topic_modeling"):
-            state = PhraseLDA(self.config.phrase_lda_config()).fit(segmented)
+            state = pipeline.model_topics(segmented)
 
         version = self._next_version()
         bundle = ModelBundle.from_fit(

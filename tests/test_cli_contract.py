@@ -208,6 +208,19 @@ def test_removed_deprecated_names_are_usage_errors(argv, tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--stream", "s", "--smoke", "--topics", "0"],
+    ["ingest", "--stream", "s", "--smoke", "--alpha", "0"],
+    ["fit", "--smoke", "--topics", "0", "--output", "m.npz"],
+], ids=["ingest-no-topics", "ingest-zero-alpha", "fit-no-topics"])
+def test_models_no_version_could_serve_are_errors(argv, tmp_path,
+                                                   monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
 # -- effective configuration ---------------------------------------------------------
 def _stream_config(root):
     payload = json.loads((root / "stream.json").read_text(encoding="utf-8"))

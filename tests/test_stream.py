@@ -2,6 +2,7 @@
 refresh determinism contract, incremental-cost instrumentation, recovery,
 the background supervisor, and the stream → serve hot-swap loop."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -15,9 +16,15 @@ import numpy as np
 import pytest
 
 from repro.core.frequent_phrases import FrequentPhraseMiner, PhraseMiningConfig
-from repro.core.phrase_lda import PhraseLDA
 from repro.core.topmine import ToPMine
-from repro.io.artifacts import ModelBundle, _read_npz, read_manifest, save_bundle
+from repro.io.artifacts import (
+    ModelBundle,
+    _pack_phrase_table,
+    _read_npz,
+    _unpack_phrase_table,
+    read_manifest,
+    save_bundle,
+)
 from repro.stream import (
     AccumulatedCounts,
     DocumentLog,
@@ -34,6 +41,7 @@ from repro.stream.log import write_json_atomic
 from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
+from repro.utils.counter import HashCounter
 from repro.datasets.registry import load_dataset
 
 N_DOCS = 420
@@ -246,7 +254,7 @@ def test_stream_refresh_matches_offline_pipeline(tmp_path, titles, engine,
     """A stream-triggered refresh is bit-identical — every array (topic
     tables, vocabulary, phrase table) and the functional manifest payload —
     to the offline mine/fit pipeline on the equivalent corpus snapshot."""
-    config = _stream_config(engine=engine, lda_engine=lda_engine)
+    config = _stream_config(mining_engine=engine, lda_engine=lda_engine)
     stream = TopicStream.create(tmp_path / "stream", config)
     for batch in titles:
         stream.ingest(batch)
@@ -254,11 +262,11 @@ def test_stream_refresh_matches_offline_pipeline(tmp_path, titles, engine,
     assert report.version == 1
 
     snapshot = list(stream.log.iter_texts())  # the log's replay order
-    pipeline = ToPMine(config.topmine_config())
+    pipeline = ToPMine(config)
     corpus = pipeline.preprocess(snapshot, name="dblp-titles")
     mining = pipeline.mine_phrases(corpus)
     segmented = pipeline.segment(corpus, mining)
-    state = PhraseLDA(config.phrase_lda_config()).fit(segmented)
+    state = pipeline.model_topics(segmented)
     offline = ModelBundle.from_fit(
         segmented, state, mining,
         construction=config.construction_config(),
@@ -280,18 +288,22 @@ def test_stream_refresh_matches_offline_pipeline(tmp_path, titles, engine,
 
 @pytest.mark.parametrize("old_keys", [
     {"engine": "numpy", "lda_engine": "numpy"},
+    {"engine": "reference"},
     {"n_jobs": 4},
-], ids=["lda-engine-numpy", "n-jobs"])
+], ids=["lda-engine-numpy", "engine-key", "n-jobs"])
 def test_old_stream_json_still_publishes(tmp_path, titles, old_keys):
     """A stream.json written by an older release, with ``"lda_engine":
-    "numpy"`` (then a name for ``"auto"``) or an ``"n_jobs"`` key, opens
-    without a warning, refreshes and publishes the same model arrays as a
-    default (``auto``) stream."""
+    "numpy"`` (then a name for ``"auto"``), the mining engine under its old
+    ``"engine"`` key or an ``"n_jobs"`` key, opens without a warning,
+    refreshes and publishes the same model arrays as a default (``auto``)
+    stream."""
     TopicStream.create(tmp_path / "default", _stream_config()).ingest(
         titles[0])
     shutil.copytree(tmp_path / "default", tmp_path / "old")
     stream_file = tmp_path / "old" / "stream.json"
     payload = json.loads(stream_file.read_text())
+    if "engine" in old_keys:  # files of that age have no mining_engine key
+        del payload["config"]["mining_engine"]
     payload["config"].update(old_keys)
     stream_file.write_text(json.dumps(payload))
 
@@ -302,6 +314,9 @@ def test_old_stream_json_still_publishes(tmp_path, titles, old_keys):
             stream = TopicStream.open(tmp_path / name)
             report = stream.refresh(force=True)
         assert stream.config.lda_engine == "auto"
+        if name == "old":
+            assert stream.config.mining_engine == \
+                old_keys.get("engine", "auto")
         assert report.version == 1
         assert stream.current_model_path.read_bytes() == \
             report.path.read_bytes()
@@ -390,7 +405,7 @@ def test_refresh_requires_documents(tmp_path):
 
 
 @pytest.mark.parametrize("engines", [
-    {"lda_engine": "bogus"}, {"lda_engine": "numpy"}, {"engine": "c"},
+    {"lda_engine": "bogus"}, {"lda_engine": "numpy"}, {"mining_engine": "c"},
 ], ids=["lda-engine-bogus", "lda-engine-numpy", "mining-engine-c"])
 def test_create_rejects_engines_no_refresh_can_run(tmp_path, titles,
                                                    engines):
@@ -401,6 +416,42 @@ def test_create_rejects_engines_no_refresh_can_run(tmp_path, titles,
         TopicStream.create(root, _stream_config(**engines)).ingest(titles[0])
     assert not (root / "log").exists()
     assert not TopicStream.exists(root)
+
+
+@pytest.mark.parametrize("model", [
+    {"n_topics": 0},
+    {"alpha": 0.0, "lda_engine": "reference"},
+    {"alpha": float("inf")},
+    {"beta": float("nan")},
+], ids=["no-topics", "zero-alpha", "infinite-alpha", "nan-beta"])
+def test_create_rejects_models_no_version_could_serve(tmp_path, model):
+    """A model that no refresh can fit, or whose published versions fold-in
+    would refuse, fails at creation, before any document is logged."""
+    root = tmp_path / "stream"
+    with pytest.raises(StreamError, match="n_topics|alpha"):
+        TopicStream.create(root, _stream_config(**model))
+    assert not TopicStream.exists(root)
+
+
+def test_stream_config_round_trips_through_stream_json():
+    """Every field survives ``stream.json``, the inherited ones included."""
+    config = StreamConfig(
+        n_topics=3, min_support=4, significance_threshold=2.5,
+        max_phrase_length=3, n_iterations=9, alpha=0.2, beta=0.05,
+        optimize_hyperparameters=True,
+        preprocess=PreprocessConfig(
+            stem=False, remove_stop_words=False, lowercase=False,
+            min_token_length=2, min_word_frequency=0, keep_numbers=True),
+        seed=11, mining_engine="reference", lda_engine="reference",
+        refresh_min_documents=5, source="elsewhere")
+    default = StreamConfig()
+    assert all(getattr(config, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(StreamConfig))
+    assert all(getattr(config.preprocess, f.name) !=
+               getattr(default.preprocess, f.name)
+               for f in dataclasses.fields(PreprocessConfig))
+    stored = json.loads(json.dumps(config.as_dict()))
+    assert StreamConfig.from_dict(stored) == config
 
 
 def test_stream_create_open_and_validation(tmp_path):
@@ -495,6 +546,11 @@ def _doc_offset_past_the_chunks(arrays):
     arrays["doc_chunk_offsets"][1] = len(arrays["chunk_offsets"]) + 3
 
 
+def _unigram_count_times_7(arrays):
+    unigram = np.flatnonzero(np.diff(arrays["gram_offsets"]) == 1)[0]
+    arrays["gram_counts"][unigram] *= 7
+
+
 STATS_DAMAGE = {
     "delete": os.remove,
     "truncate": lambda path: path.write_bytes(path.read_bytes()[:40]),
@@ -506,6 +562,9 @@ STATS_DAMAGE = {
     "negative-token-id": lambda path: _rewrite_stats(path, _negative_token),
     "doc-offset-past-the-chunks": lambda path: _rewrite_stats(
         path, _doc_offset_past_the_chunks),
+    # ...or counts that disagree with the buffer.
+    "unigram-count-times-7": lambda path: _rewrite_stats(
+        path, _unigram_count_times_7),
 }
 
 
@@ -554,6 +613,15 @@ def test_refresh_rederives_stats_holding_an_unknown_token_id(tmp_path,
     n_words = len(stream._load_vocabulary()[0])
 
     def unknown_id(arrays):
+        # Move one token to the new id in the unigram counts too, so the
+        # file passes ShardStats.load's count cross-check.
+        counts = _unpack_phrase_table(arrays, "gram").as_dict()
+        word = (int(arrays["tokens"][0]),)
+        counts[word] -= 1
+        if not counts[word]:
+            del counts[word]
+        counts[(n_words,)] = 1
+        arrays.update(_pack_phrase_table(HashCounter(counts), "gram"))
         arrays["tokens"][0] = n_words
     _rewrite_stats(root / "stats" / "shard-00002.npz", unknown_id)
     assert ShardStats.load(root / "stats" / "shard-00002.npz").flat.tokens[0] \
