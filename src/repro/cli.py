@@ -224,6 +224,20 @@ def _add_model_options(group, defaults) -> List[argparse.Action]:
     ]
 
 
+def _model_flags_error(args: argparse.Namespace) -> Optional[str]:
+    """The usage error in the model flags, if any: no version of a model
+    with ``--topics`` < 1 or a non-finite or non-positive prior could be
+    served, and a sweep count cannot be negative."""
+    if args.topics is not None and args.topics < 1:
+        return "--topics must be >= 1"
+    if args.iterations is not None and args.iterations < 0:
+        return "--iterations must be >= 0"
+    for flag, value in (("--alpha", args.alpha), ("--beta", args.beta)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            return f"{flag} must be finite and > 0 (got {value})"
+    return None
+
+
 def _model_settings(args: argparse.Namespace) -> dict:
     """Config keywords of the model flags (``--smoke`` shrinks the model)."""
     return _explicit(
@@ -663,8 +677,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     """``repro fit``: PhraseLDA over a (saved or inline) segmentation → model."""
-    if args.topics is not None and args.topics < 1:
-        return _error("--topics must be >= 1")
+    problem = _model_flags_error(args)
+    if problem:
+        return _error(problem)
     if args.segmentation:
         conflicting = _given(args, args.inline_mining_flags)
         if conflicting:

@@ -55,6 +55,7 @@ falls back to materializing them) — they just aren't shareable.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import mmap
 import tokenize
@@ -417,13 +418,12 @@ def _check_offsets(offsets: np.ndarray, n_items: int, name: str, check) -> None:
 # -- packing helpers ------------------------------------------------------------------
 def _pack_ragged(sequences: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten variable-length int sequences into (tokens, offsets) arrays."""
-    tokens: List[int] = []
-    offsets: List[int] = [0]
-    for seq in sequences:
-        tokens.extend(int(w) for w in seq)
-        offsets.append(len(tokens))
-    return (np.asarray(tokens, dtype=np.int32),
-            np.asarray(offsets, dtype=np.int64))
+    offsets = np.zeros(len(sequences) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, sequences), dtype=np.int64,
+                          count=len(sequences)), out=offsets[1:])
+    tokens = np.fromiter(itertools.chain.from_iterable(sequences),
+                         dtype=np.int32, count=int(offsets[-1]))
+    return tokens, offsets
 
 
 def _unpack_ragged(tokens: np.ndarray, offsets: np.ndarray) -> List[Phrase]:

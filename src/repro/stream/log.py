@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.utils.files import write_bytes_atomic
+from repro.utils.files import FileIdentity, file_identity, write_bytes_atomic
 
 FORMAT_NAME = "repro.stream.log"
 FORMAT_VERSION = 1
@@ -153,6 +153,9 @@ class DocumentLog:
         self.root = Path(root)
         self.shards: List[ShardInfo] = []
         self.extra: Dict[str, Any] = {}
+        # Identity of the manifest that shards/extra were last parsed
+        # from; None whenever they may differ from the file on disk.
+        self._parsed: FileIdentity = None
 
     # -- lifecycle ---------------------------------------------------------------------
     @classmethod
@@ -178,12 +181,28 @@ class DocumentLog:
         """Return whether ``root`` holds a document log."""
         return (Path(root) / _MANIFEST).exists()
 
+    @property
+    def manifest_path(self) -> Path:
+        """The manifest file: the log's commit point."""
+        return self.root / _MANIFEST
+
     def reload(self) -> None:
-        """Re-read the manifest from disk (picks up cross-process appends)."""
-        path = self.root / _MANIFEST
-        if not path.exists():
+        """Re-read the manifest from disk (picks up cross-process appends).
+
+        A manifest whose :func:`~repro.utils.files.file_identity` equals
+        the one last parsed is not read again: every commit replaces it
+        through :func:`~repro.utils.files.atomic_write` (a fresh inode, and
+        an append only ever grows it), and every in-memory mutation drops
+        the remembered identity first, so a failed commit re-parses.
+        """
+        path = self.manifest_path
+        identity = file_identity(path)
+        if identity is None:
             raise StreamLogError(f"no document log at {self.root} "
                                  f"(missing {_MANIFEST})")
+        if identity == self._parsed:
+            return
+        self._parsed = None
         try:
             manifest = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
@@ -208,6 +227,9 @@ class DocumentLog:
                     f"{shard.first_doc_id}, expected {expected} — "
                     f"the shard sequence is corrupt")
             expected += shard.n_documents
+        # Taken before the read: had the file been replaced in between,
+        # the next reload sees a new identity and parses it again.
+        self._parsed = identity
 
     # -- introspection -----------------------------------------------------------------
     @property
@@ -290,6 +312,7 @@ class DocumentLog:
                           source=source)
         # Data first, then the manifest: a crash between the two leaves an
         # orphan file the next append overwrites, never a dangling entry.
+        self._parsed = None
         self.shards.append(shard)
         self._write_manifest()
         return AppendResult(shard=shard, n_appended=len(fresh),
@@ -299,11 +322,13 @@ class DocumentLog:
 
     def set_extra(self, **entries: Any) -> None:
         """Merge free-form entries into the manifest's ``extra`` section."""
+        self._parsed = None
         self.extra.update(entries)
         self._write_manifest()
 
     def replace_extra(self, entries: Dict[str, Any]) -> None:
         """Replace the whole ``extra`` section (replication mirrors it 1:1)."""
+        self._parsed = None
         self.extra = dict(entries)
         self._write_manifest()
 
@@ -326,11 +351,12 @@ class DocumentLog:
             raise StreamLogError(
                 f"cannot adopt {shard.name}: shard file missing — the data "
                 f"must be on disk before the manifest may reference it")
+        self._parsed = None
         self.shards.append(shard)
         self._write_manifest()
 
     def _write_manifest(self) -> None:
-        write_json_atomic(self.root / _MANIFEST, {
+        write_json_atomic(self.manifest_path, {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "n_documents": self.n_documents,

@@ -3,8 +3,9 @@
 :class:`StreamSupervisor` runs the refresh loop off the request path, on
 one condition-guarded daemon worker thread.  Its job:
 
-1. poll the stream's on-disk state (cross-process safe — every poll
-   re-opens the manifests, so documents ingested by *other* processes are
+1. poll the stream's on-disk state (cross-process safe — a poll re-opens
+   the stream whenever ``stream.json`` or the log manifest changed, so
+   documents ingested and versions published by *other* processes are
    seen) or wake immediately on :meth:`notify`;
 2. when the refresh policy is satisfied, run
    :meth:`~repro.stream.updater.TopicStream.refresh` — segmentation and
@@ -25,6 +26,17 @@ hammering a broken stream every tick, :meth:`notify` still wakes the
 worker immediately, and the first clean poll after a run of errors emits
 a structured ``stream_refresh_recovered`` event plus the
 ``stream_refresh_recoveries_total`` counter.
+
+An idle poll costs two ``stat`` calls.  Opening the stream parses
+``stream.json`` and the whole log manifest (~83 bytes per logged
+document), so a poll first takes both files'
+:meth:`~repro.stream.updater.TopicStream.state_identity` and returns at
+once when it equals that of the last poll which opened the stream cleanly
+and declined to refresh.  Nothing is missed: every ingest commits the
+manifest through :func:`~repro.utils.files.atomic_write` (a fresh inode
+and a strictly larger size) and every publish rewrites ``stream.json``
+the same way, and the refresh decision reads nothing else.  A poll that
+fails or refreshes never counts as quiet, so the next one re-opens.
 """
 
 from __future__ import annotations
@@ -97,6 +109,9 @@ class StreamSupervisor:
         # Kept across polls: each re-opened stream refreshes from it, so a
         # refresh loads only the shard stats ingested since the last one.
         self._stats_cache = StatsCache()
+        # State identity at the last poll that opened the stream cleanly
+        # and declined to refresh; a poll that sees it again does nothing.
+        self._quiet_identity: Optional[tuple] = None
         self._condition = threading.Condition()
         self._stopped = False
         self._poked = False
@@ -194,17 +209,26 @@ class StreamSupervisor:
                           after_errors=errors_before)
 
     def _poll_once(self) -> None:
-        """One supervision step: reopen state, refresh if the policy says so."""
+        """One supervision step: reopen state if it changed since the last
+        quiet poll, refresh if the policy says so."""
         try:
+            # Taken before the open: a change landing in between makes the
+            # next poll's identity differ, so that poll re-opens.
+            identity = TopicStream.state_identity(self.root)
+            if identity == self._quiet_identity:
+                return
             stream = TopicStream.open(self.root, metrics=self.metrics,
                                       stats_cache=self._stats_cache)
         except Exception as exc:
             # The stream may not exist yet (e.g. the first ingest has not
             # happened); keep watching rather than dying.
+            self._quiet_identity = None
             self._record_error(f"cannot open stream: {exc}")
             return
         if not stream.should_refresh():
+            self._quiet_identity = identity
             return
+        self._quiet_identity = None
         with self._condition:
             self._refreshing = True
         try:

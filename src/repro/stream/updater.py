@@ -75,7 +75,12 @@ from repro.text.flat import FlatChunks
 from repro.text.preprocess import PreprocessConfig, Preprocessor
 from repro.text.vocabulary import Vocabulary
 from repro.topicmodel.gibbs import check_priors, resolve_engine
-from repro.utils.files import TEMP_SUFFIX, copy_file_atomic
+from repro.utils.files import (
+    TEMP_SUFFIX,
+    FileIdentity,
+    copy_file_atomic,
+    file_identity,
+)
 from repro.utils.timing import Stopwatch
 
 STREAM_FORMAT = "repro.stream"
@@ -137,6 +142,8 @@ class StreamConfig(ToPMineConfig):
             raise StreamError("min_support must be >= 1 when fixed")
         if self.n_topics < 1:
             raise StreamError("n_topics must be >= 1")
+        if self.n_iterations < 0:
+            raise StreamError("n_iterations must be >= 0")
         if self.preprocess.min_word_frequency > 1:
             raise StreamError(
                 "streams cannot use preprocess.min_word_frequency > 1: "
@@ -241,18 +248,6 @@ class RefreshReport:
     timings: Dict[str, float] = field(default_factory=dict)
 
 
-FileIdentity = Optional[Tuple[int, int, int]]
-
-
-def _file_identity(path: Path) -> FileIdentity:
-    """``(size, mtime_ns, inode)`` of ``path``, or ``None`` when it is absent."""
-    try:
-        info = os.stat(path)
-    except FileNotFoundError:
-        return None
-    return info.st_size, info.st_mtime_ns, info.st_ino
-
-
 @dataclass
 class StatsCache:
     """A refresher's merge of one stream's committed shard stats.
@@ -355,6 +350,22 @@ class TopicStream:
         stream.published_documents = int(published.get("n_documents", 0))
         stream.log = DocumentLog.open(root / _LOG_DIR)
         return stream
+
+    @classmethod
+    def state_identity(cls, root: Union[str, Path]) -> Tuple[FileIdentity,
+                                                              FileIdentity]:
+        """File identities of ``stream.json`` and the log manifest.
+
+        They are the two files :meth:`open` reads, and every state change
+        a refresh policy can see rewrites one of them through
+        :func:`~repro.utils.files.atomic_write`: an ingest commits a new,
+        strictly larger manifest, and a publish a new ``stream.json``.  So
+        while both identities hold, :meth:`open` would read the same
+        state and :meth:`should_refresh` give the same answer.
+        """
+        root = Path(root)
+        return (file_identity(root / _STREAM_FILE),
+                file_identity(DocumentLog(root / _LOG_DIR).manifest_path))
 
     def _write_stream_file(self) -> None:
         write_json_atomic(self.root / _STREAM_FILE, {
@@ -511,7 +522,7 @@ class TopicStream:
         """
         cache = self.stats_cache
         vocabulary, absorbed, recovered = self._recover(persist=False)
-        keys = [(name, _file_identity(self._stats_path(name)))
+        keys = [(name, file_identity(self._stats_path(name)))
                 for name in absorbed]
         if cache.keys != keys[:len(cache.keys)]:
             cache.keys, cache.flats = [], []

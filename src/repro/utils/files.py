@@ -25,10 +25,22 @@ import contextlib
 import os
 import shutil
 from pathlib import Path
-from typing import BinaryIO, Iterator, Tuple, Union
+from typing import BinaryIO, Iterator, Optional, Tuple, Union
 
 #: Marks a commit's temp file: ``<target name><TEMP_SUFFIX>-<random hex>``.
 TEMP_SUFFIX = ".tmp"
+
+#: ``(size, mtime_ns, inode)`` of a file, or ``None`` when it is absent.
+FileIdentity = Optional[Tuple[int, int, int]]
+
+
+def file_identity(path: Union[str, Path]) -> FileIdentity:
+    """``(size, mtime_ns, inode)`` of ``path``, or ``None`` when it is absent."""
+    try:
+        info = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return info.st_size, info.st_mtime_ns, info.st_ino
 
 
 def _create_temp(path: Path) -> Tuple[int, Path]:
@@ -78,5 +90,5 @@ def copy_file_atomic(source: Union[str, Path], path: Union[str, Path]) -> Path:
     return Path(path)
 
 
-__all__ = ["TEMP_SUFFIX", "atomic_write", "copy_file_atomic",
-           "write_bytes_atomic"]
+__all__ = ["FileIdentity", "TEMP_SUFFIX", "atomic_write", "copy_file_atomic",
+           "file_identity", "write_bytes_atomic"]

@@ -19,6 +19,8 @@ from repro.io.artifacts import (
     ArtifactVersionError,
     ModelBundle,
     SegmentationBundle,
+    _pack_ragged,
+    _unpack_ragged,
     load_bundle,
     load_model,
     load_segmentation,
@@ -115,6 +117,32 @@ def test_segmentation_bundle_refits_identically(fitted_pipeline, tmp_path):
 
 
 # -- model bundle ----------------------------------------------------------------------
+def _pack_ragged_loop(sequences):
+    """The per-token loop _pack_ragged replaced, kept as its reference."""
+    tokens, offsets = [], [0]
+    for seq in sequences:
+        tokens.extend(int(w) for w in seq)
+        offsets.append(len(tokens))
+    return (np.asarray(tokens, dtype=np.int32),
+            np.asarray(offsets, dtype=np.int64))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pack_ragged_matches_the_loop_byte_for_byte(seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, 6, size=int(rng.integers(0, 300)))
+    sequences = [tuple(int(w) for w in rng.integers(0, 2**31, size=n))
+                 for n in lengths] + [()]
+    for packed, expected in zip(_pack_ragged(sequences),
+                                _pack_ragged_loop(sequences)):
+        assert packed.dtype == expected.dtype
+        assert packed.shape == expected.shape
+        assert packed.tobytes() == expected.tobytes()
+    assert _unpack_ragged(*_pack_ragged(sequences)) == sequences
+    assert [a.tobytes() for a in _pack_ragged([])] == \
+        [a.tobytes() for a in _pack_ragged_loop([])]
+
+
 def test_model_round_trip_exact(model_bundle, tmp_path):
     path = save_bundle(tmp_path / "model.npz", model_bundle)
     loaded = load_model(path)

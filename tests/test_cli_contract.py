@@ -211,13 +211,23 @@ def test_removed_deprecated_names_are_usage_errors(argv, tmp_path,
 @pytest.mark.parametrize("argv", [
     ["ingest", "--stream", "s", "--smoke", "--topics", "0"],
     ["ingest", "--stream", "s", "--smoke", "--alpha", "0"],
+    ["ingest", "--stream", "s", "--smoke", "--beta", "inf"],
+    ["ingest", "--stream", "s", "--smoke", "--iterations", "-1"],
     ["fit", "--smoke", "--topics", "0", "--output", "m.npz"],
-], ids=["ingest-no-topics", "ingest-zero-alpha", "fit-no-topics"])
+    ["fit", "--smoke", "--alpha", "nan", "--output", "m.npz"],
+    ["fit", "--smoke", "--alpha", "-1", "--output", "m.npz"],
+    ["fit", "--smoke", "--beta", "0", "--output", "m.npz"],
+    ["fit", "--smoke", "--iterations", "-1", "--output", "m.npz"],
+], ids=["ingest-no-topics", "ingest-zero-alpha", "ingest-infinite-beta",
+        "ingest-negative-iterations", "fit-no-topics", "fit-nan-alpha",
+        "fit-negative-alpha", "fit-zero-beta", "fit-negative-iterations"])
 def test_models_no_version_could_serve_are_errors(argv, tmp_path,
                                                    monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "mined" not in captured.out     # refused before mining
     assert not any(tmp_path.iterdir())
 
 

@@ -113,6 +113,43 @@ def test_log_validation_errors(tmp_path):
         DocumentLog.open(tmp_path / "log")
 
 
+def _count_json_parses(monkeypatch):
+    """Count json.loads calls from here on; returns the list they append to."""
+    parses = []
+    real_loads = json.loads
+
+    def counting(*args, **kwargs):
+        parses.append(1)
+        return real_loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    return parses
+
+
+def test_log_reload_parses_only_a_changed_manifest(tmp_path, monkeypatch):
+    log = DocumentLog.create(tmp_path / "log")
+    log.append(["a", "b"])
+    reader = DocumentLog.open(tmp_path / "log")
+    parses = _count_json_parses(monkeypatch)
+    reader.reload()
+    assert parses == []                   # same file: nothing re-read
+    log.append(["c"])                     # a commit from another instance
+    reader.reload()
+    assert len(parses) == 1 and reader.n_documents == 3
+
+    # A commit that fails after the in-memory append re-parses on reload.
+    def failing_write(path, payload):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("repro.stream.log.write_json_atomic", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        reader.append(["d"])
+    assert reader.n_documents == 4        # ahead of the disk
+    reader.reload()
+    assert len(parses) == 2 and reader.n_documents == 3
+    assert list(reader.iter_texts()) == ["a", "b", "c"]
+
+
 # -- mergeable mining statistics ----------------------------------------------------------
 def _assert_same_buffer(left, right):
     for name in ("tokens", "offsets", "doc_offsets"):
@@ -953,6 +990,112 @@ def test_supervisor_recovers_and_says_so(tmp_path):
         assert supervisor._poll_delay() == 0.01  # backoff reset
     finally:
         supervisor.stop()
+
+
+def _spy(monkeypatch, name):
+    """Count calls of ``TopicStream.<name>``; returns the list they append to."""
+    calls = []
+    real = getattr(TopicStream, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    if name == "open":  # a classmethod, bound above
+        monkeypatch.setattr(TopicStream, name,
+                            classmethod(lambda cls, *a, **k: counting(*a, **k)))
+    else:
+        monkeypatch.setattr(TopicStream, name, counting)
+    return calls
+
+
+def _quiet_supervisor(root, stream, batch):
+    """A supervisor that refreshed ``batch`` on one poll and, on the next,
+    found nothing to do (so it is quiet)."""
+    stream.ingest(batch)
+    supervisor = StreamSupervisor(root, poll_interval=0.05)
+    supervisor._poll_once()               # refreshes: never quiet
+    assert supervisor.last_report.version == stream.published_version + 1
+    supervisor._poll_once()               # opens, declines: quiet
+    return supervisor
+
+
+def test_idle_supervisor_polls_parse_nothing(tmp_path, titles, monkeypatch):
+    root = tmp_path / "stream"
+    supervisor = _quiet_supervisor(
+        root, TopicStream.create(root, _stream_config()), titles[0])
+    opens = _spy(monkeypatch, "open")
+    parses = _count_json_parses(monkeypatch)
+    for _ in range(5):
+        supervisor._poll_once()
+    assert opens == [] and parses == []
+    assert supervisor._consecutive_errors == 0
+
+
+def test_supervisor_poll_refreshes_an_ingest_from_another_instance(
+        tmp_path, titles, monkeypatch):
+    root = tmp_path / "stream"
+    supervisor = _quiet_supervisor(
+        root, TopicStream.create(root, _stream_config()), titles[0])
+    TopicStream.open(root).ingest(titles[1])
+    refreshes = _spy(monkeypatch, "refresh")
+    supervisor._poll_once()
+    assert refreshes == [1]
+    assert supervisor.last_report.version == 2
+    assert supervisor.last_report.n_documents == \
+        TopicStream.open(root).n_documents
+
+
+def test_supervisor_adopts_a_version_published_elsewhere(tmp_path, titles,
+                                                         monkeypatch):
+    root = tmp_path / "stream"
+    supervisor = _quiet_supervisor(
+        root, TopicStream.create(root, _stream_config()), titles[0])
+    other = TopicStream.open(root)
+    other.ingest(titles[1])
+    assert other.refresh().version == 2   # published by another refresher
+    opens = _spy(monkeypatch, "open")
+    refreshes = _spy(monkeypatch, "refresh")
+    supervisor._poll_once()               # re-opens: nothing pending
+    supervisor._poll_once()               # quiet again
+    assert opens == [1] and refreshes == []
+    assert supervisor.last_report.version == 1
+    assert not TopicStream.open(root).version_path(3).exists()
+
+
+def test_failed_polls_are_never_quiet(tmp_path, titles, monkeypatch):
+    root = tmp_path / "stream"
+    stream = TopicStream.create(root, _stream_config())
+    stream.ingest(titles[0])
+    supervisor = StreamSupervisor(root, poll_interval=0.05)
+
+    def failing_refresh(self, force=False):
+        raise StreamError("injected refresh failure")
+
+    monkeypatch.setattr(TopicStream, "refresh", failing_refresh)
+    refreshes = _spy(monkeypatch, "refresh")
+    supervisor._poll_once()
+    supervisor._poll_once()               # the same state, tried again
+    assert refreshes == [1, 1]
+    assert supervisor._consecutive_errors == 2
+    assert "injected refresh failure" in supervisor.last_error
+    monkeypatch.undo()
+    supervisor._poll_once()
+    assert supervisor.last_report.version == 1
+
+    supervisor._poll_once()               # quiet
+    stream_file = root / "stream.json"
+    published = stream_file.read_bytes()
+    stream_file.write_text("{not json", encoding="utf-8")
+    opens = _spy(monkeypatch, "open")
+    for _ in range(3):
+        supervisor._poll_once()
+    assert opens == [1, 1, 1]
+    assert "cannot open stream" in supervisor.last_error
+    write_json_atomic(stream_file, json.loads(published))
+    supervisor._poll_once()
+    assert opens == [1, 1, 1, 1]
+    assert supervisor.last_report.version == 1
 
 
 # -- the closed loop: stream publish -> live server hot-swap ---------------------------------
