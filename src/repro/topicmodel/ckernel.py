@@ -2,10 +2,11 @@
 
 ``phrase_lda_kernel.c`` (same directory) is a dependency-free C99 file with
 three entry points: ``phrase_lda_sweep``, one PhraseLDA training sweep over
-the flattened corpus (:func:`run_sweep`); ``phrase_lda_fold_in``, a chunk of
-fold-in sweeps against a frozen model (:func:`run_fold_in`); and
-``phrase_segment``, Algorithm 2's seed scoring and merge cascade over every
-chunk of a flat chunk buffer (:func:`run_segment`).  This module compiles
+the flattened corpus (:func:`run_sweep` over :class:`SweepBuffers`);
+``phrase_lda_fold_in``, a chunk of fold-in sweeps against a frozen model
+(:func:`run_fold_in`); and ``phrase_segment``, Algorithm 2's seed scoring
+and merge cascade over every chunk of a flat chunk buffer
+(:func:`run_segment`).  This module compiles
 the file with the system C compiler into one small shared library, caches
 the build keyed by a hash of the source, the compile flags and (for a
 native build) the host CPU's signature, and exposes it through
@@ -235,28 +236,60 @@ def _kernel() -> ctypes.CDLL:
     return lib
 
 
-def run_sweep(tokens: np.ndarray, offsets: np.ndarray, clique_doc: np.ndarray,
-              n_topics: int, alpha: np.ndarray, beta: float, beta_sum: float,
-              topic_word: np.ndarray, doc_topic: np.ndarray,
-              topic_totals: np.ndarray, wfac: np.ndarray, tfac: np.ndarray,
-              assign: np.ndarray, uniforms: np.ndarray,
-              scratch: np.ndarray) -> None:
-    """Invoke one C sweep over all cliques (arrays must be C-contiguous).
+class SweepBuffers:
+    """Every buffer ``phrase_lda_sweep`` reads or writes, checked once.
 
-    ``wfac`` must hold ``beta + topic_word`` and ``tfac`` ``beta_sum +
-    topic_totals`` on entry; the kernel keeps both equal to those
-    expressions as it moves counts.  ``scratch`` holds ``2 * n_topics``
-    doubles.
+    The flat corpus (``tokens`` int32, ``offsets`` int64 of ``n_cliques +
+    1``, ``clique_doc`` int32 of ``n_cliques``), the ``int64`` counts and
+    assignments the kernel mutates in place (``topic_word`` V x K,
+    ``doc_topic`` D x K, ``topic_totals`` K, ``assign`` n_cliques), the
+    priors with their baked factors (``alpha`` K; ``wfac`` V x K must hold
+    ``beta + topic_word`` and ``tfac`` K ``beta_sum + topic_totals``, which
+    the kernel keeps true as it moves counts) and ``uniforms``, one float64
+    per non-empty clique that the caller refills in place before each
+    sweep.  Dtypes, contiguity and sizes are checked here and the
+    addresses taken once, so :func:`run_sweep` is one ctypes call; a
+    mismatch raises ``ValueError`` instead of reaching the kernel.  The
+    caller guarantees the index ranges the kernel trusts (token ids in
+    ``[0, V)``, assignments in ``[0, K)``, ``clique_doc`` rows of
+    ``doc_topic``, non-decreasing offsets).
     """
-    _require("wfac", wfac, np.float64, topic_word.size)
-    _require("tfac", tfac, np.float64, n_topics)
-    _require("scratch", scratch, np.float64, 2 * n_topics)
-    _kernel().phrase_lda_sweep(
-        tokens.ctypes.data, offsets.ctypes.data, clique_doc.ctypes.data,
-        len(offsets) - 1, n_topics, alpha.ctypes.data, beta, beta_sum,
-        topic_word.ctypes.data, doc_topic.ctypes.data,
-        topic_totals.ctypes.data, wfac.ctypes.data, tfac.ctypes.data,
-        assign.ctypes.data, uniforms.ctypes.data, scratch.ctypes.data)
+
+    def __init__(self, tokens: np.ndarray, offsets: np.ndarray,
+                 clique_doc: np.ndarray, alpha: np.ndarray, beta: float,
+                 beta_sum: float, topic_word: np.ndarray,
+                 doc_topic: np.ndarray, topic_totals: np.ndarray,
+                 wfac: np.ndarray, tfac: np.ndarray, assign: np.ndarray,
+                 uniforms: np.ndarray) -> None:
+        n_cliques = max(offsets.size - 1, 0)
+        _require("offsets", offsets, np.int64, n_cliques + 1)
+        _require("tokens", tokens, np.int32, int(offsets[-1]))
+        _require("clique_doc", clique_doc, np.int32, n_cliques)
+        n_words, n_topics = topic_word.shape
+        _require("topic_word", topic_word, np.int64, n_words * n_topics)
+        _require("doc_topic", doc_topic, np.int64,
+                 doc_topic.shape[0] * n_topics)
+        _require("topic_totals", topic_totals, np.int64, n_topics)
+        _require("alpha", alpha, np.float64, n_topics)
+        _require("wfac", wfac, np.float64, topic_word.size)
+        _require("tfac", tfac, np.float64, n_topics)
+        _require("assign", assign, np.int64, n_cliques)
+        n_sampled = int(np.count_nonzero(offsets[1:] - offsets[:-1]))
+        _require("uniforms", uniforms, np.float64, n_sampled)
+        scratch = np.empty(2 * n_topics, dtype=np.float64)
+        # Held so the addresses below stay valid for the object's life.
+        self._arrays = (tokens, offsets, clique_doc, alpha, topic_word,
+                        doc_topic, topic_totals, wfac, tfac, assign,
+                        uniforms, scratch)
+        address = [array.ctypes.data for array in self._arrays]
+        self._args = (*address[:3], n_cliques, n_topics, address[3],
+                      float(beta), float(beta_sum), *address[4:])
+
+
+def run_sweep(buffers: SweepBuffers) -> None:
+    """Run one C sweep over every clique of ``buffers``, mutating its
+    counts, factors and assignments in place."""
+    _kernel().phrase_lda_sweep(*buffers._args)
 
 
 def _require(name: str, array: np.ndarray, dtype, size: int) -> None:

@@ -257,29 +257,35 @@ class CKernelSampler:
         self.assign = assign
         self.n_topics = topic_word.shape[1]
         self.vocabulary_size = topic_word.shape[0]
-        self._scratch = np.empty(2 * self.n_topics, dtype=np.float64)
         self._uniforms = np.empty(flat.n_sampled, dtype=np.float64)
         self.rebuild(alpha, beta)
 
     def rebuild(self, alpha: np.ndarray, beta: float) -> None:
         """Adopt new hyper-parameters (after Minka fixed-point updates) and
-        re-derive the factor arrays from the integer counts."""
+        re-derive the factor arrays from the integer counts.
+
+        Every buffer the kernel touches is checked here
+        (:class:`~repro.topicmodel.ckernel.SweepBuffers`), not per sweep:
+        a corpus or count array of the wrong dtype, layout or size raises
+        ``ValueError`` before any sweep runs.
+        """
         self.alpha = np.ascontiguousarray(alpha, dtype=np.float64)
         self.beta = float(beta)
         self.beta_sum = self.beta * self.vocabulary_size
         self.wfac = self.beta + self.topic_word
         self.tfac = self.beta_sum + self.topic_totals
+        flat = self.flat
+        self._buffers = ckernel.SweepBuffers(
+            flat.tokens, flat.offsets, flat.clique_doc, self.alpha, self.beta,
+            self.beta_sum, self.topic_word, self.doc_topic, self.topic_totals,
+            self.wfac, self.tfac, self.assign, self._uniforms)
 
     def sweep(self, rng: np.random.Generator) -> None:
         """One full Gibbs sweep over every clique."""
         if self.flat.n_sampled == 0:
             return
         rng.random(out=self._uniforms)
-        ckernel.run_sweep(
-            self.flat.tokens, self.flat.offsets, self.flat.clique_doc,
-            self.n_topics, self.alpha, self.beta, self.beta_sum,
-            self.topic_word, self.doc_topic, self.topic_totals,
-            self.wfac, self.tfac, self.assign, self._uniforms, self._scratch)
+        ckernel.run_sweep(self._buffers)
 
 
 def _check_token_range(tokens: np.ndarray, vocabulary_size: int) -> None:

@@ -67,6 +67,28 @@
  * That is the whole weight of a singleton clique, and the starting weight
  * of a longer one.
  *
+ * Keeps and moves (training)
+ * --------------------------
+ * The reference removes clique g from the counts, draws, and adds it back
+ * under the drawn topic.  Removing it changes only lane k_old of the Eq. 7
+ * weights, so the sweep draws before it changes any count: clique_weights
+ * runs on the counts as they stand, and lane k_old is then recomputed as a
+ * scalar from the removed values, in clique_weights' operation order,
+ *
+ *   df_old = alpha[k_old] + (double)(dc[k_old] - size)
+ *   tf_old = beta_sum + (double)(topic_totals[k_old] - size)
+ *   wf_j   = beta + (double)(topic_word[w_j*K + k_old] - m_j)
+ *
+ * where m_j counts the occurrences of w_j in the clique (a repeated word
+ * loses one count per occurrence).  These are the very doubles the
+ * reference's factor expressions give after the removal, so the weights,
+ * and so the draw, are bit-identical.  On a keep (k_new == k_old, most
+ * draws once the chain has burnt in) remove-then-add would restore every
+ * integer count, and so every factor re-derived from it, bit for bit: the
+ * sweep writes nothing.  Only a move writes, the k_old and k_new cells of
+ * each touched count and factor.  With no stores behind a keep, the next
+ * clique's factor loads never wait on this clique's draw.
+ *
  * The draw counts k_new = #{k < K-1 : cum[k] < u * total}.  With positive
  * priors every weight is >= 0 and NaN-free, so cum is nondecreasing and
  * the indices with cum[k] < target form a prefix: the count equals the
@@ -134,6 +156,7 @@ void phrase_lda_sweep(const int32_t *tokens,      /* flat token ids            *
         const int64_t size = offsets[g + 1] - t0;
         if (size == 0)
             continue;
+        const int32_t *clique = tokens + t0;
         const int64_t d = clique_doc[g];
         int64_t *dc = doc_topic + d * K;
         if (d != current_doc) {
@@ -143,19 +166,32 @@ void phrase_lda_sweep(const int32_t *tokens,      /* flat token ids            *
         }
         const int64_t k_old = assign[g];
 
-        /* Remove the whole clique from the counts (Z without C_{d,g}),
-         * re-deriving each touched factor from its count. */
-        for (int64_t t = t0; t < t0 + size; t++) {
-            const int64_t cell = (int64_t)tokens[t] * K + k_old;
-            topic_word[cell] -= 1;
-            wfac[cell] = beta + (double)topic_word[cell];
-        }
-        dc[k_old] -= size;
-        df[k_old] = alpha[k_old] + (double)dc[k_old];
-        topic_totals[k_old] -= size;
-        tfac[k_old] = beta_sum + (double)topic_totals[k_old];
+        /* Eq. 7 on the counts as they stand: every lane but k_old already
+         * holds its Z-without-C_{d,g} weight. */
+        clique_weights(clique, size, K, df, wfac, tfac, weights);
 
-        clique_weights(tokens + t0, size, K, df, wfac, tfac, weights);
+        /* Lane k_old with the clique removed, from the removed counts and
+         * in clique_weights' operation order: a word occurring m times in
+         * the clique loses m from its count. */
+        const double df_old = alpha[k_old] + (double)(dc[k_old] - size);
+        const double tf_old = beta_sum + (double)(topic_totals[k_old] - size);
+        double w_old = 1.0;
+        for (int64_t j = 0; j < size; j++) {
+            int64_t m = 0;
+            for (int64_t i = 0; i < size; i++)
+                m += clique[i] == clique[j];
+            const double wf = beta + (double)(
+                topic_word[(int64_t)clique[j] * K + k_old] - m);
+            if (j == 0) {
+                w_old = (df_old * wf) / tf_old;
+            } else {
+                const double jd = (double)j;
+                w_old *= df_old + jd;
+                w_old *= wf;
+                w_old /= tf_old + jd;
+            }
+        }
+        weights[k_old] = w_old;
 
         /* Inverse-CDF draw: in-place cumulative sum, then the branchless
          * count of cum[k] < u * total over k < K-1 (== the leftmost index
@@ -167,14 +203,24 @@ void phrase_lda_sweep(const int32_t *tokens,      /* flat token ids            *
         for (int64_t k = 0; k < K - 1; k++)
             k_new += weights[k] < target;
 
+        /* A keep writes nothing: remove-then-add would restore every
+         * count, and so every factor re-derived from it, bit for bit. */
+        if (k_new == k_old)
+            continue;
         assign[g] = k_new;
-        for (int64_t t = t0; t < t0 + size; t++) {
-            const int64_t cell = (int64_t)tokens[t] * K + k_new;
-            topic_word[cell] += 1;
-            wfac[cell] = beta + (double)topic_word[cell];
+        for (int64_t t = 0; t < size; t++) {
+            const int64_t row = (int64_t)clique[t] * K;
+            topic_word[row + k_old] -= 1;
+            wfac[row + k_old] = beta + (double)topic_word[row + k_old];
+            topic_word[row + k_new] += 1;
+            wfac[row + k_new] = beta + (double)topic_word[row + k_new];
         }
+        dc[k_old] -= size;
+        df[k_old] = alpha[k_old] + (double)dc[k_old];
         dc[k_new] += size;
         df[k_new] = alpha[k_new] + (double)dc[k_new];
+        topic_totals[k_old] -= size;
+        tfac[k_old] = beta_sum + (double)topic_totals[k_old];
         topic_totals[k_new] += size;
         tfac[k_new] = beta_sum + (double)topic_totals[k_new];
     }

@@ -2,10 +2,14 @@
 its prior-baked factors (many documents, so the per-document factor row is
 rebuilt often; 3-4-token cliques, the j >= 1 Eq. 7 steps; Minka
 hyper-parameter updates, factor re-derivation), the segmentation buffer
-guard, and the build targets (native vs portable, the cache key, the
-fallback)."""
+guard, draws placed on the reference's CDF boundaries (fold-in and the
+training sweep's keeps and moves), the training sweep's buffer checks, and
+the build targets (native vs portable, the cache key, the fallback)."""
 
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +174,140 @@ def test_fold_in_kernel_draws_on_the_references_cdf_boundaries():
     assign, doc_topic = run_boundary_fold_in(inputs)
     np.testing.assert_array_equal(assign, expected)
     np.testing.assert_array_equal(doc_topic, expected_topic)
+
+
+def boundary_sweep(n_docs=80, n_topics=7, n_words=12, seed=4):
+    """One training sweep whose every draw sits on a CDF boundary.
+
+    Replays the reference's Eq. 7 clique by clique (the arithmetic of
+    ``ReferencePhraseLDA._sweep``) and picks each uniform so that ``u *
+    total`` lands exactly on ``cum[aim]``: the draw is ``aim`` there, and
+    one ulp off in the kernel's weights moves it.  Even cliques aim at
+    their own topic (keeps), odd ones elsewhere (moves); a small
+    vocabulary makes repeated words inside a clique common.  ``aim ==
+    K-1`` has no boundary of its own, so such a draw sits just above
+    ``cum[K-2]``, and where no ``u`` hits ``cum[aim]`` exactly the draw
+    sits just below it.  Returns the kernel's inputs and the replay's final
+    assignments and counts.
+    """
+    from repro.topicmodel.gibbs import FlatPhraseCorpus, random_initialization
+
+    rng = np.random.default_rng(seed)
+    flat = FlatPhraseCorpus.from_phrases([
+        [tuple(rng.integers(0, n_words, size=int(rng.choice([1, 2, 2, 3, 3]))))
+         for _ in range(int(rng.integers(2, 9)))] for _ in range(n_docs)])
+    alpha = rng.uniform(0.05, 1.0, size=n_topics)
+    beta, beta_sum = 0.01, 0.01 * n_words
+    initial = random_initialization(flat, n_topics, n_words, rng)
+
+    topic_word, doc_topic, topic_totals, expected = (a.copy() for a in initial)
+    uniforms, kinds, exact = [], set(), 0
+    for g in range(flat.n_cliques):
+        phrase = flat.tokens[flat.offsets[g]:flat.offsets[g + 1]].tolist()
+        size, d, k_old = len(phrase), flat.clique_doc[g], expected[g]
+        for w in phrase:
+            topic_word[w, k_old] -= 1
+        doc_topic[d, k_old] -= size
+        topic_totals[k_old] -= size
+        weights = np.ones(n_topics)
+        for j, w in enumerate(phrase):
+            weights *= alpha + doc_topic[d] + j
+            weights *= beta + topic_word[w]
+            weights /= beta_sum + topic_totals + j
+        cumulative = np.cumsum(weights)
+        total = cumulative[-1]
+        aim = k_old if g % 2 == 0 else (k_old + 1 + g // 2 % (n_topics - 1)) % n_topics
+        edge = cumulative[min(aim, n_topics - 2)]
+        u = edge / total
+        while u * total > edge:
+            u = np.nextafter(u, 0.0)
+        while u * total < edge:
+            u = np.nextafter(u, 1.0)
+        if aim == n_topics - 1:
+            while u * total <= edge:
+                u = np.nextafter(u, 1.0)
+        elif u * total > edge:  # no u lands on it: the last one below
+            u = np.nextafter(u, 0.0)
+        exact += u * total == edge
+        uniforms.append(u)
+        k_new = int(np.searchsorted(cumulative, u * total))
+        assert k_new == aim
+        kinds.add((size, len(set(phrase)) < size, k_new == k_old))
+        expected[g] = k_new
+        for w in phrase:
+            topic_word[w, k_new] += 1
+        doc_topic[d, k_new] += size
+        topic_totals[k_new] += size
+    # Keeps and moves of 2- and 3-cliques, with and without repeated words.
+    assert {(size, repeated, keep) for size in (2, 3)
+            for repeated in (False, True) for keep in (False, True)} <= kinds
+    assert exact > 0.75 * flat.n_cliques
+    inputs = (flat, alpha, beta, beta_sum, initial, np.array(uniforms))
+    return inputs, (expected, topic_word, doc_topic, topic_totals)
+
+
+def test_sweep_kernel_draws_on_the_references_cdf_boundaries():
+    """The training kernel's weights equal the reference's bit for bit on
+    keeps and moves alike -- including the clique's own topic, whose
+    removed-count weight the kernel derives without removing anything:
+    draws placed exactly on the boundaries land where the reference's do,
+    and the counts and factors end where the reference's counts put them."""
+    inputs, expected = boundary_sweep()
+    flat, alpha, beta, beta_sum, initial, uniforms = inputs
+    topic_word, doc_topic, topic_totals, assign = (a.copy() for a in initial)
+    wfac, tfac = beta + topic_word, beta_sum + topic_totals
+    ckernel.run_sweep(ckernel.SweepBuffers(
+        flat.tokens, flat.offsets, flat.clique_doc, alpha, beta, beta_sum,
+        topic_word, doc_topic, topic_totals, wfac, tfac, assign, uniforms))
+    for got, want in zip((assign, topic_word, doc_topic, topic_totals),
+                         expected):
+        np.testing.assert_array_equal(got, want)
+    assert wfac.tobytes() == (beta + topic_word).tobytes()
+    assert tfac.tobytes() == (beta_sum + topic_totals).tobytes()
+
+
+# Fits PhraseLDA on the C engine over a hand-built partition with one
+# buffer spoiled as argv[1] names, printing the ValueError it must raise.
+_BAD_BUFFER_CHILD = """
+import sys
+import numpy as np
+from repro.core.phrase_lda import PhraseLDA, PhraseLDAConfig
+from repro.topicmodel.gibbs import FlatPhraseCorpus
+
+tokens = np.array([0, 1, 2, 1, 0, 2, 2], dtype=np.int32)
+offsets = np.array([0, 2, 3, 5, 7], dtype=np.int64)
+doc_offsets = np.array([0, 2, 4], dtype=np.int64)
+case = sys.argv[1]
+if case == "int32-offsets":
+    offsets = offsets.astype(np.int32)
+elif case == "int64-tokens":
+    tokens = tokens.astype(np.int64)
+elif case == "strided-tokens":
+    tokens = np.repeat(tokens, 2)[::2]
+config = PhraseLDAConfig(n_topics=3, n_iterations=5, seed=0, engine="c")
+try:
+    PhraseLDA(config).fit(FlatPhraseCorpus(tokens, offsets, doc_offsets),
+                          vocabulary_size=3)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("case, buffer", [("int32-offsets", "offsets"),
+                                          ("int64-tokens", "tokens"),
+                                          ("strided-tokens", "tokens")])
+def test_sweep_refuses_buffers_of_the_wrong_layout(case, buffer):
+    """The C sweep reads raw pointers: int32 offsets made it read past
+    the buffer (a segfault), and int64 tokens gave it the wrong ids.
+    ``CKernelSampler`` checks every buffer once and raises instead.  A
+    fresh interpreter runs each case, so a crash fails the test."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _BAD_BUFFER_CHILD, case],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    assert proc.stdout.startswith(f"{buffer} must be a C-contiguous"), \
+        proc.stdout
 
 
 # -- build targets -----------------------------------------------------------------------

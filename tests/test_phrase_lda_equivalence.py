@@ -77,6 +77,51 @@ def test_phrase_lda_engines_match_with_hyperopt(engine):
     assert reference.beta == pytest.approx(fast.beta)
 
 
+def make_repeated_word_docs(n_docs=30, n_words=4, seed=12):
+    """Documents over a tiny vocabulary whose cliques repeat words: each
+    phrase is one of (w), (w, w), (w, v), (w, v, w), (v, w, w)."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for _ in range(n_docs):
+        phrases = []
+        for _ in range(int(rng.integers(3, 9))):
+            w, v = (int(x) for x in rng.choice(n_words, size=2, replace=False))
+            shapes = [(w,), (w, w), (w, v), (w, v, w), (v, w, w)]
+            phrases.append(shapes[int(rng.integers(len(shapes)))])
+        docs.append(phrases)
+    return docs
+
+
+@pytest.mark.parametrize("engine", FAST_ENGINES)
+@pytest.mark.parametrize("hyper", [False, True], ids=["fixed", "hyperopt"])
+def test_engines_match_on_repeated_words_once_converged(engine, hyper):
+    """200 sweeps on a 4-word vocabulary: a word occurring twice in a
+    clique is removed twice from its count, and after burn-in most draws
+    give a clique back the topic it had -- the draws the kernel settles
+    without touching a count."""
+    docs = make_repeated_word_docs()
+    kwargs = dict(n_topics=3, n_iterations=200, seed=3)
+    if hyper:
+        kwargs.update(optimize_hyperparameters=True,
+                      hyper_optimize_interval=25, burn_in=10)
+    reference = PhraseLDA(PhraseLDAConfig(engine="reference", **kwargs)).fit(
+        docs, vocabulary_size=4)
+    previous, keeps = [], []
+
+    def callback(iteration, state):
+        current = np.concatenate(state.clique_assignments)
+        if iteration >= 150:
+            keeps.append(np.mean(current == previous[-1]))
+        previous.append(current.copy())
+
+    fast = PhraseLDA(PhraseLDAConfig(engine=engine, **kwargs)).fit(
+        docs, vocabulary_size=4, callback=callback)
+    assert np.mean(keeps) > 0.7
+    assert_states_equal(reference, fast)
+    assert reference.alpha.tobytes() == fast.alpha.tobytes()
+    assert reference.beta == fast.beta
+
+
 @pytest.mark.parametrize("engine", FAST_ENGINES)
 def test_lda_engines_match_reference(engine):
     rng = np.random.default_rng(4)
